@@ -150,7 +150,7 @@ def _signs_nu(sa: SymThresh, sb: SymThresh, n_min: int) -> Optional[frozenset]:
             coeffs[deg] = coeffs.get(deg, Fraction(0)) + c
     coeffs = {d: c for d, c in coeffs.items() if c}
     if not coeffs:
-        return 0
+        return frozenset((0,))
     top = max(coeffs)
     lead = coeffs[top]
     bound = 1 + max((abs(c) / abs(lead) for d, c in coeffs.items() if d != top), default=Fraction(0))
@@ -544,12 +544,13 @@ def _infer_nk(x: Fraction, n: int, ctx: MatchContext) -> int:
     if n == 1:
         _need(x == 1, "bound must be 1 when n = 1")
         return 1
-    nk = x.denominator
-    k = round(math.log(nk, n))
-    for cand in (k - 1, k, k + 1):
-        if cand >= 1 and n**cand == nk:
-            return cand
-    raise NoMatch("bound denominator is not a power of n")
+    _need(n > 1, "bound denominator is not a power of n")
+    nk, k, power = x.denominator, 0, 1
+    while power < nk:
+        power *= n
+        k += 1
+    _need(k >= 1 and power == nk, "bound denominator is not a power of n")
+    return k
 
 
 def _interaction_side(alpha: EFormula, n: int, k: int, ctx: MatchContext) -> int:
@@ -975,14 +976,23 @@ class CheckReport:
 _MAX_TEMPLATE_DEPTH = 4
 
 
-def check_derivation(d: Derivation, symctx: SymCtx = None, _depth: int = 0) -> CheckReport:
-    """Validate every line; report VALID or the first offending line."""
+def check_derivation(
+    d: Derivation, symctx: SymCtx = None, _depth: int = 0, _templates: Optional[dict] = None
+) -> CheckReport:
+    """Validate every line; report VALID or the first offending line.
+
+    ``_templates`` maps a resolved template path to its parsed derivation for
+    the length of one top-level check, so a template cited N times is read
+    and parsed once.
+    """
     if not d.lines:
         return CheckReport(False, "empty derivation")
+    if _templates is None:
+        _templates = {}
     by_index: dict[int, Formula] = {}
     for line in d.lines:
         try:
-            _check_line(d, line, by_index, symctx, _depth)
+            _check_line(d, line, by_index, symctx, _depth, _templates)
         except NoMatch as exc:
             return CheckReport(False, exc.reason, line.index)
         except (StructureError, TemplateError) as exc:
@@ -1003,6 +1013,7 @@ def _check_line(
     by_index: dict[int, Formula],
     symctx: SymCtx,
     depth: int,
+    templates: dict,
 ):
     if line.index in by_index:
         raise StructureError(f"duplicate line index {line.index}")
@@ -1069,11 +1080,11 @@ def _check_line(
         return
 
     if isinstance(just, ApproxIntroJ):
-        _check_approx_intro(d, line, just, depth)
+        _check_approx_intro(d, line, just, depth, templates)
         return
 
     if isinstance(just, ArchJ):
-        _check_arch(d, line, just, depth)
+        _check_arch(d, line, just, depth, templates)
         return
 
     raise StructureError(f"unknown justification {just!r}")
@@ -1098,7 +1109,18 @@ def _load_template(d: Derivation, path: str, depth: int) -> Derivation:
     return t
 
 
-def _check_approx_intro(d: Derivation, line: ProofLine, just: ApproxIntroJ, depth: int):
+def _template(d: Derivation, path: str, depth: int, templates: dict) -> Derivation:
+    """The template at ``path``, loaded once per resolved path in ``templates``."""
+    key = os.path.abspath(os.path.join(d.base_dir, path))
+    t = templates.get(key)
+    if t is None or depth >= _MAX_TEMPLATE_DEPTH:  # the loader raises past the limit
+        t = templates[key] = _load_template(d, path, depth)
+    return t
+
+
+def _check_approx_intro(
+    d: Derivation, line: ProofLine, just: ApproxIntroJ, depth: int, templates: dict
+):
     r = just.r
     if not 0 <= r <= 1:
         raise StructureError("approximation rule needs r in [0,1]")
@@ -1110,8 +1132,10 @@ def _check_approx_intro(d: Derivation, line: ProofLine, just: ApproxIntroJ, dept
         raise NoMatch("conclusion r differs from the rule's r")
     a = head.inner
     n_min = 1 if r == 1 else math.ceil(Fraction(1) / (1 - r))
-    template = _load_template(d, just.template, depth)
-    rep = check_derivation(template, symctx=("nu", max(n_min, 1)), _depth=depth + 1)
+    template = _template(d, just.template, depth, templates)
+    rep = check_derivation(
+        template, symctx=("nu", max(n_min, 1)), _depth=depth + 1, _templates=templates
+    )
     if not rep.valid:
         raise NoMatch(f"template {just.template!r} fails: {rep.render()}")
     # premise family: B -> Pr>= r - 1/v (A)  and  B -> Pr<= r + 1/v (A),
@@ -1131,9 +1155,9 @@ def _check_approx_intro(d: Derivation, line: ProofLine, just: ApproxIntroJ, dept
         raise NoMatch("template does not derive the upper premise family")
 
 
-def _check_arch(d: Derivation, line: ProofLine, just: ArchJ, depth: int):
-    template = _load_template(d, just.template, depth)
-    rep = check_derivation(template, symctx=("sigma",), _depth=depth + 1)
+def _check_arch(d: Derivation, line: ProofLine, just: ArchJ, depth: int, templates: dict):
+    template = _template(d, just.template, depth, templates)
+    rep = check_derivation(template, symctx=("sigma",), _depth=depth + 1, _templates=templates)
     if not rep.valid:
         raise NoMatch(f"template {just.template!r} fails: {rep.render()}")
     last = template.lines[-1].formula

@@ -85,6 +85,11 @@ def _pgcd(a, b):
     return tuple(c / a[-1] for c in a)  # monic
 
 
+# the denominator of every polynomial value, shared so that the fast paths
+# recognise it by identity
+_DEN1 = (Fraction(1),)
+
+
 def _order(p) -> int:
     for i, c in enumerate(p):
         if c != 0:
@@ -113,17 +118,19 @@ class QEps:
         if not d:
             raise ZeroDivisionError("zero denominator polynomial")
         if not n:
-            object.__setattr__(self, "num", ())
-            object.__setattr__(self, "den", (Fraction(1),))
-            return
-        g = _pgcd(n, d)
-        if len(g) > 1 or g[0] != 1:
-            n, _ = _pdivmod(n, g)
-            d, _ = _pdivmod(d, g)
-        c = d[_order(d)]
-        if c != 1:
-            n = _pscale(n, 1 / c)
-            d = _pscale(d, 1 / c)
+            n, d = (), _DEN1
+        else:
+            if len(d) > 1:  # a constant denominator shares no factor with n
+                g = _pgcd(n, d)
+                if len(g) > 1 or g[0] != 1:
+                    n, _ = _pdivmod(n, g)
+                    d, _ = _pdivmod(d, g)
+            c = d[_order(d)]
+            if c != 1:
+                n = _pscale(n, 1 / c)
+                d = _pscale(d, 1 / c)
+            if len(d) == 1:
+                d = _DEN1
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
 
@@ -134,7 +141,8 @@ class QEps:
 
     @classmethod
     def from_rational(cls, r: RationalLike) -> "QEps":
-        return cls((Fraction(r),))
+        r = Fraction(r)
+        return _canonical((r,) if r else (), _DEN1)
 
     @classmethod
     def epsilon(cls, power: int = 1) -> "QEps":
@@ -164,7 +172,7 @@ class QEps:
 
     @property
     def is_rational(self) -> bool:
-        return len(self.num) <= 1 and self.den == (Fraction(1),)
+        return len(self.num) <= 1 and self.den == _DEN1
 
     @property
     def shift(self) -> int:
@@ -182,6 +190,8 @@ class QEps:
 
     def __add__(self, other: "QEps") -> "QEps":
         other = _coerce(other)
+        if self.den is _DEN1 and other.den is _DEN1:
+            return _canonical(_padd(self.num, other.num), _DEN1)
         return QEps(
             _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
             _pmul(self.den, other.den),
@@ -190,7 +200,7 @@ class QEps:
     __radd__ = __add__
 
     def __neg__(self) -> "QEps":
-        return QEps(_pneg(self.num), self.den)
+        return _canonical(_pneg(self.num), self.den)
 
     def __sub__(self, other) -> "QEps":
         return self + (-_coerce(other))
@@ -200,6 +210,8 @@ class QEps:
 
     def __mul__(self, other) -> "QEps":
         other = _coerce(other)
+        if self.den is _DEN1 and other.den is _DEN1:
+            return _canonical(_pmul(self.num, other.num), _DEN1)
         return QEps(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -231,7 +243,12 @@ class QEps:
 
     def compare(self, other) -> int:
         """-1, 0 or 1: the sign of ``self - other`` for small positive e."""
-        d = self - _coerce(other)
+        other = _coerce(other)
+        a, b = self.num, other.num
+        if len(a) <= 1 and len(b) <= 1 and self.den is _DEN1 and other.den is _DEN1:
+            x, y = (a[0] if a else 0), (b[0] if b else 0)
+            return (x > y) - (x < y)
+        d = self - other
         if d.is_zero:
             return 0
         # the denominator's lowest-order coefficient is 1 by normalization
@@ -291,12 +308,20 @@ class QEps:
     # -- text ------------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.den == (Fraction(1),):
+        if self.den == _DEN1:
             return _poly_str(self.num)
         return f"({_poly_str(self.num)})/({_poly_str(self.den)})"
 
     def __repr__(self) -> str:
         return f"QEps({self})"
+
+
+def _canonical(num: tuple, den: tuple) -> QEps:
+    """A QEps from a ``(num, den)`` pair that is already in canonical form."""
+    q = object.__new__(QEps)
+    object.__setattr__(q, "num", num)
+    object.__setattr__(q, "den", den)
+    return q
 
 
 def _coerce(x) -> QEps:

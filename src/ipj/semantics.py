@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from . import proofcheck, syntax
@@ -100,12 +101,16 @@ class EpistemicModel:
                     pool.add(d[0])
                     pool.add(d[1])
         self.witness_pool: frozenset = frozenset(pool)
-        self._succ: dict[tuple[str, str], tuple[str, ...]] = {}
+        # per agent, each world's successors in the relation's iteration order,
+        # which decides the failure validate reports first
+        self._adj: dict[str, dict[str, list[str]]] = {a: {} for a in AGENTS}
         for a in AGENTS:
-            for w in self.worlds:
-                self._succ[(a, w)] = tuple(
-                    u for (x, u) in sorted(self.rel[a]) if x == w
-                )
+            adj = self._adj[a]
+            for w, u in self.rel[a]:
+                adj.setdefault(w, []).append(u)
+        self._succ: dict[tuple[str, str], tuple[str, ...]] = {
+            (a, w): tuple(sorted(self._adj[a].get(w, ()))) for a in AGENTS for w in self.worlds
+        }
         self._ev_memo: dict = {}
         self._tr_memo: dict = {}
         self.validate()
@@ -132,9 +137,10 @@ class EpistemicModel:
             for w in self.worlds:
                 if (w, w) not in r:
                     raise ModelError(f"R[{a}] is not reflexive at {w!r}")
+            adj = self._adj[a]
             for w, u in r:
-                for x, v in r:
-                    if x == u and (w, v) not in r:
+                for v in adj[u]:
+                    if (w, v) not in r:
                         raise ModelError(
                             f"R[{a}] is not transitive: {w!r} -> {u!r} -> {v!r}"
                         )
@@ -260,12 +266,10 @@ class Quasimodel:
             raise ModelError("the distinguished world must belong to the sample")
         if set(self.measure) != set(self.sample):
             raise ModelError("the measure must assign a mass to each sample world")
-        total = _ZERO
         for u in self.sample:
-            mass = self.measure[u]
-            if not mass.in_unit_interval():
+            if not self.measure[u].in_unit_interval():
                 raise ModelError(f"mass of {u!r} is outside the unit interval")
-            total = total + mass
+        total = self.measure_event(self.sample)
         if total != _ONE:
             raise ModelError(f"masses sum to {total}, not 1")
 
@@ -273,10 +277,15 @@ class Quasimodel:
         return frozenset(u for u in self.sample if self.base.eval(u, alpha))
 
     def measure_event(self, worlds: Iterable[str]) -> QEps:
-        total = _ZERO
-        for u in worlds:
-            total = total + self.measure[u]
-        return total
+        masses = [self.measure[u] for u in worlds]
+        # rational masses: add the numerators over each denominator, then the sums
+        numerators: dict[int, int] = {}
+        for m in masses:
+            if not m.is_rational:
+                return sum(masses, _ZERO)
+            r = m.as_rational()
+            numerators[r.denominator] = numerators.get(r.denominator, 0) + r.numerator
+        return QEps.from_rational(sum(Fraction(n, d) for d, n in numerators.items()))
 
     def measure_of(self, alpha: EFormula) -> QEps:
         return self.measure_event(self.event(alpha))
@@ -446,8 +455,6 @@ def _check_bounds(
     upper: bool,
     label: str,
 ):
-    from fractions import Fraction
-
     def describe(n, value):
         return (
             f"{label} fails at t={syntax.print_term(t)}, "
@@ -590,21 +597,24 @@ _EVIDENCE_RE = re.compile(r"^(\S+)\s+\[(P|V)\]\s+(.*)$")
 def parse_model_file(text: str) -> Quasimodel:
     sections: dict[str, list[str]] = {}
     current: Optional[str] = None
+    declared: set[str] = set()  # the worlds named so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         msec = _SECTION_RE.match(line)
-        if msec:
+        # inside val, "w0 : p" for a world named w0 is a valuation line
+        if msec and not (current == "val" and line.split()[0] in declared):
             current = msec.group(1)
             sections.setdefault(current, [])
-            rest = msec.group(2).strip()
-            if rest:
-                sections[current].append(rest)
-            continue
-        if current is None:
+            line = msec.group(2).strip()
+            if not line:
+                continue
+        elif current is None:
             raise ModelError(f"line {lineno}: content before any section header")
         sections[current].append(line)
+        if current == "worlds":
+            declared.update(line.split())
 
     for needed in ("worlds", "U", "mu", "w0"):
         if needed not in sections:

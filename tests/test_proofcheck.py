@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ipj import generators
+from ipj import generators, proofcheck
 from ipj.ispec import InteractionSpec, load_spec
 from ipj.proofcheck import (
     CheckReport,
@@ -173,6 +173,24 @@ def test_interaction_schemas():
     )
 
 
+def test_interaction_bound_exponent_is_found_exactly():
+    spec = load_spec("box[P] p : const 1\n")
+
+    def c_axiom(bound, n):
+        return fml(f"t :[P] box[P] p -> Pr>= {bound} (f[{n}](t) :[V] box[P] box[P] p)")
+
+    m = match_axiom(c_axiom(1 - Fraction(1, 10**30), 10), spec)
+    assert m is not None and m.schema == "c" and m.bindings["k"] == 30
+    for bound in (1 - Fraction(1, 2 * 10**30), 1 - Fraction(1, 10**30 + 1)):
+        assert match_axiom(c_axiom(bound, 10), spec) is None
+    assert match_axiom(c_axiom(Fraction(1, 2), 0), spec) is None  # no power of 0
+
+
+def test_signs_nu_of_equal_thresholds():
+    s = SymThresh(Fraction(1, 2), Fraction(-1), 2)
+    assert proofcheck._signs_nu(s, s, 1) == frozenset({0})
+
+
 def test_zk_schemas_need_the_flag():
     spec = load_spec("box[P] p : const 1\n")
     f = fml("t :[P] box[P] p -> Pr<= 1/4 (f[2](t) :[V] t :[P] box[P] p)")
@@ -287,6 +305,27 @@ def test_missing_premise_family_rejected():
         "1. p -> Pr~ 0 (q) ; param-approx 0 template=arch_template.ipjp\n"
     )
     assert not rep.valid
+
+
+def test_template_parsed_once_per_check(monkeypatch):
+    spec = load_spec(open(os.path.join(GOLDEN, "golden.ispec")).read())
+    line = (
+        "t :[P] a -> Pr~ 1 (c:k1 * f[w](t) :[V] a) ; "
+        "param-approx 1 template=almost_certain_template.ipjp"
+    )
+    d = parse_derivation(f"1. {line}\n2. {line}\n3. {line}\n", spec, base_dir=GOLDEN)
+    parsed = []
+    real = proofcheck.parse_derivation
+
+    def counting(text, *args, **kwargs):
+        parsed.append(text)
+        return real(text, *args, **kwargs)
+
+    monkeypatch.setattr(proofcheck, "parse_derivation", counting)
+    assert check_derivation(d).valid
+    assert len(parsed) == 1
+    assert check_derivation(d).valid  # no cache outlives a check
+    assert len(parsed) == 2
 
 
 def test_justification_parse_errors():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipj.qeps import QEps, QEpsParseError, parse_qeps
+from ipj.qeps import QEps, QEpsParseError, _padd, _pmul, _pneg, parse_qeps
 
 ZERO = QEps.from_rational(0)
 ONE = QEps.from_rational(1)
@@ -169,3 +169,48 @@ def test_parse_errors():
     for bad in ("", "1 +", "e^", "(1)/(0)", "1//2"):
         with pytest.raises((QEpsParseError, ZeroDivisionError)):
             parse_qeps(bad)
+
+
+# -- fast paths keep the canonical form ----------------------------------------------
+
+# values with denominator 1 (rationals, polynomials) take the gcd-free paths
+rationals = small_fraction.map(QEps.from_rational)
+polynomials = st.lists(small_fraction, max_size=3).map(QEps)
+operands = st.one_of(rationals, polynomials, values)
+
+GCD_FACTOR = (Fraction(1), Fraction(2))  # 1 + 2e: a common factor the gcd must remove
+
+
+def fields(x):
+    assert all(isinstance(c, Fraction) for c in x.num + x.den)
+    return x.num, x.den
+
+
+def general(num, den):
+    """``QEps(num, den)`` field by field, also through the constructor's gcd."""
+    direct = QEps(num, den)
+    reduced = QEps(_pmul(num, GCD_FACTOR), _pmul(den, GCD_FACTOR))
+    assert fields(direct) == fields(reduced)
+    return fields(direct)
+
+
+@given(operands, operands)
+@settings(max_examples=300)
+def test_fast_paths_match_the_general_constructor(a, b):
+    den = _pmul(a.den, b.den)
+    left, right = _pmul(a.num, b.den), _pmul(b.num, a.den)
+    assert fields(a + b) == general(_padd(left, right), den)
+    difference = general(_padd(left, _pneg(right)), den)
+    assert fields(a - b) == difference
+    assert fields(a * b) == general(_pmul(a.num, b.num), den)
+    assert fields(-a) == general(_pneg(a.num), a.den)
+    num = difference[0]
+    low = next((c for c in num if c != 0), 0)  # the denominator starts with 1
+    assert a.compare(b) == (low > 0) - (low < 0)
+
+
+@given(small_fraction, small_fraction.filter(bool))
+def test_constant_denominators_are_canonical(r, c):
+    assert fields(QEps.from_rational(r)) == general((r,), (1,))
+    assert fields(QEps((r, c), (c,))) == general((r, c), (c,))
+    assert fields(QEps((r,), (c,))) == fields(QEps.from_rational(r / c))

@@ -61,8 +61,22 @@ def test_relations_must_be_reflexive():
 
 def test_relations_must_be_transitive():
     rel = ident(["a", "b", "c"]) + [("a", "b"), ("b", "c")]
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match=r"^R\[P\] is not transitive: 'a' -> 'b' -> 'c'$"):
         EpistemicModel(["a", "b", "c"], {"P": rel, "V": ident(["a", "b", "c"])}, {})
+
+
+def test_successors_are_sorted():
+    rel = [("c", "a"), ("c", "c"), ("a", "a"), ("c", "b"), ("b", "b"), ("b", "a")]
+    m = EpistemicModel(["c", "b", "a"], {"P": rel, "V": ident(["a", "b", "c"])}, {})
+    assert m.successors("P", "c") == ("a", "b", "c")
+    assert m.successors("P", "b") == ("a", "b")
+    assert m.successors("V", "c") == ("c",)
+    rng = random.Random(3)
+    for _ in range(200):
+        m = generators.rand_model(rng).base
+        for a in ("P", "V"):
+            for w in m.worlds:
+                assert m.successors(a, w) == tuple(u for (x, u) in sorted(m.rel[a]) if x == w)
 
 
 def test_masses_must_sum_to_one():
@@ -188,6 +202,20 @@ def test_measure_examples():
     assert qm.eval(parse_formula("Pr>= 1/2 (p)"))
     assert not qm.eval(parse_formula("Pr> 1/2 (p)"))
     assert qm.eval(parse_formula("Pr<= 1/2 (p)"))
+
+
+def test_measure_event_over_rational_and_mixed_masses():
+    worlds = ["w", "u", "v"]
+    m = simple_model(worlds=worlds, rel={a: ident(worlds) for a in "PV"},
+                     valuation={"w": ["p"], "u": ["p"]})
+    masses = {"w": q("1/3"), "u": q("1/6"), "v": q("1/2")}
+    qm = Quasimodel(m, worlds, masses, "w")
+    assert qm.measure_of(parse_eformula("p")) == q("1/2")
+    assert qm.measure_event([]) == q(0)
+    eps = QEps.epsilon()
+    qm = Quasimodel(m, worlds, {**masses, "w": masses["w"] - eps, "v": masses["v"] + eps}, "w")
+    assert qm.measure_of(parse_eformula("p")) == q("1/2") - eps
+    assert qm.measure_event(["u", "v"]) == q("2/3") + eps
 
 
 def test_complement_additivity_random():
@@ -327,6 +355,33 @@ def test_model_file_parse_and_roundtrip():
     text = write_model_file(qm)
     again = parse_model_file(text)
     assert write_model_file(again) == text
+
+
+def test_model_file_roundtrip_random():
+    # worlds named w0, U, mu, ... must not be read as section headers
+    rng = random.Random(0)
+    for _ in range(300):
+        qm = generators.rand_model(rng)
+        again = parse_model_file(write_model_file(qm))
+        assert again.base.worlds == qm.base.worlds
+        assert again.base.rel == qm.base.rel
+        assert again.base.valuation == qm.base.valuation
+        assert again.base.evidence == qm.base.evidence
+        assert again.sample == qm.sample
+        assert again.measure == qm.measure
+        assert again.w0 == qm.w0
+
+
+def test_worlds_named_like_sections():
+    names = ["w0", "U", "mu", "val", "worlds"]
+    text = "\n".join(
+        [f"worlds: {' '.join(names)}", "R[P]:", *(f"{w} -> {w}" for w in names), "R[V]:",
+         *(f"{w} -> {w}" for w in names), "val:", *(f"{w} : p" for w in names),
+         "U: w0 U", "mu:", "w0 = 1/2", "U = 1/2", "w0: U"]
+    ) + "\n"
+    qm = parse_model_file(text)
+    assert qm.w0 == "U" and qm.sample == ("w0", "U")
+    assert all(qm.base.valuation[w] == {"p"} for w in names)
 
 
 def test_model_file_errors():
