@@ -30,6 +30,13 @@ def _emit(args, ok: bool, lines: list[str], extra: dict | None = None) -> int:
     return 0 if ok else 1
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise QEpsParseError(f"zero denominator in {text!r}") from None
+
+
 def _load_spec(path: str | None) -> InteractionSpec:
     if path is None:
         return InteractionSpec()
@@ -127,7 +134,7 @@ def cmd_simulate(args) -> int:
                 fh.write(semantics.write_model_file(q))
             lines.insert(-1, f"model written to {args.emit}")
         return _emit(args, report.ok, lines)
-    error = Fraction(args.error)
+    error = _rational(args.error)
     cfg = protosim.RoundConfig(
         rounds=args.rounds, per_round_error=error, honest=not args.dishonest
     )
@@ -165,7 +172,7 @@ def cmd_arith(args) -> int:
             lines.append("std: undefined (infinite element)")
             ok = False
     if args.approx is not None:
-        r = Fraction(args.approx)
+        r = _rational(args.approx)
         res = a.approx_eq(r)
         lines.append(f"approx {r}: {'true' if res else 'false'}")
         ok = ok and res

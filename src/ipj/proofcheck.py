@@ -13,12 +13,13 @@ symbolic procedure cannot decide is rejected, never silently accepted.
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .ispec import InteractionSpec
 from .qeps import QEps
@@ -26,7 +27,6 @@ from . import syntax
 from .syntax import (
     OMEGA,
     App,
-    Atom,
     Bang,
     Box,
     Const,
@@ -43,13 +43,9 @@ from .syntax import (
     Proto,
     Sum,
     SymThresh,
-    Term,
     Threshold,
-    Var,
     as_efml,
     comp_lt,
-    dest_eimp,
-    dest_eor,
     dest_fimp,
     eimp,
     eiff,
@@ -59,11 +55,6 @@ from .syntax import (
     fnot,
     formula_has_param,
     instantiate_param,
-    is_symbolic,
-    prob_eq,
-    prob_geq,
-    prob_leq,
-    prob_lt,
     print_formula,
     thresh_complement,
 )
@@ -163,23 +154,9 @@ def _signs_nu(sa: SymThresh, sb: SymThresh, n_min: int) -> Optional[frozenset]:
     return frozenset(signs)
 
 
-def thresh_eq(a: Threshold, b: Threshold, symctx: SymCtx = None) -> bool:
-    return cmp_thresh(a, b, symctx) == 0
-
-
 def thresh_ge(a: Threshold, b: Threshold, symctx: SymCtx = None) -> Optional[bool]:
     ss = thresh_signs(a, b, symctx)
     return None if ss is None else ss <= {0, 1}
-
-
-def thresh_le(a: Threshold, b: Threshold, symctx: SymCtx = None) -> Optional[bool]:
-    ss = thresh_signs(a, b, symctx)
-    return None if ss is None else ss <= {0, -1}
-
-
-def thresh_gt(a: Threshold, b: Threshold, symctx: SymCtx = None) -> Optional[bool]:
-    ss = thresh_signs(a, b, symctx)
-    return None if ss is None else ss == {1}
 
 
 def thresh_lt(a: Threshold, b: Threshold, symctx: SymCtx = None) -> Optional[bool]:
@@ -244,8 +221,13 @@ def is_tautology(f: Formula) -> Optional[bool]:
 
 
 # ---------------------------------------------------------------------------
-# schema matching
+# axiom schemas
 # ---------------------------------------------------------------------------
+#
+# Each schema is written once, as a builder from bindings to the instance.
+# Calling the builder with metavariables gives the schema's pattern, which
+# one unifier matches; a side condition then checks what the shape cannot
+# say, and a derive step recomputes bindings that the others determine.
 
 SCHEMA_IDS = (
     "p", "k", "t", "4", "j", "j+", "jt", "j4", "jyb",
@@ -254,7 +236,6 @@ SCHEMA_IDS = (
 )
 
 EPISTEMIC_SCHEMAS = ("p", "k", "t", "4", "j", "j+", "jt", "j4", "jyb", "m")
-ZK_SCHEMAS = ("zk1", "zk2")
 
 
 class NoMatch(Exception):
@@ -282,260 +263,124 @@ def _need(cond: bool, reason: str = "structural mismatch"):
         raise NoMatch(reason)
 
 
-def _as_e(f: Formula) -> EFormula:
-    e = as_efml(f)
-    _need(e is not None)
-    return e
+class _Meta:
+    """A metavariable of a schema pattern; with ``co`` it stands for 1 - s."""
+
+    __slots__ = ("name", "co")
+
+    def __init__(self, name: str, co: bool = False):
+        self.name, self.co = name, co
 
 
-def _dest_imp_f(f: Formula) -> tuple[Formula, Formula]:
-    d = dest_fimp(f)
-    _need(d is not None)
-    return d
+def _co(s):
+    """1 - s, as a pattern for a metavariable and as a value otherwise."""
+    return _Meta(s.name, True) if type(s) is _Meta else thresh_complement(s)
 
 
-def _dest_imp_e(f: EFormula) -> tuple[EFormula, EFormula]:
-    d = dest_eimp(f)
-    _need(d is not None)
-    return d
+def _leq(s, a):  # Pr<= s (a)
+    return ProbGeq(_co(s), ENot(a))
 
 
-# -- epistemic schemas -------------------------------------------------------
+def _eq(s, a):  # Pr= s (a)
+    return FAnd(_leq(s, a), ProbGeq(s, a))
 
 
-def _m_p(f: Formula, ctx: MatchContext) -> dict:
-    taut = is_tautology(f)
+_FIELDS = {
+    cls: tuple(f.name for f in fields(cls))
+    for cls in (Epistemic, ProbGeq, ProbApprox, FNot, FAnd, ENot, EAnd, Box, Just,
+                App, Sum, Bang, Proto)
+}
+
+
+def _unify(p, x, b: dict) -> bool:
+    """Match pattern p against x, binding each metavariable at its first
+    occurrence; repeats and literals compare with ==."""
+    cls = type(p)
+    if cls is _Meta:
+        if p.co:  # complement is an involution: 1 - s == x iff s == 1 - x
+            x = thresh_complement(x)
+        if p.name in b:
+            return b[p.name] == x
+        b[p.name] = x
+        return True
+    names = _FIELDS.get(cls)
+    if names is None:
+        return p == x
+    if type(x) is not cls:
+        return False
+    for n in names:
+        if not _unify(getattr(p, n), getattr(x, n), b):
+            return False
+    return True
+
+
+class _Schema:
+    __slots__ = ("build", "side", "derive", "pattern")
+
+    def __init__(self, build, side=None, derive=None):
+        self.build = build  # keyword bindings -> instance; extra keys are ignored
+        self.side = side  # (bindings, ctx) -> None; raises NoMatch, may add bindings
+        self.derive = derive  # bindings -> the bindings they determine
+        params = inspect.signature(build).parameters.values()
+        names = [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+        self.pattern = build(**{name: _Meta(name) for name in names})
+
+
+# -- side conditions and derived bindings ----------------------------------------
+
+
+def _side_taut(b: dict, ctx: MatchContext):
+    taut = is_tautology(b["formula"])
     if taut is None:
         raise NoMatch("too many opaque subformulas for the tautology check")
     _need(taut, "not a propositional tautology")
-    return {"formula": f}
 
 
-def _m_k(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_e(_as_e(f))
-    _need(isinstance(l, Box))
-    a, b = _dest_imp_e(l.inner)
-    return _check_build("k", {"agent": l.agent, "A": a, "B": b}, f)
+def _side_m(b: dict, ctx: MatchContext):
+    _need(comp_lt(b["m"], b["n"]), "complexity side condition m < n fails")
 
 
-def _m_t(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_e(_as_e(f))
-    _need(isinstance(l, Box))
-    return _check_build("t", {"agent": l.agent, "A": l.inner}, f)
+def _side_p1(b: dict, ctx: MatchContext):
+    _need(cmp_thresh(b["s"], _ZERO_Q, ctx.symctx) == 0, "threshold is not 0")
 
 
-def _m_4(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_e(_as_e(f))
-    _need(isinstance(l, Box))
-    return _check_build("4", {"agent": l.agent, "A": l.inner}, f)
-
-
-def _m_j(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_e(_as_e(f))
-    _need(isinstance(l, Just))
-    a, b = _dest_imp_e(l.inner)
-    x, y = _dest_imp_e(r)
-    _need(isinstance(x, Just))
-    return _check_build(
-        "j", {"agent": l.agent, "s": l.term, "t": x.term, "A": a, "B": b}, f
-    )
-
-
-def _m_jplus(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_e(_as_e(f))
-    d = dest_eor(l)
-    _need(d is not None)
-    x, y = d
-    _need(isinstance(x, Just) and isinstance(y, Just))
-    return _check_build(
-        "j+", {"agent": x.agent, "s": x.term, "t": y.term, "A": x.inner}, f
-    )
-
-
-def _m_jt(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_e(_as_e(f))
-    _need(isinstance(l, Just))
-    return _check_build("jt", {"agent": l.agent, "t": l.term, "A": l.inner}, f)
-
-
-def _m_j4(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_e(_as_e(f))
-    _need(isinstance(l, Just))
-    return _check_build("j4", {"agent": l.agent, "t": l.term, "A": l.inner}, f)
-
-
-def _m_jyb(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_e(_as_e(f))
-    _need(isinstance(l, Just))
-    return _check_build("jyb", {"agent": l.agent, "t": l.term, "A": l.inner}, f)
-
-
-def _m_m(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_e(_as_e(f))
-    _need(isinstance(l, Just) and isinstance(l.term, Proto))
-    _need(isinstance(r, Just) and isinstance(r.term, Proto))
-    mm, nn = l.term.complexity, r.term.complexity
-    _need(comp_lt(mm, nn), "complexity side condition m < n fails")
-    return _check_build(
-        "m",
-        {"agent": l.agent, "t": l.term.inner, "m": mm, "n": nn, "A": l.inner},
-        f,
-    )
-
-
-# -- probabilistic schemas ---------------------------------------------------
-
-
-def _m_p1(f: Formula, ctx: MatchContext) -> dict:
-    _need(isinstance(f, ProbGeq))
-    _need(thresh_eq(f.threshold, _ZERO_Q, ctx.symctx), "threshold is not 0")
-    return {"A": f.inner, "s": f.threshold}
-
-
-def _m_p2(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_f(f)
-    _need(isinstance(l, ProbGeq) and isinstance(l.inner, ENot))
-    _need(isinstance(r, FNot) and isinstance(r.inner, ProbGeq))
-    a = l.inner.inner
-    _need(r.inner.inner == a)
-    s = thresh_complement(l.threshold)
-    t = r.inner.threshold
-    c = thresh_lt(s, t, ctx.symctx)
+def _side_p2(b: dict, ctx: MatchContext):
+    c = thresh_lt(b["s"], b["t"], ctx.symctx)
     if c is None:
         raise NoMatch("undecidable symbolic comparison s < t")
     _need(c, "side condition s < t fails")
-    return {"A": a, "s": s, "t": t}
 
 
-def _m_p3(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_f(f)
-    _need(isinstance(l, FNot) and isinstance(l.inner, ProbGeq))
-    _need(isinstance(r, ProbGeq) and isinstance(r.inner, ENot))
-    a = l.inner.inner
-    _need(r.inner.inner == a)
-    s = l.inner.threshold
-    _need(
-        thresh_eq(r.threshold, thresh_complement(s), ctx.symctx),
-        "thresholds are not complementary",
-    )
-    return {"A": a, "s": s}
+def _side_p6(b: dict, ctx: MatchContext):
+    _need(isinstance(b["s"], QEps) and isinstance(b["t"], QEps), "p6 needs concrete thresholds")
 
 
-def _dest_prob_eq(f: Formula, symctx: SymCtx) -> tuple[Threshold, EFormula]:
-    # FAnd(ProbGeq(1-s, ~A), ProbGeq(s, A))
-    _need(isinstance(f, FAnd))
-    l, r = f.left, f.right
-    _need(isinstance(l, ProbGeq) and isinstance(l.inner, ENot))
-    _need(isinstance(r, ProbGeq))
-    _need(l.inner.inner == r.inner)
-    _need(
-        thresh_eq(l.threshold, thresh_complement(r.threshold), symctx),
-        "thresholds are not complementary",
-    )
-    return r.threshold, r.inner
+def _derive_p6(b: dict) -> dict:
+    total = b["s"] + b["t"]
+    return {"u": total if total.compare(_ONE_Q) <= 0 else _ONE_Q}
 
 
-def _m_p4(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_f(f)
-    _need(isinstance(l, ProbGeq))
-    _need(thresh_eq(l.threshold, _ONE_Q, ctx.symctx), "antecedent threshold is not 1")
-    body = l.inner
-    _need(isinstance(body, EAnd))
-    d1, d2 = dest_eimp(body.left), dest_eimp(body.right)
-    _need(d1 is not None and d2 is not None)
-    a, b = d1
-    _need(d2 == (b, a))
-    x, y = _dest_imp_f(r)
-    s1, a1 = _dest_prob_eq(x, ctx.symctx)
-    s2, b1 = _dest_prob_eq(y, ctx.symctx)
-    _need(a1 == a and b1 == b)
-    _need(thresh_eq(s1, s2, ctx.symctx), "the two exact thresholds differ")
-    return _check_build("p4", {"A": a, "B": b, "s": s1}, f)
-
-
-def _m_p5(f: Formula, ctx: MatchContext) -> dict:
-    _need(isinstance(f, FAnd))
-    d1 = dest_fimp(f.left)
-    d2 = dest_fimp(f.right)
-    _need(d1 is not None and d2 is not None)
-    _need(d1 == (d2[1], d2[0]) or d1 == d2)
-    x, y = d1
-    _need(x == y, "the two sides of the abbreviation must coincide")
-    _need(isinstance(x, ProbGeq) and isinstance(x.inner, ENot))
-    return {"A": x.inner.inner, "s": thresh_complement(x.threshold)}
-
-
-def _m_p6(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_f(f)
-    _need(isinstance(l, FAnd) and isinstance(l.left, FAnd))
-    s, a = _dest_prob_eq(l.left.left, ctx.symctx)
-    t, b = _dest_prob_eq(l.left.right, ctx.symctx)
-    disj = l.right
-    _need(isinstance(disj, ProbGeq))
-    _need(thresh_eq(disj.threshold, _ONE_Q, ctx.symctx), "disjointness threshold is not 1")
-    _need(disj.inner == ENot(EAnd(a, b)))
-    _need(isinstance(s, QEps) and isinstance(t, QEps), "p6 needs concrete thresholds")
-    total = s + t
-    u = total if total.compare(_ONE_Q) <= 0 else _ONE_Q
-    u2, body = _dest_prob_eq(r, ctx.symctx)
-    _need(thresh_eq(u2, u, ctx.symctx), "conclusion threshold is not min(1, s+t)")
-    _need(body == eor(a, b))
-    return _check_build("p6", {"A": a, "B": b, "s": s, "t": t}, f)
-
-
-def _m_p7(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_f(f)
-    _need(isinstance(l, ProbGeq))
-    _need(thresh_eq(l.threshold, _ONE_Q, ctx.symctx), "antecedent threshold is not 1")
-    a, b = _dest_imp_e(l.inner)
-    x, y = _dest_imp_f(r)
-    _need(isinstance(x, ProbGeq) and isinstance(y, ProbGeq))
-    _need(x.inner == a and y.inner == b)
-    _need(thresh_eq(x.threshold, y.threshold, ctx.symctx), "thresholds differ")
-    return _check_build("p7", {"A": a, "B": b, "s": x.threshold}, f)
-
-
-def _m_pa1(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_f(f)
-    _need(isinstance(l, ProbApprox) and isinstance(r, ProbGeq))
-    _need(r.inner == l.inner)
-    s = r.threshold
-    _need(
-        thresh_is_rational_valued(s, ctx.symctx),
-        "the weaker threshold must be rational",
-    )
-    lo = thresh_ge(s, _ZERO_Q, ctx.symctx)
-    hi = thresh_lt(s, QEps.from_rational(l.r), ctx.symctx)
+def _pa_range(s: Threshold, symctx: SymCtx, lo: Optional[bool], hi: Optional[bool], interval: str):
+    _need(thresh_is_rational_valued(s, symctx), "the weaker threshold must be rational")
     if lo is None or hi is None:
         raise NoMatch("undecidable symbolic range condition")
-    _need(lo and hi, "side condition s in [0, r) fails")
-    return {"A": l.inner, "r": l.r, "s": s}
+    _need(lo and hi, f"side condition s in {interval} fails")
 
 
-def _m_pa2(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_f(f)
-    _need(isinstance(l, ProbApprox))
-    _need(isinstance(r, ProbGeq) and isinstance(r.inner, ENot))
-    _need(r.inner.inner == l.inner)
-    s = thresh_complement(r.threshold)
-    _need(
-        thresh_is_rational_valued(s, ctx.symctx),
-        "the weaker threshold must be rational",
-    )
-    lo = thresh_gt(s, QEps.from_rational(l.r), ctx.symctx)
-    hi = thresh_le(s, _ONE_Q, ctx.symctx)
-    if lo is None or hi is None:
-        raise NoMatch("undecidable symbolic range condition")
-    _need(lo and hi, "side condition s in (r, 1] fails")
-    return {"A": l.inner, "r": l.r, "s": s}
+def _side_pa1(b: dict, ctx: MatchContext):
+    s, c = b["s"], ctx.symctx
+    _pa_range(s, c, thresh_ge(s, _ZERO_Q, c), thresh_lt(s, QEps.from_rational(b["r"]), c), "[0, r)")
 
 
-# -- interaction schemas ------------------------------------------------------
+def _side_pa2(b: dict, ctx: MatchContext):
+    s, c = b["s"], ctx.symctx  # thresh_signs is antisymmetric: s > r is r < s
+    _pa_range(s, c, thresh_lt(QEps.from_rational(b["r"]), s, c), thresh_ge(_ONE_Q, s, c), "(r, 1]")
 
 
 def _infer_nk(x: Fraction, n: int, ctx: MatchContext) -> int:
     """Find k with x == 1/n^k, honoring an explicit k hint."""
     _need(0 < x <= 1, "bound must be in (0, 1]")
+    _need(n >= 1, "bound denominator is not a power of n")
     k_hint = ctx.hints.get("k")
     if k_hint is not None:
         _need(x == Fraction(1, n**k_hint), "threshold does not equal 1 - 1/n^k for the stated k")
@@ -544,7 +389,6 @@ def _infer_nk(x: Fraction, n: int, ctx: MatchContext) -> int:
     if n == 1:
         _need(x == 1, "bound must be 1 when n = 1")
         return 1
-    _need(n > 1, "bound denominator is not a power of n")
     nk, k, power = x.denominator, 0, 1
     while power < nk:
         power *= n
@@ -570,262 +414,132 @@ def _interaction_side(alpha: EFormula, n: int, k: int, ctx: MatchContext) -> int
     return thr
 
 
-def _m_c(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_f(f)
-    le = as_efml(l)
-    _need(le is not None and isinstance(le, Just) and le.agent == "P")
-    _need(isinstance(r, ProbGeq))
-    body = r.inner
-    _need(isinstance(body, Just) and body.agent == "V" and isinstance(body.term, Proto))
-    n = body.term.complexity
-    _need(isinstance(n, int), "axiom c needs a finite complexity")
-    _need(body.term.inner == le.term)
-    _need(body.inner == Box("P", le.inner))
-    _need(isinstance(r.threshold, QEps) and r.threshold.is_rational, "threshold must be rational")
-    x = 1 - r.threshold.as_rational()
-    k = _infer_nk(x, n, ctx)
-    m = _interaction_side(le.inner, n, k, ctx)
-    return {"t": le.term, "alpha": le.inner, "n": n, "k": k, "m": m}
+def _side_bound(b: dict, ctx: MatchContext):
+    """c, s and zk1: the error bound q is 1/n^k, and n > m(k) in the spec."""
+    n, q = b["n"], b["q"]
+    _need(isinstance(n, int), "the axiom needs a finite complexity")
+    _need(isinstance(q, QEps) and q.is_rational, "threshold must be rational")
+    b["k"] = _infer_nk(q.as_rational(), n, ctx)
+    b["m"] = _interaction_side(b["alpha"], n, b["k"], ctx)
 
 
-def _m_s(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_f(f)
-    le = as_efml(l)
-    _need(le is not None and isinstance(le, ENot))
-    j = le.inner
-    _need(isinstance(j, Just) and j.agent == "P")
-    _need(isinstance(r, ProbGeq) and isinstance(r.inner, ENot))
-    body = r.inner.inner
-    _need(isinstance(body, Just) and body.agent == "V" and isinstance(body.term, Proto))
-    n = body.term.complexity
-    _need(isinstance(n, int), "axiom s needs a finite complexity")
-    _need(body.term.inner == j.term)
-    _need(body.inner == Box("P", j.inner))
-    _need(isinstance(r.threshold, QEps) and r.threshold.is_rational, "threshold must be rational")
-    x = 1 - r.threshold.as_rational()  # the <= bound
-    k = _infer_nk(x, n, ctx)
-    m = _interaction_side(j.inner, n, k, ctx)
-    return {"t": j.term, "alpha": j.inner, "n": n, "k": k, "m": m}
+def _derive_q(b: dict) -> dict:
+    return {"q": QEps.from_rational(Fraction(1, b["n"] ** b["k"]))}
 
 
-def _m_cw(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_f(f)
-    le = as_efml(l)
-    _need(le is not None and isinstance(le, Just) and le.agent == "P")
-    _need(isinstance(r, ProbApprox) and r.r == 1)
-    body = r.inner
-    _need(isinstance(body, Just) and body.agent == "V")
-    _need(isinstance(body.term, Proto) and body.term.complexity is OMEGA)
-    _need(body.term.inner == le.term)
-    _need(body.inner == Box("P", le.inner))
-    _need(ctx.spec.in_I(le.inner), "formula is not interactively provable")
-    return {"t": le.term, "alpha": le.inner}
+def _side_limit(b: dict, ctx: MatchContext):
+    _need(ctx.spec.in_I(b["alpha"]), "formula is not interactively provable")
 
 
-def _m_sw(f: Formula, ctx: MatchContext) -> dict:
-    l, r = _dest_imp_f(f)
-    le = as_efml(l)
-    _need(le is not None and isinstance(le, ENot))
-    j = le.inner
-    _need(isinstance(j, Just) and j.agent == "P")
-    _need(isinstance(r, ProbApprox) and r.r == 0)
-    body = r.inner
-    _need(isinstance(body, Just) and body.agent == "V")
-    _need(isinstance(body.term, Proto) and body.term.complexity is OMEGA)
-    _need(body.term.inner == j.term)
-    _need(body.inner == Box("P", j.inner))
-    _need(ctx.spec.in_I(j.inner), "formula is not interactively provable")
-    return {"t": j.term, "alpha": j.inner}
+def _zk(side):
+    def zk_side(b: dict, ctx: MatchContext):
+        _need(ctx.zk, "zero-knowledge axioms are disabled")
+        side(b, ctx)
+
+    return zk_side
 
 
-def _m_zk1(f: Formula, ctx: MatchContext) -> dict:
-    _need(ctx.zk, "zero-knowledge axioms are disabled")
-    l, r = _dest_imp_f(f)
-    le = as_efml(l)
-    _need(le is not None and isinstance(le, Just) and le.agent == "P")
-    _need(isinstance(r, ProbGeq) and isinstance(r.inner, ENot))
-    body = r.inner.inner
-    _need(isinstance(body, Just) and body.agent == "V" and isinstance(body.term, Proto))
-    n = body.term.complexity
-    _need(isinstance(n, int), "axiom zk1 needs a finite complexity")
-    _need(body.term.inner == le.term)
-    _need(body.inner == le)
-    _need(isinstance(r.threshold, QEps) and r.threshold.is_rational, "threshold must be rational")
-    x = 1 - r.threshold.as_rational()
-    k = _infer_nk(x, n, ctx)
-    m = _interaction_side(le.inner, n, k, ctx)
-    return {"t": le.term, "alpha": le.inner, "n": n, "k": k, "m": m}
+# -- the table -----------------------------------------------------------------------
 
 
-def _m_zk2(f: Formula, ctx: MatchContext) -> dict:
-    _need(ctx.zk, "zero-knowledge axioms are disabled")
-    l, r = _dest_imp_f(f)
-    le = as_efml(l)
-    _need(le is not None and isinstance(le, Just) and le.agent == "P")
-    _need(isinstance(r, ProbApprox) and r.r == 0)
-    body = r.inner
-    _need(isinstance(body, Just) and body.agent == "V")
-    _need(isinstance(body.term, Proto) and body.term.complexity is OMEGA)
-    _need(body.term.inner == le.term)
-    _need(body.inner == le)
-    _need(ctx.spec.in_I(le.inner), "formula is not interactively provable")
-    return {"t": le.term, "alpha": le.inner}
+def _p5(A, s, **_):
+    lhs = _leq(s, A)
+    return fand(fimp(lhs, lhs), fimp(lhs, lhs))
 
 
-_MATCHERS: dict[str, Callable[[Formula, MatchContext], dict]] = {
-    "p": _m_p,
-    "k": _m_k,
-    "t": _m_t,
-    "4": _m_4,
-    "j": _m_j,
-    "j+": _m_jplus,
-    "jt": _m_jt,
-    "j4": _m_j4,
-    "jyb": _m_jyb,
-    "p1": _m_p1,
-    "p2": _m_p2,
-    "p3": _m_p3,
-    "p4": _m_p4,
-    "p5": _m_p5,
-    "p6": _m_p6,
-    "p7": _m_p7,
-    "pa1": _m_pa1,
-    "pa2": _m_pa2,
-    "m": _m_m,
-    "c": _m_c,
-    "s": _m_s,
-    "cw": _m_cw,
-    "sw": _m_sw,
-    "zk1": _m_zk1,
-    "zk2": _m_zk2,
+def _p6(A, B, s, t, u, **_):
+    disjoint = ProbGeq(_ONE_Q, ENot(EAnd(A, B)))
+    return fimp(fand(fand(_eq(s, A), _eq(t, B)), disjoint), _eq(u, eor(A, B)))
+
+
+def _claim(t, alpha):  # t :[P] alpha
+    return Just(t, "P", alpha)
+
+
+def _run(n, t, body):  # f[n](t) :[V] body
+    return Just(Proto(n, t), "V", body)
+
+
+_SCHEMAS: dict[str, _Schema] = {
+    "p": _Schema(lambda formula, **_: formula, _side_taut),
+    "k": _Schema(lambda agent, A, B, **_: Epistemic(
+        eimp(Box(agent, eimp(A, B)), eimp(Box(agent, A), Box(agent, B))))),
+    "t": _Schema(lambda agent, A, **_: Epistemic(eimp(Box(agent, A), A))),
+    "4": _Schema(lambda agent, A, **_: Epistemic(eimp(Box(agent, A), Box(agent, Box(agent, A))))),
+    "j": _Schema(lambda agent, s, t, A, B, **_: Epistemic(eimp(
+        Just(s, agent, eimp(A, B)), eimp(Just(t, agent, A), Just(App(s, t), agent, B))))),
+    "j+": _Schema(lambda agent, s, t, A, **_: Epistemic(
+        eimp(eor(Just(s, agent, A), Just(t, agent, A)), Just(Sum(s, t), agent, A)))),
+    "jt": _Schema(lambda agent, t, A, **_: Epistemic(eimp(Just(t, agent, A), A))),
+    "j4": _Schema(lambda agent, t, A, **_: Epistemic(
+        eimp(Just(t, agent, A), Just(Bang(t), agent, Just(t, agent, A))))),
+    "jyb": _Schema(lambda agent, t, A, **_: Epistemic(eimp(Just(t, agent, A), Box(agent, A)))),
+    "p1": _Schema(lambda A, s=_ZERO_Q, **_: ProbGeq(s, A), _side_p1),
+    "p2": _Schema(lambda A, s, t, **_: fimp(_leq(s, A), FNot(ProbGeq(t, A))), _side_p2),
+    "p3": _Schema(lambda A, s, **_: fimp(FNot(ProbGeq(s, A)), _leq(s, A))),
+    "p4": _Schema(lambda A, B, s, **_: fimp(
+        ProbGeq(_ONE_Q, eiff(A, B)), fimp(_eq(s, A), _eq(s, B)))),
+    "p5": _Schema(_p5),
+    "p6": _Schema(_p6, _side_p6, _derive_p6),
+    "p7": _Schema(lambda A, B, s, **_: fimp(
+        ProbGeq(_ONE_Q, eimp(A, B)), fimp(ProbGeq(s, A), ProbGeq(s, B)))),
+    "pa1": _Schema(lambda A, r, s, **_: fimp(ProbApprox(r, A), ProbGeq(s, A)), _side_pa1),
+    "pa2": _Schema(lambda A, r, s, **_: fimp(ProbApprox(r, A), _leq(s, A)), _side_pa2),
+    "m": _Schema(lambda agent, t, m, n, A, **_: Epistemic(
+        eimp(Just(Proto(m, t), agent, A), Just(Proto(n, t), agent, A))), _side_m),
+    # q is the error bound 1/n^k, derived from n and k
+    "c": _Schema(lambda t, alpha, n, q, **_: fimp(
+        Epistemic(_claim(t, alpha)), ProbGeq(_co(q), _run(n, t, Box("P", alpha)))),
+        _side_bound, _derive_q),
+    "s": _Schema(lambda t, alpha, n, q, **_: fimp(
+        Epistemic(ENot(_claim(t, alpha))), _leq(q, _run(n, t, Box("P", alpha)))),
+        _side_bound, _derive_q),
+    "cw": _Schema(lambda t, alpha, **_: fimp(
+        Epistemic(_claim(t, alpha)), ProbApprox(Fraction(1), _run(OMEGA, t, Box("P", alpha)))),
+        _side_limit),
+    "sw": _Schema(lambda t, alpha, **_: fimp(
+        Epistemic(ENot(_claim(t, alpha))),
+        ProbApprox(Fraction(0), _run(OMEGA, t, Box("P", alpha)))), _side_limit),
+    "zk1": _Schema(lambda t, alpha, n, q, **_: fimp(
+        Epistemic(_claim(t, alpha)), _leq(q, _run(n, t, _claim(t, alpha)))),
+        _zk(_side_bound), _derive_q),
+    "zk2": _Schema(lambda t, alpha, **_: fimp(
+        Epistemic(_claim(t, alpha)), ProbApprox(Fraction(0), _run(OMEGA, t, _claim(t, alpha)))),
+        _zk(_side_limit)),
 }
 
 
-# -- schema instantiation (bindings -> formula) --------------------------------
-
-
 def instantiate_schema(schema: str, b: dict) -> Formula:
-    """Rebuild the axiom instance a matcher's bindings describe."""
-    E = Epistemic
-    if schema == "p":
-        return b["formula"]
-    if schema == "k":
-        a = b["agent"]
-        return E(eimp(Box(a, eimp(b["A"], b["B"])), eimp(Box(a, b["A"]), Box(a, b["B"]))))
-    if schema == "t":
-        return E(eimp(Box(b["agent"], b["A"]), b["A"]))
-    if schema == "4":
-        a = b["agent"]
-        return E(eimp(Box(a, b["A"]), Box(a, Box(a, b["A"]))))
-    if schema == "j":
-        a = b["agent"]
-        return E(
-            eimp(
-                Just(b["s"], a, eimp(b["A"], b["B"])),
-                eimp(Just(b["t"], a, b["A"]), Just(App(b["s"], b["t"]), a, b["B"])),
-            )
-        )
-    if schema == "j+":
-        a = b["agent"]
-        return E(
-            eimp(
-                eor(Just(b["s"], a, b["A"]), Just(b["t"], a, b["A"])),
-                Just(Sum(b["s"], b["t"]), a, b["A"]),
-            )
-        )
-    if schema == "jt":
-        return E(eimp(Just(b["t"], b["agent"], b["A"]), b["A"]))
-    if schema == "j4":
-        a = b["agent"]
-        return E(
-            eimp(Just(b["t"], a, b["A"]), Just(Bang(b["t"]), a, Just(b["t"], a, b["A"])))
-        )
-    if schema == "jyb":
-        a = b["agent"]
-        return E(eimp(Just(b["t"], a, b["A"]), Box(a, b["A"])))
-    if schema == "m":
-        a = b["agent"]
-        return E(
-            eimp(
-                Just(Proto(b["m"], b["t"]), a, b["A"]),
-                Just(Proto(b["n"], b["t"]), a, b["A"]),
-            )
-        )
-    if schema == "p1":
-        return ProbGeq(b.get("s", _ZERO_Q), b["A"])
-    if schema == "p2":
-        return fimp(prob_leq(b["s"], b["A"]), prob_lt(b["t"], b["A"]))
-    if schema == "p3":
-        return fimp(prob_lt(b["s"], b["A"]), prob_leq(b["s"], b["A"]))
-    if schema == "p4":
-        return fimp(
-            ProbGeq(_ONE_Q, eiff(b["A"], b["B"])),
-            fimp(prob_eq(b["s"], b["A"]), prob_eq(b["s"], b["B"])),
-        )
-    if schema == "p5":
-        lhs = prob_leq(b["s"], b["A"])
-        return fand(fimp(lhs, lhs), fimp(lhs, lhs))
-    if schema == "p6":
-        s, t = b["s"], b["t"]
-        total = s + t
-        u = total if total.compare(_ONE_Q) <= 0 else _ONE_Q
-        return fimp(
-            fand(
-                fand(prob_eq(s, b["A"]), prob_eq(t, b["B"])),
-                ProbGeq(_ONE_Q, ENot(EAnd(b["A"], b["B"]))),
-            ),
-            prob_eq(u, eor(b["A"], b["B"])),
-        )
-    if schema == "p7":
-        return fimp(
-            ProbGeq(_ONE_Q, eimp(b["A"], b["B"])),
-            fimp(ProbGeq(b["s"], b["A"]), ProbGeq(b["s"], b["B"])),
-        )
-    if schema == "pa1":
-        return fimp(ProbApprox(b["r"], b["A"]), ProbGeq(b["s"], b["A"]))
-    if schema == "pa2":
-        return fimp(ProbApprox(b["r"], b["A"]), prob_leq(b["s"], b["A"]))
-    if schema == "c":
-        q = QEps.from_rational(1 - Fraction(1, b["n"] ** b["k"]))
-        return fimp(
-            Epistemic(Just(b["t"], "P", b["alpha"])),
-            ProbGeq(q, Just(Proto(b["n"], b["t"]), "V", Box("P", b["alpha"]))),
-        )
-    if schema == "s":
-        q = QEps.from_rational(Fraction(1, b["n"] ** b["k"]))
-        return fimp(
-            Epistemic(ENot(Just(b["t"], "P", b["alpha"]))),
-            prob_leq(q, Just(Proto(b["n"], b["t"]), "V", Box("P", b["alpha"]))),
-        )
-    if schema == "cw":
-        return fimp(
-            Epistemic(Just(b["t"], "P", b["alpha"])),
-            ProbApprox(Fraction(1), Just(Proto(OMEGA, b["t"]), "V", Box("P", b["alpha"]))),
-        )
-    if schema == "sw":
-        return fimp(
-            Epistemic(ENot(Just(b["t"], "P", b["alpha"]))),
-            ProbApprox(Fraction(0), Just(Proto(OMEGA, b["t"]), "V", Box("P", b["alpha"]))),
-        )
-    if schema == "zk1":
-        q = QEps.from_rational(Fraction(1, b["n"] ** b["k"]))
-        inner = Just(b["t"], "P", b["alpha"])
-        return fimp(
-            Epistemic(inner),
-            prob_leq(q, Just(Proto(b["n"], b["t"]), "V", inner)),
-        )
-    if schema == "zk2":
-        inner = Just(b["t"], "P", b["alpha"])
-        return fimp(
-            Epistemic(inner),
-            ProbApprox(Fraction(0), Just(Proto(OMEGA, b["t"]), "V", inner)),
-        )
-    raise ValueError(f"unknown schema {schema!r}")
+    """The axiom instance the bindings describe (the inverse of matching)."""
+    sch = _SCHEMAS.get(schema)
+    if sch is None:
+        raise ValueError(f"unknown schema {schema!r}")
+    if sch.derive is not None:
+        b = {**b, **sch.derive(b)}
+    return sch.build(**b)
 
 
-def _check_build(schema: str, bindings: dict, f: Formula) -> dict:
-    _need(instantiate_schema(schema, bindings) == f)
-    return bindings
+def _match(sid: str, f: Formula, ctx: MatchContext) -> dict:
+    sch = _SCHEMAS.get(sid)
+    if sch is None:
+        raise ValueError(f"unknown schema {sid!r}")
+    b: dict = {}
+    _need(_unify(sch.pattern, f, b))
+    if sch.side is not None:
+        sch.side(b, ctx)
+    if sch.derive is not None:
+        for key, value in sch.derive(b).items():
+            _need(b.pop(key) == value, f"{key} is not the value the other bindings give")
+    return b
+
+
+def _first_match(f: Formula, ctx: MatchContext, candidates) -> Optional[Match]:
+    for sid in candidates:
+        try:
+            return Match(sid, _match(sid, f, ctx))
+        except NoMatch:
+            continue
+    return None
 
 
 def match_axiom(
@@ -838,16 +552,7 @@ def match_axiom(
 ) -> Optional[Match]:
     """Match a formula against one schema (if given) or all of them in order."""
     ctx = MatchContext(spec=spec, zk=zk, symctx=symctx, hints=hints or {})
-    candidates = (schema,) if schema else SCHEMA_IDS
-    for sid in candidates:
-        matcher = _MATCHERS.get(sid)
-        if matcher is None:
-            raise ValueError(f"unknown schema {sid!r}")
-        try:
-            return Match(sid, matcher(f, ctx))
-        except NoMatch:
-            continue
-    return None
+    return _first_match(f, ctx, (schema,) if schema else SCHEMA_IDS)
 
 
 def match_failure_notes(
@@ -861,7 +566,7 @@ def match_failure_notes(
     notes = []
     for sid in SCHEMA_IDS:
         try:
-            _MATCHERS[sid](f, ctx)
+            _match(sid, f, ctx)
             notes.append(f"{sid}: matches")
         except NoMatch as exc:
             notes.append(f"{sid}: {exc.reason}")
@@ -877,14 +582,8 @@ def match_epistemic_axiom(alpha: EFormula, symctx: SymCtx = None) -> Optional[Ma
     These are the axioms that may sit under justification constants: the
     grammar only lets constants justify epistemic formulas.
     """
-    f = Epistemic(alpha)
-    ctx = MatchContext(spec=_EMPTY_SPEC, zk=False, symctx=symctx)
-    for sid in EPISTEMIC_SCHEMAS:
-        try:
-            return Match(sid, _MATCHERS[sid](f, ctx))
-        except NoMatch:
-            continue
-    return None
+    ctx = MatchContext(spec=_EMPTY_SPEC, symctx=symctx)
+    return _first_match(Epistemic(alpha), ctx, EPISTEMIC_SCHEMAS)
 
 
 def is_axiom_chain(alpha: EFormula) -> bool:
@@ -1170,7 +869,7 @@ def _check_arch(d: Derivation, line: ProofLine, just: ArchJ, depth: int, templat
         isinstance(rhs, FNot)
         and isinstance(rhs.inner, FAnd)
         and isinstance(rhs.inner.right, ProbGeq)
-        and rhs.inner == prob_eq(sigma, rhs.inner.right.inner)
+        and rhs.inner == _eq(sigma, rhs.inner.right.inner)
     )
     if not ok:
         raise NoMatch("template conclusion must deny Pr= v uniformly")
@@ -1248,7 +947,11 @@ def parse_justification(text: str) -> Justification:
     if head == "param-approx":
         if len(words) != 3 or not words[2].startswith("template="):
             raise ProofParseError("usage: param-approx <rational> template=<file>")
-        return ApproxIntroJ(Fraction(words[1]), words[2][len("template=") :])
+        try:
+            r = Fraction(words[1])
+        except (ValueError, ZeroDivisionError):
+            raise ProofParseError(f"bad rational {words[1]!r}") from None
+        return ApproxIntroJ(r, words[2][len("template=") :])
     if head == "param-arch":
         if len(words) != 2 or not words[1].startswith("template="):
             raise ProofParseError("usage: param-arch template=<file>")

@@ -165,9 +165,12 @@ def build_interaction_witness(
     if n_max <= thr:
         raise ConfigError(f"n_max must exceed the threshold {thr}")
 
+    # the conditions are checked for every j <= k, so the levels start past the
+    # least threshold; with exponent k each level's 1 - 1/n^k >= 1 - 1/n^j
+    low = min(m for m in map(fn.value_at, range(1, k + 1)) if m is not None)
     eps = QEps.epsilon()
     one = QEps.from_rational(1)
-    levels = list(range(thr + 1, n_max + 1))
+    levels = list(range(low + 1, n_max + 1))
     worlds = [f"u{j}" for j in levels] + ["ustar", "uout"]
     identity = [(w, w) for w in worlds]
 

@@ -447,7 +447,10 @@ def parse_qeps(text: str) -> QEps:
         lit.expect("(")
         den = lit.poly()
         lit.expect(")")
-        value = QEps.from_monomials(num, den)
+        try:
+            value = QEps.from_monomials(num, den)
+        except ZeroDivisionError as exc:
+            raise QEpsParseError(str(exc)) from None
     else:
         value = QEps.from_monomials(lit.poly())
     if lit.peek() is not None:

@@ -41,7 +41,6 @@ from .syntax import (
     Sum,
     SymThresh,
     Term,
-    Var,
     comp_le,
     eimp,
     esubformulas,
@@ -101,16 +100,14 @@ class EpistemicModel:
                     pool.add(d[0])
                     pool.add(d[1])
         self.witness_pool: frozenset = frozenset(pool)
-        # per agent, each world's successors in the relation's iteration order,
-        # which decides the failure validate reports first
-        self._adj: dict[str, dict[str, list[str]]] = {a: {} for a in AGENTS}
+        # per agent, each world's sorted successors; validate walks the edges
+        # in this order, so the failure it reports does not depend on hashing
+        self._adj: dict[str, dict[str, tuple[str, ...]]] = {}
         for a in AGENTS:
-            adj = self._adj[a]
+            adj: dict[str, list[str]] = {}
             for w, u in self.rel[a]:
                 adj.setdefault(w, []).append(u)
-        self._succ: dict[tuple[str, str], tuple[str, ...]] = {
-            (a, w): tuple(sorted(self._adj[a].get(w, ()))) for a in AGENTS for w in self.worlds
-        }
+            self._adj[a] = {w: tuple(sorted(us)) for w, us in sorted(adj.items())}
         self._ev_memo: dict = {}
         self._tr_memo: dict = {}
         self.validate()
@@ -130,15 +127,15 @@ class EpistemicModel:
             if a not in AGENTS:
                 raise ModelError(f"evidence mentions unknown agent {a!r}")
         for a in AGENTS:
-            r = self.rel[a]
-            for w, u in r:
+            r, adj = self.rel[a], self._adj[a]
+            edges = [(w, u) for w, us in adj.items() for u in us]
+            for w, u in edges:
                 if w not in wset or u not in wset:
                     raise ModelError(f"R[{a}] edge {w!r} -> {u!r} leaves the model")
             for w in self.worlds:
                 if (w, w) not in r:
                     raise ModelError(f"R[{a}] is not reflexive at {w!r}")
-            adj = self._adj[a]
-            for w, u in r:
+            for w, u in edges:
                 for v in adj[u]:
                     if (w, v) not in r:
                         raise ModelError(
@@ -146,7 +143,7 @@ class EpistemicModel:
                         )
 
     def successors(self, agent: str, w: str) -> tuple[str, ...]:
-        return self._succ[(agent, w)]
+        return self._adj[agent].get(w, ())
 
     # -- evidence ---------------------------------------------------------------
 
@@ -226,14 +223,6 @@ class EpistemicModel:
         raise TypeError(f"not an epistemic formula: {alpha!r}")
 
 
-def eval_epistemic(m: EpistemicModel, w: str, alpha: EFormula) -> bool:
-    return m.eval(w, alpha)
-
-
-def evidence_member(m: EpistemicModel, w: str, agent: str, t: Term, alpha: EFormula) -> bool:
-    return m.evidence_member(w, agent, t, alpha)
-
-
 # ---------------------------------------------------------------------------
 # quasimodels
 # ---------------------------------------------------------------------------
@@ -304,18 +293,6 @@ class Quasimodel:
         if isinstance(f, FAnd):
             return self.eval(f.left) and self.eval(f.right)
         raise TypeError(f"not a formula: {f!r}")
-
-
-def event(q: Quasimodel, alpha: EFormula) -> frozenset:
-    return q.event(alpha)
-
-
-def measure_of(q: Quasimodel, alpha: EFormula) -> QEps:
-    return q.measure_of(alpha)
-
-
-def eval_formula(q: Quasimodel, f: Formula) -> bool:
-    return q.eval(f)
 
 
 def check_independence(q: Quasimodel, alpha: EFormula, beta: EFormula) -> bool:

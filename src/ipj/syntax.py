@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .qeps import QEps
 
@@ -289,10 +289,6 @@ def for_(a: Formula, b: Formula) -> Formula:
     return fnot(fand(fnot(a), fnot(b)))
 
 
-def fiff(a: Formula, b: Formula) -> Formula:
-    return fand(fimp(a, b), fimp(b, a))
-
-
 def dest_fimp(f: Formula) -> Optional[tuple[Formula, Formula]]:
     """View a formula as an implication, seeing through the epistemic merge."""
     if isinstance(f, FNot) and isinstance(f.inner, FAnd) and isinstance(f.inner.right, FNot):
@@ -311,10 +307,6 @@ def as_efml(f: Formula) -> Optional[EFormula]:
 # sugar constructors used throughout the kernel -----------------------------
 
 
-def prob_geq(s: Threshold, a: EFormula) -> Formula:
-    return ProbGeq(s, a)
-
-
 def prob_leq(s: Threshold, a: EFormula) -> Formula:
     return ProbGeq(thresh_complement(s), ENot(a))
 
@@ -328,7 +320,7 @@ def prob_gt(s: Threshold, a: EFormula) -> Formula:
 
 
 def prob_eq(s: Threshold, a: EFormula) -> Formula:
-    return FAnd(prob_leq(s, a), prob_geq(s, a))
+    return FAnd(prob_leq(s, a), ProbGeq(s, a))
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +336,6 @@ def esubformulas(f: EFormula) -> set[EFormula]:
         out |= esubformulas(f.left) | esubformulas(f.right)
     elif isinstance(f, (Box, Just)):
         out |= esubformulas(f.inner)
-    return out
-
-
-def subformulas(f: Formula) -> set[Formula]:
-    out: set[Formula] = {f}
-    if isinstance(f, Epistemic):
-        out |= {Epistemic(g) for g in esubformulas(f.inner)}
-    elif isinstance(f, (ProbGeq, ProbApprox)):
-        out |= {Epistemic(g) for g in esubformulas(f.inner)}
-    elif isinstance(f, FNot):
-        out |= subformulas(f.inner)
-    elif isinstance(f, FAnd):
-        out |= subformulas(f.left) | subformulas(f.right)
     return out
 
 
@@ -381,16 +360,6 @@ def eterms_of(f: EFormula) -> set[Term]:
     if isinstance(f, Box):
         return eterms_of(f.inner)
     return subterms(f.term) | eterms_of(f.inner)
-
-
-def terms_of(f: Formula) -> set[Term]:
-    if isinstance(f, Epistemic):
-        return eterms_of(f.inner)
-    if isinstance(f, (ProbGeq, ProbApprox)):
-        return eterms_of(f.inner)
-    if isinstance(f, FNot):
-        return terms_of(f.inner)
-    return terms_of(f.left) | terms_of(f.right)
 
 
 def atoms_of_e(f: EFormula) -> set[str]:
@@ -701,7 +670,7 @@ class Parser:
             assert isinstance(s, Fraction)
             return ProbApprox(s, e)
         builder = {
-            "Pr>=": prob_geq,
+            "Pr>=": ProbGeq,
             "Pr<=": prob_leq,
             "Pr<": prob_lt,
             "Pr>": prob_gt,
@@ -757,7 +726,8 @@ class Parser:
             base = sum((c for c, p in monos if p == 0), Fraction(0))
             if any(p != 0 for _, p in monos):
                 raise ParseError("cannot mix e and the parameter v in one threshold", tok.line, tok.col)
-            return SymThresh(base, sym[0], sym[1])
+            # with a zero coefficient the value is the rational base: one spelling per value
+            return SymThresh(base, sym[0], sym[1]) if sym[0] else QEps.from_rational(base)
         return QEps.from_monomials(monos)
 
     def poly_with_param(self):
@@ -908,10 +878,6 @@ def print_eformula(f: EFormula) -> str:
     return _eform_str(f, _E_AND)
 
 
-def _thresh_str(s: Threshold) -> str:
-    return str(s)
-
-
 def _form_str(f: Formula, prec: int) -> str:
     if isinstance(f, Epistemic):
         return _eform_str(f.inner, prec)
@@ -921,7 +887,7 @@ def _form_str(f: Formula, prec: int) -> str:
         s = f"{_form_str(f.left, _E_AND)} & {_form_str(f.right, _E_UNARY)}"
         return f"({s})" if prec > _E_AND else s
     if isinstance(f, ProbGeq):
-        return f"Pr>= {_thresh_str(f.threshold)} ({_eform_str(f.inner, _E_AND)})"
+        return f"Pr>= {f.threshold} ({_eform_str(f.inner, _E_AND)})"
     if isinstance(f, ProbApprox):
         return f"Pr~ {f.r} ({_eform_str(f.inner, _E_AND)})"
     raise TypeError(f"not a formula: {f!r}")
@@ -929,15 +895,6 @@ def _form_str(f: Formula, prec: int) -> str:
 
 def print_formula(f: Formula) -> str:
     return _form_str(f, _E_AND)
-
-
-def print_node(node) -> str:
-    """Print any term or formula node; output reparses to the same tree."""
-    if isinstance(node, (Const, Var, App, Sum, Bang, Proto)):
-        return print_term(node)
-    if isinstance(node, (Atom, ENot, EAnd, Box, Just)):
-        return print_eformula(node)
-    return print_formula(node)
 
 
 # -- justified-term precedence note -----------------------------------------

@@ -192,3 +192,30 @@ def test_arith_cmp_std_approx(capsys):
 def test_arith_bad_literal(capsys):
     code, _, err = run(capsys, "arith", "1//2")
     assert code == 2
+
+
+ZERO_MODEL = "worlds: a\nR[P]:\na -> a\nR[V]:\na -> a\nU: a\nmu:\na = (1)/(0)\nw0: a\n"
+ZERO_PROOF = "1. p -> Pr~ 0 (q) ; param-approx 1/0 template=t.ipjp\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arith", "(1)/(0)"],
+        ["arith", "1", "--approx", "1/0"],
+        ["simulate", "--error", "1/0"],
+        ["check-model", "{model}"],
+        ["eval", "p", "--model", "{model}"],
+        ["check-proof", "{proof}"],
+    ],
+)
+def test_zero_denominators_are_input_errors(capsys, tmp_path, argv):
+    model, proof = tmp_path / "zero.ipjm", tmp_path / "zero.ipjp"
+    model.write_text(ZERO_MODEL)
+    proof.write_text(ZERO_PROOF)
+    argv = [a.format(model=model, proof=proof) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    if argv[0] == "check-proof":
+        assert "line 1" in err

@@ -108,6 +108,7 @@ POSITIVE = [
     ("p7", "Pr>= 1 (p -> q) -> (Pr>= 2/3 (p) -> Pr>= 2/3 (q))"),
     ("pa1", "Pr~ 1/2 (p) -> Pr>= 1/3 (p)"),
     ("pa2", "Pr~ 1/2 (p) -> Pr<= 2/3 (p)"),
+    ("p3", "Pr< 1/2 + 0/v (p) -> Pr<= 1/2 (p)"),
 ]
 
 
@@ -124,16 +125,39 @@ def test_schema_matches(schema, text):
 NEGATIVE = [
     "p -> q",
     "box[V](p -> q) -> (box[P] p -> box[V] q)",  # agent mismatch
+    "box[P] p -> q",  # t: another formula
+    "box[V] p -> box[V] box[P] p",  # 4: agent mismatch
+    "x :[P] (p -> q) -> (y :[P] p -> y * x :[P] q)",  # j: application reversed
+    "(x :[V] p | y :[P] p) -> x + y :[V] p",  # j+: agent mismatch
+    "t :[P] p -> q",  # jt: another formula
+    "t :[V] p -> !t :[P] (t :[V] p)",  # j4: agent mismatch
+    "t :[P] p -> box[V] p",  # jyb: agent mismatch
     "f[7](t) :[V] p -> f[2](t) :[V] p",  # complexity order reversed
+    "Pr>= 1/2 (p)",  # p1: threshold is not 0
     "Pr<= 1/2 (p) -> Pr< 1/3 (p)",  # p2 side condition fails
+    "Pr< 2/3 (p) -> Pr<= 1/3 (p)",  # p3: thresholds are not complementary
+    "Pr>= 1 ((p -> q) & (q -> p)) -> (Pr= 1/2 (p) -> Pr= 1/3 (q))",  # p4: thresholds differ
+    "(Pr<= 1/4 (p) -> Pr>= 3/4 (~p)) & (Pr>= 3/4 (~p) -> Pr<= 1/3 (p))",  # p5: sides differ
+    "Pr= 1/3 (p) & Pr= 1/2 (q) & Pr>= 1 (~(p & q)) -> Pr= 2/3 (~(~p & ~q))",  # p6: wrong u
+    "Pr>= 1 (p -> q) -> (Pr>= 2/3 (p) -> Pr>= 1/2 (q))",  # p7: thresholds differ
     "Pr~ 1/2 (p) -> Pr>= 1/2 (p)",  # pa1 needs s strictly below r
     "Pr~ 1/2 (p) -> Pr>= 2/3 (p)",  # pa1 upper range violated
+    "Pr~ 1/2 (p) -> Pr<= 1/2 (p)",  # pa2 needs s strictly above r
+    "t :[P] box[P] p -> Pr>= 7/9 (f[3](t) :[V] box[P] box[P] p)",  # c: not 1 - 1/n^k
+    "~(t :[P] box[P] p) -> Pr<= 1/9 (f[3](s) :[V] box[P] box[P] p)",  # s: term mismatch
+    "t :[P] q -> Pr~ 1 (f[w](t) :[V] box[P] q)",  # cw under a partial table
+    "~(t :[P] box[P] p) -> Pr~ 1 (f[w](t) :[V] box[P] box[P] p)",  # sw: r is not 0
+    "t :[P] box[P] p -> Pr<= 1/4 (f[2](t) :[V] t :[V] box[P] p)",  # zk1: agent mismatch
+    "t :[P] box[P] p -> Pr~ 0 (f[3](t) :[V] t :[P] box[P] p)",  # zk2: finite complexity
 ]
+
+# interaction entries for the near misses above; q's table is partial
+NEGATIVE_SPEC = load_spec("box[P] p : const 1\nq : table 1 -> 1\n")
 
 
 @pytest.mark.parametrize("text", NEGATIVE)
 def test_schema_rejections(text):
-    assert match_axiom(fml(text), EMPTY) is None
+    assert match_axiom(fml(text), NEGATIVE_SPEC, zk=True) is None
 
 
 def test_interaction_schemas():
@@ -184,6 +208,7 @@ def test_interaction_bound_exponent_is_found_exactly():
     for bound in (1 - Fraction(1, 2 * 10**30), 1 - Fraction(1, 10**30 + 1)):
         assert match_axiom(c_axiom(bound, 10), spec) is None
     assert match_axiom(c_axiom(Fraction(1, 2), 0), spec) is None  # no power of 0
+    assert match_axiom(c_axiom(Fraction(1, 2), 0), spec, hints={"k": 1}) is None
 
 
 def test_signs_nu_of_equal_thresholds():
@@ -213,11 +238,14 @@ def test_epistemic_axiom_matching():
 
 
 def test_bindings_roundtrip_random():
+    spec = load_spec(open(os.path.join(GOLDEN, "golden.ispec")).read())
     rng = random.Random(5)
-    for _ in range(300):
-        schema = rng.choice(generators.HARNESS_SCHEMAS)
-        f = generators.rand_axiom_instance(rng, schema)
-        m = match_axiom(f, EMPTY, schema=schema)
+    for _ in range(500):
+        schema = rng.choice(proofcheck.SCHEMA_IDS)
+        f = generators.rand_axiom_instance(
+            rng, schema, spec=spec, spec_formula=rng.choice(spec.formulas())
+        )
+        m = match_axiom(f, spec, zk=schema in ("zk1", "zk2"), schema=schema)
         assert m is not None, (schema, print_formula(f))
         assert instantiate_schema(m.schema, m.bindings) == f
 

@@ -126,11 +126,13 @@ def test_witness_stage_measures_k2():
 
 
 def test_witness_passes_model_conditions():
-    for k in (1, 2):
-        for honest in (True, False):
-            qm = build_interaction_witness(SPEC, P, T, k=k, n_max=6, honest=honest)
-            rep = check_model_conditions(qm, SPEC, Universe(terms=(T,)), kmax=k)
-            assert rep.ok, rep.render()
+    # a non-constant spec has a threshold for each k, and every k' <= k is checked
+    for spec in (SPEC, load_spec("p : poly 1 1\n"), load_spec("p : table 1 -> 0 2 -> 4 default 5\n")):
+        for k in (1, 2, 3):
+            for honest, zk in ((True, False), (False, False), (True, True)):
+                qm = build_interaction_witness(spec, P, T, k=k, n_max=6, honest=honest, zk=zk)
+                rep = check_model_conditions(qm, spec, Universe(terms=(T,)), zk=zk, kmax=k)
+                assert rep.ok, (spec.dump(), k, honest, zk, rep.render())
 
 
 def test_dishonest_witness_is_infinitesimal():

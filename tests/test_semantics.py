@@ -1,10 +1,15 @@
 """Models, evidence closure, measures, and the model conditions."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ipj
 from ipj import generators
 from ipj.ispec import load_spec
 from ipj.qeps import QEps, parse_qeps
@@ -63,6 +68,26 @@ def test_relations_must_be_transitive():
     rel = ident(["a", "b", "c"]) + [("a", "b"), ("b", "c")]
     with pytest.raises(ModelError, match=r"^R\[P\] is not transitive: 'a' -> 'b' -> 'c'$"):
         EpistemicModel(["a", "b", "c"], {"P": rel, "V": ident(["a", "b", "c"])}, {})
+    # with several failures, the one reported does not depend on string hashing
+    code = (
+        "from ipj.semantics import EpistemicModel, ModelError\n"
+        "ws = 'abcde'\n"
+        "rel = [(w, w) for w in ws] + [('a', 'b'), ('b', 'c'), ('b', 'd'), ('b', 'e'), ('c', 'd')]\n"
+        "try:\n"
+        "    EpistemicModel(ws, {'P': rel, 'V': [(w, w) for w in ws]}, {})\n"
+        "except ModelError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(ipj.__file__).resolve().parent.parent)
+    messages = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        for seed in range(6)
+    }
+    assert messages == {"R[P] is not transitive: 'a' -> 'b' -> 'c'\n"}
 
 
 def test_successors_are_sorted():

@@ -132,10 +132,12 @@ def test_symbolic_thresholds():
     assert formula_has_param(g)
     with pytest.raises(ParseError):
         parse_formula("Pr>= 1 + -1/v (p)", allow_symbolic=False)
+    # a zero parametric coefficient leaves the rational itself
+    assert parse_formula("Pr>= 1/2 + 0/v (p)") == parse_formula("Pr>= 1/2 (p)")
 
 
 def test_symbolic_roundtrip():
-    for text in ("Pr>= 1 + -1/v (p)", "Pr>= 1/v^2 (p)", "Pr= v (p)"):
+    for text in ("Pr>= 1 + -1/v (p)", "Pr>= 1/v^2 (p)", "Pr= v (p)", "Pr>= 1/2 + 0/v (p)"):
         f = parse_formula(text)
         assert parse_formula(print_formula(f)) == f
 
