@@ -78,6 +78,8 @@ def _model_universe(q: semantics.Quasimodel) -> semantics.Universe:
 
 
 def cmd_check_model(args) -> int:
+    if args.random < 0 or args.instances < 0:
+        raise ValueError("--random and --instances must not be negative")
     spec = _load_spec(args.spec)
     if args.random:
         return _soundness_harness(args, spec)
@@ -236,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="build a protocol-bound witness model for this formula instead")
     p.add_argument("--term", default="t", help="base evidence term for the witness model")
     p.add_argument("--k", type=int, default=1, help="bound exponent for the witness model")
-    p.add_argument("--nmax", type=int, default=10, help="largest exact complexity level")
+    p.add_argument("--nmax", type=int, default=10,
+                   help=f"largest exact complexity level (default 10, at most "
+                        f"{protosim._MAX_NMAX}, which takes about 1 s)")
     p.add_argument("--spec", help="interaction specification file")
     p.add_argument("--zk", action="store_true", help="include zero-knowledge evidence/checks")
     p.add_argument("--emit", metavar="FILE", help="write the model file here")

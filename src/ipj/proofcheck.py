@@ -907,6 +907,13 @@ class ProofParseError(ValueError):
     pass
 
 
+def _line_ref(word: str) -> int:
+    try:
+        return int(word)
+    except ValueError:
+        raise ProofParseError(f"bad line number {word!r}") from None
+
+
 def parse_justification(text: str) -> Justification:
     words = text.split()
     if not words:
@@ -925,15 +932,15 @@ def parse_justification(text: str) -> Justification:
     if head == "mp":
         if len(words) != 3:
             raise ProofParseError("mp needs two line numbers")
-        return MPJ(int(words[1]), int(words[2]))
+        return MPJ(_line_ref(words[1]), _line_ref(words[2]))
     if head in ("nec[P]", "nec[V]"):
         if len(words) != 2:
             raise ProofParseError("nec needs one line number")
-        return BoxNecJ(head[4], int(words[1]))
+        return BoxNecJ(head[4], _line_ref(words[1]))
     if head == "pnec":
         if len(words) != 2:
             raise ProofParseError("pnec needs one line number")
-        return ProbNecJ(int(words[1]))
+        return ProbNecJ(_line_ref(words[1]))
     if head == "axnec":
         chain = []
         for w in words[1:]:

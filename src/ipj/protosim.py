@@ -31,6 +31,7 @@ class SizeError(ConfigError):
 
 
 _MAX_ROUNDS = 20
+_MAX_NMAX = 1000  # a witness model has about n_max worlds
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,8 @@ def build_round_model(cfg: RoundConfig) -> RoundModel:
 
     worlds = ["o" + "".join(bits) for bits in itertools.product("10", repeat=n)]
     identity = [(w, w) for w in worlds]
+    # the mass of a world depends only on how many rounds pass in it
+    masses = [QEps.from_rational((1 - r) ** k * r ** (n - k)) for k in range(n + 1)]
     valuation = {}
     evidence = []
     measure = {}
@@ -87,10 +90,7 @@ def build_round_model(cfg: RoundConfig) -> RoundModel:
             valuation[w] = [claim]
         for i in passes:
             evidence.append((w, syntax.VERIFIER, terms[i], cfg.claim))
-        mass = Fraction(1)
-        for b in bits:
-            mass *= (1 - r) if b == "1" else r
-        measure[w] = QEps.from_rational(mass)
+        measure[w] = masses[len(passes)]
     base = EpistemicModel(
         worlds,
         {syntax.PROVER: identity, syntax.VERIFIER: identity},
@@ -154,6 +154,8 @@ def build_interaction_witness(
     """
     if k < 1:
         raise ConfigError("k must be at least 1")
+    if n_max > _MAX_NMAX:
+        raise SizeError(f"n_max {n_max} is over the limit of {_MAX_NMAX}")
     if not syntax.is_f_free(t):
         raise ConfigError("the base term must not mention protocol runs")
     fn = spec.threshold(alpha)

@@ -3,15 +3,20 @@
 Worlds carry a reflexive-transitive accessibility relation per agent, a
 valuation, and a base of evidence tuples.  Evidence membership is the least
 relation containing the base and closed under sum, application, proof
-checking, axiom constants, and protocol monotonicity; it is computed by
-memoized recursion, never materialized.  A quasimodel adds a finitely
-additive measure over a sample of worlds: the event algebra is the full
-power set, masses live in the exact field Q[e], and the infinitary model
-conditions are decided by a stabilization argument plus standard parts.
+checking, axiom constants, and protocol monotonicity.  Evaluation works a
+set of worlds at a time (global labelling): each subformula's truth set,
+and each (agent, term, formula) evidence set, is an int bitmask over the
+worlds, computed once per model.  A quasimodel adds a finitely additive
+measure over a sample of worlds: the event algebra is the full power set,
+an event is a mask, masses live in the exact field Q[e] and each event's
+measure is computed once.  The infinitary model conditions are decided by
+a stabilization argument plus standard parts.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -63,12 +68,45 @@ class UniverseError(ModelError):
 
 
 # ---------------------------------------------------------------------------
+# world masks: bit i of a mask is world i.  A byte view has one 0/1 byte per
+# world; masks are built and read through it in O(|W|), where setting or
+# testing |W| bits of a big int one at a time takes O(|W|^2).
+# ---------------------------------------------------------------------------
+
+_TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bits(mask: int, n: int) -> bytes:
+    """The byte view of a mask over ``n`` worlds: ``_bits(mask, n)[i]`` is bit i."""
+    return format(mask, f"0{n}b").encode()[::-1].translate(_TO_BYTES)
+
+
+def _mask(bits) -> int:
+    """The mask of a byte view."""
+    return int(bits[::-1].translate(_TO_DIGITS), 2)
+
+
+def _indices_mask(indices: Iterable[int], n: int) -> int:
+    bits = bytearray(n)
+    for i in indices:
+        bits[i] = 1
+    return _mask(bits)
+
+
+# ---------------------------------------------------------------------------
 # epistemic models
 # ---------------------------------------------------------------------------
 
 
 class EpistemicModel:
-    """Finite Kripke model with evidence; immutable after construction."""
+    """Finite Kripke model with evidence; immutable after construction.
+
+    World ``self.worlds[i]`` is bit ``i`` of every mask: ``truth_mask`` and
+    ``evidence_mask`` give the set of worlds where a formula holds or where a
+    term is evidence for a formula, each computed once per formula (or per
+    agent, term and formula) for all worlds at a time.
+    """
 
     def __init__(
         self,
@@ -92,7 +130,7 @@ class EpistemicModel:
             declared |= v
         self.atoms: frozenset = frozenset(declared)
         pool = set(witness_pool)
-        for _, _, _, alpha in self.evidence:
+        for alpha in {e[3] for e in self.evidence}:
             pool.add(alpha)
             for sub in esubformulas(alpha):
                 d = syntax.dest_eimp(sub)
@@ -108,9 +146,33 @@ class EpistemicModel:
             for w, u in self.rel[a]:
                 adj.setdefault(w, []).append(u)
             self._adj[a] = {w: tuple(sorted(us)) for w, us in sorted(adj.items())}
-        self._ev_memo: dict = {}
-        self._tr_memo: dict = {}
         self.validate()
+
+        n = len(self.worlds)
+        self._index: dict[str, int] = {w: i for i, w in enumerate(self.worlds)}
+        self.full_mask: int = (1 << n) - 1
+        # per agent, each world's successors by index
+        self._succ: dict[str, list[tuple[int, ...]]] = {
+            a: [tuple(self._index[u] for u in adj.get(w, ())) for w in self.worlds]
+            for a, adj in self._adj.items()
+        }
+        self._atom_masks = {
+            name: self.mask_of(w for w in self.worlds if name in self.valuation[w])
+            for name in self.atoms
+        }
+        # the base by (agent, term, formula), and its protocol tuples by
+        # (agent, inner term, formula) -> [(complexity, mask)]
+        held: dict[tuple, list[int]] = {}
+        for w, a, t, alpha in self.evidence:
+            held.setdefault((a, t, alpha), []).append(self._index[w])
+        self._base = {key: _indices_mask(ix, n) for key, ix in held.items()}
+        self._proto: dict[tuple, list] = {}
+        for (a, t, alpha), mask in self._base.items():
+            if isinstance(t, Proto):
+                self._proto.setdefault((a, t.inner, alpha), []).append((t.complexity, mask))
+        self._truth: dict[EFormula, int] = {}
+        self._evidence: dict[tuple, int] = {}
+        self._boxes: dict[tuple, int] = {}  # (agent, mask) -> _box(agent, mask)
 
     # -- structural checks ----------------------------------------------------
 
@@ -145,81 +207,100 @@ class EpistemicModel:
     def successors(self, agent: str, w: str) -> tuple[str, ...]:
         return self._adj[agent].get(w, ())
 
+    def index(self, w: str) -> int:
+        """The bit of world ``w`` in every mask."""
+        try:
+            return self._index[w]
+        except KeyError:
+            raise ModelError(f"{w!r} is not a world of the model") from None
+
+    def mask_of(self, worlds: Iterable[str]) -> int:
+        return _indices_mask(map(self.index, worlds), len(self.worlds))
+
+    def _box(self, agent: str, mask: int) -> int:
+        """The worlds all of whose ``agent`` successors lie in ``mask``."""
+        if mask == self.full_mask:
+            return mask
+        out = self._boxes.get((agent, mask))
+        if out is None:
+            inside = _bits(mask, len(self.worlds)).__getitem__
+            out = _mask(bytes(all(map(inside, succ)) for succ in self._succ[agent]))
+            self._boxes[(agent, mask)] = out
+        return out
+
     # -- evidence ---------------------------------------------------------------
 
     def evidence_member(self, w: str, agent: str, t: Term, alpha: EFormula) -> bool:
-        key = (w, agent, t, alpha)
-        hit = self._ev_memo.get(key)
-        if hit is not None:
-            return hit
-        res = self._evidence_member(w, agent, t, alpha)
-        self._ev_memo[key] = res
-        return res
+        return bool(self.evidence_mask(agent, t, alpha) >> self.index(w) & 1)
 
-    def _evidence_member(self, w: str, agent: str, t: Term, alpha: EFormula) -> bool:
-        if (w, agent, t, alpha) in self.evidence:
-            return True
+    def evidence_mask(self, agent: str, t: Term, alpha: EFormula) -> int:
+        """The worlds where ``t`` is ``agent``'s evidence for ``alpha``.
+
+        The least relation that contains the base and is closed under sum,
+        application, proof checking, axiom constants and protocol
+        monotonicity; each case recurses on subterms only.
+        """
+        key = (agent, t, alpha)
+        mask = self._evidence.get(key)
+        if mask is None:
+            mask = self._base.get(key, 0) | self._closure_mask(agent, t, alpha)
+            self._evidence[key] = mask
+        return mask
+
+    def _closure_mask(self, agent: str, t: Term, alpha: EFormula) -> int:
         if isinstance(t, Sum):
-            return self.evidence_member(w, agent, t.left, alpha) or self.evidence_member(
-                w, agent, t.right, alpha
+            return self.evidence_mask(agent, t.left, alpha) | self.evidence_mask(
+                agent, t.right, alpha
             )
         if isinstance(t, App):
-            pool = self.witness_pool | esubformulas(alpha)
-            for beta in pool:
-                if self.evidence_member(
-                    w, agent, t.left, eimp(beta, alpha)
-                ) and self.evidence_member(w, agent, t.right, beta):
-                    return True
-            return False
+            mask = 0
+            for beta in self.witness_pool | esubformulas(alpha):
+                right = self.evidence_mask(agent, t.right, beta)
+                if right & ~mask:
+                    mask |= right & self.evidence_mask(agent, t.left, eimp(beta, alpha))
+            return mask
         if isinstance(t, Bang):
-            return (
-                isinstance(alpha, Just)
-                and alpha.term == t.inner
-                and alpha.agent == agent
-                and self.evidence_member(w, agent, t.inner, alpha.inner)
-            )
+            if isinstance(alpha, Just) and alpha.term == t.inner and alpha.agent == agent:
+                return self.evidence_mask(agent, t.inner, alpha.inner)
+            return 0
         if isinstance(t, Proto):
-            for x, a, s, beta in self.evidence:
-                if (
-                    x == w
-                    and a == agent
-                    and beta == alpha
-                    and isinstance(s, Proto)
-                    and s.inner == t.inner
-                    and comp_le(s.complexity, t.complexity)
-                ):
-                    return True
-            return False
+            mask = 0
+            for c, m in self._proto.get((agent, t.inner, alpha), ()):
+                if comp_le(c, t.complexity):
+                    mask |= m
+            return mask
         if isinstance(t, Const):
-            return proofcheck.is_axiom_chain(alpha)
-        return False  # a bare variable holds only its base tuples
+            return self.full_mask if proofcheck.is_axiom_chain(alpha) else 0
+        return 0  # a bare variable holds only its base tuples
 
     # -- truth ------------------------------------------------------------------
 
     def eval(self, w: str, alpha: EFormula) -> bool:
-        key = (w, alpha)
-        hit = self._tr_memo.get(key)
-        if hit is not None:
-            return hit
-        res = self._eval(w, alpha)
-        self._tr_memo[key] = res
-        return res
+        return bool(self.truth_mask(alpha) >> self.index(w) & 1)
 
-    def _eval(self, w: str, alpha: EFormula) -> bool:
+    def truth_mask(self, alpha: EFormula) -> int:
+        """The worlds where ``alpha`` holds."""
+        mask = self._truth.get(alpha)
+        if mask is None:
+            mask = self._truth[alpha] = self._truth_mask(alpha)
+        return mask
+
+    def _truth_mask(self, alpha: EFormula) -> int:
         if isinstance(alpha, Atom):
-            if alpha.name not in self.atoms:
+            mask = self._atom_masks.get(alpha.name)
+            if mask is None:
                 raise UnknownAtom(f"atom {alpha.name!r} is not in the model")
-            return alpha.name in self.valuation.get(w, frozenset())
+            return mask
         if isinstance(alpha, ENot):
-            return not self.eval(w, alpha.inner)
+            return self.full_mask & ~self.truth_mask(alpha.inner)
         if isinstance(alpha, EAnd):
-            return self.eval(w, alpha.left) and self.eval(w, alpha.right)
+            return self.truth_mask(alpha.left) & self.truth_mask(alpha.right)
         if isinstance(alpha, Box):
-            return all(self.eval(u, alpha.inner) for u in self.successors(alpha.agent, w))
+            return self._box(alpha.agent, self.truth_mask(alpha.inner))
         if isinstance(alpha, Just):
-            return self.evidence_member(w, alpha.agent, alpha.term, alpha.inner) and all(
-                self.eval(u, alpha.inner) for u in self.successors(alpha.agent, w)
-            )
+            inner = self.truth_mask(alpha.inner)
+            evidence = self.evidence_mask(alpha.agent, alpha.term, alpha.inner)
+            return evidence & self._box(alpha.agent, inner)
         raise TypeError(f"not an epistemic formula: {alpha!r}")
 
 
@@ -232,7 +313,13 @@ _ONE = QEps.from_rational(1)
 
 
 class Quasimodel:
-    """Epistemic model plus an exact probability space over a world sample."""
+    """Epistemic model plus an exact probability space over a world sample.
+
+    An event is a mask of sample worlds, and each event's measure is computed
+    once: the masses that are polynomials in e are summed as integer
+    numerators over one denominator per power of e, and the other masses are
+    added to that sum as ``QEps``.
+    """
 
     def __init__(
         self,
@@ -245,7 +332,20 @@ class Quasimodel:
         self.sample: tuple[str, ...] = tuple(dict.fromkeys(sample))
         self.measure: dict[str, QEps] = dict(measure)
         self.w0 = w0
+        masses = [self.measure.get(w, _ZERO) for w in base.worlds]
+        # per power of e, the polynomial masses' coefficients as integer
+        # numerators over one denominator, by world
+        polys = [m.num if len(m.den) == 1 else () for m in masses]
+        self._coefficients: list[tuple[int, list[int]]] = []
+        for power in range(max(map(len, polys))):
+            cs = [p[power] if power < len(p) else Fraction(0) for p in polys]
+            den = math.lcm(*(c.denominator for c in cs))
+            self._coefficients.append((den, [c.numerator * (den // c.denominator) for c in cs]))
+        # the rational-function masses, by world index
+        self._other_masses = [(i, m) for i, m in enumerate(masses) if len(m.den) > 1]
+        self._measures: dict[int, QEps] = {}
         self.validate()
+        self.sample_mask: int = base.mask_of(self.sample)
 
     def validate(self):
         wset = set(self.base.worlds)
@@ -262,24 +362,38 @@ class Quasimodel:
         if total != _ONE:
             raise ModelError(f"masses sum to {total}, not 1")
 
+    def event_mask(self, alpha: EFormula) -> int:
+        """The sample worlds where ``alpha`` holds."""
+        return self.base.truth_mask(alpha) & self.sample_mask
+
     def event(self, alpha: EFormula) -> frozenset:
-        return frozenset(u for u in self.sample if self.base.eval(u, alpha))
+        inside = _bits(self.event_mask(alpha), len(self.base.worlds))
+        return frozenset(u for u in self.sample if inside[self.base.index(u)])
+
+    def measure_mask(self, mask: int) -> QEps:
+        """The measure of the sample worlds in ``mask``."""
+        value = self._measures.get(mask)
+        if value is None:
+            bits = _bits(mask, len(self.base.worlds))
+            value = QEps(
+                Fraction(sum(itertools.compress(nums, bits)), den)
+                for den, nums in self._coefficients
+            )
+            for i, m in self._other_masses:
+                if bits[i]:
+                    value = value + m
+            self._measures[mask] = value
+        return value
 
     def measure_event(self, worlds: Iterable[str]) -> QEps:
-        masses = [self.measure[u] for u in worlds]
-        # rational masses: add the numerators over each denominator, then the sums
-        numerators: dict[int, int] = {}
-        for m in masses:
-            if not m.is_rational:
-                return sum(masses, _ZERO)
-            r = m.as_rational()
-            numerators[r.denominator] = numerators.get(r.denominator, 0) + r.numerator
-        return QEps.from_rational(sum(Fraction(n, d) for d, n in numerators.items()))
+        return self.measure_mask(self.base.mask_of(worlds))
 
     def measure_of(self, alpha: EFormula) -> QEps:
-        return self.measure_event(self.event(alpha))
+        return self.measure_mask(self.event_mask(alpha))
 
     def eval(self, f: Formula) -> bool:
+        """Truth at w0.  Both sides of a conjunction are evaluated, so an
+        input error anywhere in ``f`` is raised whatever the truth values."""
         if isinstance(f, Epistemic):
             return self.base.eval(self.w0, f.inner)
         if isinstance(f, ProbGeq):
@@ -291,13 +405,14 @@ class Quasimodel:
         if isinstance(f, FNot):
             return not self.eval(f.inner)
         if isinstance(f, FAnd):
-            return self.eval(f.left) and self.eval(f.right)
+            left, right = self.eval(f.left), self.eval(f.right)
+            return left and right
         raise TypeError(f"not a formula: {f!r}")
 
 
 def check_independence(q: Quasimodel, alpha: EFormula, beta: EFormula) -> bool:
-    ea, eb = q.event(alpha), q.event(beta)
-    return q.measure_event(ea & eb) == q.measure_of(alpha) * q.measure_of(beta)
+    ea, eb = q.event_mask(alpha), q.event_mask(beta)
+    return q.measure_mask(ea & eb) == q.measure_mask(ea) * q.measure_mask(eb)
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +492,10 @@ def check_model_conditions(
         for alpha in spec.formulas():
             fn = spec.threshold(alpha)
             goal = Just(Proto(OMEGA, t), syntax.VERIFIER, Box(syntax.PROVER, alpha))
-            stab_event = q.event(
+            stab_event = q.event_mask(
                 Just(Proto(n_star, t), syntax.VERIFIER, Box(syntax.PROVER, alpha))
             )
-            if q.event(goal) != stab_event:
+            if q.event_mask(goal) != stab_event:
                 rep.fail(
                     f"omega event differs from the stabilized event for "
                     f"t={syntax.print_term(t)}, alpha={syntax.print_eformula(alpha)}",
@@ -400,8 +515,8 @@ def check_model_conditions(
             if zk and holds:
                 inner = Just(t, syntax.PROVER, alpha)
                 zk_goal = Just(Proto(OMEGA, t), syntax.VERIFIER, inner)
-                zk_stab = q.event(Just(Proto(n_star, t), syntax.VERIFIER, inner))
-                if q.event(zk_goal) != zk_stab:
+                zk_stab = q.event_mask(Just(Proto(n_star, t), syntax.VERIFIER, inner))
+                if q.event_mask(zk_goal) != zk_stab:
                     rep.fail(
                         f"omega event differs from the stabilized event (zk) for "
                         f"t={syntax.print_term(t)}",
@@ -619,6 +734,9 @@ def parse_model_file(text: str) -> Quasimodel:
         valuation[w].extend(atoms)
 
     evidence = []
+    # a file repeats a few term and formula texts on many lines: parse each once
+    terms: dict[str, Term] = {}
+    eformulas: dict[str, EFormula] = {}
     for line in sections.get("evidence", []):
         em = _EVIDENCE_RE.match(line)
         if not em:
@@ -628,8 +746,12 @@ def parse_model_file(text: str) -> Quasimodel:
         if len(parts) != 2:
             raise ModelError(f"bad evidence line (need 'term : eform'): {line!r}")
         try:
-            t = syntax.parse_term(parts[0])
-            alpha = syntax.parse_eformula(parts[1])
+            t = terms.get(parts[0])
+            if t is None:
+                t = terms[parts[0]] = syntax.parse_term(parts[0])
+            alpha = eformulas.get(parts[1])
+            if alpha is None:
+                alpha = eformulas[parts[1]] = syntax.parse_eformula(parts[1])
         except syntax.ParseError as exc:
             raise ModelError(f"bad evidence line: {exc}") from exc
         evidence.append((w, a, t, alpha))

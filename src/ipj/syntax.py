@@ -167,17 +167,6 @@ def dest_eimp(f: EFormula) -> Optional[tuple[EFormula, EFormula]]:
     return None
 
 
-def dest_eor(f: EFormula) -> Optional[tuple[EFormula, EFormula]]:
-    if (
-        isinstance(f, ENot)
-        and isinstance(f.inner, EAnd)
-        and isinstance(f.inner.left, ENot)
-        and isinstance(f.inner.right, ENot)
-    ):
-        return f.inner.left.inner, f.inner.right.inner
-    return None
-
-
 # ---------------------------------------------------------------------------
 # probability thresholds
 # ---------------------------------------------------------------------------

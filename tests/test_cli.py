@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ipj import protosim
 from ipj.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -87,6 +88,15 @@ def test_malformed_proof_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("just", ["mp a 1", "mp 1 x", "nec[P] one", "pnec 1.5"])
+def test_bad_line_numbers_are_parse_errors(capsys, tmp_path, just):
+    bad = tmp_path / "bad.ipjp"
+    bad.write_text(f"1. Pr>= 1 (p -> p) ; ax p\n2. p -> p ; {just}\n")
+    code, _, err = run(capsys, "check-proof", str(bad))
+    assert code == 2
+    assert err.startswith("error: line 2: bad line number") and "Traceback" not in err
+
+
 # -- models --------------------------------------------------------------------------
 
 
@@ -153,6 +163,22 @@ def test_random_harness(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("counts", [("-3", "10"), ("2", "-5")])
+def test_random_harness_rejects_negative_counts(capsys, counts):
+    code, out, err = run(capsys, "check-model", "--random", counts[0], "--instances", counts[1])
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+def test_unknown_atom_anywhere_is_an_input_error(capsys, tmp_path):
+    _, _, path, _ = witness_file(capsys, tmp_path)
+    # the left conjunct is false, so a short-circuit evaluation would never see zz
+    for formula in ("~p & zz", "Pr>= 1 (~p) & Pr>= 1 (zz)", "~(t :[V] zz)"):
+        code, _, err = run(capsys, "eval", formula, "--model", str(path))
+        assert code == 2, formula
+        assert err.startswith("error:") and "'zz'" in err
+
+
 # -- simulate ------------------------------------------------------------------------
 
 
@@ -174,6 +200,20 @@ def test_simulate_json(capsys):
 def test_simulate_rejects_bad_error(capsys):
     code, _, err = run(capsys, "simulate", "--rounds", "2", "--error", "3/2")
     assert code == 2
+
+
+def test_witness_size_limit(capsys, tmp_path):
+    spec = tmp_path / "w.ispec"
+    spec.write_text("p : const 1\n")
+    argv = ["simulate", "--witness", "p", "--spec", str(spec), "--nmax"]
+    code, _, err = run(capsys, *argv, str(protosim._MAX_NMAX + 1))
+    assert code == 2
+    assert err.startswith("error:") and "limit" in err
+    code, out, _ = run(capsys, *argv, str(protosim._MAX_NMAX))
+    assert code == 0 and "PASS" in out
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    assert f"at most {protosim._MAX_NMAX}" in " ".join(capsys.readouterr().out.split())
 
 
 # -- arithmetic ----------------------------------------------------------------------

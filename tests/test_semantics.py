@@ -26,11 +26,24 @@ from ipj.semantics import (
     parse_model_file,
     write_model_file,
 )
+from ipj.proofcheck import is_axiom_chain
+from ipj.protosim import RoundConfig, build_round_model, verify_ipp_bound
 from ipj.syntax import (
+    OMEGA,
+    App,
+    Atom,
+    Bang,
     Box,
+    Const,
+    EAnd,
+    ENot,
     Just,
     Proto,
+    Sum,
     Var,
+    comp_le,
+    eimp,
+    esubformulas,
     parse_eformula,
     parse_formula,
     parse_term,
@@ -205,8 +218,109 @@ def test_justification_needs_both_conjuncts():
 
 def test_unknown_atom():
     m = simple_model()
-    with pytest.raises(UnknownAtom):
-        m.eval("w", parse_eformula("zz"))
+    # raised wherever the atom is, even where the truth value does not need it
+    for text in ("zz", "~p & zz", "t :[P] zz", "box[V] (q | zz)"):
+        with pytest.raises(UnknownAtom):
+            m.eval("w", parse_eformula(text))
+
+
+# -- the set-at-a-time evaluator against the definitions ---------------------------------
+
+
+def naive_evidence(m, w, a, t, alpha):
+    """Evidence membership at one world, straight from the closure conditions."""
+    if (w, a, t, alpha) in m.evidence:
+        return True
+    if isinstance(t, Sum):
+        return naive_evidence(m, w, a, t.left, alpha) or naive_evidence(m, w, a, t.right, alpha)
+    if isinstance(t, App):
+        return any(
+            naive_evidence(m, w, a, t.left, eimp(beta, alpha))
+            and naive_evidence(m, w, a, t.right, beta)
+            for beta in m.witness_pool | esubformulas(alpha)
+        )
+    if isinstance(t, Bang):
+        return (
+            isinstance(alpha, Just) and alpha.term == t.inner and alpha.agent == a
+            and naive_evidence(m, w, a, t.inner, alpha.inner)
+        )
+    if isinstance(t, Proto):
+        return any(
+            x == w and b == a and beta == alpha and isinstance(s, Proto)
+            and s.inner == t.inner and comp_le(s.complexity, t.complexity)
+            for x, b, s, beta in m.evidence
+        )
+    if isinstance(t, Const):
+        return is_axiom_chain(alpha)
+    return False
+
+
+def naive_truth(m, w, alpha):
+    """Truth at one world, straight from the Kripke clauses."""
+    if isinstance(alpha, Atom):
+        return alpha.name in m.valuation[w]
+    if isinstance(alpha, ENot):
+        return not naive_truth(m, w, alpha.inner)
+    if isinstance(alpha, EAnd):
+        return naive_truth(m, w, alpha.left) and naive_truth(m, w, alpha.right)
+    boxed = all(naive_truth(m, u, alpha.inner) for x, u in m.rel[alpha.agent] if x == w)
+    if isinstance(alpha, Box):
+        return boxed
+    return boxed and naive_evidence(m, w, alpha.agent, alpha.term, alpha.inner)
+
+
+def mask_of(m, holds):
+    return sum(1 << i for i, w in enumerate(m.worlds) if holds(w))
+
+
+def test_masks_agree_with_the_definitions():
+    rng = random.Random(6)
+    # an infinitesimal rational function, moved between two sample worlds
+    shift = QEps((0, 1), (1, 1))
+    mixed = checked = 0
+    for _ in range(300):
+        qm = generators.rand_model(rng)
+        m = qm.base
+        if len(qm.sample) >= 2 and rng.random() < 0.5:
+            u, v = rng.sample(qm.sample, 2)
+            measure = {**qm.measure, u: qm.measure[u] - shift, v: qm.measure[v] + shift}
+            qm = Quasimodel(m, qm.sample, measure, qm.w0)
+            mixed += 1
+        based = [(t, alpha) for _, _, t, alpha in m.evidence]
+        for _ in range(6):
+            t, alpha = rng.choice(based) if based and rng.random() < 0.6 else (
+                generators.rand_term(rng, 2), generators.rand_eformula(rng, 2))
+            kind = rng.randrange(5)
+            if kind == 1:
+                t = Sum(generators.rand_term(rng, 1), t)
+            elif kind == 2:
+                t = App(generators.rand_term(rng, 1), t)
+            elif kind == 3:
+                t, alpha = Bang(t), Just(t, rng.choice("PV"), alpha)
+            elif kind == 4 and isinstance(t, Proto):  # the same run at another complexity
+                t = Proto(rng.choice([*range(1, 10), OMEGA]), t.inner)
+            for a in ("P", "V"):
+                assert m.evidence_mask(a, t, alpha) == mask_of(
+                    m, lambda w: naive_evidence(m, w, a, t, alpha))
+            phi = generators.rand_eformula(rng, 3)
+            if rng.random() < 0.5:
+                phi = Just(t, rng.choice("PV"), phi)
+            assert m.truth_mask(phi) == mask_of(m, lambda w: naive_truth(m, w, phi))
+            expected = sum((qm.measure[u] for u in qm.sample if naive_truth(m, u, phi)),
+                           QEps.from_rational(0))
+            assert qm.measure_of(phi) == expected
+            checked += 1
+    assert checked == 1800 and mixed > 50
+
+
+def test_round_model_evaluates_each_subformula_once():
+    m = build_round_model(RoundConfig(10, Fraction(1, 3)))
+    assert verify_ipp_bound(m).ok
+    qm = m.quasimodel
+    events = [Just(t, "V", m.claim) for t in m.round_terms]
+    assert set(qm.base._truth) == set().union(*map(esubformulas, events))
+    # the sample, the claim, each round and each pair of rounds: one measure each
+    assert len(qm._measures) == 1 + 1 + 10 + 45
 
 
 # -- measures -------------------------------------------------------------------------
