@@ -4,12 +4,13 @@ of a positive infinitesimal ``e``.
 Values are reduced fractions of dense coefficient polynomials over exact
 rationals.  The order is decided structurally from the sign of the
 lowest-order coefficient of a difference; no floating point is used
-anywhere.
+anywhere.  Literals such as ``(1 + 2 e)/(2 + 1 e)`` are read by
+:func:`parse_qeps` through the one literal grammar, which lives in
+:class:`ipj.syntax.Parser` and serves formula thresholds as well.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -149,7 +150,7 @@ class QEps:
         return cls((0,) * power + (1,))
 
     @classmethod
-    def from_monomials(cls, num, den=((Fraction(1), 0),)) -> "QEps":
+    def from_monomials(cls, num, den=None) -> "QEps":
         """Build from ``(coefficient, power)`` pairs for numerator/denominator."""
 
         def poly(monos):
@@ -162,6 +163,8 @@ class QEps:
                 out[p] += Fraction(c)
             return out
 
+        if den is None:  # a polynomial: already canonical once trimmed
+            return _canonical(_trim(poly(num)), _DEN1)
         return cls(poly(num), poly(den))
 
     # -- predicates ----------------------------------------------------------
@@ -353,106 +356,23 @@ ONE = QEps.from_rational(1)
 EPS = QEps.epsilon()
 
 
-# ---------------------------------------------------------------------------
-# literal grammar:
-#   rational := int | int "/" posint
-#   monomial := rational | rational "e" | rational "e^" posint
-#   poly     := monomial ("+" monomial)*
-#   qeps     := poly | "(" poly ")" "/" "(" poly ")"
-# ---------------------------------------------------------------------------
-
-_TOKEN = re.compile(r"\s*(-?\d+|[()/^+]|e)")
-
-
 class QEpsParseError(ValueError):
     pass
 
 
-class _Lit:
-    def __init__(self, text: str):
-        self.toks: list[str] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise QEpsParseError(f"bad character in literal: {text[pos:]!r}")
-                break
-            self.toks.append(m.group(1))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self):
-        t = self.peek()
-        if t is None:
-            raise QEpsParseError("unexpected end of literal")
-        self.i += 1
-        return t
-
-    def expect(self, t):
-        got = self.next()
-        if got != t:
-            raise QEpsParseError(f"expected {t!r}, got {got!r}")
-
-    def rational(self) -> Fraction:
-        t = self.next()
-        try:
-            n = int(t)
-        except ValueError:
-            raise QEpsParseError(f"expected integer, got {t!r}") from None
-        if self.peek() == "/":
-            self.next()
-            tok = self.next()
-            try:
-                d = int(tok)
-            except ValueError:
-                raise QEpsParseError(f"expected integer, got {tok!r}") from None
-            if d <= 0:
-                raise QEpsParseError("denominator must be positive")
-            return Fraction(n, d)
-        return Fraction(n)
-
-    def poly(self) -> list[tuple[Fraction, int]]:
-        monos = [self.monomial()]
-        while self.peek() == "+":
-            self.next()
-            monos.append(self.monomial())
-        return monos
-
-    def monomial(self) -> tuple[Fraction, int]:
-        c = self.rational()
-        if self.peek() == "e":
-            self.next()
-            if self.peek() == "^":
-                self.next()
-                p = int(self.next())
-                if p <= 0:
-                    raise QEpsParseError("e power must be positive")
-                return (c, p)
-            return (c, 1)
-        return (c, 0)
-
-
 def parse_qeps(text: str) -> QEps:
-    """Parse a value in the literal grammar, e.g. ``(1 + 2 e)/(2 + 1 e)``."""
-    lit = _Lit(text)
-    if lit.peek() == "(":
-        lit.next()
-        num = lit.poly()
-        lit.expect(")")
-        lit.expect("/")
-        lit.expect("(")
-        den = lit.poly()
-        lit.expect(")")
-        try:
-            value = QEps.from_monomials(num, den)
-        except ZeroDivisionError as exc:
-            raise QEpsParseError(str(exc)) from None
-    else:
-        value = QEps.from_monomials(lit.poly())
-    if lit.peek() is not None:
-        raise QEpsParseError(f"trailing input in literal: {lit.toks[lit.i:]}")
+    """Parse a value in the literal grammar, e.g. ``(1 + 2 e)/(2 + 1 e)``.
+
+    The grammar lives in :class:`ipj.syntax.Parser`, which reads formula
+    thresholds with it too.
+    """
+    from .syntax import Parser  # syntax imports QEps at module level
+
+    try:
+        p = Parser(text, allow_symbolic=False)
+        value = p.literal()
+        if not p.at_end():
+            p.error(f"trailing input in literal: {p.peek().text!r}")
+    except ValueError as exc:  # a ParseError, or int() refusing too many digits
+        raise QEpsParseError(str(exc)) from None
     return value

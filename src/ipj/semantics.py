@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from . import proofcheck, syntax
 from .ispec import InteractionSpec
@@ -423,7 +423,6 @@ def check_independence(q: Quasimodel, alpha: EFormula, beta: EFormula) -> bool:
 @dataclass(frozen=True)
 class Universe:
     terms: tuple[Term, ...]
-    formulas: tuple[EFormula, ...] = ()
 
 
 @dataclass
@@ -491,45 +490,26 @@ def check_model_conditions(
             raise UniverseError(f"universe term {syntax.print_term(t)} is not a protocol-free base")
         for alpha in spec.formulas():
             fn = spec.threshold(alpha)
-            goal = Just(Proto(OMEGA, t), syntax.VERIFIER, Box(syntax.PROVER, alpha))
-            stab_event = q.event_mask(
-                Just(Proto(n_star, t), syntax.VERIFIER, Box(syntax.PROVER, alpha))
-            )
-            if q.event_mask(goal) != stab_event:
-                rep.fail(
-                    f"omega event differs from the stabilized event for "
-                    f"t={syntax.print_term(t)}, alpha={syntax.print_eformula(alpha)}",
-                    (t, alpha, OMEGA, None, None),
-                )
-            holds = m.eval(q.w0, Just(t, syntax.PROVER, alpha))
-            for k in range(1, kmax + 1):
-                thr = fn.value_at(k) if fn is not None else None
-                if thr is None:
-                    continue  # not in the family at this k; conditions are vacuous
-                _check_bounds(
-                    rep, q, t, alpha, k, thr, n_star, holds,
-                    body=Box(syntax.PROVER, alpha),
-                    upper=not holds,
-                    label="condition 1" if holds else "condition 2",
-                )
+            thresholds = [] if fn is None else [(k, fn.value_at(k)) for k in range(1, kmax + 1)]
+            claim = Just(t, syntax.PROVER, alpha)
+            holds = m.eval(q.w0, claim)
+            # (body, upper bound?, label, where the omega check reports)
+            cases = [(
+                Box(syntax.PROVER, alpha), not holds, "condition 1" if holds else "condition 2",
+                f"for t={syntax.print_term(t)}, alpha={syntax.print_eformula(alpha)}",
+            )]
             if zk and holds:
-                inner = Just(t, syntax.PROVER, alpha)
-                zk_goal = Just(Proto(OMEGA, t), syntax.VERIFIER, inner)
-                zk_stab = q.event_mask(Just(Proto(n_star, t), syntax.VERIFIER, inner))
-                if q.event_mask(zk_goal) != zk_stab:
+                cases.append((claim, True, "zk condition", f"(zk) for t={syntax.print_term(t)}"))
+            for body, upper, label, where in cases:
+                omega = q.event_mask(Just(Proto(OMEGA, t), syntax.VERIFIER, body))
+                if omega != q.event_mask(Just(Proto(n_star, t), syntax.VERIFIER, body)):
                     rep.fail(
-                        f"omega event differs from the stabilized event (zk) for "
-                        f"t={syntax.print_term(t)}",
+                        f"omega event differs from the stabilized event {where}",
                         (t, alpha, OMEGA, None, None),
                     )
-                for k in range(1, kmax + 1):
-                    thr = fn.value_at(k) if fn is not None else None
-                    if thr is None:
-                        continue
-                    _check_bounds(
-                        rep, q, t, alpha, k, thr, n_star, holds,
-                        body=inner, upper=True, label="zk condition",
-                    )
+                for k, thr in thresholds:
+                    if thr is not None:  # not in the family at this k: vacuous
+                        _check_bounds(rep, q, t, alpha, k, thr, n_star, body, upper, label)
     rep.note("model conditions checked" if rep.ok else "model conditions violated")
     return rep
 
@@ -542,7 +522,6 @@ def _check_bounds(
     k: int,
     thr: int,
     n_star: int,
-    holds: bool,
     body: EFormula,
     upper: bool,
     label: str,
@@ -577,90 +556,6 @@ def _check_bounds(
             f"has standard part {sp}, expected {want}",
             (t, alpha, None, k, stab),
         )
-
-
-# ---------------------------------------------------------------------------
-# evidence-closure audit
-# ---------------------------------------------------------------------------
-
-
-def check_evidence_closure(
-    m: EpistemicModel,
-    universe: Universe,
-    membership: Optional[Callable[[str, str, Term, EFormula], bool]] = None,
-) -> Report:
-    """Audit the closure conditions over a finite universe.
-
-    With the default (intensional) membership the conditions hold by
-    construction; the hook exists to audit extensional membership tables.
-    """
-    member = membership or m.evidence_member
-    rep = Report()
-    terms = tuple(universe.terms)
-    formulas = tuple(universe.formulas)
-    for w in m.worlds:
-        for a in AGENTS:
-            for alpha in formulas:
-                for s in terms:
-                    for t in terms:
-                        if member(w, a, s, alpha) or member(w, a, t, alpha):
-                            if not member(w, a, Sum(s, t), alpha):
-                                rep.fail(
-                                    f"sum closure fails at {w}/{a}: "
-                                    f"{syntax.print_term(Sum(s, t))} lacks "
-                                    f"{syntax.print_eformula(alpha)}",
-                                    (w, a, Sum(s, t), alpha),
-                                )
-                        for beta in formulas:
-                            if member(w, a, s, eimp(beta, alpha)) and member(w, a, t, beta):
-                                if not member(w, a, App(s, t), alpha):
-                                    rep.fail(
-                                        f"application closure fails at {w}/{a}: "
-                                        f"{syntax.print_term(App(s, t))} lacks "
-                                        f"{syntax.print_eformula(alpha)}",
-                                        (w, a, App(s, t), alpha),
-                                    )
-                for t in terms:
-                    for alpha in formulas:
-                        if member(w, a, t, alpha):
-                            lifted = Just(t, a, alpha)
-                            if not member(w, a, Bang(t), lifted):
-                                rep.fail(
-                                    f"proof-checker closure fails at {w}/{a}: "
-                                    f"{syntax.print_term(Bang(t))} lacks "
-                                    f"{syntax.print_eformula(lifted)}",
-                                    (w, a, Bang(t), lifted),
-                                )
-                    if isinstance(t, Const):
-                        for alpha in formulas:
-                            if proofcheck.is_axiom_chain(alpha) and not member(w, a, t, alpha):
-                                rep.fail(
-                                    f"axiom-constant closure fails at {w}/{a}: "
-                                    f"{syntax.print_term(t)} lacks an axiom chain",
-                                    (w, a, t, alpha),
-                                )
-                # protocol monotonicity over the complexities present in the base
-                comps = sorted(
-                    s.complexity
-                    for (x, b, s, _) in m.evidence
-                    if isinstance(s, Proto) and isinstance(s.complexity, int)
-                )
-                tops = comps[-1:] if comps else []
-                for t in terms:
-                    for alpha in formulas:
-                        for n in comps + [c + 1 for c in tops]:
-                            if member(w, a, Proto(n, t), alpha):
-                                for n2 in [c for c in comps if c > n] + [
-                                    c + 1 for c in tops
-                                ] + [OMEGA]:
-                                    if not member(w, a, Proto(n2, t), alpha):
-                                        rep.fail(
-                                            f"protocol monotonicity fails at {w}/{a}: "
-                                            f"complexity {n} holds but {n2} does not",
-                                            (w, a, Proto(n2, t), alpha),
-                                        )
-    rep.note("evidence closure audited over the given universe")
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -758,14 +653,19 @@ def parse_model_file(text: str) -> Quasimodel:
 
     sample = " ".join(sections["U"]).split()
     measure = {}
+    masses: dict[str, QEps] = {}  # few distinct mass texts, each parsed once
     for line in sections["mu"]:
         if "=" not in line:
             raise ModelError(f"bad mass line: {line!r}")
         w, _, val = line.partition("=")
+        val = val.strip()
         try:
-            measure[w.strip()] = parse_qeps(val.strip())
+            mass = masses.get(val)
+            if mass is None:
+                mass = masses[val] = parse_qeps(val)
         except QEpsParseError as exc:
             raise ModelError(f"bad mass line: {exc}") from exc
+        measure[w.strip()] = mass
 
     w0 = " ".join(sections["w0"]).strip()
     base = EpistemicModel(worlds, rel, valuation, evidence)

@@ -20,9 +20,10 @@ Precedence: ``!`` > ``*`` > ``+`` for terms and ``~`` > ``&`` > ``|`` >
 at parse time, so printed output is always in the core connectives and
 reparses to an identical tree.
 
-Probability thresholds are exact field literals; inside proof templates
-they may instead be parametric expressions ``q + 1/v^j`` (see
-:class:`SymThresh`).
+Probability thresholds are exact field literals in the one literal grammar
+of ``Q[e]`` (see :meth:`Parser.literal`), which :func:`ipj.qeps.parse_qeps`
+reads through too; inside proof templates they may instead be parametric
+expressions ``q + 1/v^j`` (see :class:`SymThresh`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .qeps import QEps
 
@@ -427,8 +428,7 @@ _TOKEN_RE = re.compile(
 RESERVED_NAMES = {"box", "f", "P", "V"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'num' | 'ident' | 'const' | exact symbol text
     text: str
     line: int
@@ -458,15 +458,19 @@ def tokenize(text: str) -> list[Token]:
             toks.append(Token("prop", lexeme, line, col))
         elif kind != "ws":
             toks.append(Token(lexeme, lexeme, line, col))
-        for ch in lexeme:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
         pos += len(lexeme)
     toks.append(Token("eof", "", line, col))
     return toks
+
+
+def _is_word(tok: Token, word: str) -> bool:
+    return tok.kind == "ident" and tok.text == word
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +671,15 @@ class Parser:
         }[op]
         return builder(s, e)
 
-    # -- thresholds ----------------------------------------------------------------
+    # -- literals --------------------------------------------------------------------
+    #
+    # The one grammar of values of Q[e]; ``ipj.qeps.parse_qeps`` reads through it.
+    #   rational := int | int "/" posint
+    #   monomial := rational | rational "e" | rational "e^" posint
+    #   poly     := monomial ("+" monomial)*
+    #   literal  := poly | "(" poly ")" "/" "(" poly ")"
+    # Proof templates may add one parametric monomial to a poly:
+    #   "v" | rational "v" | int "/v" | int "/v^" posint
 
     def threshold(self, op: str):
         tok = self.peek()
@@ -678,7 +690,7 @@ class Parser:
                     f"approximate-probability threshold {r} outside [0,1]", tok.line, tok.col
                 )
             return r
-        s = self.qeps_or_sym()
+        s = self.literal()
         if isinstance(s, QEps) and not s.in_unit_interval():
             raise RangeError(f"probability threshold {s} outside [0,1]", tok.line, tok.col)
         return s
@@ -694,100 +706,77 @@ class Parser:
             return Fraction(n, d)
         return Fraction(n)
 
-    def qeps_or_sym(self):
+    def literal(self):
+        """A value of Q[e], or a parametric threshold where the parser allows one."""
         tok = self.peek()
         if tok.kind == "(":
             self.next()
-            num = self.poly_monomials()
+            num, sym = self.poly()
             self.expect(")")
             self.expect("/")
             self.expect("(")
-            den = self.poly_monomials()
+            den, den_sym = self.poly()
             self.expect(")")
+            if sym or den_sym:
+                raise ParseError(
+                    "parametric threshold cannot use the fraction form", tok.line, tok.col
+                )
             try:
                 return QEps.from_monomials(num, den)
-            except (ValueError, ZeroDivisionError) as exc:
+            except ZeroDivisionError as exc:
                 raise ParseError(str(exc), tok.line, tok.col) from None
-        monos, sym = self.poly_with_param()
-        if sym is not None:
-            if not self.allow_symbolic:
-                raise ParseError("parametric threshold outside a proof template", tok.line, tok.col)
-            base = sum((c for c, p in monos if p == 0), Fraction(0))
-            if any(p != 0 for _, p in monos):
-                raise ParseError("cannot mix e and the parameter v in one threshold", tok.line, tok.col)
-            # with a zero coefficient the value is the rational base: one spelling per value
-            return SymThresh(base, sym[0], sym[1]) if sym[0] else QEps.from_rational(base)
-        return QEps.from_monomials(monos)
+        monos, sym = self.poly()
+        if sym is None:
+            return QEps.from_monomials(monos)
+        if not self.allow_symbolic:
+            raise ParseError("the parameter v occurs only in proof templates", tok.line, tok.col)
+        if any(p != 0 for _, p in monos):
+            raise ParseError("cannot mix e and the parameter v in one threshold", tok.line, tok.col)
+        base = sum((c for c, _ in monos), Fraction(0))
+        # with a zero coefficient the value is the rational base: one spelling per value
+        return SymThresh(base, sym[0], sym[1]) if sym[0] else QEps.from_rational(base)
 
-    def poly_with_param(self):
+    def poly(self):
+        """The e-monomials ``(coeff, power)`` of a poly and its v-monomial, if any."""
         monos: list[tuple[Fraction, int]] = []
         sym = None
         while True:
             tok = self.peek()
-            if tok.kind == "ident" and tok.text == "v":
-                # bare parameter monomial (linear, coefficient 1)
+            ahead = self.toks[self.i + 1 : self.i + 3]
+            param = None
+            if _is_word(tok, "v"):
                 self.next()
-                if sym is not None:
-                    raise ParseError("only one parametric monomial is allowed", tok.line, tok.col)
-                sym = (Fraction(1), 0)
-                if self.peek().kind == "+":
-                    self.next()
-                    continue
-                return monos, sym
-            c = self.rational_allow_slash_v()
-            if isinstance(c, tuple):  # (coeff, power) parametric monomial
-                if sym is not None:
-                    raise ParseError("only one parametric monomial is allowed", tok.line, tok.col)
-                sym = c
+                param = (Fraction(1), 0)
+            elif tok.kind == "num" and ahead[0].kind == "/" and _is_word(ahead[1], "v"):
+                self.i += 3  # c/v with c a bare integer
+                param = (Fraction(int(tok.text)), self.power("v"))
             else:
-                if self.peek().kind == "ident" and self.peek().text == "e":
+                c = self.rational()
+                if _is_word(self.peek(), "v"):
                     self.next()
-                    p = 1
-                    if self.peek().kind == "^":
-                        self.next()
-                        p = int(self.expect("num").text)
-                        if p <= 0:
-                            raise ParseError("e power must be positive", tok.line, tok.col)
-                    monos.append((c, p))
-                elif self.peek().kind == "ident" and self.peek().text == "v":
+                    param = (c, 0)
+                elif _is_word(self.peek(), "e"):
                     self.next()
-                    if sym is not None:
-                        raise ParseError("only one parametric monomial is allowed", tok.line, tok.col)
-                    sym = (c, 0)  # linear parameter: c * v
+                    monos.append((c, self.power("e")))
                 else:
                     monos.append((c, 0))
-            if self.peek().kind == "+":
-                self.next()
-                continue
-            return monos, sym
-
-    def rational_allow_slash_v(self):
-        tok = self.expect("num")
-        n = int(tok.text)
-        if self.peek().kind == "/":
-            nxt = self.toks[self.i + 1]
-            if nxt.kind == "ident" and nxt.text == "v":
-                self.next()
-                self.next()
-                p = 1
-                if self.peek().kind == "^":
-                    self.next()
-                    p = int(self.expect("num").text)
-                    if p <= 0:
-                        raise ParseError("v power must be positive", tok.line, tok.col)
-                return (Fraction(n), p)
+            if param is not None:
+                if sym is not None:
+                    raise ParseError("only one parametric monomial is allowed", tok.line, tok.col)
+                sym = param
+            if self.peek().kind != "+":
+                return monos, sym
             self.next()
-            d = int(self.expect("num").text)
-            if d <= 0:
-                raise ParseError("denominator must be positive", tok.line, tok.col)
-            return Fraction(n, d)
-        return Fraction(n)
 
-    def poly_monomials(self) -> list[tuple[Fraction, int]]:
-        monos, sym = self.poly_with_param()
-        if sym is not None:
-            self.error("parametric threshold cannot use the fraction form")
-        return monos
+    def power(self, name: str) -> int:
+        if self.peek().kind != "^":
+            return 1
+        self.next()
+        tok = self.expect("num")
+        p = int(tok.text)
+        if p <= 0:
+            raise ParseError(f"{name} power must be positive", tok.line, tok.col)
+        return p
 
 
 def parse_term(text: str) -> Term:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ipj.qeps import QEps, QEpsParseError, _padd, _pmul, _pneg, parse_qeps
+from ipj.semantics import ModelError, parse_model_file
+from ipj.syntax import parse_formula
 
 ZERO = QEps.from_rational(0)
 ONE = QEps.from_rational(1)
@@ -169,6 +171,28 @@ def test_parse_errors():
     for bad in ("", "1 +", "e^", "(1)/(0)", "1//2"):
         with pytest.raises((QEpsParseError, ZeroDivisionError)):
             parse_qeps(bad)
+
+
+# -- one literal grammar for values and formula thresholds ----------------------------
+
+
+@given(values.filter(QEps.in_unit_interval))
+@settings(max_examples=200)
+def test_thresholds_and_values_share_the_grammar(v):
+    assert parse_formula(f"Pr>= {v} (p)").threshold == parse_qeps(str(v))
+
+
+def test_parametric_monomials_are_not_values():
+    # the parameter v belongs to proof templates, never to a value of Q[e]
+    for bad in ("1/v", "v", "1/2 + -1/v", "1 e^0", "(1 + v)/(2)", "1 e^x", "1/2 v^2"):
+        with pytest.raises(QEpsParseError):
+            parse_qeps(bad)
+
+
+def test_bad_mass_line_is_a_model_error():
+    text = "worlds: a\nR[P]:\na -> a\nR[V]:\na -> a\nU: a\nmu:\na = 1/v\nw0: a\n"
+    with pytest.raises(ModelError, match="^bad mass line:"):
+        parse_model_file(text)
 
 
 # -- fast paths keep the canonical form ----------------------------------------------

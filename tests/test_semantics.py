@@ -20,7 +20,6 @@ from ipj.semantics import (
     UniverseError,
     UnknownAtom,
     Universe,
-    check_evidence_closure,
     check_independence,
     check_model_conditions,
     parse_model_file,
@@ -161,32 +160,6 @@ def test_axiom_constant_closure():
         "w", "P", parse_term("c:a"), parse_eformula("c:b :[V] (box[P] p -> p)")
     )
     assert not m.evidence_member("w", "P", parse_term("c:a"), parse_eformula("p -> q"))
-
-
-def test_closure_audit_passes_by_construction():
-    m = simple_model(
-        evidence=[
-            ("w", "P", Var("s"), parse_eformula("p -> q")),
-            ("w", "P", Var("t"), parse_eformula("p")),
-        ]
-    )
-    uni = Universe(
-        terms=(Var("s"), Var("t")),
-        formulas=(parse_eformula("p"), parse_eformula("q"), parse_eformula("p -> q")),
-    )
-    assert check_evidence_closure(m, uni).ok
-
-
-def test_closure_audit_catches_extensional_gaps():
-    m = simple_model(evidence=[("w", "P", Var("t"), parse_eformula("p"))])
-    table = {("w", "P", Var("t"), parse_eformula("p"))}
-
-    def member(w, a, t, alpha):  # misses every lifted membership
-        return (w, a, t, alpha) in table
-
-    uni = Universe(terms=(Var("t"), Var("s")), formulas=(parse_eformula("p"),))
-    rep = check_evidence_closure(m, uni, membership=member)
-    assert not rep.ok and "sum closure" in "\n".join(rep.lines)
 
 
 # -- truth ----------------------------------------------------------------------------

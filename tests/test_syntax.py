@@ -136,6 +136,18 @@ def test_symbolic_thresholds():
     assert parse_formula("Pr>= 1/2 + 0/v (p)") == parse_formula("Pr>= 1/2 (p)")
 
 
+def test_parametric_monomial_edges():
+    # c/v is a monomial only for a bare integer c
+    for bad in ("Pr>= 1/21/v (p)", "Pr>= 20/ 1/v (p)", "Pr>= 1/v + 1/v (p)", "Pr>= (1)/(v) (p)"):
+        for symbolic in (True, False):
+            with pytest.raises(ParseError):
+                parse_formula(bad, allow_symbolic=symbolic)
+    f = parse_formula("Pr>= 1/2 + -1/v (p)", allow_symbolic=True)
+    assert f.threshold == SymThresh(Fraction(1, 2), Fraction(-1), 1)
+    with pytest.raises(ParseError):
+        parse_formula("Pr>= 1/2 + -1/v (p)", allow_symbolic=False)
+
+
 def test_symbolic_roundtrip():
     for text in ("Pr>= 1 + -1/v (p)", "Pr>= 1/v^2 (p)", "Pr= v (p)", "Pr>= 1/2 + 0/v (p)"):
         f = parse_formula(text)
