@@ -29,7 +29,6 @@ from .proofcheck import check_derivation, load_derivation_file, match_axiom
 from .semantics import (
     EpistemicModel,
     Quasimodel,
-    Universe,
     check_model_conditions,
     load_model_file,
     write_model_file,
@@ -53,7 +52,6 @@ __all__ = [
     "load_derivation_file",
     "EpistemicModel",
     "Quasimodel",
-    "Universe",
     "check_model_conditions",
     "load_model_file",
     "write_model_file",

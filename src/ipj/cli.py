@@ -66,17 +66,6 @@ def cmd_check_proof(args) -> int:
     return _emit(args, report.valid, [report.render()], extra)
 
 
-def _model_universe(q: semantics.Quasimodel) -> semantics.Universe:
-    bases = []
-    for _, _, t, _ in sorted(
-        q.base.evidence, key=lambda e: syntax.print_term(e[2])
-    ):
-        if isinstance(t, syntax.Proto) and syntax.is_f_free(t.inner):
-            if t.inner not in bases:
-                bases.append(t.inner)
-    return semantics.Universe(terms=tuple(bases))
-
-
 def cmd_check_model(args) -> int:
     if args.random < 0 or args.instances < 0:
         raise ValueError("--random and --instances must not be negative")
@@ -84,9 +73,7 @@ def cmd_check_model(args) -> int:
     if args.random:
         return _soundness_harness(args, spec)
     q = semantics.load_model_file(args.model)
-    report = semantics.check_model_conditions(
-        q, spec, _model_universe(q), zk=args.zk, kmax=args.kmax
-    )
+    report = semantics.check_model_conditions(q, spec, zk=args.zk, kmax=args.kmax)
     return _emit(args, report.ok, report.render().splitlines())
 
 
@@ -127,9 +114,7 @@ def cmd_simulate(args) -> int:
             spec, alpha, t, k=args.k, n_max=args.nmax, honest=not args.dishonest,
             zk=args.zk,
         )
-        report = semantics.check_model_conditions(
-            q, spec, semantics.Universe(terms=(t,)), zk=args.zk, kmax=args.k
-        )
+        report = semantics.check_model_conditions(q, spec, zk=args.zk, kmax=args.k)
         lines = report.render().splitlines()
         if args.emit:
             with open(args.emit, "w", encoding="utf-8") as fh:

@@ -1,8 +1,12 @@
 """Hilbert-style derivation checking for the two-agent probabilistic
 justification logic.
 
-Axiom schemas are matched structurally against desugared formula trees;
-side conditions (threshold comparisons, complexity orders, interaction-spec
+Two tables define the logic.  ``_SCHEMAS`` writes each axiom schema once:
+one builder drives matching, instantiation and random generation.
+``_RULES`` writes each inference rule once: a reader of the words after the
+rule's keyword in a proof file, and a check of a line against them.  Axiom
+schemas are matched structurally against desugared formula trees; side
+conditions (threshold comparisons, complexity orders, interaction-spec
 membership) are verified exactly.  The two infinitary probabilistic rules
 are supported through a restricted parametric fragment: a template
 derivation carries one distinguished parameter, written ``v``, that may
@@ -18,8 +22,9 @@ import math
 import os
 import re
 from dataclasses import dataclass, field, fields
+from functools import partial
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .ispec import InteractionSpec
 from .qeps import QEps
@@ -603,52 +608,11 @@ def is_axiom_chain(alpha: EFormula) -> bool:
 
 
 @dataclass(frozen=True)
-class AxiomJ:
-    schema: str
-    hints: tuple = ()  # ((key, value), ...)
-
-
-@dataclass(frozen=True)
-class MPJ:
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class BoxNecJ:
-    agent: str
-    i: int
-
-
-@dataclass(frozen=True)
-class AxiomNecJ:
-    chain: tuple  # ((constant name, agent), ...)
-
-
-@dataclass(frozen=True)
-class ProbNecJ:
-    i: int
-
-
-@dataclass(frozen=True)
-class ApproxIntroJ:
-    r: Fraction
-    template: str
-
-
-@dataclass(frozen=True)
-class ArchJ:
-    template: str
-
-
-Justification = Union[AxiomJ, MPJ, BoxNecJ, AxiomNecJ, ProbNecJ, ApproxIntroJ, ArchJ]
-
-
-@dataclass(frozen=True)
 class ProofLine:
     index: int
     formula: Formula
-    just: Justification
+    rule: str  # a key of _RULES
+    args: tuple  # what the rule's reader made of the words after the keyword
 
 
 @dataclass
@@ -675,152 +639,127 @@ class CheckReport:
 _MAX_TEMPLATE_DEPTH = 4
 
 
-def check_derivation(
-    d: Derivation, symctx: SymCtx = None, _depth: int = 0, _templates: Optional[dict] = None
-) -> CheckReport:
-    """Validate every line; report VALID or the first offending line.
-
-    ``_templates`` maps a resolved template path to its parsed derivation for
-    the length of one top-level check, so a template cited N times is read
-    and parsed once.
-    """
-    if not d.lines:
-        return CheckReport(False, "empty derivation")
-    if _templates is None:
-        _templates = {}
-    by_index: dict[int, Formula] = {}
-    for line in d.lines:
-        try:
-            _check_line(d, line, by_index, symctx, _depth, _templates)
-        except NoMatch as exc:
-            return CheckReport(False, exc.reason, line.index)
-        except (StructureError, TemplateError) as exc:
-            return CheckReport(False, str(exc), line.index)
-        by_index[line.index] = line.formula
-    return CheckReport(True)
+def check_derivation(d: Derivation, symctx: SymCtx = None) -> CheckReport:
+    """Validate every line; report VALID or the first offending line."""
+    return _Check(d, symctx, 0, {}).run()
 
 
-def _cited(by_index: dict, line: ProofLine, i: int) -> Formula:
-    if i not in by_index or i >= line.index:
-        raise StructureError(f"citation of line {i} is not an earlier line")
-    return by_index[i]
+class _Check:
+    """One check of a derivation: the lines so far, the parameter range, the
+    template nesting depth, and the templates read during the top-level
+    check, so that a template cited N times is read and parsed once."""
 
+    def __init__(self, d: Derivation, symctx: SymCtx, depth: int, templates: dict):
+        self.d, self.symctx, self.depth, self.templates = d, symctx, depth, templates
+        self.by_index: dict[int, Formula] = {}
 
-def _check_line(
-    d: Derivation,
-    line: ProofLine,
-    by_index: dict[int, Formula],
-    symctx: SymCtx,
-    depth: int,
-    templates: dict,
-):
-    if line.index in by_index:
-        raise StructureError(f"duplicate line index {line.index}")
-    f = line.formula
-    if symctx is None and formula_has_param(f):
-        raise TemplateError("parametric threshold outside a template")
-    if symctx is not None:
-        _check_param_positions(f)
-    just = line.just
+    def run(self) -> CheckReport:
+        if not self.d.lines:
+            return CheckReport(False, "empty derivation")
+        for line in self.d.lines:
+            try:
+                self.check(line)
+            except NoMatch as exc:
+                return CheckReport(False, exc.reason, line.index)
+            except (StructureError, TemplateError) as exc:
+                return CheckReport(False, str(exc), line.index)
+            self.by_index[line.index] = line.formula
+        return CheckReport(True)
 
-    if isinstance(just, AxiomJ):
-        if just.schema not in SCHEMA_IDS:
-            raise StructureError(f"unknown schema {just.schema!r}")
-        m = match_axiom(
-            f, d.spec, zk=d.zk, schema=just.schema, hints=dict(just.hints), symctx=symctx
-        )
-        if m is None:
-            raise NoMatch(f"formula is not an instance of axiom ({just.schema})")
-        return
-
-    if isinstance(just, MPJ):
-        fi = _cited(by_index, line, just.i)
-        fj = _cited(by_index, line, just.j)
-        for ante, implication in ((fi, fj), (fj, fi)):
-            dimp = dest_fimp(implication)
-            if dimp is not None and dimp[0] == ante and dimp[1] == f:
-                return
-        raise NoMatch("modus ponens does not apply to the cited lines")
-
-    if isinstance(just, BoxNecJ):
-        fi = _cited(by_index, line, just.i)
-        e = as_efml(fi)
-        if e is None:
-            raise NoMatch("necessitation needs an epistemic premise")
-        if f != Epistemic(Box(just.agent, e)):
-            raise NoMatch("conclusion is not the boxed premise")
-        return
-
-    if isinstance(just, ProbNecJ):
-        fi = _cited(by_index, line, just.i)
-        e = as_efml(fi)
-        if e is None:
-            raise NoMatch("probabilistic necessitation needs an epistemic premise")
-        if f != ProbGeq(_ONE_Q, e):
-            raise NoMatch("conclusion must assert the premise with probability >= 1")
-        return
-
-    if isinstance(just, AxiomNecJ):
-        if not just.chain:
-            raise StructureError("axiom necessitation needs at least one constant")
-        core = as_efml(f)
-        if core is None:
-            raise NoMatch("axiom necessitation produces an epistemic formula")
-        for name, agent in just.chain:
-            if not (
-                isinstance(core, Just)
-                and core.term == Const(name)
-                and core.agent == agent
-            ):
-                raise NoMatch("constant chain does not match the formula")
-            core = core.inner
-        if match_epistemic_axiom(core, symctx) is None:
-            raise NoMatch("chained formula is not an axiom instance")
-        return
-
-    if isinstance(just, ApproxIntroJ):
-        _check_approx_intro(d, line, just, depth, templates)
-        return
-
-    if isinstance(just, ArchJ):
-        _check_arch(d, line, just, depth, templates)
-        return
-
-    raise StructureError(f"unknown justification {just!r}")
-
-
-def _check_param_positions(f: Formula):
-    for name in syntax.names_in_formula(f):
-        if name == "v":
+    def check(self, line: ProofLine):
+        if line.index in self.by_index:
+            raise StructureError(f"duplicate line index {line.index}")
+        if self.symctx is None:
+            if formula_has_param(line.formula):
+                raise TemplateError("parametric threshold outside a template")
+        elif "v" in syntax.names_in_formula(line.formula):
             raise TemplateError("the parameter 'v' may only occur inside thresholds")
+        _RULES[line.rule][2](self, line, *line.args)
+
+    def cited(self, line: ProofLine, i: int) -> Formula:
+        if i not in self.by_index or i >= line.index:
+            raise StructureError(f"citation of line {i} is not an earlier line")
+        return self.by_index[i]
+
+    def template(self, path: str, symctx: SymCtx) -> Derivation:
+        """The template at ``path``, read once per check, which must hold under ``symctx``."""
+        if self.depth >= _MAX_TEMPLATE_DEPTH:
+            raise TemplateError("template nesting too deep")
+        key = os.path.abspath(os.path.join(self.d.base_dir, path))
+        t = self.templates.get(key)
+        if t is None:
+            t = self.templates[key] = _load_template(self.d, path, self.depth)
+        rep = _Check(t, symctx, self.depth + 1, self.templates).run()
+        if not rep.valid:
+            raise NoMatch(f"template {path!r} fails: {rep.render()}")
+        return t
 
 
 def _load_template(d: Derivation, path: str, depth: int) -> Derivation:
-    if depth >= _MAX_TEMPLATE_DEPTH:
-        raise TemplateError("template nesting too deep")
+    """Read and parse the template ``path`` that ``d``, checked at nesting
+    ``depth``, cites; the caller keeps the depth limit."""
     full = path if os.path.isabs(path) else os.path.join(d.base_dir, path)
     try:
         with open(full, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise StructureError(f"cannot read template {path!r}: {exc}") from exc
-    t = parse_derivation(text, d.spec, zk=d.zk, base_dir=os.path.dirname(full) or ".")
-    return t
+    return parse_derivation(text, d.spec, zk=d.zk, base_dir=os.path.dirname(full) or ".")
 
 
-def _template(d: Derivation, path: str, depth: int, templates: dict) -> Derivation:
-    """The template at ``path``, loaded once per resolved path in ``templates``."""
-    key = os.path.abspath(os.path.join(d.base_dir, path))
-    t = templates.get(key)
-    if t is None or depth >= _MAX_TEMPLATE_DEPTH:  # the loader raises past the limit
-        t = templates[key] = _load_template(d, path, depth)
-    return t
+# -- the inference rules ----------------------------------------------------------------
+#
+# Each rule is a reader, which turns the words after its keyword into the
+# rule's arguments, and a check of a line against them; both are written
+# once, in the table below.
 
 
-def _check_approx_intro(
-    d: Derivation, line: ProofLine, just: ApproxIntroJ, depth: int, templates: dict
-):
-    r = just.r
+def _ax(c: _Check, line: ProofLine, schema: str, hints: tuple):
+    if schema not in SCHEMA_IDS:
+        raise StructureError(f"unknown schema {schema!r}")
+    d = c.d
+    if match_axiom(line.formula, d.spec, d.zk, schema, dict(hints), c.symctx) is None:
+        raise NoMatch(f"formula is not an instance of axiom ({schema})")
+
+
+def _mp(c: _Check, line: ProofLine, i: int, j: int):
+    fi, fj = c.cited(line, i), c.cited(line, j)
+    for ante, implication in ((fi, fj), (fj, fi)):
+        dimp = dest_fimp(implication)
+        if dimp is not None and dimp[0] == ante and dimp[1] == line.formula:
+            return
+    raise NoMatch("modus ponens does not apply to the cited lines")
+
+
+def _nec(agent: str, c: _Check, line: ProofLine, i: int):
+    e = as_efml(c.cited(line, i))
+    if e is None:
+        raise NoMatch("necessitation needs an epistemic premise")
+    if line.formula != Epistemic(Box(agent, e)):
+        raise NoMatch("conclusion is not the boxed premise")
+
+
+def _pnec(c: _Check, line: ProofLine, i: int):
+    e = as_efml(c.cited(line, i))
+    if e is None:
+        raise NoMatch("probabilistic necessitation needs an epistemic premise")
+    if line.formula != ProbGeq(_ONE_Q, e):
+        raise NoMatch("conclusion must assert the premise with probability >= 1")
+
+
+def _axnec(c: _Check, line: ProofLine, *chain: tuple):
+    core = as_efml(line.formula)
+    if core is None:
+        raise NoMatch("axiom necessitation produces an epistemic formula")
+    for name, agent in chain:
+        if not (isinstance(core, Just) and core.term == Const(name) and core.agent == agent):
+            raise NoMatch("constant chain does not match the formula")
+        core = core.inner
+    if match_epistemic_axiom(core, c.symctx) is None:
+        raise NoMatch("chained formula is not an axiom instance")
+
+
+def _approx(c: _Check, line: ProofLine, r: Fraction, path: str):
     if not 0 <= r <= 1:
         raise StructureError("approximation rule needs r in [0,1]")
     dimp = dest_fimp(line.formula)
@@ -831,12 +770,7 @@ def _check_approx_intro(
         raise NoMatch("conclusion r differs from the rule's r")
     a = head.inner
     n_min = 1 if r == 1 else math.ceil(Fraction(1) / (1 - r))
-    template = _template(d, just.template, depth, templates)
-    rep = check_derivation(
-        template, symctx=("nu", max(n_min, 1)), _depth=depth + 1, _templates=templates
-    )
-    if not rep.valid:
-        raise NoMatch(f"template {just.template!r} fails: {rep.render()}")
+    template = c.template(path, ("nu", max(n_min, 1)))
     # premise family: B -> Pr>= r - 1/v (A)  and  B -> Pr<= r + 1/v (A),
     # with thresholds clipped into the unit interval at the ends.
     if r == 0:
@@ -854,13 +788,9 @@ def _check_approx_intro(
         raise NoMatch("template does not derive the upper premise family")
 
 
-def _check_arch(d: Derivation, line: ProofLine, just: ArchJ, depth: int, templates: dict):
-    template = _template(d, just.template, depth, templates)
-    rep = check_derivation(template, symctx=("sigma",), _depth=depth + 1, _templates=templates)
-    if not rep.valid:
-        raise NoMatch(f"template {just.template!r} fails: {rep.render()}")
-    last = template.lines[-1].formula
-    dimp = dest_fimp(last)
+def _arch(c: _Check, line: ProofLine, path: str):
+    template = c.template(path, ("sigma",))
+    dimp = dest_fimp(template.lines[-1].formula)
     if dimp is None:
         raise NoMatch("template conclusion must have the shape B -> ~(Pr= v (A))")
     b, rhs = dimp
@@ -877,28 +807,6 @@ def _check_arch(d: Derivation, line: ProofLine, just: ArchJ, depth: int, templat
         raise NoMatch("conclusion must be the negation of the template hypothesis")
 
 
-def instantiate_derivation(d: Derivation, v: int) -> Derivation:
-    """Replace the parameter with a concrete value in every line."""
-    lines = [
-        ProofLine(l.index, instantiate_param(l.formula, v), l.just) for l in d.lines
-    ]
-    return Derivation(d.spec, lines, zk=d.zk, base_dir=d.base_dir)
-
-
-# ---------------------------------------------------------------------------
-# proof file format
-# ---------------------------------------------------------------------------
-#
-#   n. <formula> ; <justification>
-#
-# justifications:
-#   ax <schema> [n=.. k=.. m=..]
-#   mp i j | nec[P|V] i | pnec i
-#   axnec c1[P] c2[V] ...
-#   param-approx <rational> template=<file>
-#   param-arch template=<file>
-
-_LINE_RE = re.compile(r"^(\d+)\.\s*(.*)$")
 _CHAIN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_']*)\[(P|V)\]$")
 _HINT_RE = re.compile(r"^([nkm])=(\d+)$")
 
@@ -907,63 +815,111 @@ class ProofParseError(ValueError):
     pass
 
 
-def _line_ref(word: str) -> int:
+def _int(word: str, what: str) -> int:
     try:
         return int(word)
-    except ValueError:
-        raise ProofParseError(f"bad line number {word!r}") from None
+    except ValueError:  # not a numeral, or more digits than int() reads
+        raise ProofParseError(f"bad {what} {word!r}") from None
 
 
-def parse_justification(text: str) -> Justification:
-    words = text.split()
+def _read_ax(words: list, usage: str) -> tuple:
+    if not words:
+        raise ProofParseError(usage)
+    hints = []
+    for w in words[1:]:
+        hm = _HINT_RE.match(w)
+        if not hm:
+            raise ProofParseError(f"bad axiom hint {w!r}")
+        hints.append((hm.group(1), _int(hm.group(2), "axiom hint")))
+    return words[0], tuple(hints)
+
+
+def _read_refs(count: int):
+    def read(words: list, usage: str) -> tuple:
+        if len(words) != count:
+            raise ProofParseError(usage)
+        return tuple(_int(w, "line number") for w in words)
+
+    return read
+
+
+def _read_chain(words: list, usage: str) -> tuple:
+    chain = []
+    for w in words:
+        cm = _CHAIN_RE.match(w)
+        if not cm:
+            raise ProofParseError(f"bad constant {w!r} (want name[P] or name[V])")
+        chain.append((cm.group(1), cm.group(2)))
+    if not chain:
+        raise ProofParseError(usage)
+    return tuple(chain)
+
+
+def _read_template(words: list, usage: str) -> tuple:
+    if len(words) != 1 or not words[0].startswith("template="):
+        raise ProofParseError(usage)
+    return (words[0][len("template="):],)
+
+
+def _read_approx(words: list, usage: str) -> tuple:
+    if len(words) != 2:
+        raise ProofParseError(usage)
+    path = _read_template(words[1:], usage)
+    try:
+        r = Fraction(words[0])
+    except (ValueError, ZeroDivisionError):
+        raise ProofParseError(f"bad rational {words[0]!r}") from None
+    return (r, *path)
+
+
+# keyword -> (reader, its text for words of the wrong shape, check)
+_RULES = {
+    "ax": (_read_ax, "ax needs a schema name", _ax),
+    "mp": (_read_refs(2), "mp needs two line numbers", _mp),
+    "nec[P]": (_read_refs(1), "nec needs one line number", partial(_nec, "P")),
+    "nec[V]": (_read_refs(1), "nec needs one line number", partial(_nec, "V")),
+    "pnec": (_read_refs(1), "pnec needs one line number", _pnec),
+    "axnec": (_read_chain, "axnec needs at least one constant", _axnec),
+    "param-approx": (_read_approx, "usage: param-approx <rational> template=<file>", _approx),
+    "param-arch": (_read_template, "usage: param-arch template=<file>", _arch),
+}
+
+
+def instantiate_derivation(d: Derivation, v: int) -> Derivation:
+    """Replace the parameter with a concrete value in every line."""
+    lines = [
+        ProofLine(l.index, instantiate_param(l.formula, v), l.rule, l.args) for l in d.lines
+    ]
+    return Derivation(d.spec, lines, zk=d.zk, base_dir=d.base_dir)
+
+
+# ---------------------------------------------------------------------------
+# proof file format
+# ---------------------------------------------------------------------------
+#
+#   n. <formula> ; <keyword of _RULES> <words its reader takes>
+
+_LINE_RE = re.compile(r"^(\d+)\.\s*(.*)$")
+
+
+def _read_line(text: str) -> ProofLine:
+    m = _LINE_RE.match(text)
+    if not m:
+        raise ProofParseError("expected 'n. formula ; justification'")
+    index = _int(m.group(1), "line number")
+    body = m.group(2)
+    if ";" not in body:
+        raise ProofParseError("missing ';' before the justification")
+    formula_text, just_text = body.rsplit(";", 1)
+    formula = syntax.parse_formula(formula_text)
+    words = just_text.split()
     if not words:
         raise ProofParseError("missing justification")
-    head = words[0]
-    if head == "ax":
-        if len(words) < 2:
-            raise ProofParseError("ax needs a schema name")
-        hints = []
-        for w in words[2:]:
-            hm = _HINT_RE.match(w)
-            if not hm:
-                raise ProofParseError(f"bad axiom hint {w!r}")
-            hints.append((hm.group(1), int(hm.group(2))))
-        return AxiomJ(words[1], tuple(hints))
-    if head == "mp":
-        if len(words) != 3:
-            raise ProofParseError("mp needs two line numbers")
-        return MPJ(_line_ref(words[1]), _line_ref(words[2]))
-    if head in ("nec[P]", "nec[V]"):
-        if len(words) != 2:
-            raise ProofParseError("nec needs one line number")
-        return BoxNecJ(head[4], _line_ref(words[1]))
-    if head == "pnec":
-        if len(words) != 2:
-            raise ProofParseError("pnec needs one line number")
-        return ProbNecJ(_line_ref(words[1]))
-    if head == "axnec":
-        chain = []
-        for w in words[1:]:
-            cm = _CHAIN_RE.match(w)
-            if not cm:
-                raise ProofParseError(f"bad constant {w!r} (want name[P] or name[V])")
-            chain.append((cm.group(1), cm.group(2)))
-        if not chain:
-            raise ProofParseError("axnec needs at least one constant")
-        return AxiomNecJ(tuple(chain))
-    if head == "param-approx":
-        if len(words) != 3 or not words[2].startswith("template="):
-            raise ProofParseError("usage: param-approx <rational> template=<file>")
-        try:
-            r = Fraction(words[1])
-        except (ValueError, ZeroDivisionError):
-            raise ProofParseError(f"bad rational {words[1]!r}") from None
-        return ApproxIntroJ(r, words[2][len("template=") :])
-    if head == "param-arch":
-        if len(words) != 2 or not words[1].startswith("template="):
-            raise ProofParseError("usage: param-arch template=<file>")
-        return ArchJ(words[1][len("template=") :])
-    raise ProofParseError(f"unknown justification {head!r}")
+    rule = _RULES.get(words[0])
+    if rule is None:
+        raise ProofParseError(f"unknown justification {words[0]!r}")
+    read, usage, _ = rule
+    return ProofLine(index, formula, words[0], read(words[1:], usage))
 
 
 def parse_derivation(
@@ -972,25 +928,11 @@ def parse_derivation(
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        m = _LINE_RE.match(stripped)
-        if not m:
-            raise ProofParseError(f"line {lineno}: expected 'n. formula ; justification'")
-        index = int(m.group(1))
-        body = m.group(2)
-        if ";" not in body:
-            raise ProofParseError(f"line {lineno}: missing ';' before the justification")
-        formula_text, just_text = body.rsplit(";", 1)
-        try:
-            formula = syntax.parse_formula(formula_text)
-        except syntax.ParseError as exc:
-            raise ProofParseError(f"line {lineno}: {exc}") from exc
-        try:
-            just = parse_justification(just_text.strip())
-        except ProofParseError as exc:
-            raise ProofParseError(f"line {lineno}: {exc}") from exc
-        lines.append(ProofLine(index, formula, just))
+        if stripped and not stripped.startswith("#"):
+            try:
+                lines.append(_read_line(stripped))
+            except (ProofParseError, syntax.ParseError) as exc:
+                raise ProofParseError(f"line {lineno}: {exc}") from exc
     return Derivation(spec, lines, zk=zk, base_dir=base_dir)
 
 

@@ -366,13 +366,13 @@ def parse_qeps(text: str) -> QEps:
     The grammar lives in :class:`ipj.syntax.Parser`, which reads formula
     thresholds with it too.
     """
-    from .syntax import Parser  # syntax imports QEps at module level
+    from .syntax import ParseError, Parser  # syntax imports QEps at module level
 
     try:
         p = Parser(text, allow_symbolic=False)
         value = p.literal()
         if not p.at_end():
             p.error(f"trailing input in literal: {p.peek().text!r}")
-    except ValueError as exc:  # a ParseError, or int() refusing too many digits
+    except ParseError as exc:
         raise QEpsParseError(str(exc)) from None
     return value

@@ -115,7 +115,6 @@ class EpistemicModel:
         valuation: dict[str, Iterable[str]],
         evidence: Iterable[tuple[str, str, Term, EFormula]] = (),
         atoms: Optional[Iterable[str]] = None,
-        witness_pool: Iterable[EFormula] = (),
     ):
         self.worlds: tuple[str, ...] = tuple(dict.fromkeys(worlds))
         self.rel: dict[str, frozenset] = {
@@ -129,7 +128,7 @@ class EpistemicModel:
         for v in self.valuation.values():
             declared |= v
         self.atoms: frozenset = frozenset(declared)
-        pool = set(witness_pool)
+        pool = set()
         for alpha in {e[3] for e in self.evidence}:
             pool.add(alpha)
             for sub in esubformulas(alpha):
@@ -355,9 +354,11 @@ class Quasimodel:
             raise ModelError("the distinguished world must belong to the sample")
         if set(self.measure) != set(self.sample):
             raise ModelError("the measure must assign a mass to each sample world")
-        for u in self.sample:
-            if not self.measure[u].in_unit_interval():
-                raise ModelError(f"mass of {u!r} is outside the unit interval")
+        # each mass object once: a model file's equal masses share one object
+        distinct = {id(m): m for m in self.measure.values()}.values()
+        if not all(m.in_unit_interval() for m in distinct):
+            u = next(u for u in self.sample if not self.measure[u].in_unit_interval())
+            raise ModelError(f"mass of {u!r} is outside the unit interval")
         total = self.measure_event(self.sample)
         if total != _ONE:
             raise ModelError(f"masses sum to {total}, not 1")
@@ -420,11 +421,6 @@ def check_independence(q: Quasimodel, alpha: EFormula, beta: EFormula) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Universe:
-    terms: tuple[Term, ...]
-
-
 @dataclass
 class Report:
     ok: bool = True
@@ -462,11 +458,13 @@ def stabilization_index(m: EpistemicModel) -> int:
 def check_model_conditions(
     q: Quasimodel,
     spec: InteractionSpec,
-    universe: Universe,
     zk: bool = False,
     kmax: int = 2,
 ) -> Report:
     """Decide the protocol bound conditions for every term/formula/k.
+
+    The terms are the protocol-free t of the model's base tuples f[n](t),
+    in the order of the printed f[n](t).
 
     The conditions quantify over all complexities n; in a finite model the
     event family stabilizes at the index n* computed from the evidence base,
@@ -485,9 +483,8 @@ def check_model_conditions(
         f"complexity and constant for n > n*; conditions beyond n* reduce to the "
         f"standard part of the stabilized measure"
     )
-    for t in universe.terms:
-        if not is_f_free(t):
-            raise UniverseError(f"universe term {syntax.print_term(t)} is not a protocol-free base")
+    runs = sorted({e[2] for e in m.evidence if isinstance(e[2], Proto)}, key=syntax.print_term)
+    for t in dict.fromkeys(r.inner for r in runs if is_f_free(r.inner)):
         for alpha in spec.formulas():
             fn = spec.threshold(alpha)
             thresholds = [] if fn is None else [(k, fn.value_at(k)) for k in range(1, kmax + 1)]

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .qeps import QEps
 
@@ -329,66 +329,44 @@ def esubformulas(f: EFormula) -> set[EFormula]:
     return out
 
 
-def subterms(t: Term) -> set[Term]:
-    out = {t}
-    if isinstance(t, (App, Sum)):
-        out |= subterms(t.left) | subterms(t.right)
-    elif isinstance(t, Bang):
-        out |= subterms(t.inner)
-    elif isinstance(t, Proto):
-        out |= subterms(t.inner)
-    return out
+# the child nodes of each inner node of a term or formula tree
+_CHILDREN = {
+    App: ("left", "right"), Sum: ("left", "right"), Bang: ("inner",), Proto: ("inner",),
+    ENot: ("inner",), EAnd: ("left", "right"), Box: ("inner",), Just: ("term", "inner"),
+    Epistemic: ("inner",), ProbGeq: ("inner",), ProbApprox: ("inner",),
+    FNot: ("inner",), FAnd: ("left", "right"),
+}
+# thresholds sit at the formula level, never under an epistemic node
+_FORMULA_CHILDREN = {FNot: ("inner",), FAnd: ("left", "right")}
 
 
-def eterms_of(f: EFormula) -> set[Term]:
-    if isinstance(f, Atom):
-        return set()
-    if isinstance(f, ENot):
-        return eterms_of(f.inner)
-    if isinstance(f, EAnd):
-        return eterms_of(f.left) | eterms_of(f.right)
-    if isinstance(f, Box):
-        return eterms_of(f.inner)
-    return subterms(f.term) | eterms_of(f.inner)
+def nodes(x, children: dict = _CHILDREN) -> Iterator:
+    """Every node of a term or formula tree, descending through the fields
+    ``children`` names; an explicit stack, so that a deep tree does not
+    reach the recursion limit."""
+    stack = [x]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(getattr(node, name) for name in children.get(type(node), ()))
 
 
 def atoms_of_e(f: EFormula) -> set[str]:
-    if isinstance(f, Atom):
-        return {f.name}
-    if isinstance(f, ENot):
-        return atoms_of_e(f.inner)
-    if isinstance(f, EAnd):
-        return atoms_of_e(f.left) | atoms_of_e(f.right)
-    return atoms_of_e(f.inner)
+    return {n.name for n in nodes(f) if type(n) is Atom}
 
 
 def is_f_free(t: Term) -> bool:
-    return not any(isinstance(s, Proto) for s in subterms(t))
-
-
-def names_in_term(t: Term) -> set[str]:
-    out = set()
-    for s in subterms(t):
-        if isinstance(s, (Const, Var)):
-            out.add(s.name)
-    return out
-
-
-def names_in_eform(f: EFormula) -> set[str]:
-    out = atoms_of_e(f)
-    for t in eterms_of(f):
-        out |= names_in_term(t)
-    return out
+    return not any(type(n) is Proto for n in nodes(t))
 
 
 def names_in_formula(f: Formula) -> set[str]:
-    if isinstance(f, Epistemic):
-        return names_in_eform(f.inner)
-    if isinstance(f, (ProbGeq, ProbApprox)):
-        return names_in_eform(f.inner)
-    if isinstance(f, FNot):
-        return names_in_formula(f.inner)
-    return names_in_formula(f.left) | names_in_formula(f.right)
+    """The names of the atoms, variables and constants in a formula."""
+    return {n.name for n in nodes(f) if type(n) in (Atom, Var, Const)}
+
+
+def formula_has_param(f: Formula) -> bool:
+    probs = nodes(f, _FORMULA_CHILDREN)
+    return any(type(n) is ProbGeq and is_symbolic(n.threshold) for n in probs)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +404,10 @@ _TOKEN_RE = re.compile(
 )
 
 RESERVED_NAMES = {"box", "f", "P", "V"}
+
+# the largest power of e or v a literal may write; a value of Q[e] holds one
+# coefficient per power, so without a cap `1 e^1000000000` would ask for gigabytes
+MAX_POWER = 100
 
 
 class Token(NamedTuple):
@@ -553,10 +535,17 @@ class Parser:
             return Var(tok.text)
         self.error(f"expected a term, got {tok.text!r}")
 
+    def integer(self, tok: Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() reads
+            msg = f"number of {len(tok.text)} digits is too long"
+            raise ParseError(msg, tok.line, tok.col) from None
+
     def complexity(self) -> Complexity:
         tok = self.next()
         if tok.kind == "num":
-            n = int(tok.text)
+            n = self.integer(tok)
             if n < 0:
                 raise ParseError("complexity must be a natural number", tok.line, tok.col)
             return n
@@ -697,10 +686,10 @@ class Parser:
 
     def rational(self) -> Fraction:
         tok = self.expect("num")
-        n = int(tok.text)
+        n = self.integer(tok)
         if self.peek().kind == "/":
             self.next()
-            d = int(self.expect("num").text)
+            d = self.integer(self.expect("num"))
             if d <= 0:
                 raise ParseError("denominator must be positive", tok.line, tok.col)
             return Fraction(n, d)
@@ -749,7 +738,7 @@ class Parser:
                 param = (Fraction(1), 0)
             elif tok.kind == "num" and ahead[0].kind == "/" and _is_word(ahead[1], "v"):
                 self.i += 3  # c/v with c a bare integer
-                param = (Fraction(int(tok.text)), self.power("v"))
+                param = (Fraction(self.integer(tok)), self.power("v"))
             else:
                 c = self.rational()
                 if _is_word(self.peek(), "v"):
@@ -773,9 +762,12 @@ class Parser:
             return 1
         self.next()
         tok = self.expect("num")
-        p = int(tok.text)
+        p = self.integer(tok)
         if p <= 0:
             raise ParseError(f"{name} power must be positive", tok.line, tok.col)
+        if p > MAX_POWER:
+            msg = f"{name} power {p} is over the limit of {MAX_POWER}"
+            raise ParseError(msg, tok.line, tok.col)
         return p
 
 
@@ -883,16 +875,6 @@ def print_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # parametric-formula helpers (used by the proof checker)
 # ---------------------------------------------------------------------------
-
-
-def formula_has_param(f: Formula) -> bool:
-    if isinstance(f, ProbGeq):
-        return is_symbolic(f.threshold)
-    if isinstance(f, FNot):
-        return formula_has_param(f.inner)
-    if isinstance(f, FAnd):
-        return formula_has_param(f.left) or formula_has_param(f.right)
-    return False
 
 
 def instantiate_param(f: Formula, v: Union[int, Fraction]) -> Formula:

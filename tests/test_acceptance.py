@@ -24,7 +24,7 @@ from ipj.protosim import (
     verify_ipp_bound,
 )
 from ipj.qeps import QEps
-from ipj.semantics import Universe, check_model_conditions
+from ipj.semantics import check_model_conditions
 from ipj.syntax import (
     OMEGA,
     Box,
@@ -172,7 +172,7 @@ def test_witness_models_all_modes(k, honest, zk):
     spec = load_spec("p : const 1\n")
     alpha, t = parse_eformula("p"), Var("t")
     qm = build_interaction_witness(spec, alpha, t, k=k, n_max=10, honest=honest, zk=zk)
-    rep = check_model_conditions(qm, spec, Universe(terms=(t,)), zk=zk, kmax=k)
+    rep = check_model_conditions(qm, spec, zk=zk, kmax=k)
     assert rep.ok, rep.render()
     stab = qm.measure_of(Just(Proto(11, t), "V", Box("P", alpha)))
     assert stab.std_part() == (1 if honest else 0)

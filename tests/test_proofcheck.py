@@ -2,6 +2,7 @@
 
 import os
 import random
+import shutil
 from fractions import Fraction
 
 import pytest
@@ -360,3 +361,136 @@ def test_justification_parse_errors():
     for bad in ("1. p -> p ;", "1. p -> p ; ax", "p -> p ; ax p", "1. p -> p ; mp 1"):
         with pytest.raises(ProofParseError):
             parse_derivation(bad, EMPTY)
+
+
+# -- every text the proof checker gives ---------------------------------------------
+
+_CONCLUSION = "t :[P] a -> Pr~ 1 (c:k1 * f[w](t) :[V] a)"
+_HYPOTHESIS_DENIED = "~(Pr>= 1 (p) & ~(Pr>= 1 (p)))"
+# templates written next to copies of the golden ones
+_TEMPLATES = {
+    "self.ipjp": f"1. {_HYPOTHESIS_DENIED} ; param-arch template=self.ipjp\n",
+    "atom_v.ipjp": "1. v -> v ; ax p\n",
+    "bad.ipjp": "1. p ; ax p\n",
+    "plain.ipjp": "1. p -> p ; ax p\n",
+    "notimp.ipjp": "1. Pr>= 0 (p) ; ax p1\n",
+    "unparsable.ipjp": "1. p -> p ; mp x 1\n",
+}
+# (proof text, ("parse", error) or (line, report message))
+_TEXTS = [
+    # reading a line
+    ("p -> p ; ax p", ("parse", "line 1: expected 'n. formula ; justification'")),
+    ("1. p -> p", ("parse", "line 1: missing ';' before the justification")),
+    ("1. p -> ; ax p", ("parse", "line 1: 1:6: expected a formula, got ''")),
+    ("1. p -> p ;", ("parse", "line 1: missing justification")),
+    ("1. p -> p ; foo", ("parse", "line 1: unknown justification 'foo'")),
+    ("1. p -> p ; nec[X] 1", ("parse", "line 1: unknown justification 'nec[X]'")),
+    ("1. p -> p ; ax", ("parse", "line 1: ax needs a schema name")),
+    ("1. p -> p ; ax c n=x", ("parse", "line 1: bad axiom hint 'n=x'")),
+    ("1. p -> p ; ax c q=1", ("parse", "line 1: bad axiom hint 'q=1'")),
+    ("1. p -> p ; mp 1", ("parse", "line 1: mp needs two line numbers")),
+    ("1. p -> p ; mp 1 2 3", ("parse", "line 1: mp needs two line numbers")),
+    ("1. p -> p ; nec[P]", ("parse", "line 1: nec needs one line number")),
+    ("1. p -> p ; nec[V] 1 2", ("parse", "line 1: nec needs one line number")),
+    ("1. p -> p ; pnec", ("parse", "line 1: pnec needs one line number")),
+    ("1. p -> p ; mp a 1", ("parse", "line 1: bad line number 'a'")),
+    ("1. p -> p ; nec[P] one", ("parse", "line 1: bad line number 'one'")),
+    ("1. p -> p ; pnec 1.5", ("parse", "line 1: bad line number '1.5'")),
+    ("1. p -> p ; axnec a", ("parse", "line 1: bad constant 'a' (want name[P] or name[V])")),
+    ("1. p -> p ; axnec a[X]", ("parse", "line 1: bad constant 'a[X]' (want name[P] or name[V])")),
+    ("1. p -> p ; axnec", ("parse", "line 1: axnec needs at least one constant")),
+    ("1. p -> p ; param-approx 1",
+     ("parse", "line 1: usage: param-approx <rational> template=<file>")),
+    ("1. p -> p ; param-approx 1 file=x",
+     ("parse", "line 1: usage: param-approx <rational> template=<file>")),
+    ("1. p -> p ; param-approx x template=f", ("parse", "line 1: bad rational 'x'")),
+    ("1. p -> p ; param-approx 1/0 template=f", ("parse", "line 1: bad rational '1/0'")),
+    ("1. p -> p ; param-arch", ("parse", "line 1: usage: param-arch template=<file>")),
+    ("1. p -> p ; param-arch x.ipjp", ("parse", "line 1: usage: param-arch template=<file>")),
+    # the derivation and its citations
+    ("", (None, "empty derivation")),
+    ("1. p -> p ; ax p\n1. p -> p ; ax p", (1, "duplicate line index 1")),
+    ("1. p -> p ; mp 2 3", (1, "citation of line 2 is not an earlier line")),
+    ("1. p -> p ; ax p\n2. p -> p ; mp 1 2", (2, "citation of line 2 is not an earlier line")),
+    ("1. p -> p ; ax p\n2. p -> p ; pnec 2", (2, "citation of line 2 is not an earlier line")),
+    ("1. Pr~ 1 (p) -> Pr>= 1 + -1/v (p) ; ax pa1", (1, "parametric threshold outside a template")),
+    # axioms and modus ponens
+    ("1. p -> p ; ax zz", (1, "unknown schema 'zz'")),
+    ("1. p ; ax p", (1, "formula is not an instance of axiom (p)")),
+    ("1. t :[P] p -> Pr>= 1/2 (f[3](t) :[V] box[P] p) ; ax zk1",
+     (1, "formula is not an instance of axiom (zk1)")),
+    ("1. p -> p ; ax p\n2. q -> q ; ax p\n3. q ; mp 1 2",
+     (3, "modus ponens does not apply to the cited lines")),
+    # necessitation
+    ("1. Pr>= 0 (p) ; ax p1\n2. box[P] p ; nec[P] 1",
+     (2, "necessitation needs an epistemic premise")),
+    ("1. p -> p ; ax p\n2. box[V] (p -> q) ; nec[V] 1", (2, "conclusion is not the boxed premise")),
+    ("1. p -> p ; ax p\n2. box[P] (p -> p) ; nec[V] 1", (2, "conclusion is not the boxed premise")),
+    ("1. Pr>= 0 (p) ; ax p1\n2. Pr>= 1 (p) ; pnec 1",
+     (2, "probabilistic necessitation needs an epistemic premise")),
+    ("1. p -> p ; ax p\n2. Pr>= 1/2 (p -> p) ; pnec 1",
+     (2, "conclusion must assert the premise with probability >= 1")),
+    ("1. Pr>= 0 (p) ; axnec a[P]", (1, "axiom necessitation produces an epistemic formula")),
+    ("1. c:a :[V] (box[P] p -> p) ; axnec a[P]", (1, "constant chain does not match the formula")),
+    ("1. c:a :[P] (box[P] p -> p) ; axnec a[P] b[V]",
+     (1, "constant chain does not match the formula")),
+    ("1. c:a :[P] (p -> q) ; axnec a[P]", (1, "chained formula is not an axiom instance")),
+    # the approximation rule
+    (f"1. {_CONCLUSION} ; param-approx 2 template=almost_certain_template.ipjp",
+     (1, "approximation rule needs r in [0,1]")),
+    ("1. p -> p ; param-approx 1 template=almost_certain_template.ipjp",
+     (1, "conclusion must have the shape B -> Pr~ r (A)")),
+    (f"1. {_CONCLUSION} ; param-approx 1/2 template=almost_certain_template.ipjp",
+     (1, "conclusion r differs from the rule's r")),
+    (f"1. {_CONCLUSION} ; param-approx 1 template=bad.ipjp",
+     (1, "template 'bad.ipjp' fails: INVALID: line 1: formula is not an instance of axiom (p)")),
+    ("1. p -> Pr~ 0 (q) ; param-approx 0 template=arch_template.ipjp",
+     (1, "template does not derive the lower premise family")),
+    ("1. t :[P] a -> Pr~ 1 (f[w](t) :[V] box[P] a) ; "
+     "param-approx 1 template=almost_certain_template.ipjp",
+     (1, "template does not derive the upper premise family")),
+    (f"1. {_CONCLUSION} ; param-approx 1 template=nope.ipjp",
+     (1, "cannot read template 'nope.ipjp': [Errno 2] No such file or directory: "
+         "'{dir}/nope.ipjp'")),
+    (f"1. {_CONCLUSION} ; param-approx 1 template=atom_v.ipjp",
+     (1, "template 'atom_v.ipjp' fails: INVALID: line 1: "
+         "the parameter 'v' may only occur inside thresholds")),
+    (f"1. {_CONCLUSION} ; param-approx 1 template=unparsable.ipjp",
+     ("parse", "line 1: bad line number 'x'")),
+    # the non-equality rule
+    (f"1. {_HYPOTHESIS_DENIED} ; param-arch template=self.ipjp",
+     (1, "template 'self.ipjp' fails: INVALID: line 1: " * 4 + "template nesting too deep")),
+    ("1. p ; param-arch template=almost_certain_template.ipjp",
+     (1, "template 'almost_certain_template.ipjp' fails: INVALID: line 2: "
+         "formula is not an instance of axiom (pa1)")),
+    ("1. p ; param-arch template=notimp.ipjp",
+     (1, "template conclusion must have the shape B -> ~(Pr= v (A))")),
+    ("1. p ; param-arch template=plain.ipjp", (1, "template conclusion must deny Pr= v uniformly")),
+    ("1. p ; param-arch template=arch_template.ipjp",
+     (1, "conclusion must be the negation of the template hypothesis")),
+    # accepted
+    ("1. v -> v ; ax p", (None, "")),
+    (f"1. {_HYPOTHESIS_DENIED} ; param-arch template=arch_template.ipjp", (None, "")),
+    (f"1. {_CONCLUSION} ; param-approx 1 template=almost_certain_template.ipjp", (None, "")),
+]
+
+
+def test_every_checker_text(tmp_path):
+    for name in os.listdir(GOLDEN):
+        if name.endswith("_template.ipjp"):
+            shutil.copy(os.path.join(GOLDEN, name), tmp_path)
+    for name, text in _TEMPLATES.items():
+        (tmp_path / name).write_text(text)
+    spec = load_spec(open(os.path.join(GOLDEN, "golden.ispec")).read())
+    wrong = []
+    for zk in (False, True):
+        for text, (where, want) in _TEXTS:
+            want = want.replace("{dir}", str(tmp_path))
+            try:
+                rep = check_text(text, spec, zk=zk, base_dir=str(tmp_path))
+                got = (rep.line, rep.message)
+            except ProofParseError as exc:
+                got = ("parse", str(exc))
+            if got != (where, want):
+                wrong.append((zk, text, got))
+    assert not wrong

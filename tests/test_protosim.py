@@ -15,7 +15,7 @@ from ipj.protosim import (
     verify_ipp_bound,
 )
 from ipj.qeps import QEps
-from ipj.semantics import Universe, check_independence, check_model_conditions
+from ipj.semantics import check_independence, check_model_conditions
 from ipj.syntax import OMEGA, Atom, Box, Just, Proto, Var, parse_eformula, parse_term
 
 
@@ -131,7 +131,7 @@ def test_witness_passes_model_conditions():
         for k in (1, 2, 3):
             for honest, zk in ((True, False), (False, False), (True, True)):
                 qm = build_interaction_witness(spec, P, T, k=k, n_max=6, honest=honest, zk=zk)
-                rep = check_model_conditions(qm, spec, Universe(terms=(T,)), zk=zk, kmax=k)
+                rep = check_model_conditions(qm, spec, zk=zk, kmax=k)
                 assert rep.ok, (spec.dump(), k, honest, zk, rep.render())
 
 
@@ -144,7 +144,7 @@ def test_dishonest_witness_is_infinitesimal():
 
 def test_zero_knowledge_leak_bound():
     qm = build_interaction_witness(SPEC, P, T, k=2, n_max=6, zk=True)
-    rep = check_model_conditions(qm, SPEC, Universe(terms=(T,)), zk=True, kmax=2)
+    rep = check_model_conditions(qm, SPEC, zk=True, kmax=2)
     assert rep.ok, rep.render()
     leak = qm.measure_of(Just(Proto(7, T), "V", Just(T, "P", P)))
     assert leak.std_part() == 0

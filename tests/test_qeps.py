@@ -189,6 +189,15 @@ def test_parametric_monomials_are_not_values():
             parse_qeps(bad)
 
 
+def test_literal_limits():
+    # a power past syntax.MAX_POWER, or a number int() cannot read
+    for bad, msg in (("1 e^1000000000", "1:5: e power 1000000000 is over the limit of 100"),
+                     ("1" * 5000, "1:1: number of 5000 digits is too long")):
+        with pytest.raises(QEpsParseError) as exc:
+            parse_qeps(bad)
+        assert str(exc.value) == msg
+
+
 def test_bad_mass_line_is_a_model_error():
     text = "worlds: a\nR[P]:\na -> a\nR[V]:\na -> a\nU: a\nmu:\na = 1/v\nw0: a\n"
     with pytest.raises(ModelError, match="^bad mass line:"):

@@ -19,7 +19,6 @@ from ipj.semantics import (
     Quasimodel,
     UniverseError,
     UnknownAtom,
-    Universe,
     check_independence,
     check_model_conditions,
     parse_model_file,
@@ -403,13 +402,12 @@ def witness_quasimodel(mass_u2, mass_ustar, holds=True):
 
 def test_model_conditions_pass_and_fail():
     spec = load_spec("p : const 1\n")
-    uni = Universe(terms=(Var("t"),))
     eps = QEps.epsilon()
     good = witness_quasimodel(q("1/2"), q("1/2") - eps)
-    rep = check_model_conditions(good, spec, uni, kmax=1)
+    rep = check_model_conditions(good, spec, kmax=1)
     assert rep.ok, rep.render()
     bad = witness_quasimodel(q("1/2"), q("2/5"))
-    rep = check_model_conditions(bad, spec, uni, kmax=1)
+    rep = check_model_conditions(bad, spec, kmax=1)
     assert not rep.ok
     assert rep.counterexample is not None
     assert "standard part" in "\n".join(rep.lines)
@@ -417,21 +415,41 @@ def test_model_conditions_pass_and_fail():
 
 def test_model_conditions_dishonest():
     spec = load_spec("p : const 1\n")
-    uni = Universe(terms=(Var("t"),))
     eps = QEps.epsilon()
     faint = witness_quasimodel(eps * q("1/2"), eps * q("1/2"), holds=False)
-    rep = check_model_conditions(faint, spec, uni, kmax=1)
+    rep = check_model_conditions(faint, spec, kmax=1)
     assert rep.ok, rep.render()
+
+
+def test_model_conditions_range_over_the_base_terms():
+    # the protocol-free t of every base tuple f[n](t), in the order of the
+    # printed f[n](t); f[1](f[1](u)) has no protocol-free inner term
+    worlds = ["a", "b"]
+    body = Box("P", parse_eformula("p"))
+    runs = ("f[2](t)", "f[1](s)", "f[1](f[1](u))")
+    evidence = [("a", "V", parse_term(run), body) for run in runs]
+    m = EpistemicModel(worlds, {"P": ident(worlds), "V": ident(worlds)}, {w: ["p"] for w in worlds},
+                       evidence)
+    qm = Quasimodel(m, worlds, {"a": q("1/2"), "b": q("1/2")}, "b")
+    rep = check_model_conditions(qm, load_spec("p : const 1\n"), kmax=1)
+    named = [line.split("t=")[1].split(",")[0] for line in rep.lines if "t=" in line]
+    assert named == ["s", "s", "t", "t"]
+
+
+def test_mass_outside_the_unit_interval_names_the_first_sample_world():
+    worlds = ["u1", "u2", "u3"]
+    m = simple_model(worlds=worlds, rel={"P": ident(worlds), "V": ident(worlds)}, valuation={})
+    big = q(2)  # one object for two worlds, as a model file's equal masses are
+    for sample, first in ((["u1", "u2", "u3"], "u2"), (["u3", "u2", "u1"], "u3")):
+        with pytest.raises(ModelError, match=f"^mass of '{first}' is outside the unit interval$"):
+            Quasimodel(m, sample, {"u1": q("1/2"), "u2": big, "u3": big}, "u1")
 
 
 def test_universe_errors():
     spec = load_spec("zz : const 1\n")
     qm = two_world_q()
     with pytest.raises(UniverseError):
-        check_model_conditions(qm, spec, Universe(terms=(Var("t"),)))
-    spec2 = load_spec("p : const 1\n")
-    with pytest.raises(UniverseError):
-        check_model_conditions(qm, spec2, Universe(terms=(parse_term("f[1](t)"),)))
+        check_model_conditions(qm, spec)
 
 
 # -- files --------------------------------------------------------------------------

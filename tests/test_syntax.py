@@ -20,6 +20,7 @@ from ipj.syntax import (
     FAnd,
     FNot,
     Just,
+    MAX_POWER,
     ParseError,
     ProbApprox,
     ProbGeq,
@@ -165,6 +166,27 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as exc:
         parse_formula("p &")
     assert exc.value.line == 1
+
+
+def test_literal_limits_are_parse_errors():
+    huge = "1" * 5000  # more digits than int() reads
+    too_long = "number of 5000 digits is too long"
+    for text, col, msg in (
+        (f"Pr>= {huge} (p)", 6, too_long),
+        (f"Pr>= 1/{huge} (p)", 8, too_long),
+        (f"Pr>= 1 e^{huge} (p)", 10, too_long),
+        (f"Pr>= 1/2 + {huge}/v (p)", 12, too_long),
+        (f"f[{huge}](t) :[P] p", 3, too_long),
+        (f"Pr>= 1 e^{MAX_POWER + 1} (p)", 10, f"e power {MAX_POWER + 1} is over the limit of 100"),
+        ("Pr>= 1 e^1000000000 (p)", 10, "e power 1000000000 is over the limit of 100"),
+        (f"Pr>= 1/v^{MAX_POWER + 1} (p)", 10, f"v power {MAX_POWER + 1} is over the limit of 100"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_formula(text)
+        assert (exc.value.line, exc.value.col, str(exc.value)) == (1, col, f"1:{col}: {msg}")
+    top = QEps.from_monomials([(Fraction(1), MAX_POWER)])
+    assert parse_formula(f"Pr>= 1 e^{MAX_POWER} (p)").threshold == top
+    assert parse_formula(f"Pr>= 1/v^{MAX_POWER} (p)").threshold.power == MAX_POWER
 
 
 def test_random_roundtrip_sample():
