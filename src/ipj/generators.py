@@ -157,16 +157,11 @@ def rand_model(
     valuation = {
         w: [at for at in atoms if rng.random() < 0.5] for w in worlds
     }
-    evidence = []
+    evidence: dict[tuple, list[str]] = {}
     for _ in range(rng.randint(0, 2 * n)):
-        evidence.append(
-            (
-                rng.choice(worlds),
-                rng.choice(AGENTS),
-                rand_term(rng, 2),
-                rand_eformula(rng, 2, atoms),
-            )
-        )
+        w, a = rng.choice(worlds), rng.choice(AGENTS)
+        t, alpha = rand_term(rng, 2), rand_eformula(rng, 2, atoms)
+        evidence.setdefault((a, t, alpha), []).append(w)
     base = EpistemicModel(worlds, rel, valuation, evidence, atoms=atoms)
 
     k = rng.randint(1, min(max_sample, n))

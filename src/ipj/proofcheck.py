@@ -818,7 +818,9 @@ class ProofParseError(ValueError):
 def _int(word: str, what: str) -> int:
     try:
         return int(word)
-    except ValueError:  # not a numeral, or more digits than int() reads
+    except ValueError:
+        if word.isdecimal():  # more digits than int() reads
+            raise ProofParseError(f"bad {what}: number of {len(word)} digits is too long") from None
         raise ProofParseError(f"bad {what} {word!r}") from None
 
 

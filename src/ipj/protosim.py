@@ -80,17 +80,14 @@ def build_round_model(cfg: RoundConfig) -> RoundModel:
     identity = [(w, w) for w in worlds]
     # the mass of a world depends only on how many rounds pass in it
     masses = [QEps.from_rational((1 - r) ** k * r ** (n - k)) for k in range(n + 1)]
-    valuation = {}
-    evidence = []
-    measure = {}
-    for w in worlds:
-        bits = w[1:]
-        passes = [i for i, b in enumerate(bits) if b == "1"]
-        if passes:
-            valuation[w] = [claim]
-        for i in passes:
-            evidence.append((w, syntax.VERIFIER, terms[i], cfg.claim))
-        measure[w] = masses[len(passes)]
+    # round i passes in the worlds whose bit i is 1: the round term's
+    # evidence, and the claim where any round passes
+    evidence = {
+        (syntax.VERIFIER, term, cfg.claim): [w for w in worlds if w[i] == "1"]
+        for i, term in enumerate(terms, start=1)
+    }
+    valuation = {w: [claim] for w in worlds if "1" in w}
+    measure = {w: masses[w.count("1")] for w in worlds}
     base = EpistemicModel(
         worlds,
         {syntax.PROVER: identity, syntax.VERIFIER: identity},
@@ -200,18 +197,16 @@ def build_interaction_witness(
     valuation = {w: list(syntax.atoms_of_e(alpha)) for w in worlds}
     body = Box(syntax.PROVER, alpha)
 
-    evidence: list[tuple] = []
-    for j in levels:
-        evidence.append((f"u{j}", syntax.VERIFIER, Proto(j, t), body))
-    evidence.append(("ustar", syntax.VERIFIER, Proto(n_max + 1, t), body))
+    evidence = {(syntax.VERIFIER, Proto(j, t), body): [f"u{j}"] for j in levels}
+    evidence[(syntax.VERIFIER, Proto(n_max + 1, t), body)] = ["ustar"]
 
     w0 = "ustar" if honest else "uout"
     if honest:
-        evidence.append(("ustar", syntax.PROVER, t, alpha))
+        evidence[(syntax.PROVER, t, alpha)] = ["ustar"]
     if zk and honest:
         inner = Just(t, syntax.PROVER, alpha)
-        evidence.append(("uout", syntax.PROVER, t, alpha))
-        evidence.append(("uout", syntax.VERIFIER, Proto(thr + 1, t), inner))
+        evidence[(syntax.PROVER, t, alpha)].append("uout")
+        evidence[(syntax.VERIFIER, Proto(thr + 1, t), inner)] = ["uout"]
 
     base = EpistemicModel(
         worlds,

@@ -1,7 +1,10 @@
 """Finite epistemic models and probabilistic quasimodels.
 
 Worlds carry a reflexive-transitive accessibility relation per agent, a
-valuation, and a base of evidence tuples.  Evidence membership is the least
+valuation, and an evidence base: a mapping from (agent, term, eformula) to
+the set of worlds where the term is base evidence for the formula.  The
+model builders, the model-file reader and writer and the evaluator all use
+that mapping, one world set per entry.  Evidence membership is the least
 relation containing the base and closed under sum, application, proof
 checking, axiom constants, and protocol monotonicity.  Evaluation works a
 set of worlds at a time (global labelling): each subformula's truth set,
@@ -20,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from . import proofcheck, syntax
 from .ispec import InteractionSpec
@@ -102,10 +105,12 @@ def _indices_mask(indices: Iterable[int], n: int) -> int:
 class EpistemicModel:
     """Finite Kripke model with evidence; immutable after construction.
 
-    World ``self.worlds[i]`` is bit ``i`` of every mask: ``truth_mask`` and
-    ``evidence_mask`` give the set of worlds where a formula holds or where a
-    term is evidence for a formula, each computed once per formula (or per
-    agent, term and formula) for all worlds at a time.
+    The evidence base maps each (agent, term, eformula) to the set of worlds
+    where the term is base evidence for the formula.  World ``self.worlds[i]``
+    is bit ``i`` of every mask: ``truth_mask`` and ``evidence_mask`` give the
+    set of worlds where a formula holds or where a term is evidence for a
+    formula, each computed once per formula (or per agent, term and formula)
+    for all worlds at a time.
     """
 
     def __init__(
@@ -113,7 +118,7 @@ class EpistemicModel:
         worlds: Iterable[str],
         rel: dict[str, Iterable[tuple[str, str]]],
         valuation: dict[str, Iterable[str]],
-        evidence: Iterable[tuple[str, str, Term, EFormula]] = (),
+        evidence: Optional[Mapping[tuple[str, Term, EFormula], Iterable[str]]] = None,
         atoms: Optional[Iterable[str]] = None,
     ):
         self.worlds: tuple[str, ...] = tuple(dict.fromkeys(worlds))
@@ -123,13 +128,17 @@ class EpistemicModel:
         self.valuation: dict[str, frozenset] = {
             w: frozenset(valuation.get(w, ())) for w in self.worlds
         }
-        self.evidence: frozenset = frozenset(evidence)
+        self.evidence_base: dict[tuple[str, Term, EFormula], frozenset] = {}
+        for key, ws in (evidence or {}).items():
+            ws = frozenset(ws)
+            if ws:
+                self.evidence_base[key] = ws
         declared = set(atoms) if atoms is not None else set()
         for v in self.valuation.values():
             declared |= v
         self.atoms: frozenset = frozenset(declared)
         pool = set()
-        for alpha in {e[3] for e in self.evidence}:
+        for alpha in {alpha for _, _, alpha in self.evidence_base}:
             pool.add(alpha)
             for sub in esubformulas(alpha):
                 d = syntax.dest_eimp(sub)
@@ -137,34 +146,32 @@ class EpistemicModel:
                     pool.add(d[0])
                     pool.add(d[1])
         self.witness_pool: frozenset = frozenset(pool)
-        # per agent, each world's sorted successors; validate walks the edges
-        # in this order, so the failure it reports does not depend on hashing
-        self._adj: dict[str, dict[str, tuple[str, ...]]] = {}
-        for a in AGENTS:
-            adj: dict[str, list[str]] = {}
-            for w, u in self.rel[a]:
-                adj.setdefault(w, []).append(u)
-            self._adj[a] = {w: tuple(sorted(us)) for w, us in sorted(adj.items())}
-        self.validate()
-
         n = len(self.worlds)
         self._index: dict[str, int] = {w: i for i, w in enumerate(self.worlds)}
+        # per agent, each world's successors by index, in one pass over the
+        # edges; an edge that leaves the model is left out, and validate
+        # finds it by counting
+        self._succ: dict[str, list[list[int]]] = {}
+        index = self._index.get
+        for a in AGENTS:
+            succ = self._succ[a] = [[] for _ in range(n)]
+            for w, u in self.rel[a]:
+                i, j = index(w), index(u)
+                if i is not None and j is not None:
+                    succ[i].append(j)
+        self.validate()
+
         self.full_mask: int = (1 << n) - 1
-        # per agent, each world's successors by index
-        self._succ: dict[str, list[tuple[int, ...]]] = {
-            a: [tuple(self._index[u] for u in adj.get(w, ())) for w in self.worlds]
-            for a, adj in self._adj.items()
-        }
         self._atom_masks = {
-            name: self.mask_of(w for w in self.worlds if name in self.valuation[w])
+            name: _mask(bytes(name in v for v in self.valuation.values()))
             for name in self.atoms
         }
-        # the base by (agent, term, formula), and its protocol tuples by
+        # one mask per base entry, and the protocol entries by
         # (agent, inner term, formula) -> [(complexity, mask)]
-        held: dict[tuple, list[int]] = {}
-        for w, a, t, alpha in self.evidence:
-            held.setdefault((a, t, alpha), []).append(self._index[w])
-        self._base = {key: _indices_mask(ix, n) for key, ix in held.items()}
+        self._base = {
+            key: _indices_mask(map(self._index.__getitem__, ws), n)
+            for key, ws in self.evidence_base.items()
+        }
         self._proto: dict[tuple, list] = {}
         for (a, t, alpha), mask in self._base.items():
             if isinstance(t, Proto):
@@ -176,35 +183,46 @@ class EpistemicModel:
     # -- structural checks ----------------------------------------------------
 
     def validate(self):
+        """Raise ``ModelError`` for the first structural fault.
+
+        Evidence entries are checked in the base's order and worlds in the
+        model's order; an entry's unknown worlds, edges and paths are taken
+        in sorted order of their names.  So the fault reported does not
+        depend on hashing.
+        """
         if not self.worlds:
             raise ModelError("a model needs at least one world")
-        wset = set(self.worlds)
+        wset = self._index
         for w in self.valuation:
             if w not in wset:
                 raise ModelError(f"valuation mentions unknown world {w!r}")
-        for w, a, _, _ in self.evidence:
-            if w not in wset:
-                raise ModelError(f"evidence mentions unknown world {w!r}")
+        for (a, _, _), ws in self.evidence_base.items():
+            unknown = ws.difference(wset)
+            if unknown:
+                raise ModelError(f"evidence mentions unknown world {min(unknown)!r}")
             if a not in AGENTS:
                 raise ModelError(f"evidence mentions unknown agent {a!r}")
+        names = self.worlds
         for a in AGENTS:
-            r, adj = self.rel[a], self._adj[a]
-            edges = [(w, u) for w, us in adj.items() for u in us]
-            for w, u in edges:
-                if w not in wset or u not in wset:
-                    raise ModelError(f"R[{a}] edge {w!r} -> {u!r} leaves the model")
-            for w in self.worlds:
+            r, succ = self.rel[a], self._succ[a]
+            if sum(map(len, succ)) != len(r):
+                w, u = min((w, u) for w, u in r if w not in wset or u not in wset)
+                raise ModelError(f"R[{a}] edge {w!r} -> {u!r} leaves the model")
+            for w in names:
                 if (w, w) not in r:
                     raise ModelError(f"R[{a}] is not reflexive at {w!r}")
-            for w, u in edges:
-                for v in adj[u]:
-                    if (w, v) not in r:
-                        raise ModelError(
-                            f"R[{a}] is not transitive: {w!r} -> {u!r} -> {v!r}"
-                        )
+            broken = [
+                (names[i], names[j], names[k])
+                for i, out in enumerate(succ) for j in out for k in succ[j]
+                if (names[i], names[k]) not in r
+            ]
+            if broken:
+                raise ModelError("R[{}] is not transitive: {!r} -> {!r} -> {!r}".format(
+                    a, *min(broken)))
 
     def successors(self, agent: str, w: str) -> tuple[str, ...]:
-        return self._adj[agent].get(w, ())
+        """The ``agent`` successors of ``w``, sorted by name."""
+        return tuple(sorted(self.worlds[j] for j in self._succ[agent][self.index(w)]))
 
     def index(self, w: str) -> int:
         """The bit of world ``w`` in every mask."""
@@ -449,7 +467,7 @@ def stabilization_index(m: EpistemicModel) -> int:
     finite complexity in the base.
     """
     top = 0
-    for _, _, t, _ in m.evidence:
+    for _, t, _ in m.evidence_base:
         if isinstance(t, Proto) and isinstance(t.complexity, int):
             top = max(top, t.complexity)
     return top + 1
@@ -483,7 +501,7 @@ def check_model_conditions(
         f"complexity and constant for n > n*; conditions beyond n* reduce to the "
         f"standard part of the stabilized measure"
     )
-    runs = sorted({e[2] for e in m.evidence if isinstance(e[2], Proto)}, key=syntax.print_term)
+    runs = sorted({t for _, t, _ in m.evidence_base if isinstance(t, Proto)}, key=syntax.print_term)
     for t in dict.fromkeys(r.inner for r in runs if is_f_free(r.inner)):
         for alpha in spec.formulas():
             fn = spec.threshold(alpha)
@@ -575,7 +593,10 @@ def _check_bounds(
 
 _SECTION_RE = re.compile(r"^(worlds|R\[P\]|R\[V\]|val|evidence|U|mu|w0)\s*:\s*(.*)$")
 _EDGE_RE = re.compile(r"^(\S+)\s*->\s*(\S+)$")
-_EVIDENCE_RE = re.compile(r"^(\S+)\s+\[(P|V)\]\s+(.*)$")
+_VAL_SEP_RE = re.compile(r"\s+:\s*")
+# agent, term and formula; or agent, None, None and the rest of the line,
+# where no " : " separates a term from a formula
+_EVIDENCE_RE = re.compile(r"^\S+\s+\[(P|V)\]\s+(?:(.*?)\s+:\s+(.*)|(.*))$")
 
 
 def parse_model_file(text: str) -> Quasimodel:
@@ -617,7 +638,7 @@ def parse_model_file(text: str) -> Quasimodel:
 
     valuation: dict[str, list[str]] = {w: [] for w in worlds}
     for line in sections.get("val", []):
-        parts = re.split(r"\s+:\s*", line, maxsplit=1)
+        parts = _VAL_SEP_RE.split(line, maxsplit=1)
         if len(parts) != 2:
             raise ModelError(f"bad valuation line: {line!r}")
         w, atoms = parts[0].strip(), parts[1].split()
@@ -625,28 +646,36 @@ def parse_model_file(text: str) -> Quasimodel:
             raise ModelError(f"valuation mentions unknown world {w!r}")
         valuation[w].extend(atoms)
 
-    evidence = []
-    # a file repeats a few term and formula texts on many lines: parse each once
+    # the base's world lists by (agent, term, formula), and by the text after
+    # the world: a file repeats a few such texts on many lines, so each is
+    # matched once and each term and formula text is parsed once
+    evidence: dict[tuple, list[str]] = {}
+    by_text: dict[str, list[str]] = {}
     terms: dict[str, Term] = {}
     eformulas: dict[str, EFormula] = {}
     for line in sections.get("evidence", []):
-        em = _EVIDENCE_RE.match(line)
-        if not em:
-            raise ModelError(f"bad evidence line: {line!r}")
-        w, a, rest = em.groups()
-        parts = re.split(r"\s+:\s+", rest, maxsplit=1)
-        if len(parts) != 2:
-            raise ModelError(f"bad evidence line (need 'term : eform'): {line!r}")
-        try:
-            t = terms.get(parts[0])
-            if t is None:
-                t = terms[parts[0]] = syntax.parse_term(parts[0])
-            alpha = eformulas.get(parts[1])
-            if alpha is None:
-                alpha = eformulas[parts[1]] = syntax.parse_eformula(parts[1])
-        except syntax.ParseError as exc:
-            raise ModelError(f"bad evidence line: {exc}") from exc
-        evidence.append((w, a, t, alpha))
+        # the world and the rest, as _EVIDENCE_RE splits them; a line of one
+        # word is no key, as every key has whitespace after the agent
+        parts = line.split(None, 1)
+        held = by_text.get(parts[-1])
+        if held is None:
+            em = _EVIDENCE_RE.match(line)
+            if not em:
+                raise ModelError(f"bad evidence line: {line!r}")
+            a, term_text, eform_text, _ = em.groups()
+            if term_text is None:
+                raise ModelError(f"bad evidence line (need 'term : eform'): {line!r}")
+            try:
+                t = terms.get(term_text)
+                if t is None:
+                    t = terms[term_text] = syntax.parse_term(term_text)
+                alpha = eformulas.get(eform_text)
+                if alpha is None:
+                    alpha = eformulas[eform_text] = syntax.parse_eformula(eform_text)
+            except syntax.ParseError as exc:
+                raise ModelError(f"bad evidence line: {exc}") from exc
+            held = by_text[parts[1]] = evidence.setdefault((a, t, alpha), [])
+        held.append(parts[0])
 
     sample = " ".join(sections["U"]).split()
     measure = {}
@@ -675,6 +704,8 @@ def load_model_file(path: str) -> Quasimodel:
 
 
 def write_model_file(q: Quasimodel) -> str:
+    """The model file of ``q``; evidence lines are sorted by world, agent,
+    printed term and printed formula."""
     m = q.base
     out = [f"worlds: {' '.join(m.worlds)}"]
     for a, sec in ((syntax.PROVER, "R[P]"), (syntax.VERIFIER, "R[V]")):
@@ -687,13 +718,28 @@ def write_model_file(q: Quasimodel) -> str:
         if atoms:
             out.append(f"{w} : {' '.join(atoms)}")
     out.append("evidence:")
-    for w, a, t, alpha in sorted(
-        m.evidence, key=lambda e: (e[0], e[1], syntax.print_term(e[2]))
-    ):
-        out.append(f"{w} [{a}] {syntax.print_term(t)} : {syntax.print_eformula(alpha)}")
+    # each entry printed once; taking the entries in sorted order leaves each
+    # world's lines sorted
+    entries = sorted(
+        ((a, syntax.print_term(t), syntax.print_eformula(alpha), ws)
+         for (a, t, alpha), ws in m.evidence_base.items()),
+        key=lambda entry: entry[:3],
+    )
+    lines: dict[str, list[str]] = {}
+    for a, term_text, eform_text, ws in entries:
+        tail = f"[{a}] {term_text} : {eform_text}"
+        for w in ws:
+            lines.setdefault(w, []).append(tail)
+    for w in sorted(lines):
+        out.extend(f"{w} {tail}" for tail in lines[w])
     out.append(f"U: {' '.join(q.sample)}")
     out.append("mu:")
+    texts: dict[int, str] = {}  # equal masses often share one object: print it once
     for u in q.sample:
-        out.append(f"{u} = {q.measure[u]}")
+        mass = q.measure[u]
+        text = texts.get(id(mass))
+        if text is None:
+            text = texts[id(mass)] = str(mass)
+        out.append(f"{u} = {text}")
     out.append(f"w0: {q.w0}")
     return "\n".join(out) + "\n"

@@ -403,7 +403,8 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-RESERVED_NAMES = {"box", "f", "P", "V"}
+# "v" is the parameter of proof templates, read only inside thresholds
+RESERVED_NAMES = {"box", "f", "P", "V", "v"}
 
 # the largest power of e or v a literal may write; a value of Q[e] holds one
 # coefficient per power, so without a cap `1 e^1000000000` would ask for gigabytes

@@ -291,7 +291,7 @@ def test_protocol_events_monotone_and_stabilize():
     for _ in range(200):
         qm = generators.rand_model(rng)
         n_star = 1 + max(
-            (s.complexity for _, _, s, _ in qm.base.evidence
+            (s.complexity for _, s, _ in qm.base.evidence_base
              if isinstance(s, Proto) and isinstance(s.complexity, int)),
             default=0,
         )

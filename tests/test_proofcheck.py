@@ -371,6 +371,7 @@ _HYPOTHESIS_DENIED = "~(Pr>= 1 (p) & ~(Pr>= 1 (p)))"
 _TEMPLATES = {
     "self.ipjp": f"1. {_HYPOTHESIS_DENIED} ; param-arch template=self.ipjp\n",
     "atom_v.ipjp": "1. v -> v ; ax p\n",
+    "const_v.ipjp": "1. c:v :[P] (p -> p) ; ax p\n",
     "bad.ipjp": "1. p ; ax p\n",
     "plain.ipjp": "1. p -> p ; ax p\n",
     "notimp.ipjp": "1. Pr>= 0 (p) ; ax p1\n",
@@ -453,7 +454,9 @@ _TEXTS = [
      (1, "cannot read template 'nope.ipjp': [Errno 2] No such file or directory: "
          "'{dir}/nope.ipjp'")),
     (f"1. {_CONCLUSION} ; param-approx 1 template=atom_v.ipjp",
-     (1, "template 'atom_v.ipjp' fails: INVALID: line 1: "
+     ("parse", "line 1: 1:1: 'v' is reserved and cannot name a variable")),
+    (f"1. {_CONCLUSION} ; param-approx 1 template=const_v.ipjp",
+     (1, "template 'const_v.ipjp' fails: INVALID: line 1: "
          "the parameter 'v' may only occur inside thresholds")),
     (f"1. {_CONCLUSION} ; param-approx 1 template=unparsable.ipjp",
      ("parse", "line 1: bad line number 'x'")),
@@ -468,8 +471,9 @@ _TEXTS = [
     ("1. p ; param-arch template=plain.ipjp", (1, "template conclusion must deny Pr= v uniformly")),
     ("1. p ; param-arch template=arch_template.ipjp",
      (1, "conclusion must be the negation of the template hypothesis")),
+    # the template parameter v names no atom
+    ("1. v -> v ; ax p", ("parse", "line 1: 1:1: 'v' is reserved and cannot name a variable")),
     # accepted
-    ("1. v -> v ; ax p", (None, "")),
     (f"1. {_HYPOTHESIS_DENIED} ; param-arch template=arch_template.ipjp", (None, "")),
     (f"1. {_CONCLUSION} ; param-approx 1 template=almost_certain_template.ipjp", (None, "")),
 ]

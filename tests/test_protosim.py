@@ -78,7 +78,7 @@ def test_bound_strict_when_extra_mass():
         base.worlds,
         {a: base.rel[a] for a in ("P", "V")},
         {w: [m.claim.name] for w in base.worlds},
-        base.evidence,
+        base.evidence_base,
         atoms=[m.claim.name],
     )
     from ipj.protosim import RoundModel

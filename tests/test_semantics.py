@@ -25,7 +25,7 @@ from ipj.semantics import (
     write_model_file,
 )
 from ipj.proofcheck import is_axiom_chain
-from ipj.protosim import RoundConfig, build_round_model, verify_ipp_bound
+from ipj.protosim import RoundConfig, build_interaction_witness, build_round_model, verify_ipp_bound
 from ipj.syntax import (
     OMEGA,
     App,
@@ -89,16 +89,42 @@ def test_relations_must_be_transitive():
         "except ModelError as exc:\n"
         "    print(exc)\n"
     )
+    assert outputs_under_hash_seeds(code, range(6)) == {
+        "R[P] is not transitive: 'a' -> 'b' -> 'c'\n"}
+
+
+def outputs_under_hash_seeds(code, seeds):
+    """The set of stdout texts of ``python -c code``, one run per hash seed."""
     src = str(Path(ipj.__file__).resolve().parent.parent)
-    messages = {
+    return {
         subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
             capture_output=True, text=True, check=True, timeout=60,
         ).stdout
-        for seed in range(6)
+        for seed in seeds
     }
-    assert messages == {"R[P] is not transitive: 'a' -> 'b' -> 'c'\n"}
+
+
+def test_unknown_evidence_world_or_agent_is_the_first_bad_entry():
+    # entries in the base's order; an entry's unknown worlds in sorted order
+    code = (
+        "from ipj.semantics import EpistemicModel, ModelError\n"
+        "from ipj.syntax import parse_eformula, parse_term\n"
+        "ws = ['a', 'b']\n"
+        "rel = {'P': [(w, w) for w in ws], 'V': [(w, w) for w in ws]}\n"
+        "p, t = parse_eformula('p'), parse_term('t')\n"
+        "for base in (\n"
+        "    {('P', t, p): ['a'], ('V', t, p): ['zz', 'yy', 'a'], ('Q', t, p): ['a'], ('P', t, parse_eformula('q')): ['xx']},\n"
+        "    {('P', t, p): ['b'], ('Q', t, p): ['a', 'b'], ('V', t, p): ['zz']},\n"
+        "):\n"
+        "    try:\n"
+        "        EpistemicModel(ws, rel, {}, base)\n"
+        "    except ModelError as exc:\n"
+        "        print(exc)\n"
+    )
+    assert outputs_under_hash_seeds(code, (0, 1)) == {
+        "evidence mentions unknown world 'yy'\nevidence mentions unknown agent 'Q'\n"}
 
 
 def test_successors_are_sorted():
@@ -127,7 +153,7 @@ def test_masses_must_sum_to_one():
 
 
 def test_protocol_monotonicity():
-    m = simple_model(evidence=[("w", "V", parse_term("f[1](t)"), parse_eformula("p"))])
+    m = simple_model(evidence={("V", parse_term("f[1](t)"), parse_eformula("p")): ["w"]})
     assert m.evidence_member("w", "V", parse_term("f[5](t)"), parse_eformula("p"))
     assert m.evidence_member("w", "V", parse_term("f[w](t)"), parse_eformula("p"))
     assert not m.evidence_member("w", "V", parse_term("f[1](s)"), parse_eformula("p"))
@@ -135,17 +161,17 @@ def test_protocol_monotonicity():
 
 def test_application_closure():
     m = simple_model(
-        evidence=[
-            ("w", "P", Var("s"), parse_eformula("p -> q")),
-            ("w", "P", Var("t"), parse_eformula("p")),
-        ]
+        evidence={
+            ("P", Var("s"), parse_eformula("p -> q")): ["w"],
+            ("P", Var("t"), parse_eformula("p")): ["w"],
+        }
     )
     assert m.evidence_member("w", "P", parse_term("s * t"), parse_eformula("q"))
     assert not m.evidence_member("w", "P", parse_term("t * s"), parse_eformula("q"))
 
 
 def test_sum_and_bang_closure():
-    m = simple_model(evidence=[("w", "P", Var("t"), parse_eformula("p"))])
+    m = simple_model(evidence={("P", Var("t"), parse_eformula("p")): ["w"]})
     assert m.evidence_member("w", "P", parse_term("t + s"), parse_eformula("p"))
     assert m.evidence_member("w", "P", parse_term("s + t"), parse_eformula("p"))
     assert m.evidence_member("w", "P", parse_term("!t"), parse_eformula("t :[P] p"))
@@ -182,7 +208,7 @@ def test_justification_needs_both_conjuncts():
         worlds=["w", "u"],
         rel={"P": ident(["w", "u"]) + [("w", "u")], "V": ident(["w", "u"])},
         valuation={"w": ["p"], "u": []},
-        evidence=[("w", "P", Var("t"), parse_eformula("p"))],
+        evidence={("P", Var("t"), parse_eformula("p")): ["w"]},
     )
     # evidence present but some successor falsifies the formula
     assert not m.eval("w", parse_eformula("t :[P] p"))
@@ -201,7 +227,7 @@ def test_unknown_atom():
 
 def naive_evidence(m, w, a, t, alpha):
     """Evidence membership at one world, straight from the closure conditions."""
-    if (w, a, t, alpha) in m.evidence:
+    if w in m.evidence_base.get((a, t, alpha), ()):
         return True
     if isinstance(t, Sum):
         return naive_evidence(m, w, a, t.left, alpha) or naive_evidence(m, w, a, t.right, alpha)
@@ -218,9 +244,9 @@ def naive_evidence(m, w, a, t, alpha):
         )
     if isinstance(t, Proto):
         return any(
-            x == w and b == a and beta == alpha and isinstance(s, Proto)
+            w in ws and b == a and beta == alpha and isinstance(s, Proto)
             and s.inner == t.inner and comp_le(s.complexity, t.complexity)
-            for x, b, s, beta in m.evidence
+            for (b, s, beta), ws in m.evidence_base.items()
         )
     if isinstance(t, Const):
         return is_axiom_chain(alpha)
@@ -258,7 +284,7 @@ def test_masks_agree_with_the_definitions():
             measure = {**qm.measure, u: qm.measure[u] - shift, v: qm.measure[v] + shift}
             qm = Quasimodel(m, qm.sample, measure, qm.w0)
             mixed += 1
-        based = [(t, alpha) for _, _, t, alpha in m.evidence]
+        based = [(t, alpha) for _, t, alpha in m.evidence_base]
         for _ in range(6):
             t, alpha = rng.choice(based) if based and rng.random() < 0.6 else (
                 generators.rand_term(rng, 2), generators.rand_eformula(rng, 2))
@@ -384,12 +410,12 @@ def test_desugared_operator_coherence():
 def witness_quasimodel(mass_u2, mass_ustar, holds=True):
     """Three-world model with protocol evidence stabilizing at u2 + ustar."""
     worlds = ["u2", "ustar", "uout"]
-    evidence = [
-        ("u2", "V", Proto(2, Var("t")), Box("P", parse_eformula("p"))),
-        ("ustar", "V", Proto(3, Var("t")), Box("P", parse_eformula("p"))),
-    ]
+    evidence = {
+        ("V", Proto(2, Var("t")), Box("P", parse_eformula("p"))): ["u2"],
+        ("V", Proto(3, Var("t")), Box("P", parse_eformula("p"))): ["ustar"],
+    }
     if holds:
-        evidence.append(("ustar", "P", Var("t"), parse_eformula("p")))
+        evidence[("P", Var("t"), parse_eformula("p"))] = ["ustar"]
     m = EpistemicModel(
         worlds,
         {"P": ident(worlds), "V": ident(worlds)},
@@ -427,7 +453,7 @@ def test_model_conditions_range_over_the_base_terms():
     worlds = ["a", "b"]
     body = Box("P", parse_eformula("p"))
     runs = ("f[2](t)", "f[1](s)", "f[1](f[1](u))")
-    evidence = [("a", "V", parse_term(run), body) for run in runs]
+    evidence = {("V", parse_term(run), body): ["a"] for run in runs}
     m = EpistemicModel(worlds, {"P": ident(worlds), "V": ident(worlds)}, {w: ["p"] for w in worlds},
                        evidence)
     qm = Quasimodel(m, worlds, {"a": q("1/2"), "b": q("1/2")}, "b")
@@ -487,19 +513,73 @@ def test_model_file_parse_and_roundtrip():
     assert write_model_file(again) == text
 
 
+def assert_roundtrip(qm):
+    again = parse_model_file(write_model_file(qm))
+    assert again.base.worlds == qm.base.worlds
+    assert again.base.rel == qm.base.rel
+    assert again.base.valuation == qm.base.valuation
+    assert again.base.evidence_base == qm.base.evidence_base
+    assert again.base._base == qm.base._base  # every base mask
+    assert again.sample == qm.sample
+    assert again.measure == qm.measure
+    assert again.w0 == qm.w0
+
+
 def test_model_file_roundtrip_random():
     # worlds named w0, U, mu, ... must not be read as section headers
     rng = random.Random(0)
     for _ in range(300):
-        qm = generators.rand_model(rng)
-        again = parse_model_file(write_model_file(qm))
-        assert again.base.worlds == qm.base.worlds
-        assert again.base.rel == qm.base.rel
-        assert again.base.valuation == qm.base.valuation
-        assert again.base.evidence == qm.base.evidence
-        assert again.sample == qm.sample
-        assert again.measure == qm.measure
-        assert again.w0 == qm.w0
+        assert_roundtrip(generators.rand_model(rng))
+
+
+def test_model_file_roundtrip_rounds_and_witnesses():
+    for rounds in (2, 10):
+        for honest in (True, False):
+            assert_roundtrip(build_round_model(RoundConfig(rounds, Fraction(2, 7), honest=honest))
+                             .quasimodel)
+    spec = load_spec("p & q : poly 1 1\n")
+    for honest in (True, False):
+        for zk in (False, True):
+            qm = build_interaction_witness(spec, parse_eformula("p & q"), parse_term("t + c:a"),
+                                           k=2, n_max=12, honest=honest, zk=zk)
+            assert_roundtrip(qm)
+
+
+def test_round_model_base_has_one_entry_per_round():
+    m = build_round_model(RoundConfig(10, Fraction(1, 3)))
+    base = m.quasimodel.base.evidence_base
+    assert list(base) == [("V", t, m.claim) for t in m.round_terms]
+    for i, t in enumerate(m.round_terms, start=1):
+        assert base[("V", t, m.claim)] == {w for w in m.quasimodel.base.worlds if w[i] == "1"}
+
+
+def test_model_file_lines_do_not_depend_on_hashing():
+    # one world holds t for five formulas: the lines are sorted by formula too
+    code = (
+        "from ipj.semantics import EpistemicModel, Quasimodel, write_model_file\n"
+        "from ipj.qeps import QEps\n"
+        "from ipj.syntax import parse_eformula, parse_term\n"
+        "t = parse_term('t')\n"
+        "texts = {'p', 'q', 'r', 'p & q', 'box[P] r'}\n"  # a set: its order varies with the seed
+        "base = {('P', t, parse_eformula(x)): ['w'] for x in texts}\n"
+        "base[('V', t, parse_eformula('p'))] = ['u', 'w']\n"
+        "rel = [('w', 'w'), ('u', 'u')]\n"
+        "m = EpistemicModel(['w', 'u'], {'P': rel, 'V': rel}, {'w': ['p', 'q', 'r']}, base)\n"
+        "half = QEps.from_rational(1) / 2\n"
+        "print(write_model_file(Quasimodel(m, ['w', 'u'], {'w': half, 'u': half}, 'w')))\n"
+    )
+    outputs = outputs_under_hash_seeds(code, (0, 1))
+    assert len(outputs) == 1
+    evidence = outputs.pop().split("evidence:\n")[1].split("U:")[0]
+    assert evidence == (
+        "u [V] t : p\n"
+        "w [P] t : box[P] r\n"
+        "w [P] t : p\n"
+        "w [P] t : p & q\n"
+        "w [P] t : q\n"
+        "w [P] t : r\n"
+        "w [V] t : p\n"
+    )
 
 
 def test_worlds_named_like_sections():

@@ -65,9 +65,17 @@ def test_term_roundtrip_examples():
 
 
 def test_reserved_names_rejected():
-    for bad in ("box", "f", "P", "V"):
+    for bad in ("box", "f", "P", "V", "v"):
         with pytest.raises(ParseError):
             parse_term(bad)
+
+
+def test_template_parameter_is_no_name():
+    # v is read only inside thresholds, as the parameter of proof templates
+    for bad in ("v", "v -> p", "v :[P] p", "t :[P] v", "v * t :[V] p", "Pr>= 1/2 (v)"):
+        with pytest.raises(ParseError, match="'v' is reserved and cannot name a variable"):
+            parse_formula(bad, allow_symbolic=True)
+    assert formula_has_param(parse_formula("Pr>= 1 + -1/v (p)", allow_symbolic=True))
 
 
 # -- formulas ------------------------------------------------------------------
