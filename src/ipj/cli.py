@@ -262,6 +262,11 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # deep nesting reaches Python's recursion limit in the recursive parser,
+        # printer and evaluator
+        print("error: formula nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -904,7 +904,7 @@ def instantiate_derivation(d: Derivation, v: int) -> Derivation:
 _LINE_RE = re.compile(r"^(\d+)\.\s*(.*)$")
 
 
-def _read_line(text: str) -> ProofLine:
+def _read_line(text: str, memo: dict) -> ProofLine:
     m = _LINE_RE.match(text)
     if not m:
         raise ProofParseError("expected 'n. formula ; justification'")
@@ -913,7 +913,7 @@ def _read_line(text: str) -> ProofLine:
     if ";" not in body:
         raise ProofParseError("missing ';' before the justification")
     formula_text, just_text = body.rsplit(";", 1)
-    formula = syntax.parse_formula(formula_text)
+    formula = syntax.parse_formula(formula_text, memo=memo)
     words = just_text.split()
     if not words:
         raise ProofParseError("missing justification")
@@ -928,11 +928,12 @@ def parse_derivation(
     text: str, spec: InteractionSpec, zk: bool = False, base_dir: str = "."
 ) -> Derivation:
     lines = []
+    memo: dict = {}  # the groups read so far in this file (see syntax.Parser)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
             try:
-                lines.append(_read_line(stripped))
+                lines.append(_read_line(stripped, memo))
             except (ProofParseError, syntax.ParseError) as exc:
                 raise ProofParseError(f"line {lineno}: {exc}") from exc
     return Derivation(spec, lines, zk=zk, base_dir=base_dir)

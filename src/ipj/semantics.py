@@ -128,6 +128,10 @@ class EpistemicModel:
         self.valuation: dict[str, frozenset] = {
             w: frozenset(valuation.get(w, ())) for w in self.worlds
         }
+        # an entry for a world outside the model is kept, for validate to report
+        self.valuation.update(
+            (w, frozenset(v)) for w, v in valuation.items() if w not in self.valuation
+        )
         self.evidence_base: dict[tuple[str, Term, EFormula], frozenset] = {}
         for key, ws in (evidence or {}).items():
             ws = frozenset(ws)

@@ -389,18 +389,22 @@ class RangeError(ParseError):
 # lexer
 # ---------------------------------------------------------------------------
 
+# one match per token: the whitespace in front of it, then the token; a
+# character that starts no token is matched alone, so that every character
+# is read, and the empty match at the end takes the trailing whitespace
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<prop>Pr>=|Pr<=|Pr~|Pr=|Pr<|Pr>)
-    | (?P<arrow>->)
-    | (?P<justsep>:\[)
-    | (?P<const>c:(?=[A-Za-z_]))
-    | (?P<num>-?\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<sym>[()\[\]/^~&|*+!:=.;,])
+    (\s*)
+    (?: (Pr>=|Pr<=|Pr~|Pr=|Pr<|Pr>)       # prop
+      | (c:(?=[A-Za-z_]))                 # the prefix of a constant
+      | (-?\d+)                           # num
+      | ([A-Za-z_][A-Za-z0-9_']*)         # ident
+      | (->|:\[|[()\[\]/^~&|*+!:=.;,])     # a symbol: its text is its kind
+      | (.)                               # a character that starts no token
+      | \Z
+    )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 # "v" is the parameter of proof templates, read only inside thresholds
@@ -418,37 +422,52 @@ class Token(NamedTuple):
     col: int
 
 
+_new_token = tuple.__new__  # Token(...) without the Python-level __new__
+
+
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text`` and an end token, each with its line and column.
+
+    ``line`` and ``col`` (both from 1) move on with each token's length and
+    each whitespace run's newlines."""
     toks = []
+    append = toks.append
     line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        kind = m.lastgroup
-        if kind == "const":
-            # the constant token carries the following identifier
-            m2 = _TOKEN_RE.match(text, m.end())
-            toks.append(Token("const", m2.group(0), line, col))
-            lexeme = lexeme + m2.group(0)
-        elif kind == "num":
-            toks.append(Token("num", lexeme, line, col))
-        elif kind == "ident":
-            toks.append(Token("ident", lexeme, line, col))
-        elif kind == "prop":
-            toks.append(Token("prop", lexeme, line, col))
-        elif kind != "ws":
-            toks.append(Token(lexeme, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos += len(lexeme)
-    toks.append(Token("eof", "", line, col))
+    const = None  # the position of a "c:" whose name is the next token
+    for ws, prop, const_prefix, num, ident, sym, bad in _TOKEN_RE.findall(text):
+        if ws:
+            newlines = ws.count("\n")
+            if newlines:
+                line += newlines
+                col = len(ws) - ws.rfind("\n")
+            else:
+                col += len(ws)
+        if sym:
+            tok = _new_token(Token, (sym, sym, line, col))
+        elif ident:
+            tok = _new_token(Token, ("ident", ident, line, col))
+        elif num:
+            tok = _new_token(Token, ("num", num, line, col))
+        elif prop:
+            tok = _new_token(Token, ("prop", prop, line, col))
+        elif const_prefix:
+            if const is None:
+                const = (line, col)
+                col += 2
+                continue
+            # "c:c:x" reads as the constant "c:" and then x
+            tok = _new_token(Token, (const_prefix, const_prefix, line, col))
+        elif bad:
+            raise ParseError(f"unexpected character {bad!r}", line, col)
+        else:  # the end of the text
+            continue
+        col += len(tok.text)
+        if const is not None:
+            # the constant token carries the text of the token after "c:"
+            tok = _new_token(Token, ("const", tok.text, *const))
+            const = None
+        append(tok)
+    append(Token("eof", "", line, col))
     return toks
 
 
@@ -462,10 +481,33 @@ def _is_word(tok: Token, word: str) -> bool:
 
 
 class Parser:
-    def __init__(self, text: str, allow_symbolic: bool = True):
+    """A recursive-descent reader over the tokens of one text.
+
+    ``memo``, when given, maps (``allow_symbolic``, the text of a group
+    ``"(" formula ")"``) to the formula read there, and the parser fills it.
+    A group whose text is in it is not read again: the parser takes the node
+    and goes on after the group's ``)``, so equal groups share one node.
+    Only groups read without an error go in, so errors and their positions
+    do not depend on the memo.
+    """
+
+    def __init__(self, text: str, allow_symbolic: bool = True, memo: Optional[dict] = None):
         self.toks = tokenize(text)
         self.i = 0
         self.allow_symbolic = allow_symbolic
+        self.text = text
+        self.memo = memo
+        # the index of each "(" token's matching ")"
+        self.close = {}
+        opened = []
+        for j, tok in enumerate(self.toks):
+            if tok.kind == "(":
+                opened.append(j)
+            elif tok.kind == ")" and opened:
+                self.close[opened.pop()] = j
+        if memo is not None:
+            # the offset in the text of the first character of each line
+            self.line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
 
     # -- token plumbing ------------------------------------------------------
 
@@ -490,6 +532,12 @@ class Parser:
 
     def at_end(self) -> bool:
         return self.peek().kind == "eof"
+
+    def source(self, i: int, j: int) -> str:
+        """The text from the start of token i to the end of token j."""
+        first, last = self.toks[i], self.toks[j]
+        starts = self.line_starts
+        return self.text[starts[first.line - 1] + first.col - 1 : starts[last.line - 1] + last.col]
 
     # -- terms ----------------------------------------------------------------
 
@@ -563,17 +611,31 @@ class Parser:
     # -- formulas ---------------------------------------------------------------
 
     def formula(self) -> Formula:
-        f = self.form_or()
+        f = self.form_and()
+        while self.peek().kind == "|":
+            self.next()
+            f = for_(f, self.form_and())
         if self.peek().kind == "->":
             self.next()
             return fimp(f, self.formula())
         return f
 
-    def form_or(self) -> Formula:
-        f = self.form_and()
-        while self.peek().kind == "|":
-            self.next()
-            f = for_(f, self.form_and())
+    def group(self) -> Formula:
+        """``"(" formula ")"``, taken from the memo when its text is there."""
+        close = self.close.get(self.i)
+        key = None
+        if self.memo is not None and close is not None:
+            key = (self.allow_symbolic, self.source(self.i, close))
+            f = self.memo.get(key)
+            if f is not None:
+                self.i = close + 1
+                return f
+        self.expect("(")
+        f = self.formula()
+        # parentheses nest in every production, so this ")" is token `close`
+        self.expect(")")
+        if key is not None:
+            self.memo[key] = f
         return f
 
     def form_and(self) -> Formula:
@@ -598,19 +660,20 @@ class Parser:
             inner = self.form_unary()
             return Epistemic(Box(a, self.require_efml(inner, tok)))
         if tok.kind == "(":
-            # could be a parenthesized formula or a parenthesized term in
-            # front of a justification separator; try the term reading first
-            mark = self.i
-            try:
-                t = self.term()
-                if self.peek().kind == ":[":
-                    return self.justification(t)
-            except ParseError:
-                pass
-            self.i = mark
-            self.next()
-            f = self.formula()
-            self.expect(")")
+            # a parenthesized formula, or a parenthesized term in front of a
+            # justification separator; a term reading can end at ":[" only if
+            # the token after the matching ")" goes on with a term or is ":["
+            close = self.close.get(self.i)
+            if close is not None and self.toks[close + 1].kind in (":[", "+", "*"):
+                mark = self.i
+                try:
+                    t = self.term()
+                    if self.peek().kind == ":[":
+                        return self.justification(t)
+                except ParseError:
+                    pass
+                self.i = mark
+            f = self.group()
             if self.peek().kind == ":[":
                 self.error("a justified formula needs a term on the left of ':['")
             return f
@@ -645,9 +708,7 @@ class Parser:
     def prob_formula(self, tok: Token) -> Formula:
         op = self.next().text
         s = self.threshold(op)
-        self.expect("(")
-        body = self.formula()
-        self.expect(")")
+        body = self.group()
         e = self.require_efml(body, tok)
         if op == "Pr~":
             assert isinstance(s, Fraction)
@@ -780,8 +841,9 @@ def parse_term(text: str) -> Term:
     return t
 
 
-def parse_formula(text: str, allow_symbolic: bool = True) -> Formula:
-    p = Parser(text, allow_symbolic=allow_symbolic)
+def parse_formula(text: str, allow_symbolic: bool = True, memo: Optional[dict] = None) -> Formula:
+    """Read a formula; ``memo`` shares groups between calls (see :class:`Parser`)."""
+    p = Parser(text, allow_symbolic=allow_symbolic, memo=memo)
     f = p.formula()
     if not p.at_end():
         p.error(f"trailing input: {p.peek().text!r}")

@@ -172,6 +172,17 @@ def test_eval_in_model(capsys, tmp_path):
     assert code == 1 and out.strip() == "false"
 
 
+def test_deep_nesting_exit_2(capsys, tmp_path):
+    _, _, model, _ = witness_file(capsys, tmp_path)
+    deep = "~" * 2000 + "p"
+    proof = tmp_path / "deep.ipjp"
+    proof.write_text(f"1. {deep} -> {deep} ; ax p\n")
+    # 500 levels parse, but reach the limit in the evaluator
+    for argv in (["parse", deep], ["eval", "~" * 500 + "p", "--model", str(model)],
+                 ["check-proof", str(proof)]):
+        assert run(capsys, *argv) == (2, "", "error: formula nested too deeply\n"), argv[0]
+
+
 def test_random_harness(capsys):
     code, out, _ = run(
         capsys, "check-model", "--random", "3", "--instances", "50", "--seed", "7"

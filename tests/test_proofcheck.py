@@ -27,7 +27,15 @@ from ipj.proofcheck import (
     thresh_lt,
 )
 from ipj.qeps import QEps
-from ipj.syntax import SymThresh, parse_eformula, parse_formula, print_formula
+from ipj.syntax import (
+    Epistemic,
+    ParseError,
+    SymThresh,
+    dest_fimp,
+    parse_eformula,
+    parse_formula,
+    print_formula,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 EMPTY = InteractionSpec()
@@ -498,3 +506,168 @@ def test_every_checker_text(tmp_path):
             if got != (where, want):
                 wrong.append((zk, text, got))
     assert not wrong
+
+
+# -- one parse per repeated group --------------------------------------------------
+
+
+def _formula_texts(text):
+    """The formula text of each proof line, as the proof-file reader cuts it."""
+    return [
+        line.strip().split(".", 1)[1].rsplit(";", 1)[0]
+        for line in text.splitlines()
+        if line.strip() and not line.strip().startswith("#")
+    ]
+
+
+def test_shared_groups_parse_like_fresh_formulas():
+    spec = load_spec(open(os.path.join(GOLDEN, "golden.ispec")).read())
+    texts = []
+    for name in sorted(os.listdir(GOLDEN)):
+        if name.endswith(".ipjp"):
+            texts.append(open(os.path.join(GOLDEN, name)).read())
+    # derivations in the shapes the benchmark generates: axiom instances and the
+    # ax p, mp, nec and pnec lines that repeat them inside parentheses
+    rng = random.Random(8)
+    for _ in range(6):
+        lines = []
+        for _ in range(40):
+            schema = rng.choice(proofcheck.SCHEMA_IDS)
+            f = generators.rand_axiom_instance(
+                rng, schema, spec=spec, spec_formula=rng.choice(spec.formulas()), k=2
+            )
+            a = print_formula(f)
+            lines += [a, f"({a}) -> (q -> ({a}))", f"q -> ({a})"]
+            if isinstance(f, Epistemic):
+                lines += [f"box[V] ({a})", f"Pr>= 1 ({a})", f"c:k1 :[V] ({a})"]
+        texts.append("".join(f"{i}. {a} ; ax p\n" for i, a in enumerate(lines, 1)))
+    for text in texts:
+        d = parse_derivation(text, spec)
+        assert [line.formula for line in d.lines] == [parse_formula(a) for a in _formula_texts(text)]
+
+
+def _core(f):
+    return f.inner if isinstance(f, Epistemic) else f
+
+
+def test_equal_groups_are_one_node():
+    text = (
+        "1. (p & q) -> (r -> (p & q)) ; ax p\n"
+        "2. Pr>= 1 (p & q) & ~Pr>= 1/2 (p & q) ; ax p\n"
+        "3. (Pr>= 1 (p)) -> (Pr>= 1 (p)) ; ax p\n"
+    )
+    d = parse_derivation(text, EMPTY)
+    first, rest = dest_fimp(d.lines[0].formula)
+    group = _core(first)
+    assert _core(dest_fimp(rest)[1]) is group
+    both = d.lines[1].formula
+    assert both.left.inner is group and both.right.inner.inner is group
+    left, right = dest_fimp(d.lines[2].formula)
+    assert left is right
+    # the groups are shared within one file only
+    again = parse_derivation(text, EMPTY)
+    assert again.lines == d.lines
+    assert _core(dest_fimp(again.lines[0].formula)[0]) is not group
+
+
+_LINES = (
+    "(t :[P] a -> Pr~ 1 (f[w](t) :[V] box[P] a)) -> ((Pr~ 1 (f[w](t) :[V] box[P] a)"
+    " -> Pr>= 1 + -1/v (f[w](t) :[V] box[P] a)) -> (t :[P] a -> Pr>= 1 + -1/v (f[w](t) :[V] box[P] a)))",
+    "c:k1 :[V] (box[P] a -> a) -> (f[w](t) :[V] box[P] a -> c:k1 * f[w](t) :[V] a)",
+    "t :[P] box[P] p -> Pr>= 8/9 (f[3](t) :[V] box[P] box[P] p)",
+    "~(Pr>= 1 (p) & ~(Pr>= 1 (p)))",
+)
+
+
+def _malformed(text):
+    """Each kind of fault at a few places: (kind, the malformed text)."""
+
+    def nth(ch, k):
+        return [i for i, c in enumerate(text) if c == ch][k]
+
+    out = []
+    for k in (0, -1):
+        i = nth(")", k)
+        out.append(("drop )", text[:i] + text[i + 1:]))
+    for i in (0, len(text) // 3, len(text) - 1):
+        out.append(("insert @", text[:i] + "@" + text[i:]))
+    for i in (len(text) // 2, len(text) - 1):
+        out.append(("truncate", text[:i]))
+    i = nth(" ", 1)
+    out.append(("newline", text[:i] + "\n" + text[i:]))
+    for k, ch in ((0, "#"), (-1, "%")):
+        i = nth(" ", k) + 1
+        out.append(("bad char after space", text[:i] + ch + text[i:]))
+    return out
+
+
+# (line, kind of fault, parse_formula's error, parse_derivation's error when
+# the malformed line follows a good copy of itself); None: no error
+_ERRORS = [
+    (0, "drop )", "1:28: expected ')', got ':['", "line 2: 1:28: expected ')', got ':['"),
+    (0, "drop )", "1:176: expected ')', got ''", "line 2: 1:177: expected ')', got ''"),
+    (0, "insert @", "1:1: unexpected character '@'", "line 2: 1:1: unexpected character '@'"),
+    (0, "insert @", "1:59: unexpected character '@'", "line 2: 1:59: unexpected character '@'"),
+    (0, "insert @", "1:176: unexpected character '@'", "line 2: 1:176: unexpected character '@'"),
+    (0, "truncate", "1:89: expected '(', got ''", "line 2: 1:90: expected '(', got ''"),
+    (0, "truncate", "1:176: expected ')', got ''", "line 2: 1:177: expected ')', got ''"),
+    (0, "newline", None, "line 2: missing ';' before the justification"),
+    (0, "bad char after space", "1:4: unexpected character '#'",
+     "line 2: 1:4: unexpected character '#'"),
+    (0, "bad char after space", "1:173: unexpected character '%'",
+     "line 2: 1:173: unexpected character '%'"),
+    (1, "drop )", "1:77: expected ')', got ''", "line 2: 1:78: expected ')', got ''"),
+    (1, "drop )", "1:77: expected ')', got ''", "line 2: 1:78: expected ')', got ''"),
+    (1, "insert @", "1:1: unexpected character '@'", "line 2: 1:1: unexpected character '@'"),
+    (1, "insert @", "1:26: unexpected character '@'", "line 2: 1:26: unexpected character '@'"),
+    (1, "insert @", "1:77: unexpected character '@'", "line 2: 1:77: unexpected character '@'"),
+    (1, "truncate", "1:31: expected ':[' after term", "line 2: 1:31: expected ':[' after term"),
+    (1, "truncate", "1:77: expected ')', got ''", "line 2: 1:78: expected ')', got ''"),
+    (1, "newline", None, "line 2: missing ';' before the justification"),
+    (1, "bad char after space", "1:6: unexpected character '#'",
+     "line 2: 1:6: unexpected character '#'"),
+    (1, "bad char after space", "1:76: unexpected character '%'",
+     "line 2: 1:76: unexpected character '%'"),
+    (2, "drop )", "1:37: expected ')', got ':['", "line 2: 1:37: expected ')', got ':['"),
+    (2, "drop )", "1:58: expected ')', got ''", "line 2: 1:59: expected ')', got ''"),
+    (2, "insert @", "1:1: unexpected character '@'", "line 2: 1:1: unexpected character '@'"),
+    (2, "insert @", "1:20: unexpected character '@'", "line 2: 1:20: unexpected character '@'"),
+    (2, "insert @", "1:58: unexpected character '@'", "line 2: 1:58: unexpected character '@'"),
+    (2, "truncate", "1:30: expected a formula, got ''", "line 2: 1:31: expected a formula, got ''"),
+    (2, "truncate", "1:58: expected ')', got ''", "line 2: 1:59: expected ')', got ''"),
+    (2, "newline", None, "line 2: missing ';' before the justification"),
+    (2, "bad char after space", "1:3: unexpected character '#'",
+     "line 2: 1:3: unexpected character '#'"),
+    (2, "bad char after space", "1:57: unexpected character '%'",
+     "line 2: 1:57: unexpected character '%'"),
+    (3, "drop )", "1:3: probability operators cannot occur inside an epistemic formula",
+     "line 2: 1:3: probability operators cannot occur inside an epistemic formula"),
+    (3, "drop )", "1:29: expected ')', got ''", "line 2: 1:30: expected ')', got ''"),
+    (3, "insert @", "1:1: unexpected character '@'", "line 2: 1:1: unexpected character '@'"),
+    (3, "insert @", "1:10: unexpected character '@'", "line 2: 1:10: unexpected character '@'"),
+    (3, "insert @", "1:29: unexpected character '@'", "line 2: 1:29: unexpected character '@'"),
+    (3, "truncate", "1:15: expected a formula, got ''", "line 2: 1:16: expected a formula, got ''"),
+    (3, "truncate", "1:29: expected ')', got ''", "line 2: 1:30: expected ')', got ''"),
+    (3, "newline", None, "line 2: missing ';' before the justification"),
+    (3, "bad char after space", "1:8: unexpected character '#'",
+     "line 2: 1:8: unexpected character '#'"),
+    (3, "bad char after space", "1:25: unexpected character '%'",
+     "line 2: 1:25: unexpected character '%'"),
+]
+
+
+def test_malformed_lines_keep_their_error_texts():
+    def error(read, text):
+        try:
+            read(text)
+        except (ParseError, ProofParseError) as exc:
+            return str(exc)
+        return None
+
+    got = []
+    for n, line in enumerate(_LINES):
+        for kind, bad in _malformed(line):
+            proof = f"1. {line} ; ax p\n2. {bad} ; ax p\n"
+            got.append((n, kind, error(parse_formula, bad),
+                        error(lambda t: parse_derivation(t, EMPTY), proof)))
+    assert got == _ERRORS

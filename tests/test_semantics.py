@@ -75,6 +75,12 @@ def test_relations_must_be_reflexive():
         EpistemicModel(["w", "u"], {"P": ident(["w"]), "V": ident(["w", "u"])}, {})
 
 
+def test_valuation_of_an_unknown_world_is_an_error():
+    rel = {"P": ident(["w"]), "V": ident(["w"])}
+    with pytest.raises(ModelError, match=r"^valuation mentions unknown world 'zz'$"):
+        EpistemicModel(["w"], rel, {"zz": ["p"]})
+
+
 def test_relations_must_be_transitive():
     rel = ident(["a", "b", "c"]) + [("a", "b"), ("b", "c")]
     with pytest.raises(ModelError, match=r"^R\[P\] is not transitive: 'a' -> 'b' -> 'c'$"):

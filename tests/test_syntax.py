@@ -40,6 +40,7 @@ from ipj.syntax import (
     print_eformula,
     print_formula,
     print_term,
+    tokenize,
 )
 
 
@@ -174,6 +175,34 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as exc:
         parse_formula("p &")
     assert exc.value.line == 1
+
+
+def test_tokenize_lines_and_columns():
+    cases = {
+        "p &\n  q ->\n\t~ c:k1 :[P]  r": [
+            ("ident", "p", 1, 1), ("&", "&", 1, 3), ("ident", "q", 2, 3), ("->", "->", 2, 5),
+            ("~", "~", 3, 2), ("const", "k1", 3, 4), (":[", ":[", 3, 9), ("ident", "P", 3, 11),
+            ("]", "]", 3, 12), ("ident", "r", 3, 15), ("eof", "", 3, 16),
+        ],
+        "Pr>= 1/2\n(\n p\n) ;\n": [
+            ("prop", "Pr>=", 1, 1), ("num", "1", 1, 6), ("/", "/", 1, 7), ("num", "2", 1, 8),
+            ("(", "(", 2, 1), ("ident", "p", 3, 2), (")", ")", 4, 1), (";", ";", 4, 3),
+            ("eof", "", 5, 1),
+        ],
+        # only "\n" starts a line
+        "x\r\ny z": [("ident", "x", 1, 1), ("ident", "y", 2, 1), ("ident", "z", 2, 3),
+                     ("eof", "", 2, 4)],
+        # a constant's name is the token after "c:", whatever it is
+        "c:c:x c:Pr>= 1": [
+            ("const", "c:", 1, 1), ("ident", "x", 1, 5), ("const", "Pr>=", 1, 7),
+            ("num", "1", 1, 14), ("eof", "", 1, 15),
+        ],
+    }
+    for text, want in cases.items():
+        assert [tuple(t) for t in tokenize(text)] == want, text
+    for text, where in (("p &\n  q\n @", "3:2"), ("  \t#", "1:4"), ("p - q", "1:3")):
+        with pytest.raises(ParseError, match=f"^{where}: unexpected character"):
+            tokenize(text)
 
 
 def test_literal_limits_are_parse_errors():
