@@ -8,6 +8,7 @@ report as a machine-readable object.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -171,7 +172,10 @@ def cmd_arith(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    ``main`` call in the process: parsing leaves no state in it."""
     ap = argparse.ArgumentParser(
         prog="ipj",
         description="verification kernel for a probabilistic two-agent justification logic",

@@ -251,11 +251,18 @@ class QEps:
         if len(a) <= 1 and len(b) <= 1 and self.den is _DEN1 and other.den is _DEN1:
             x, y = (a[0] if a else 0), (b[0] if b else 0)
             return (x > y) - (x < y)
-        d = self - other
-        if d.is_zero:
-            return 0
-        # the denominator's lowest-order coefficient is 1 by normalization
-        return 1 if d.num[_order(d.num)] > 0 else -1
+        return (self - other).sign()
+
+    def sign(self) -> int:
+        """-1, 0 or 1: the sign for small positive e.
+
+        The denominator's lowest-order coefficient is 1 by normalisation, so
+        the numerator's lowest-order nonzero coefficient decides.
+        """
+        for c in self.num:
+            if c:
+                return 1 if c > 0 else -1
+        return 0
 
     def __eq__(self, other):
         if not isinstance(other, (QEps, int, Fraction)):
@@ -280,10 +287,6 @@ class QEps:
 
     # -- standard part & approximation ----------------------------------------
 
-    @property
-    def is_finite(self) -> bool:
-        return self.is_zero or self.shift >= 0
-
     def std_part(self) -> Fraction:
         """The rational limit as e goes to 0 from above."""
         if self.is_zero:
@@ -306,7 +309,7 @@ class QEps:
         return d.is_zero or d.is_infinitesimal
 
     def in_unit_interval(self) -> bool:
-        return ZERO <= self <= ONE
+        return self.sign() >= 0 and self <= ONE
 
     # -- text ------------------------------------------------------------------
 

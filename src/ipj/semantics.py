@@ -376,22 +376,20 @@ class Quasimodel:
             raise ModelError("the distinguished world must belong to the sample")
         if set(self.measure) != set(self.sample):
             raise ModelError("the measure must assign a mass to each sample world")
-        # each mass object once: a model file's equal masses share one object
+        # each mass object once: a model file's equal masses share one object.
+        # Masses >= 0 that sum to exactly 1 are each <= 1, since Q[e] is an
+        # ordered field; only a failure scans for the first bad sample world.
         distinct = {id(m): m for m in self.measure.values()}.values()
-        if not all(m.in_unit_interval() for m in distinct):
-            u = next(u for u in self.sample if not self.measure[u].in_unit_interval())
-            raise ModelError(f"mass of {u!r} is outside the unit interval")
-        total = self.measure_event(self.sample)
-        if total != _ONE:
-            raise ModelError(f"masses sum to {total}, not 1")
+        if all(m.sign() >= 0 for m in distinct) and self.measure_event(self.sample) == _ONE:
+            return
+        for u in self.sample:
+            if not self.measure[u].in_unit_interval():
+                raise ModelError(f"mass of {u!r} is outside the unit interval")
+        raise ModelError(f"masses sum to {self.measure_event(self.sample)}, not 1")
 
     def event_mask(self, alpha: EFormula) -> int:
         """The sample worlds where ``alpha`` holds."""
         return self.base.truth_mask(alpha) & self.sample_mask
-
-    def event(self, alpha: EFormula) -> frozenset:
-        inside = _bits(self.event_mask(alpha), len(self.base.worlds))
-        return frozenset(u for u in self.sample if inside[self.base.index(u)])
 
     def measure_mask(self, mask: int) -> QEps:
         """The measure of the sample worlds in ``mask``."""

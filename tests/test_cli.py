@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ipj
 from ipj import protosim
-from ipj.cli import main
+from ipj.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -288,3 +292,48 @@ def test_zero_denominators_are_input_errors(capsys, tmp_path, argv):
     assert err.startswith("error:") and "Traceback" not in err
     if argv[0] == "check-proof":
         assert "line 1" in err
+
+
+# -- one parser per process ------------------------------------------------------------
+
+
+def run_in_fresh_process(*argv):
+    src = str(Path(ipj.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from ipj.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_or_exit(capsys, *argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_answers_like_a_fresh_one(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    model = tmp_path / "m.ipjm"
+    model.write_text(
+        "worlds: a b\nR[P]:\na -> a\nb -> b\nR[V]:\na -> a\nb -> b\nval:\na : p\n"
+        "U: a b\nmu:\na = 1/2\nb = 1/2\nw0: a\n"
+    )
+    calls = [
+        ("eval", "p"),  # usage error: --model is required
+        ("check-model",),  # ap.error: neither a file nor --random
+        ("check-model", "--random", "1", "--instances", "5", "--zk", "--json"),
+        ("check-model", "--random", "1", "--instances", "5"),  # neither --zk nor --json carries over
+        ("eval", "Pr>= 1/2 (p)", "--model", str(model), "--json"),
+        ("eval", "Pr>= 1/2 (p)", "--model", str(model)),
+    ]
+    codes = []
+    for argv in calls:
+        got = run_or_exit(capsys, *argv)
+        assert got == run_in_fresh_process(*argv), argv
+        codes.append(got[0])
+    assert codes == [2, 2, 0, 0, 0, 0]

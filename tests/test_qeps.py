@@ -1,5 +1,6 @@
 """Field, order, and standard-part laws of the exact infinitesimal field."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,11 @@ def qeps_values(draw):
 
 
 values = qeps_values()
+
+
+def is_finite(x):
+    """True iff ``x`` is not infinite: zero, or no net negative power of e."""
+    return x.is_zero or x.shift >= 0
 
 
 @given(values, values)
@@ -120,14 +126,14 @@ def test_epsilon_below_every_positive_rational():
 
 @given(values, values)
 def test_std_part_is_a_homomorphism(a, b):
-    if a.is_finite and b.is_finite:
+    if is_finite(a) and is_finite(b):
         assert (a + b).std_part() == a.std_part() + b.std_part()
         assert (a * b).std_part() == a.std_part() * b.std_part()
 
 
 def test_std_part_of_infinite_element_raises():
     inv = ONE / EPS
-    assert not inv.is_finite
+    assert not is_finite(inv)
     with pytest.raises(ValueError):
         inv.std_part()
 
@@ -151,6 +157,37 @@ def test_approx_eq():
     assert (half + EPS * EPS).approx_eq(Fraction(1, 2))
     assert not (half + QEps.from_rational(Fraction(1, 1000))).approx_eq(Fraction(1, 2))
     assert ONE.approx_eq(Fraction(1))
+
+
+# -- the sign decides the order --------------------------------------------------------
+
+
+@given(values, values)
+@settings(max_examples=300)
+def test_sign_is_multiplicative_and_odd(x, y):
+    assert (x * y).sign() == x.sign() * y.sign()
+    assert (-x).sign() == -x.sign()
+    assert x.compare(y) == (x - y).sign()
+
+
+def test_sign_is_the_sign_of_the_leading_term():
+    sympy = pytest.importorskip("sympy")
+    e = sympy.Symbol("e", positive=True)
+    rng = random.Random(14)
+
+    def poly():
+        return [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(rng.randint(0, 4))]
+
+    for _ in range(300):
+        num, den = poly(), poly()
+        if not any(den):
+            den = [Fraction(1)]
+        x = QEps(num, den)
+        # the value as given, before normalisation
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * e**i for i, c in enumerate(num))
+        expr /= sum(sympy.Rational(c.numerator, c.denominator) * e**i for i, c in enumerate(den))
+        leading = sympy.cancel(expr).as_leading_term(e)
+        assert x.sign() == int(sympy.sign(leading.subs(e, 1))), (num, den)
 
 
 def test_unit_interval_membership():

@@ -67,6 +67,12 @@ def q(x):
     return QEps.from_rational(Fraction(x))
 
 
+def event(qm, alpha):
+    """The sample worlds of ``qm`` where ``alpha`` holds."""
+    mask = qm.event_mask(alpha)
+    return frozenset(u for u in qm.sample if mask >> qm.base.index(u) & 1)
+
+
 # -- structural validation ---------------------------------------------------------
 
 
@@ -366,7 +372,7 @@ def test_complement_additivity_random():
     for _ in range(50):
         qm = generators.rand_model(rng)
         alpha = generators.rand_eformula(rng, 2)
-        total = qm.measure_of(alpha) + qm.measure_event(set(qm.sample) - qm.event(alpha))
+        total = qm.measure_of(alpha) + qm.measure_event(set(qm.sample) - event(qm, alpha))
         assert total == q(1)
 
 
@@ -375,7 +381,7 @@ def test_disjoint_additivity_random():
     for _ in range(50):
         qm = generators.rand_model(rng)
         a, b = generators.rand_eformula(rng, 2), generators.rand_eformula(rng, 2)
-        ea, eb = qm.event(a), qm.event(b)
+        ea, eb = event(qm, a), event(qm, b)
         assert qm.measure_event(ea | eb) + qm.measure_event(ea & eb) == qm.measure_event(
             ea
         ) + qm.measure_event(eb)
@@ -475,6 +481,54 @@ def test_mass_outside_the_unit_interval_names_the_first_sample_world():
     for sample, first in ((["u1", "u2", "u3"], "u2"), (["u3", "u2", "u1"], "u3")):
         with pytest.raises(ModelError, match=f"^mass of '{first}' is outside the unit interval$"):
             Quasimodel(m, sample, {"u1": q("1/2"), "u2": big, "u3": big}, "u1")
+
+
+def reference_mass_error(sample, measure):
+    """The first mass error, found the plain way: scan in sample order, then sum."""
+    for u in sample:
+        if not q(0) <= measure[u] <= q(1):
+            return f"mass of {u!r} is outside the unit interval"
+    total = sum((measure[u] for u in sample), q(0))
+    return None if total == q(1) else f"masses sum to {total}, not 1"
+
+
+def rand_mass(rng):
+    """A rational, a polynomial in e or a rational function, sometimes outside [0, 1]."""
+    def coefficients(size):
+        return [Fraction(rng.randint(-1, 3), rng.randint(1, 8)) for _ in range(size)]
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        return QEps.from_rational(coefficients(1)[0])
+    if kind == 1:
+        return QEps(coefficients(rng.randint(1, 3)))
+    return QEps(coefficients(rng.randint(1, 3)), (rng.randint(1, 3), rng.randint(-2, 2)))
+
+
+def test_masses_are_checked_like_the_plain_scan():
+    rng = random.Random(14)
+    worlds = [f"u{i}" for i in range(5)]
+    m = simple_model(worlds=worlds, rel={"P": ident(worlds), "V": ident(worlds)}, valuation={})
+    outcomes = {"ok": 0, "outside": 0, "sum": 0}
+    for _ in range(2_000):
+        sample = rng.sample(worlds, rng.randint(1, 5))
+        masses = []
+        for _ in sample[:-1]:
+            # an equal mass is often one shared object, as in a model file
+            masses.append(rng.choice(masses) if masses and rng.random() < 0.2 else rand_mass(rng))
+        rest = q(1) - sum(masses, q(0))
+        masses.append(rest if rng.random() < 0.7 else rand_mass(rng))
+        measure = dict(zip(sample, masses))
+        want = reference_mass_error(sample, measure)
+        if want is None:
+            Quasimodel(m, sample, measure, sample[0])
+            outcomes["ok"] += 1
+        else:
+            with pytest.raises(ModelError) as exc:
+                Quasimodel(m, sample, measure, sample[0])
+            assert str(exc.value) == want
+            outcomes["outside" if "outside" in want else "sum"] += 1
+    assert min(outcomes.values()) >= 200, outcomes
 
 
 def test_universe_errors():
@@ -607,3 +661,17 @@ def test_model_file_errors():
         parse_model_file(MODEL_TEXT.replace("u1 -> u2", "u1 -> zz"))
     with pytest.raises(ModelError):
         parse_model_file(MODEL_TEXT.replace("u2 = 1/2", "u2 = 1/3"))
+
+
+@pytest.mark.parametrize("masses, error", [
+    (("1/2", "-1/2"), "mass of 'u2' is outside the unit interval"),
+    (("3/2", "-1/2"), "mass of 'u1' is outside the unit interval"),  # sums to 1
+    (("1/2", "1/3"), "masses sum to 5/6, not 1"),
+    (("-1 e", "1 + 1 e"), "mass of 'u1' is outside the unit interval"),  # sums to 1
+])
+def test_model_file_mass_errors(masses, error):
+    text = MODEL_TEXT.replace("u1 = 1/2\nu2 = 1/2", "u1 = {}\nu2 = {}".format(*masses))
+    assert text != MODEL_TEXT
+    with pytest.raises(ModelError) as exc:
+        parse_model_file(text)
+    assert str(exc.value) == error
