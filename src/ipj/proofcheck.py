@@ -59,7 +59,6 @@ from .syntax import (
     fimp,
     fnot,
     formula_has_param,
-    instantiate_param,
     print_formula,
     thresh_complement,
 )
@@ -885,14 +884,6 @@ _RULES = {
     "param-approx": (_read_approx, "usage: param-approx <rational> template=<file>", _approx),
     "param-arch": (_read_template, "usage: param-arch template=<file>", _arch),
 }
-
-
-def instantiate_derivation(d: Derivation, v: int) -> Derivation:
-    """Replace the parameter with a concrete value in every line."""
-    lines = [
-        ProofLine(l.index, instantiate_param(l.formula, v), l.rule, l.args) for l in d.lines
-    ]
-    return Derivation(d.spec, lines, zk=d.zk, base_dir=d.base_dir)
 
 
 # ---------------------------------------------------------------------------

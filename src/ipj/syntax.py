@@ -29,7 +29,7 @@ expressions ``q + 1/v^j`` (see :class:`SymThresh`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -73,39 +73,83 @@ def comp_le(m: Complexity, n: Complexity) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# nodes
+# ---------------------------------------------------------------------------
+
+
+class _Node:
+    """A node of a term or formula tree.
+
+    Its hash is the dataclass hash, of the tuple of its fields, computed on
+    the first ``hash()`` and kept in ``_hash``: a tree is hashed once, not
+    again at every lookup of a tree that holds it.  ``_hash`` is no field,
+    so ``fields()``, ``==``, pickling and copying do not see it."""
+
+    __slots__ = ("_hash",)
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _node(cls):
+    """A frozen, slotted dataclass over :class:`_Node`, hashed once."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    # the dataclass's own refuse its fields, but on Python 3.11 they raise
+    # TypeError for any other name, as they refer to the class before slots
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:  # the first hash() of this node
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # terms
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Const:
+@_node
+class Const(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Var:
+@_node
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class App:
+@_node
+class App(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Sum:
+@_node
+class Sum(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Bang:
+@_node
+class Bang(_Node):
     inner: "Term"
 
 
-@dataclass(frozen=True)
-class Proto:
+@_node
+class Proto(_Node):
     complexity: Complexity
     inner: "Term"
 
@@ -118,30 +162,30 @@ Term = Union[Const, Var, App, Sum, Bang, Proto]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
+@_node
+class Atom(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class ENot:
+@_node
+class ENot(_Node):
     inner: "EFormula"
 
 
-@dataclass(frozen=True)
-class EAnd:
+@_node
+class EAnd(_Node):
     left: "EFormula"
     right: "EFormula"
 
 
-@dataclass(frozen=True)
-class Box:
+@_node
+class Box(_Node):
     agent: str
     inner: "EFormula"
 
 
-@dataclass(frozen=True)
-class Just:
+@_node
+class Just(_Node):
     term: Term
     agent: str
     inner: "EFormula"
@@ -227,30 +271,30 @@ def is_symbolic(s: Threshold) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Epistemic:
+@_node
+class Epistemic(_Node):
     inner: EFormula
 
 
-@dataclass(frozen=True)
-class ProbGeq:
+@_node
+class ProbGeq(_Node):
     threshold: Threshold
     inner: EFormula
 
 
-@dataclass(frozen=True)
-class ProbApprox:
+@_node
+class ProbApprox(_Node):
     r: Fraction
     inner: EFormula
 
 
-@dataclass(frozen=True)
-class FNot:
+@_node
+class FNot(_Node):
     inner: "Formula"
 
 
-@dataclass(frozen=True)
-class FAnd:
+@_node
+class FAnd(_Node):
     left: "Formula"
     right: "Formula"
 
@@ -422,19 +466,29 @@ class Token(NamedTuple):
     col: int
 
 
+class GroupToken(NamedTuple):
+    """A group ``"(" formula ")"`` lexed as one token: its node is the
+    memo's at ``key``."""
+
+    kind: str  # always "group"
+    text: str  # "(": an error at the group names its first character
+    line: int
+    col: int
+    key: tuple  # (allow_symbolic, the text of the group)
+
+
 _new_token = tuple.__new__  # Token(...) without the Python-level __new__
 
 
-def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text`` and an end token, each with its line and column.
+def _lex(text: str, pos: int, endpos: int, line: int, col: int, append) -> tuple[int, int]:
+    """Append the tokens of ``text[pos:endpos]``, which starts at ``line`` and
+    ``col``, and return the line and column at ``endpos``.
 
     ``line`` and ``col`` (both from 1) move on with each token's length and
-    each whitespace run's newlines."""
-    toks = []
-    append = toks.append
-    line, col = 1, 1
+    each whitespace run's newlines.  A token never spans a parenthesis, so
+    ``endpos`` may be any ``"("``."""
     const = None  # the position of a "c:" whose name is the next token
-    for ws, prop, const_prefix, num, ident, sym, bad in _TOKEN_RE.findall(text):
+    for ws, prop, const_prefix, num, ident, sym, bad in _TOKEN_RE.findall(text, pos, endpos):
         if ws:
             newlines = ws.count("\n")
             if newlines:
@@ -467,12 +521,78 @@ def tokenize(text: str) -> list[Token]:
             tok = _new_token(Token, ("const", tok.text, *const))
             const = None
         append(tok)
+    return line, col
+
+
+def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text`` and an end token, each with its line and column."""
+    toks: list = []
+    line, col = _lex(text, 0, len(text), 1, 1, toks.append)
+    toks.append(Token("eof", "", line, col))
+    return toks
+
+
+_PAREN_RE = re.compile(r"[()]")
+# what only a formula holds: a formula other than an atom holds one of these,
+# a term, a threshold and a bare atom ``(x)`` none
+_FORMULA_MARK_RE = re.compile(r"[~&|>]|:\[|\bbox\b|\bPr[<>=~]")
+
+
+def _tokenize_skipping(text: str, allow_symbolic: bool, memo: dict) -> list:
+    """:func:`tokenize`, except that a group is one :class:`GroupToken`, and
+    its text is not lexed, where ``memo`` holds its text or where the same
+    text comes earlier in ``text``: the parser reads that first copy and
+    keeps it in the memo before it comes to the later one.
+
+    A group whose text holds nothing that only a formula holds stays tokens,
+    as it may be a term: ``(t)``, ``(x)``, ``(s + t)``.  A group that holds
+    such a mark is no term, so where it is followed by ``:[``, ``+`` or
+    ``*`` the text is no formula: it fails, as without a memo."""
+    opens = []  # the offset of each "(", in text order
+    close = {}  # the offset of each "(" -> that of its matching ")"
+    opened = []
+    for m in _PAREN_RE.finditer(text):
+        at = m.start()
+        if text[at] == "(":
+            opens.append(at)
+            opened.append(at)
+        elif opened:
+            close[opened.pop()] = at
+    toks: list = []
+    append = toks.append
+    pos, line, col = 0, 1, 1
+    first = set()  # the keys of the groups read in this text, not in the memo
+    for at in opens:
+        end = close.get(at)
+        if at < pos or end is None:  # inside a group taken whole, or unclosed
+            continue
+        end += 1
+        key = (allow_symbolic, text[at:end])
+        if key not in memo and key not in first:
+            first.add(key)
+            continue
+        if not _FORMULA_MARK_RE.search(text, at, end):
+            continue
+        line, col = _lex(text, pos, at, line, col, append)
+        append(GroupToken("group", "(", line, col, key))
+        newlines = text.count("\n", at, end)
+        if newlines:
+            line += newlines
+            col = end - text.rfind("\n", at, end)
+        else:
+            col += end - at
+        pos = end
+    line, col = _lex(text, pos, len(text), line, col, append)
     append(Token("eof", "", line, col))
     return toks
 
 
 def _is_word(tok: Token, word: str) -> bool:
     return tok.kind == "ident" and tok.text == word
+
+
+# the kinds of token a threshold literal is written with
+_LITERAL_KINDS = frozenset(("num", "ident", "/", "+", "^", "(", ")"))
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +603,26 @@ def _is_word(tok: Token, word: str) -> bool:
 class Parser:
     """A recursive-descent reader over the tokens of one text.
 
-    ``memo``, when given, maps (``allow_symbolic``, the text of a group
-    ``"(" formula ")"``) to the formula read there, and the parser fills it.
-    A group whose text is in it is not read again: the parser takes the node
-    and goes on after the group's ``)``, so equal groups share one node.
-    Only groups read without an error go in, so errors and their positions
-    do not depend on the memo.
+    ``memo``, when given, is filled by the parser with what it read without
+    an error, and what it holds is not read again, so equal groups and equal
+    thresholds share one object:
+
+    - (``allow_symbolic``, the text of a group ``"(" formula ")"``) maps to
+      the formula read there.  Such a group is not even lexed again: it is
+      one token that names its node (see :func:`_tokenize_skipping`).
+    - (whether the operator is ``Pr~``, which reads a rational and not a
+      literal, ``allow_symbolic``, the token texts of a threshold) maps to
+      the threshold read from them.
+
+    :func:`parse_formula` reads a text that fails with a memo once more
+    without one, so errors and their positions do not depend on the memo.
     """
 
     def __init__(self, text: str, allow_symbolic: bool = True, memo: Optional[dict] = None):
-        self.toks = tokenize(text)
+        if memo is None:
+            self.toks = tokenize(text)
+        else:
+            self.toks = _tokenize_skipping(text, allow_symbolic, memo)
         self.i = 0
         self.allow_symbolic = allow_symbolic
         self.text = text
@@ -621,21 +751,20 @@ class Parser:
         return f
 
     def group(self) -> Formula:
-        """``"(" formula ")"``, taken from the memo when its text is there."""
-        close = self.close.get(self.i)
-        key = None
-        if self.memo is not None and close is not None:
-            key = (self.allow_symbolic, self.source(self.i, close))
-            f = self.memo.get(key)
-            if f is not None:
-                self.i = close + 1
-                return f
+        """``"(" formula ")"``, or the node of a group the memo holds."""
+        tok = self.peek()
+        if tok.kind == "group":
+            f = self.memo.get(tok.key)
+            if f is None:  # its first copy was no formula group
+                self.error("expected a formula group")
+            self.i += 1
+            return f
+        start = self.i
         self.expect("(")
         f = self.formula()
-        # parentheses nest in every production, so this ")" is token `close`
         self.expect(")")
-        if key is not None:
-            self.memo[key] = f
+        if self.memo is not None:
+            self.memo[self.allow_symbolic, self.source(start, self.i - 1)] = f
         return f
 
     def form_and(self) -> Formula:
@@ -659,7 +788,7 @@ class Parser:
             self.expect("]")
             inner = self.form_unary()
             return Epistemic(Box(a, self.require_efml(inner, tok)))
-        if tok.kind == "(":
+        if tok.kind == "(" or tok.kind == "group":
             # a parenthesized formula, or a parenthesized term in front of a
             # justification separator; a term reading can end at ":[" only if
             # the token after the matching ")" goes on with a term or is ":["
@@ -677,7 +806,7 @@ class Parser:
             if self.peek().kind == ":[":
                 self.error("a justified formula needs a term on the left of ':['")
             return f
-        if tok.kind in ("ident", "const", "!") or (tok.kind == "ident" and tok.text == "f"):
+        if tok.kind in ("ident", "const", "!"):
             mark = self.i
             t = self.term()
             if self.peek().kind == ":[":
@@ -733,6 +862,35 @@ class Parser:
     #   "v" | rational "v" | int "/v" | int "/v^" posint
 
     def threshold(self, op: str):
+        """The threshold after ``op``; with a memo, each text is read once."""
+        if self.memo is None:
+            return self.read_threshold(op)
+        start, end = self.i, self.literal_end()
+        key = (op == "Pr~", self.allow_symbolic, tuple(t.text for t in self.toks[start:end]))
+        s = self.memo.get(key)
+        if s is None:
+            s = self.read_threshold(op)
+            if self.i == end:
+                self.memo[key] = s
+        else:
+            self.i = end
+        return s
+
+    def literal_end(self) -> int:
+        """The index of the first token after the literal at token i, found
+        without reading it: the first of a kind no literal is written with,
+        or the ``(`` of the body.  Within these kinds a token's text tells
+        its kind, and the reader takes each token it can end on alike."""
+        toks = self.toks
+        i = j = self.i
+        while toks[j].kind in _LITERAL_KINDS:
+            # only the polys of the fraction form start with "("
+            if toks[j].kind == "(" and j > i and toks[j - 1].kind != "/":
+                break
+            j += 1
+        return j
+
+    def read_threshold(self, op: str):
         tok = self.peek()
         if op == "Pr~":
             r = self.rational()
@@ -843,11 +1001,19 @@ def parse_term(text: str) -> Term:
 
 def parse_formula(text: str, allow_symbolic: bool = True, memo: Optional[dict] = None) -> Formula:
     """Read a formula; ``memo`` shares groups between calls (see :class:`Parser`)."""
-    p = Parser(text, allow_symbolic=allow_symbolic, memo=memo)
-    f = p.formula()
-    if not p.at_end():
-        p.error(f"trailing input: {p.peek().text!r}")
-    return f
+    try:
+        p = Parser(text, allow_symbolic=allow_symbolic, memo=memo)
+        f = p.formula()
+        if not p.at_end():
+            p.error(f"trailing input: {p.peek().text!r}")
+        return f
+    except ParseError:
+        if memo is None:
+            raise
+    # a group token stands where the text has no formula group only in a text
+    # that fails, and it may fail elsewhere there: read it again without the
+    # memo, for the error of a read without one
+    return parse_formula(text, allow_symbolic=allow_symbolic)
 
 
 def parse_eformula(text: str) -> EFormula:
@@ -933,22 +1099,3 @@ def print_formula(f: Formula) -> str:
 # -- justified-term precedence note -----------------------------------------
 # Just bodies print the left term at prefix precedence, so sums and
 # applications are parenthesized there: `(s + t) :[P] p` reparses correctly.
-
-
-# ---------------------------------------------------------------------------
-# parametric-formula helpers (used by the proof checker)
-# ---------------------------------------------------------------------------
-
-
-def instantiate_param(f: Formula, v: Union[int, Fraction]) -> Formula:
-    """Replace every parametric threshold with its value at the given v."""
-    if isinstance(f, ProbGeq):
-        s = f.threshold
-        if isinstance(s, SymThresh):
-            return ProbGeq(QEps.from_rational(s.instantiate(v)), f.inner)
-        return f
-    if isinstance(f, FNot):
-        return FNot(instantiate_param(f.inner, v))
-    if isinstance(f, FAnd):
-        return FAnd(instantiate_param(f.left, v), instantiate_param(f.right, v))
-    return f

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ipj import generators, proofcheck
+from ipj import generators, proofcheck, syntax
 from ipj.ispec import InteractionSpec, load_spec
 from ipj.proofcheck import (
     CheckReport,
@@ -15,7 +15,6 @@ from ipj.proofcheck import (
     ProofParseError,
     check_derivation,
     cmp_thresh,
-    instantiate_derivation,
     instantiate_schema,
     is_tautology,
     load_derivation_file,
@@ -29,7 +28,12 @@ from ipj.proofcheck import (
 from ipj.qeps import QEps
 from ipj.syntax import (
     Epistemic,
+    FAnd,
+    FNot,
     ParseError,
+    ProbApprox,
+    ProbGeq,
+    RangeError,
     SymThresh,
     dest_fimp,
     parse_eformula,
@@ -318,6 +322,26 @@ def test_golden_proofs_valid():
         assert rep.valid, (name, rep.render())
 
 
+def instantiate_param(f, v):
+    """f with every parametric threshold replaced by its value at v."""
+    if isinstance(f, ProbGeq) and isinstance(f.threshold, SymThresh):
+        return ProbGeq(QEps.from_rational(f.threshold.instantiate(v)), f.inner)
+    if isinstance(f, FNot):
+        return FNot(instantiate_param(f.inner, v))
+    if isinstance(f, FAnd):
+        return FAnd(instantiate_param(f.left, v), instantiate_param(f.right, v))
+    return f
+
+
+def instantiate_derivation(d, v):
+    """d with the parameter replaced by the value v in every line."""
+    lines = [
+        proofcheck.ProofLine(l.index, instantiate_param(l.formula, v), l.rule, l.args)
+        for l in d.lines
+    ]
+    return Derivation(d.spec, lines, zk=d.zk, base_dir=d.base_dir)
+
+
 def test_template_instantiation_consistency():
     # symbolic acceptance implies concrete acceptance at several values
     spec = load_spec(open(os.path.join(GOLDEN, "golden.ispec")).read())
@@ -568,6 +592,165 @@ def test_equal_groups_are_one_node():
     again = parse_derivation(text, EMPTY)
     assert again.lines == d.lines
     assert _core(dest_fimp(again.lines[0].formula)[0]) is not group
+
+
+# formulas where a group the memo holds, or its text, is no formula group,
+# after lines that put those groups in the memo
+_SKIP_CASES = (
+    "(x) -> ((x))",
+    "(p & q) -> ((p & q) -> Pr>= 1/2 + 1 e (p))",
+    "f[1]((x)) :[P] p",
+    "((x)) :[P] p",
+    "(x) + y :[P] p",
+    "Pr>= (1)/(2 + 1 e) (p)",
+    "Pr>= (1)/(2 + 1 e) (p & q)",
+)
+_SKIP_ERRORS = (
+    "(p & q) :[P] r",
+    "(p & q) + t :[P] r",
+    "f[1]((p & q)) :[P] p",
+    "Pr>= (p & q)/(1) (p)",
+    "Pr>= 1/2 + 1 c:e (p)",
+    "p (p & q)",
+)
+
+
+def _mutants(rng, text):
+    """text with a character put in, with one taken out and with a parenthesis doubled."""
+    i = rng.randrange(len(text) + 1)
+    out = [text[:i] + rng.choice("()~&|->:[]Pp1/e+*!c ") + text[i:]]
+    i = rng.randrange(len(text))
+    out.append(text[:i] + text[i + 1:])
+    parens = [i for i, c in enumerate(text) if c in "()"]
+    if parens:
+        i = rng.choice(parens)
+        out.append(text[:i] + text[i] + text[i:])
+    return out
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except (ParseError, ProofParseError) as exc:
+        return str(exc)
+
+
+def _check_memo(memo):
+    """Every entry of a parser memo is what a read without one gives."""
+    for key, value in memo.items():
+        if len(key) == 2:  # (allow_symbolic, the text of a group)
+            assert parse_formula(key[1], allow_symbolic=key[0]) == value, key
+        else:  # (Pr~, allow_symbolic, the token texts of a threshold)
+            op = "Pr~" if key[0] else "Pr>="
+            f = parse_formula(f"{op} {' '.join(key[2])} (p)", allow_symbolic=key[1])
+            assert _thresholds(f) == [value], key
+
+
+def test_skipped_groups_read_like_no_memo(monkeypatch):
+    spec = load_spec(open(os.path.join(GOLDEN, "golden.ispec")).read())
+    rng = random.Random(9)
+    good = list(_SKIP_CASES)
+    for _ in range(25):
+        schema = rng.choice(proofcheck.SCHEMA_IDS)
+        f = generators.rand_axiom_instance(
+            rng, schema, spec=spec, spec_formula=rng.choice(spec.formulas()), k=2
+        )
+        a = print_formula(f)
+        good += [a, f"({a}) -> (q -> ({a}))", f"q -> ({a})"]
+        if isinstance(f, Epistemic):
+            good += [f"box[V] ({a})", f"Pr>= 1 ({a})", f"c:k1 :[V] ({a})"]
+    # one memo for every text, over many lines each: whatever it holds, and
+    # wherever a group spans lines, a text reads as it does without a memo
+    memo = {}
+    for a in good + list(_SKIP_ERRORS):
+        spread = a.replace(" ", "\n ")
+        for text in (a, spread, *_mutants(rng, a), *_mutants(rng, spread)):
+            want = _outcome(parse_formula, text)
+            assert _outcome(lambda t: parse_formula(t, memo=memo), text) == want, text
+    _check_memo(memo)
+    # a proof file whose line k is faulty or a case of its own
+    fresh = [parse_formula(a) for a in good]
+    lines = [f"{i}. {a} ; ax p" for i, a in enumerate(good, 1)]
+    for k in rng.sample(range(len(good)), 30):
+        for bad in (*_mutants(rng, good[k]), rng.choice(_SKIP_ERRORS)):
+            proof = "\n".join(lines[:k] + [f"{k + 1}. {bad} ; ax p"] + lines[k + 1:])
+            got = _outcome(lambda t: parse_derivation(t, spec), proof)
+            want = _outcome(parse_formula, f"{bad} ")
+            if isinstance(want, str):
+                assert got == f"line {k + 1}: {want}", proof
+            else:
+                assert [line.formula for line in got.lines] == fresh[:k] + [want] + fresh[k + 1:]
+    # a file without a fault is read once: no line falls back to a read without memo
+    lexed, tokenize = [], syntax.tokenize
+    monkeypatch.setattr(syntax, "tokenize", lambda text: lexed.append(text) or tokenize(text))
+    assert [line.formula for line in parse_derivation("\n".join(lines), spec).lines] == fresh
+    assert lexed == []
+
+
+def _thresholds(f):
+    """The thresholds of the probability formulas of f, left to right."""
+    if isinstance(f, FNot):
+        return _thresholds(f.inner)
+    if isinstance(f, FAnd):
+        return _thresholds(f.left) + _thresholds(f.right)
+    if isinstance(f, ProbApprox):
+        return [f.r]
+    return [f.threshold] if isinstance(f, ProbGeq) else []
+
+
+def test_thresholds_read_once_per_file():
+    text = (
+        "1. Pr>= 1/3 (p) ; ax p\n"
+        "2. Pr< 1/3 (q) & Pr= 1/3 (r) ; ax p\n"
+        "3. Pr~ 1/3 (p) -> Pr~ 1/3 (q) ; ax p\n"
+        "4. Pr>= 1 + -1/v (p) & Pr>= 1 + -1/v (q) & Pr>= 1 e (p) ; ax p\n"
+    )
+    d = parse_derivation(text, EMPTY)
+    found = [_thresholds(line.formula) for line in d.lines]
+    third, sym = q("1/3"), SymThresh(Fraction(1), Fraction(-1), 1)
+    assert found[:2] == [[third], [third, q("2/3"), third]]
+    assert found[2] == [Fraction(1, 3)] * 2 and found[3][:2] == [sym, sym]
+    # equal thresholds within a file are one object; Pr= adds its complement
+    assert len({id(s) for s in found[0] + found[1] if s == third}) == 1
+    assert found[2][0] is found[2][1] and found[3][0] is found[3][1]
+    again = [_thresholds(line.formula) for line in parse_derivation(text, EMPTY).lines]
+    assert again == found
+    assert again[0][0] is not found[0][0] and again[3][0] is not found[3][0]
+
+
+def test_threshold_memo_keeps_errors():
+    # read with and without the parameter allowed, in both orders
+    for order in ((True, False), (False, True)):
+        memo = {}
+        for symbolic in order:
+            text = "Pr>= 1 + -1/v (p)"
+            want = _outcome(lambda t: parse_formula(t, allow_symbolic=symbolic), text)
+            assert _outcome(lambda t: parse_formula(t, allow_symbolic=symbolic, memo=memo), text) == want
+    assert _outcome(lambda t: parse_formula(t, allow_symbolic=False), "Pr>= 1 + -1/v (p)") == (
+        "1:6: the parameter v occurs only in proof templates"
+    )
+    # an out-of-range threshold is read afresh, with its error, on every line
+    memo = {}
+    for text, want in (
+        ("Pr>= 3/2 (p) & q", "1:6: probability threshold 3/2 outside [0,1]"),
+        ("Pr>= 3/2 (q)", "1:6: probability threshold 3/2 outside [0,1]"),
+        ("p & Pr~ 2 (p)", "1:9: approximate-probability threshold 2 outside [0,1]"),
+        ("Pr~ 2 (q)", "1:5: approximate-probability threshold 2 outside [0,1]"),
+    ):
+        for _ in range(2):
+            with pytest.raises(RangeError) as exc:
+                parse_formula(text, memo=memo)
+            assert str(exc.value) == want
+    assert not memo
+    # a threshold that does not reach the body is not kept either
+    for text, want in (
+        ("Pr>= 1/2 p (q)", "1:10: expected '(', got 'p'"),
+        ("Pr>= 1 e e (q)", "1:10: expected '(', got 'e'"),
+        ("Pr~ 1/2 + 1 e (q)", "1:9: expected '(', got '+'"),
+    ):
+        for _ in range(2):
+            assert _outcome(lambda t: parse_formula(t, memo=memo), text) == want
+    assert not memo
 
 
 _LINES = (

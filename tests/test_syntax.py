@@ -1,6 +1,9 @@
 """Parsing, printing, and desugaring of terms and formulas."""
 
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import pytest
@@ -33,7 +36,6 @@ from ipj.syntax import (
     fimp,
     fnot,
     formula_has_param,
-    instantiate_param,
     parse_eformula,
     parse_formula,
     parse_term,
@@ -137,7 +139,7 @@ def test_symbolic_thresholds():
     f = parse_formula("Pr>= 1 + -1/v (p)")
     assert f == ProbGeq(SymThresh(Fraction(1), Fraction(-1), 1), Atom("p"))
     assert formula_has_param(f)
-    assert instantiate_param(f, 2) == ProbGeq(q("1/2"), Atom("p"))
+    assert f.threshold.instantiate(2) == Fraction(1, 2)
     g = parse_formula("Pr= v (p)")
     assert formula_has_param(g)
     with pytest.raises(ParseError):
@@ -239,3 +241,67 @@ def test_eformula_roundtrip_sample():
     for _ in range(300):
         e = generators.rand_eformula(rng)
         assert parse_eformula(print_eformula(e)) == e
+
+
+# -- nodes -----------------------------------------------------------------------
+
+_T = Var("t")
+_A = Atom("p")
+# one node of each class, with its declared fields
+_NODES = [
+    (Const("k1"), ("name",)),
+    (_T, ("name",)),
+    (App(Const("k1"), _T), ("left", "right")),
+    (Sum(_T, Var("s")), ("left", "right")),
+    (Bang(_T), ("inner",)),
+    (Proto(OMEGA, _T), ("complexity", "inner")),
+    (Proto(3, _T), ("complexity", "inner")),
+    (_A, ("name",)),
+    (ENot(_A), ("inner",)),
+    (EAnd(_A, Atom("q")), ("left", "right")),
+    (Box("P", _A), ("agent", "inner")),
+    (Just(Sum(_T, Var("s")), "V", Box("P", _A)), ("term", "agent", "inner")),
+    (Epistemic(_A), ("inner",)),
+    # a QEps threshold cannot be pickled or copied, so this one is parametric
+    (ProbGeq(SymThresh(Fraction(1), Fraction(-1), 1), _A), ("threshold", "inner")),
+    (ProbApprox(Fraction(1, 2), _A), ("r", "inner")),
+    (FNot(Epistemic(_A)), ("inner",)),
+    (FAnd(Epistemic(_A), ProbApprox(Fraction(1), _A)), ("left", "right")),
+]
+
+
+def test_every_node_class_is_covered():
+    classes = {type(n) for n, _ in _NODES}
+    assert classes == {Const, Var, App, Sum, Bang, Proto, Atom, ENot, EAnd, Box, Just,
+                       Epistemic, ProbGeq, ProbApprox, FNot, FAnd}
+
+
+def test_node_hash_is_the_hash_of_its_fields():
+    for node, names in _NODES:
+        want = hash(tuple(getattr(node, f.name) for f in fields(node)))
+        assert hash(node) == want, node
+        assert hash(node) == want, node  # the kept hash
+        assert tuple(f.name for f in fields(node)) == names
+    # hashed before its parts, a tree hashes alike
+    fresh = parse_formula("(x + y) :[P] (p -> q) & Pr~ 1/2 (f[w](t) :[V] box[P] p)")
+    again = parse_formula("(x + y) :[P] (p -> q) & Pr~ 1/2 (f[w](t) :[V] box[P] p)")
+    hash(again.left.inner.term)
+    assert hash(fresh) == hash(again) and fresh == again
+
+
+def test_nodes_are_frozen():
+    for node, names in _NODES:
+        for name in (*names, "_hash", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(node, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(node, name)
+
+
+def test_node_copies_equal_the_node_and_hash_afresh():
+    for node, _ in _NODES:
+        h = hash(node)
+        for twin in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node)):
+            assert not hasattr(twin, "_hash"), node
+            assert twin == node and twin is not node
+            assert hash(twin) == h
