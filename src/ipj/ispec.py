@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from fractions import Fraction
+from typing import Optional
 
 from . import syntax
 from .syntax import EFormula
@@ -29,58 +30,46 @@ class DuplicateEntry(ISpecError):
 
 
 @dataclass(frozen=True)
-class ConstantFn:
-    m: int
+class ThresholdFn:
+    """m(k): the table's value at a listed k, else the polynomial ``tail``
+    (coefficients of k^0, k^1, ...) at k, else undefined."""
+
+    table: tuple[tuple[int, int], ...] = ()
+    tail: tuple[int, ...] = ()
 
     def value_at(self, k: int) -> Optional[int]:
-        return self.m
-
-    @property
-    def is_total(self) -> bool:
-        return True
-
-    def describe(self) -> str:
-        return f"const {self.m}"
-
-
-@dataclass(frozen=True)
-class PolynomialFn:
-    coeffs: tuple[int, ...]  # m(k) = sum coeffs[i] * k**i
-
-    def value_at(self, k: int) -> Optional[int]:
-        return sum(c * k**i for i, c in enumerate(self.coeffs))
-
-    @property
-    def is_total(self) -> bool:
-        return True
-
-    def describe(self) -> str:
-        return "poly " + " ".join(str(c) for c in self.coeffs)
-
-
-@dataclass(frozen=True)
-class TableFn:
-    entries: tuple[tuple[int, int], ...]
-    default: Optional[int] = None
-
-    def value_at(self, k: int) -> Optional[int]:
-        for kk, m in self.entries:
+        for kk, m in self.table:
             if kk == k:
                 return m
-        return self.default
+        if self.tail:
+            return sum(c * k**i for i, c in enumerate(self.tail))
+        return None
 
     @property
     def is_total(self) -> bool:
-        return self.default is not None
-
-    def describe(self) -> str:
-        s = "table " + " ".join(f"{k} -> {m}" for k, m in self.entries)
-        if self.default is not None:
-            s += f" default {self.default}"
-        return s
+        return bool(self.tail)
 
 
-ThresholdFn = Union[ConstantFn, PolynomialFn, TableFn]
+def error(n: int, k: int) -> Fraction:
+    """The error bound 1/n^k of a protocol run at complexity n above m(k)."""
+    return Fraction(1, n**k)
+
+
+def error_exponent(n: int, x: Fraction) -> Optional[int]:
+    """The least k with ``error(n, k) == x``, or None if there is none.
+
+    The denominator of x is divided by n, so no power of n is built: the
+    work is bounded by the size of x, whatever k a caller expects.
+    """
+    if x.numerator != 1 or n < 1 or (n == 1 and x != 1):
+        return None
+    d, k = x.denominator, 0
+    while d > 1:
+        d, r = divmod(d, n)
+        if r:
+            return None
+        k += 1
+    return k
 
 
 @dataclass
@@ -115,9 +104,6 @@ class InteractionSpec:
     def formulas(self) -> list[EFormula]:
         return [f for f, _ in self.entries.values()]
 
-    def dump(self) -> str:
-        return "".join(f"{key} : {fn.describe()}\n" for key, (_, fn) in self.entries.items())
-
 
 _ENTRY_RE = re.compile(r"^(?P<formula>.*?)\s*:\s*(?P<kind>const|poly|table)\s+(?P<rest>.*)$")
 _PAIR_RE = re.compile(r"(\d+)\s*->\s*(\d+)")
@@ -150,16 +136,16 @@ def load_spec(text: str) -> InteractionSpec:
 
 def _parse_fn(kind: str, rest: str) -> ThresholdFn:
     if kind == "const":
-        return ConstantFn(_nat(rest))
+        return ThresholdFn(tail=(_nat(rest),))
     if kind == "poly":
         coeffs = tuple(_nat(w) for w in rest.split())
         if not coeffs:
             raise ValueError("poly needs at least one coefficient")
-        return PolynomialFn(coeffs)
-    default = None
+        return ThresholdFn(tail=coeffs)
+    tail = ()
     dm = re.search(r"\bdefault\s+(\d+)\s*$", rest)
     if dm:
-        default = int(dm.group(1))
+        tail = (int(dm.group(1)),)
         rest = rest[: dm.start()]
     pairs = tuple((int(a), int(b)) for a, b in _PAIR_RE.findall(rest))
     leftover = _PAIR_RE.sub("", rest).strip()
@@ -167,9 +153,9 @@ def _parse_fn(kind: str, rest: str) -> ThresholdFn:
         raise ValueError(f"bad table entry near {leftover!r}")
     if len({k for k, _ in pairs}) != len(pairs):
         raise ValueError("table has duplicate k entries")
-    if not pairs and default is None:
+    if not pairs and not tail:
         raise ValueError("empty table")
-    return TableFn(pairs, default)
+    return ThresholdFn(pairs, tail)
 
 
 def _nat(w: str) -> int:

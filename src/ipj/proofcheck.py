@@ -26,7 +26,7 @@ from functools import partial
 from fractions import Fraction
 from typing import Optional
 
-from .ispec import InteractionSpec
+from .ispec import InteractionSpec, error, error_exponent
 from .qeps import QEps
 from . import syntax
 from .syntax import (
@@ -59,7 +59,6 @@ from .syntax import (
     fimp,
     fnot,
     formula_has_param,
-    print_formula,
     thresh_complement,
 )
 
@@ -186,42 +185,38 @@ def thresh_is_rational_valued(s: Threshold, symctx: SymCtx) -> bool:
 _MAX_TAUT_LEAVES = 16
 
 
-def _skeleton(f: Formula, leaves: dict[str, int]):
-    if isinstance(f, FNot):
-        return ("not", _skeleton(f.inner, leaves))
-    if isinstance(f, FAnd):
-        return ("and", _skeleton(f.left, leaves), _skeleton(f.right, leaves))
+def _opaque(f, leaves: dict):
+    """Add f's non-boolean subformulas to ``leaves``, in first-seen order."""
+    if isinstance(f, (FNot, ENot, Epistemic)):
+        _opaque(f.inner, leaves)
+    elif isinstance(f, (FAnd, EAnd)):
+        _opaque(f.left, leaves)
+        _opaque(f.right, leaves)
+    else:
+        leaves[f] = None
+
+
+def _truth_mask(f, masks: dict, full: int) -> int:
+    """Bit i is f's value under assignment i, given each leaf's mask."""
+    if isinstance(f, (FNot, ENot)):
+        return full ^ _truth_mask(f.inner, masks, full)
+    if isinstance(f, (FAnd, EAnd)):
+        return _truth_mask(f.left, masks, full) & _truth_mask(f.right, masks, full)
     if isinstance(f, Epistemic):
-        return _eskeleton(f.inner, leaves)
-    key = print_formula(f)
-    return ("leaf", leaves.setdefault(key, len(leaves)))
-
-
-def _eskeleton(f: EFormula, leaves: dict[str, int]):
-    if isinstance(f, ENot):
-        return ("not", _eskeleton(f.inner, leaves))
-    if isinstance(f, EAnd):
-        return ("and", _eskeleton(f.left, leaves), _eskeleton(f.right, leaves))
-    key = syntax.print_eformula(f)
-    return ("leaf", leaves.setdefault(key, len(leaves)))
-
-
-def _eval_skel(sk, bits: int) -> bool:
-    tag = sk[0]
-    if tag == "leaf":
-        return bool(bits >> sk[1] & 1)
-    if tag == "not":
-        return not _eval_skel(sk[1], bits)
-    return _eval_skel(sk[1], bits) and _eval_skel(sk[2], bits)
+        return _truth_mask(f.inner, masks, full)
+    return masks[f]
 
 
 def is_tautology(f: Formula) -> Optional[bool]:
     """True/False, or None when there are too many opaque leaves to decide."""
-    leaves: dict[str, int] = {}
-    sk = _skeleton(f, leaves)
+    leaves: dict = {}
+    _opaque(f, leaves)
     if len(leaves) > _MAX_TAUT_LEAVES:
         return None
-    return all(_eval_skel(sk, bits) for bits in range(1 << len(leaves)))
+    full = (1 << (1 << len(leaves))) - 1
+    # leaf j is true under assignment i iff bit j of i is set
+    masks = {leaf: full // ((1 << (1 << j)) + 1) << (1 << j) for j, leaf in enumerate(leaves)}
+    return _truth_mask(f, masks, full) == full
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +380,17 @@ def _infer_nk(x: Fraction, n: int, ctx: MatchContext) -> int:
     """Find k with x == 1/n^k, honoring an explicit k hint."""
     _need(0 < x <= 1, "bound must be in (0, 1]")
     _need(n >= 1, "bound denominator is not a power of n")
+    k = error_exponent(n, x)  # any k fits when n == 1 and x == 1
     k_hint = ctx.hints.get("k")
     if k_hint is not None:
-        _need(x == Fraction(1, n**k_hint), "threshold does not equal 1 - 1/n^k for the stated k")
+        _need(k is not None and (k == k_hint or n == 1),
+              "threshold does not equal 1 - 1/n^k for the stated k")
         return k_hint
     _need(x.numerator == 1, "bound is not of the form 1/n^k")
     if n == 1:
         _need(x == 1, "bound must be 1 when n = 1")
         return 1
-    nk, k, power = x.denominator, 0, 1
-    while power < nk:
-        power *= n
-        k += 1
-    _need(k >= 1 and power == nk, "bound denominator is not a power of n")
+    _need(k is not None and k >= 1, "bound denominator is not a power of n")
     return k
 
 
@@ -422,13 +415,14 @@ def _side_bound(b: dict, ctx: MatchContext):
     """c, s and zk1: the error bound q is 1/n^k, and n > m(k) in the spec."""
     n, q = b["n"], b["q"]
     _need(isinstance(n, int), "the axiom needs a finite complexity")
+    _need(ctx.hints.get("n", n) == n, "complexity does not equal the stated n")
     _need(isinstance(q, QEps) and q.is_rational, "threshold must be rational")
     b["k"] = _infer_nk(q.as_rational(), n, ctx)
     b["m"] = _interaction_side(b["alpha"], n, b["k"], ctx)
 
 
 def _derive_q(b: dict) -> dict:
-    return {"q": QEps.from_rational(Fraction(1, b["n"] ** b["k"]))}
+    return {"q": QEps.from_rational(error(b["n"], b["k"]))}
 
 
 def _side_limit(b: dict, ctx: MatchContext):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import syntax
-from .ispec import InteractionSpec
+from .ispec import InteractionSpec, error
 from .qeps import QEps
 from .semantics import EpistemicModel, Quasimodel, Report, check_independence
 from .syntax import Atom, Box, EFormula, Just, Proto, Term, Var
@@ -38,7 +38,6 @@ _MAX_NMAX = 1000  # a witness model has about n_max worlds
 class RoundConfig:
     rounds: int
     per_round_error: Fraction
-    secret_term: Term = Var("t")
     claim: EFormula = Atom("accept")
     honest: bool = True
 
@@ -54,8 +53,6 @@ class RoundConfig:
             raise ConfigError("the per-round error must be strictly between 0 and 1")
         if not isinstance(self.claim, Atom):
             raise ConfigError("the claim must be a single atom")
-        if not syntax.is_f_free(self.secret_term):
-            raise ConfigError("the secret term must not mention protocol runs")
 
 
 @dataclass
@@ -168,30 +165,20 @@ def build_interaction_witness(
     # least threshold; with exponent k each level's 1 - 1/n^k >= 1 - 1/n^j
     low = min(m for m in map(fn.value_at, range(1, k + 1)) if m is not None)
     eps = QEps.epsilon()
-    one = QEps.from_rational(1)
     levels = list(range(low + 1, n_max + 1))
     worlds = [f"u{j}" for j in levels] + ["ustar", "uout"]
     identity = [(w, w) for w in worlds]
 
     # fractions of the event mass added at each level; they sum to 1
-    shares: dict[str, QEps] = {}
-    shares[f"u{levels[0]}"] = QEps.from_rational(1 - Fraction(1, levels[0] ** k))
-    for j in levels[1:]:
-        shares[f"u{j}"] = QEps.from_rational(
-            Fraction(1, (j - 1) ** k) - Fraction(1, j**k)
-        )
-    shares["ustar"] = QEps.from_rational(Fraction(1, n_max**k))
+    errors = [Fraction(1)] + [error(j, k) for j in levels]
+    shares = {f"u{j}": QEps.from_rational(a - b) for j, a, b in zip(levels, errors, errors[1:])}
+    shares["ustar"] = QEps.from_rational(errors[-1])
 
-    measure: dict[str, QEps] = {}
     if honest:
-        for w, share in shares.items():
-            measure[w] = share
-        measure["ustar"] = shares["ustar"] - eps
-        measure["uout"] = eps
+        measure = {**shares, "ustar": shares["ustar"] - eps, "uout": eps}
     else:
-        for w, share in shares.items():
-            measure[w] = share * eps
-        measure["uout"] = one - eps
+        measure = {w: share * eps for w, share in shares.items()}
+        measure["uout"] = QEps.from_rational(1) - eps
 
     atoms = sorted(syntax.atoms_of_e(alpha)) or ["p"]
     valuation = {w: list(syntax.atoms_of_e(alpha)) for w in worlds}

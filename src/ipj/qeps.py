@@ -138,6 +138,9 @@ class QEps:
     def __setattr__(self, *a):  # immutable
         raise AttributeError("QEps values are immutable")
 
+    def __reduce__(self):  # pickle and copy without __setattr__
+        return _canonical, (self.num, self.den)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from . import proofcheck, syntax
-from .ispec import InteractionSpec
+from .ispec import InteractionSpec, error
 from .qeps import QEps, QEpsParseError, parse_qeps
 from .syntax import (
     OMEGA,
@@ -552,7 +552,7 @@ def _check_bounds(
     for n in range(thr + 1, n_star + 1):
         ev = Just(Proto(n, t), syntax.VERIFIER, body)
         value = q.measure_of(ev)
-        bound = QEps.from_rational(Fraction(1, n**k))
+        bound = QEps.from_rational(error(n, k))
         if upper:
             ok = value.compare(bound) <= 0
         else:

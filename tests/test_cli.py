@@ -79,6 +79,26 @@ def test_corrupted_proof_invalid(capsys, tmp_path):
     assert "INVALID" in out
 
 
+@pytest.mark.parametrize(
+    "hints,valid",
+    [("k=1", True), ("n=4", True), ("n=4 k=1", True),
+     ("k=2", False), (f"k={10**12}", False), ("n=5", False), ("n=5 k=1", False)],
+)
+def test_axiom_hints_are_checked(capsys, tmp_path, hints, valid):
+    # q = 1/4 at n = 4: k = 1; a k hint of any size is compared, not raised to
+    spec = tmp_path / "p.ispec"
+    spec.write_text("p : const 1\n")
+    proof = tmp_path / "c.ipjp"
+    proof.write_text(
+        f"1. (t + s) :[P] p -> Pr>= 3/4 (f[4](t + s) :[V] box[P] p) ; ax c {hints}\n"
+    )
+    code, out, _ = run(capsys, "check-proof", str(proof), "--spec", str(spec))
+    if valid:
+        assert (code, out) == (0, "VALID\n")
+    else:
+        assert (code, out) == (1, "INVALID: line 1: formula is not an instance of axiom (c)\n")
+
+
 def test_missing_proof_file(capsys):
     code, _, err = run(capsys, "check-proof", "/nonexistent/file.ipjp")
     assert code == 2

@@ -96,6 +96,12 @@ def test_tautologies():
     assert is_tautology(fml("~(p & ~p)"))
     assert not is_tautology(fml("p -> q"))
     assert not is_tautology(fml("Pr>= 1/2 (p) -> Pr>= 1/3 (p)"))  # leaves are opaque
+    # up to 16 opaque leaves are decided
+    ps = [f"p{i}" for i in range(16)]
+    for i in range(16):
+        assert is_tautology(fml(f"({' & '.join(ps)}) -> p{i}"))
+        assert not is_tautology(fml(f"({' & '.join(ps[:i] + ps[i + 1:])}) -> p{i}"))
+    assert is_tautology(fml(f"({' & '.join(ps)}) -> p16")) is None
 
 
 # -- schema matching ----------------------------------------------------------------
@@ -222,6 +228,9 @@ def test_interaction_bound_exponent_is_found_exactly():
         assert match_axiom(c_axiom(bound, 10), spec) is None
     assert match_axiom(c_axiom(Fraction(1, 2), 0), spec) is None  # no power of 0
     assert match_axiom(c_axiom(Fraction(1, 2), 0), spec, hints={"k": 1}) is None
+    assert match_axiom(c_axiom(Fraction(8, 9), 3), spec, hints={"n": 3, "k": 2}) is not None
+    notes = match_failure_notes(c_axiom(Fraction(8, 9), 3), spec, hints={"n": 4})
+    assert "c: complexity does not equal the stated n" in notes
 
 
 def test_signs_nu_of_equal_thresholds():

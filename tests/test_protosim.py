@@ -16,7 +16,7 @@ from ipj.protosim import (
 )
 from ipj.qeps import QEps
 from ipj.semantics import check_independence, check_model_conditions
-from ipj.syntax import OMEGA, Atom, Box, Just, Proto, Var, parse_eformula, parse_term
+from ipj.syntax import OMEGA, Atom, Box, Just, Proto, Var, parse_eformula
 
 
 def q(x):
@@ -37,8 +37,6 @@ def test_config_validation():
         RoundConfig(2, Fraction(1))
     with pytest.raises(ConfigError):
         RoundConfig(2, Fraction(1, 3), claim=parse_eformula("p & q"))
-    with pytest.raises(ConfigError):
-        RoundConfig(2, Fraction(1, 3), secret_term=parse_term("f[1](t)"))
 
 
 # -- amplification -------------------------------------------------------------------
@@ -132,7 +130,7 @@ def test_witness_passes_model_conditions():
             for honest, zk in ((True, False), (False, False), (True, True)):
                 qm = build_interaction_witness(spec, P, T, k=k, n_max=6, honest=honest, zk=zk)
                 rep = check_model_conditions(qm, spec, zk=zk, kmax=k)
-                assert rep.ok, (spec.dump(), k, honest, zk, rep.render())
+                assert rep.ok, (k, honest, zk, rep.render())
 
 
 def test_dishonest_witness_is_infinitesimal():

@@ -1,5 +1,7 @@
 """Field, order, and standard-part laws of the exact infinitesimal field."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -202,6 +204,13 @@ def test_unit_interval_membership():
 @settings(max_examples=300)
 def test_literal_roundtrip(a):
     assert parse_qeps(str(a)) == a
+
+
+@given(values)
+@settings(max_examples=100)
+def test_pickle_and_copy_roundtrip(a):
+    for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert (twin.num, twin.den) == (a.num, a.den) and hash(twin) == hash(a)
 
 
 def test_parse_errors():

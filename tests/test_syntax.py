@@ -262,7 +262,7 @@ _NODES = [
     (Box("P", _A), ("agent", "inner")),
     (Just(Sum(_T, Var("s")), "V", Box("P", _A)), ("term", "agent", "inner")),
     (Epistemic(_A), ("inner",)),
-    # a QEps threshold cannot be pickled or copied, so this one is parametric
+    (ProbGeq(QEps.from_rational(Fraction(1, 2)) - QEps.epsilon(), _A), ("threshold", "inner")),
     (ProbGeq(SymThresh(Fraction(1), Fraction(-1), 1), _A), ("threshold", "inner")),
     (ProbApprox(Fraction(1, 2), _A), ("r", "inner")),
     (FNot(Epistemic(_A)), ("inner",)),
