@@ -1,8 +1,9 @@
 """Command-line frontend.
 
+Every subcommand returns a ``proofcheck.Report``, which one renderer prints.
 Exit codes: 0 when the requested check passes (VALID / PASS / true), 1 when
-it fails logically, 2 on usage or parse errors.  ``--json`` mirrors the text
-report as a machine-readable object.
+it fails logically, 2 on usage or parse errors.  ``--json`` prints one
+object: ``ok``, ``report`` (the text lines) and the subcommand's fields.
 """
 
 from __future__ import annotations
@@ -15,20 +16,18 @@ import sys
 from fractions import Fraction
 
 from . import generators, proofcheck, protosim, semantics, syntax
-from .ispec import InteractionSpec, ISpecError, load_spec_file
-from .qeps import QEps, QEpsParseError, parse_qeps
+from .ispec import InteractionSpec, load_spec_file
+from .proofcheck import Report
+from .qeps import QEpsParseError, parse_qeps
 
 
-def _emit(args, ok: bool, lines: list[str], extra: dict | None = None) -> int:
+def _emit(args, report: Report) -> int:
     if args.json:
-        payload = {"ok": ok, "report": lines}
-        if extra:
-            payload.update(extra)
+        payload = {"ok": report.ok, "report": report.lines, **report.fields}
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in lines:
-            print(line)
-    return 0 if ok else 1
+        print(report.render())
+    return 0 if report.ok else 1
 
 
 def _rational(text: str) -> Fraction:
@@ -49,64 +48,56 @@ def _load_spec(path: str | None) -> InteractionSpec:
 # ---------------------------------------------------------------------------
 
 
-def cmd_parse(args) -> int:
+def cmd_parse(args) -> Report:
     parsers = {
         "formula": lambda t: syntax.print_formula(syntax.parse_formula(t)),
         "eformula": lambda t: syntax.print_eformula(syntax.parse_eformula(t)),
         "term": lambda t: syntax.print_term(syntax.parse_term(t)),
     }
     printed = parsers[args.kind](args.text)
-    return _emit(args, True, [printed], {"canonical": printed})
+    return Report(True, [printed], {"canonical": printed})
 
 
-def cmd_check_proof(args) -> int:
+def cmd_check_proof(args) -> Report:
     spec = _load_spec(args.spec)
     derivation = proofcheck.load_derivation_file(args.proof, spec, zk=args.zk)
-    report = proofcheck.check_derivation(derivation)
-    extra = {"line": report.line} if report.line is not None else {}
-    return _emit(args, report.valid, [report.render()], extra)
+    return proofcheck.check_derivation(derivation)
 
 
-def cmd_check_model(args) -> int:
+def cmd_check_model(args) -> Report:
     if args.random < 0 or args.instances < 0:
         raise ValueError("--random and --instances must not be negative")
-    spec = _load_spec(args.spec)
+    spec = _load_spec(args.spec)  # also under --random: a bad spec is an error there too
     if args.random:
-        return _soundness_harness(args, spec)
+        return _soundness_harness(args)
     q = semantics.load_model_file(args.model)
-    report = semantics.check_model_conditions(q, spec, zk=args.zk, kmax=args.kmax)
-    return _emit(args, report.ok, report.render().splitlines())
+    return semantics.check_model_conditions(q, spec, zk=args.zk, kmax=args.kmax).verdict()
 
 
-def _soundness_harness(args, spec: InteractionSpec) -> int:
+def _soundness_harness(args) -> Report:
     rng = random.Random(args.seed)
-    lines = []
-    violations = 0
+    rep = Report()
     for i in range(args.random):
         q = generators.rand_model(rng)
         for _ in range(args.instances):
             schema = rng.choice(generators.HARNESS_SCHEMAS)
             inst = generators.rand_axiom_instance(rng, schema)
             if not q.eval(inst):
-                violations += 1
-                lines.append(
-                    f"violation in model {i}: ({schema}) {syntax.print_formula(inst)}"
-                )
-    total = args.random * args.instances
-    lines.append(f"{total} axiom instances over {args.random} random models")
-    lines.append(f"{violations} violations")
-    lines.append("PASS" if violations == 0 else "FAIL")
-    return _emit(args, violations == 0, lines, {"violations": violations})
+                rep.fail(f"violation in model {i}: ({schema}) {syntax.print_formula(inst)}")
+    violations = rep.fields["violations"] = len(rep.lines)  # a line per violation so far
+    rep.note(f"{args.random * args.instances} axiom instances over {args.random} random models")
+    rep.note(f"{violations} violations")
+    return rep.verdict()
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> Report:
     q = semantics.load_model_file(args.model)
     f = syntax.parse_formula(args.formula, allow_symbolic=False)
     value = q.eval(f)
-    return _emit(args, value, ["true" if value else "false"], {"value": value})
+    return Report(value, ["true" if value else "false"], {"value": value})
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Report:
     spec = _load_spec(args.spec)
     if args.witness:
         alpha = syntax.parse_eformula(args.witness)
@@ -116,55 +107,44 @@ def cmd_simulate(args) -> int:
             zk=args.zk,
         )
         report = semantics.check_model_conditions(q, spec, zk=args.zk, kmax=args.k)
-        lines = report.render().splitlines()
-        if args.emit:
-            with open(args.emit, "w", encoding="utf-8") as fh:
-                fh.write(semantics.write_model_file(q))
-            lines.insert(-1, f"model written to {args.emit}")
-        return _emit(args, report.ok, lines)
-    error = _rational(args.error)
-    cfg = protosim.RoundConfig(
-        rounds=args.rounds, per_round_error=error, honest=not args.dishonest
-    )
-    model = protosim.build_round_model(cfg)
-    report = protosim.verify_ipp_bound(model)
-    lines = list(report.lines)
-    lines.append(f"{1 - error ** args.rounds}")
+    else:
+        cfg = protosim.RoundConfig(
+            rounds=args.rounds, per_round_error=_rational(args.error), honest=not args.dishonest
+        )
+        model = protosim.build_round_model(cfg)
+        q = model.quasimodel
+        report = protosim.verify_ipp_bound(model)
+        report.note(report.fields["bound"])
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(semantics.write_model_file(model.quasimodel))
-        lines.append(f"model written to {args.emit}")
-    lines.append("PASS" if report.ok else "FAIL")
-    return _emit(
-        args, report.ok, lines, {"bound": str(1 - error ** args.rounds)}
-    )
+            fh.write(semantics.write_model_file(q))
+        report.note(f"model written to {args.emit}")
+    return report.verdict()
 
 
-def cmd_arith(args) -> int:
+def cmd_arith(args) -> Report:
     a = parse_qeps(args.value)
-    lines = [str(a)]
-    extra: dict = {"canonical": str(a)}
-    ok = True
+    rep = Report(True, [str(a)], {"canonical": str(a)})
     if args.cmp is not None:
-        b = parse_qeps(args.cmp)
-        sign = a.compare(b)
+        sign = a.compare(parse_qeps(args.cmp))
         rel = {1: ">", 0: "=", -1: "<"}[sign]
-        lines.append(f"cmp: {rel}")
-        extra["cmp"] = sign
+        rep.note(f"cmp: {rel}")
+        rep.fields["cmp"] = sign
     if args.std:
         try:
             sp = a.std_part()
-            lines.append(f"std: {sp}")
-            extra["std"] = str(sp)
         except ValueError:
-            lines.append("std: undefined (infinite element)")
-            ok = False
+            rep.fail("std: undefined (infinite element)")
+        else:
+            rep.note(f"std: {sp}")
+            rep.fields["std"] = str(sp)
     if args.approx is not None:
         r = _rational(args.approx)
-        res = a.approx_eq(r)
-        lines.append(f"approx {r}: {'true' if res else 'false'}")
-        ok = ok and res
-    return _emit(args, ok, lines, extra)
+        if a.approx_eq(r):
+            rep.note(f"approx {r}: true")
+        else:
+            rep.fail(f"approx {r}: false")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -253,17 +233,8 @@ def main(argv=None) -> int:
     if args.command == "check-model" and not args.random and not args.model:
         ap.error("check-model needs a model file or --random N")
     try:
-        return args.fn(args)
-    except (
-        syntax.ParseError,
-        QEpsParseError,
-        ISpecError,
-        proofcheck.ProofParseError,
-        semantics.ModelError,
-        protosim.ConfigError,
-        ValueError,
-        OSError,
-    ) as exc:
+        return _emit(args, args.fn(args))
+    except (ValueError, OSError) as exc:  # every kernel input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -617,22 +617,38 @@ class Derivation:
 
 
 @dataclass
-class CheckReport:
-    valid: bool
-    message: str = ""
-    line: Optional[int] = None
+class Report:
+    """A verdict and why: ``lines`` are the text the CLI prints, ``fields``
+    the values its ``--json`` adds beside them, ``counterexample`` the data of
+    the first failure."""
+
+    ok: bool = True
+    lines: list[str] = field(default_factory=list)
+    fields: dict = field(default_factory=dict)
+    counterexample: Optional[tuple] = None
+
+    def note(self, text: str):
+        self.lines.append(text)
+
+    def fail(self, text: str, counterexample: Optional[tuple] = None):
+        self.lines.append(text)
+        if self.ok:
+            self.ok = False
+            self.counterexample = counterexample
+
+    def verdict(self) -> "Report":
+        """Close a report of several checks with its PASS or FAIL line."""
+        self.note("PASS" if self.ok else "FAIL")
+        return self
 
     def render(self) -> str:
-        if self.valid:
-            return "VALID"
-        where = f"line {self.line}: " if self.line is not None else ""
-        return f"INVALID: {where}{self.message}"
+        return "\n".join(self.lines)
 
 
 _MAX_TEMPLATE_DEPTH = 4
 
 
-def check_derivation(d: Derivation, symctx: SymCtx = None) -> CheckReport:
+def check_derivation(d: Derivation, symctx: SymCtx = None) -> Report:
     """Validate every line; report VALID or the first offending line."""
     return _Check(d, symctx, 0, {}).run()
 
@@ -646,18 +662,16 @@ class _Check:
         self.d, self.symctx, self.depth, self.templates = d, symctx, depth, templates
         self.by_index: dict[int, Formula] = {}
 
-    def run(self) -> CheckReport:
+    def run(self) -> Report:
         if not self.d.lines:
-            return CheckReport(False, "empty derivation")
+            return Report(False, ["INVALID: empty derivation"])
         for line in self.d.lines:
             try:
                 self.check(line)
-            except NoMatch as exc:
-                return CheckReport(False, exc.reason, line.index)
-            except (StructureError, TemplateError) as exc:
-                return CheckReport(False, str(exc), line.index)
+            except (NoMatch, StructureError, TemplateError) as exc:
+                return Report(False, [f"INVALID: line {line.index}: {exc}"], {"line": line.index})
             self.by_index[line.index] = line.formula
-        return CheckReport(True)
+        return Report(True, ["VALID"])
 
     def check(self, line: ProofLine):
         if line.index in self.by_index:
@@ -683,7 +697,7 @@ class _Check:
         if t is None:
             t = self.templates[key] = _load_template(self.d, path, self.depth)
         rep = _Check(t, symctx, self.depth + 1, self.templates).run()
-        if not rep.valid:
+        if not rep.ok:
             raise NoMatch(f"template {path!r} fails: {rep.render()}")
         return t
 
@@ -826,6 +840,9 @@ def _read_ax(words: list, usage: str) -> tuple:
         if not hm:
             raise ProofParseError(f"bad axiom hint {w!r}")
         hints.append((hm.group(1), _int(hm.group(2), "axiom hint")))
+    sch = _SCHEMAS.get(words[0])  # only the schemas that derive q from n and k read hints
+    if hints and sch is not None and sch.derive is not _derive_q:
+        raise ProofParseError(f"axiom ({words[0]}) takes no n=, k= or m= hints")
     return words[0], tuple(hints)
 
 

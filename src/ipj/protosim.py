@@ -18,7 +18,8 @@ from fractions import Fraction
 from . import syntax
 from .ispec import InteractionSpec, error
 from .qeps import QEps
-from .semantics import EpistemicModel, Quasimodel, Report, check_independence
+from .proofcheck import Report
+from .semantics import EpistemicModel, Quasimodel, check_independence
 from .syntax import Atom, Box, EFormula, Just, Proto, Term, Var
 
 
@@ -97,7 +98,8 @@ def build_round_model(cfg: RoundConfig) -> RoundModel:
 
 
 def verify_ipp_bound(m: RoundModel) -> Report:
-    """Exact check of the amplification bound mu([claim]) >= 1 - r^n."""
+    """Exact check of the amplification bound mu([claim]) >= 1 - r^n, which
+    the report keeps as the text of ``fields["bound"]``."""
     rep = Report()
     q = m.quasimodel
     n, r = m.cfg.rounds, m.cfg.per_round_error
@@ -112,6 +114,7 @@ def verify_ipp_bound(m: RoundModel) -> Report:
         ):
             rep.fail(f"rounds {a} and {b} are not independent")
     bound = 1 - r**n
+    rep.fields["bound"] = str(bound)
     measured = q.measure_of(m.claim)
     rep.note(f"bound 1 - r^n = {bound}")
     rep.note(f"measure of the claim = {measured}")

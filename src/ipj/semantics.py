@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
@@ -441,25 +440,6 @@ def check_independence(q: Quasimodel, alpha: EFormula, beta: EFormula) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Report:
-    ok: bool = True
-    lines: list[str] = field(default_factory=list)
-    counterexample: Optional[tuple] = None
-
-    def note(self, text: str):
-        self.lines.append(text)
-
-    def fail(self, text: str, counterexample: Optional[tuple] = None):
-        self.lines.append(text)
-        if self.ok:
-            self.ok = False
-            self.counterexample = counterexample
-
-    def render(self) -> str:
-        return "\n".join(self.lines + ["PASS" if self.ok else "FAIL"])
-
-
 def stabilization_index(m: EpistemicModel) -> int:
     """Smallest n beyond which every protocol event family is constant.
 
@@ -480,18 +460,18 @@ def check_model_conditions(
     spec: InteractionSpec,
     zk: bool = False,
     kmax: int = 2,
-) -> Report:
-    """Decide the protocol bound conditions for every term/formula/k.
-
-    The terms are the protocol-free t of the model's base tuples f[n](t),
-    in the order of the printed f[n](t).
+) -> proofcheck.Report:
+    """Check the protocol bound conditions for each formula of the spec at
+    the protocol-free inner terms t of the model's base tuples f[n](t), in
+    the order of the printed f[n](t), and for k = 1..kmax.  Other terms and
+    larger k are not checked.
 
     The conditions quantify over all complexities n; in a finite model the
     event family stabilizes at the index n* computed from the evidence base,
     so the checks split into direct bound checks for n <= n* and a
     standard-part check of the stabilized measure covering every n > n*.
     """
-    rep = Report()
+    rep = proofcheck.Report()
     m = q.base
     for alpha in spec.formulas():
         for name in syntax.atoms_of_e(alpha):
@@ -532,7 +512,7 @@ def check_model_conditions(
 
 
 def _check_bounds(
-    rep: Report,
+    rep: proofcheck.Report,
     q: Quasimodel,
     t: Term,
     alpha: EFormula,

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ipj
-from ipj import protosim
+from ipj import cli, generators, ispec, proofcheck, protosim, qeps, semantics, syntax
 from ipj.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -357,3 +357,65 @@ def test_shared_parser_answers_like_a_fresh_one(capsys, tmp_path):
         assert got == run_in_fresh_process(*argv), argv
         codes.append(got[0])
     assert codes == [2, 2, 0, 0, 0, 0]
+
+
+# -- one renderer --------------------------------------------------------------------
+
+
+def test_text_and_json_reports_agree(capsys, tmp_path):
+    # every subcommand prints the same lines as text and as the JSON "report",
+    # with the same exit code, and adds only these keys beside "ok" and "report"
+    _, _, model, spec = witness_file(capsys, tmp_path)
+    bad = tmp_path / "bad.ipjp"
+    bad.write_text((GOLDEN / "probnec.ipjp").read_text().replace("pnec 1", "pnec 2"))
+    golden = [str(GOLDEN / "c_axiom.ipjp"), "--spec", str(GOLDEN / "golden.ispec")]
+    cases = [
+        (["parse", "p&q"], 0, {"canonical": "p & q"}),
+        (["check-proof", *golden], 0, {}),
+        (["check-proof", str(bad)], 1, {"line": 2}),
+        (["check-model", str(model), "--spec", str(spec), "--kmax", "1"], 0, {}),
+        (["check-model", "--random", "1", "--instances", "20"], 0, {"violations": 0}),
+        (["eval", "Pr>= 1/5 (t :[P] p)", "--model", str(model)], 1, {"value": False}),
+        (["simulate", "--rounds", "2", "--emit", str(tmp_path / "r.ipjm")], 0, {"bound": "8/9"}),
+        (["simulate", "--witness", "p", "--spec", str(spec), "--nmax", "4",
+          "--emit", str(tmp_path / "w.ipjm")], 0, {}),
+        (["arith", "(1 + 2 e)/(2 + 1 e)", "--cmp", "1/2", "--std", "--approx", "1/2"], 0,
+         {"canonical": "(1/2 + 1 e)/(1 + 1/2 e)", "cmp": 1, "std": "1/2"}),
+        (["arith", "(1)/(1 e)", "--std"], 1, {"canonical": "(1)/(1 e)"}),
+        (["arith", "1/3", "--approx", "1/2"], 1, {"canonical": "1/3"}),
+    ]
+    for argv, want_code, want_fields in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (want_code, ""), argv
+        code_json, out_json, _ = run(capsys, *argv, "--json")
+        payload = json.loads(out_json)
+        assert code_json == code and payload.pop("ok") is (code == 0), argv
+        assert payload.pop("report") == out.splitlines(), argv
+        assert payload == want_fields, argv
+    # the spec is read first, also under --random where it is not used
+    missing = str(tmp_path / "missing.ispec")
+    for argv in (["check-model", "--random", "1", "--spec", missing],
+                 ["check-model", str(tmp_path / "missing.ipjm"), "--spec", missing]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "missing.ispec" in err, argv
+
+
+def test_every_kernel_input_error_is_a_value_error():
+    # main turns ValueError and OSError into exit 2, so a new error class of the
+    # kernel must be a ValueError; NoMatch never leaves the checker
+    errors = [
+        c for m in (cli, generators, ispec, proofcheck, protosim, qeps, semantics, syntax)
+        for c in vars(m).values()
+        if isinstance(c, type) and issubclass(c, BaseException) and c.__module__ == m.__name__
+    ]
+    assert len(errors) >= 13
+    assert [c for c in errors if not issubclass(c, ValueError)] == [proofcheck.NoMatch]
+
+
+def test_python_m_ipj():
+    src = str(Path(ipj.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ipj", "parse", "p"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "p\n", "")

@@ -10,7 +10,7 @@ import pytest
 from ipj import generators, proofcheck, syntax
 from ipj.ispec import InteractionSpec, load_spec
 from ipj.proofcheck import (
-    CheckReport,
+    Report,
     Derivation,
     ProofParseError,
     check_derivation,
@@ -275,52 +275,52 @@ def test_bindings_roundtrip_random():
 # -- derivations ----------------------------------------------------------------
 
 
-def check_text(text, spec=EMPTY, zk=False, base_dir=GOLDEN) -> CheckReport:
+def check_text(text, spec=EMPTY, zk=False, base_dir=GOLDEN) -> Report:
     return check_derivation(parse_derivation(text, spec, zk=zk, base_dir=base_dir))
 
 
 def test_probnec_rule():
     rep = check_text("1. p -> p ; ax p\n2. Pr>= 1 (p -> p) ; pnec 1\n")
-    assert rep.valid
+    assert rep.ok
 
 
 def test_non_tautology_rejected():
     rep = check_text("1. p ; ax p\n")
-    assert not rep.valid and rep.line == 1
+    assert not rep.ok and rep.fields["line"] == 1
 
 
 def test_modus_ponens_both_orders():
     base = "1. p -> (q -> p) ; ax p\n2. (p -> (q -> p)) -> (p -> (q -> p)) ; ax p\n"
     rep = check_text(base + "3. p -> (q -> p) ; mp 1 2\n")
-    assert rep.valid
+    assert rep.ok
     rep = check_text(base + "3. p -> (q -> p) ; mp 2 1\n")
-    assert rep.valid
+    assert rep.ok
 
 
 def test_citations_must_precede():
     rep = check_text("1. p -> p ; mp 2 3\n")
-    assert not rep.valid
+    assert not rep.ok
 
 
 def test_box_necessitation():
     rep = check_text("1. p -> p ; ax p\n2. box[V] (p -> p) ; nec[V] 1\n")
-    assert rep.valid
+    assert rep.ok
     rep = check_text("1. p -> p ; ax p\n2. box[V] (p -> q) ; nec[V] 1\n")
-    assert not rep.valid
+    assert not rep.ok
 
 
 def test_axiom_necessitation():
     rep = check_text("1. c:a :[P] (box[P] p -> p) ; axnec a[P]\n")
-    assert rep.valid
+    assert rep.ok
     rep = check_text("1. c:a :[P] c:b :[V] (box[P] p -> p) ; axnec a[P] b[V]\n")
-    assert rep.valid
+    assert rep.ok
     rep = check_text("1. c:a :[P] (p -> q) ; axnec a[P]\n")
-    assert not rep.valid
+    assert not rep.ok
 
 
 def test_parametric_threshold_outside_template_rejected():
     rep = check_text("1. Pr~ 1 (p) -> Pr>= 1 + -1/v (p) ; ax pa1\n")
-    assert not rep.valid and "template" in rep.message
+    assert not rep.ok and "template" in rep.render()
 
 
 def test_golden_proofs_valid():
@@ -328,7 +328,7 @@ def test_golden_proofs_valid():
     for name in ("probnec", "c_axiom", "almost_certain", "arch"):
         d = load_derivation_file(os.path.join(GOLDEN, f"{name}.ipjp"), spec)
         rep = check_derivation(d)
-        assert rep.valid, (name, rep.render())
+        assert rep.ok, (name, rep.render())
 
 
 def instantiate_param(f, v):
@@ -358,7 +358,7 @@ def test_template_instantiation_consistency():
     n = 1  # rule value r = 1 caps the premise index at 1
     for v in (n, n + 1, n + 7):
         rep = check_derivation(instantiate_derivation(t, v))
-        assert rep.valid, (v, rep.render())
+        assert rep.ok, (v, rep.render())
 
 
 def test_prefix_monotonicity():
@@ -366,7 +366,7 @@ def test_prefix_monotonicity():
     d = load_derivation_file(os.path.join(GOLDEN, "probnec.ipjp"), spec)
     for cut in range(1, len(d.lines) + 1):
         prefix = Derivation(spec, d.lines[:cut], zk=d.zk, base_dir=d.base_dir)
-        assert check_derivation(prefix).valid
+        assert check_derivation(prefix).ok
 
 
 def test_missing_premise_family_rejected():
@@ -374,7 +374,7 @@ def test_missing_premise_family_rejected():
     rep = check_text(
         "1. p -> Pr~ 0 (q) ; param-approx 0 template=arch_template.ipjp\n"
     )
-    assert not rep.valid
+    assert not rep.ok
 
 
 def test_template_parsed_once_per_check(monkeypatch):
@@ -392,9 +392,9 @@ def test_template_parsed_once_per_check(monkeypatch):
         return real(text, *args, **kwargs)
 
     monkeypatch.setattr(proofcheck, "parse_derivation", counting)
-    assert check_derivation(d).valid
+    assert check_derivation(d).ok
     assert len(parsed) == 1
-    assert check_derivation(d).valid  # no cache outlives a check
+    assert check_derivation(d).ok  # no cache outlives a check
     assert len(parsed) == 2
 
 
@@ -418,7 +418,7 @@ _TEMPLATES = {
     "notimp.ipjp": "1. Pr>= 0 (p) ; ax p1\n",
     "unparsable.ipjp": "1. p -> p ; mp x 1\n",
 }
-# (proof text, ("parse", error) or (line, report message))
+# (proof text, ("parse", error) or (line, the reason the report gives after "INVALID: line N: "))
 _TEXTS = [
     # reading a line
     ("p -> p ; ax p", ("parse", "line 1: expected 'n. formula ; justification'")),
@@ -430,6 +430,9 @@ _TEXTS = [
     ("1. p -> p ; ax", ("parse", "line 1: ax needs a schema name")),
     ("1. p -> p ; ax c n=x", ("parse", "line 1: bad axiom hint 'n=x'")),
     ("1. p -> p ; ax c q=1", ("parse", "line 1: bad axiom hint 'q=1'")),
+    ("1. p -> p ; ax p k=5 n=9", ("parse", "line 1: axiom (p) takes no n=, k= or m= hints")),
+    ("1. t :[P] box[P] p -> Pr~ 1 (f[w](t) :[V] box[P] box[P] p) ; ax cw m=7 k=3",
+     ("parse", "line 1: axiom (cw) takes no n=, k= or m= hints")),
     ("1. p -> p ; mp 1", ("parse", "line 1: mp needs two line numbers")),
     ("1. p -> p ; mp 1 2 3", ("parse", "line 1: mp needs two line numbers")),
     ("1. p -> p ; nec[P]", ("parse", "line 1: nec needs one line number")),
@@ -450,7 +453,7 @@ _TEXTS = [
     ("1. p -> p ; param-arch", ("parse", "line 1: usage: param-arch template=<file>")),
     ("1. p -> p ; param-arch x.ipjp", ("parse", "line 1: usage: param-arch template=<file>")),
     # the derivation and its citations
-    ("", (None, "empty derivation")),
+    ("", (None, "INVALID: empty derivation")),
     ("1. p -> p ; ax p\n1. p -> p ; ax p", (1, "duplicate line index 1")),
     ("1. p -> p ; mp 2 3", (1, "citation of line 2 is not an earlier line")),
     ("1. p -> p ; ax p\n2. p -> p ; mp 1 2", (2, "citation of line 2 is not an earlier line")),
@@ -515,8 +518,9 @@ _TEXTS = [
     # the template parameter v names no atom
     ("1. v -> v ; ax p", ("parse", "line 1: 1:1: 'v' is reserved and cannot name a variable")),
     # accepted
-    (f"1. {_HYPOTHESIS_DENIED} ; param-arch template=arch_template.ipjp", (None, "")),
-    (f"1. {_CONCLUSION} ; param-approx 1 template=almost_certain_template.ipjp", (None, "")),
+    (f"1. {_HYPOTHESIS_DENIED} ; param-arch template=arch_template.ipjp", (None, "VALID")),
+    (f"1. {_CONCLUSION} ; param-approx 1 template=almost_certain_template.ipjp", (None, "VALID")),
+    ("1. t :[P] box[P] p -> Pr~ 1 (f[w](t) :[V] box[P] box[P] p) ; ax cw", (None, "VALID")),
 ]
 
 
@@ -533,9 +537,11 @@ def test_every_checker_text(tmp_path):
             want = want.replace("{dir}", str(tmp_path))
             try:
                 rep = check_text(text, spec, zk=zk, base_dir=str(tmp_path))
-                got = (rep.line, rep.message)
+                got = (rep.fields.get("line"), rep.render())
             except ProofParseError as exc:
                 got = ("parse", str(exc))
+            if where not in ("parse", None):
+                want = f"INVALID: line {where}: {want}"
             if got != (where, want):
                 wrong.append((zk, text, got))
     assert not wrong
