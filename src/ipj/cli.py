@@ -67,11 +67,12 @@ def cmd_check_proof(args) -> Report:
 def cmd_check_model(args) -> Report:
     if args.random < 0 or args.instances < 0:
         raise ValueError("--random and --instances must not be negative")
-    spec = _load_spec(args.spec)  # also under --random: a bad spec is an error there too
     if args.random:
         return _soundness_harness(args)
+    spec = _load_spec(args.spec)
     q = semantics.load_model_file(args.model)
-    return semantics.check_model_conditions(q, spec, zk=args.zk, kmax=args.kmax).verdict()
+    kmax = 2 if args.kmax is None else args.kmax
+    return semantics.check_model_conditions(q, spec, zk=args.zk, kmax=kmax).verdict()
 
 
 def _soundness_harness(args) -> Report:
@@ -184,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", nargs="?")
     p.add_argument("--spec", help="interaction specification file")
     p.add_argument("--zk", action="store_true", help="also check the zero-knowledge condition")
-    p.add_argument("--kmax", type=int, default=2, help="largest exponent k to check (default 2)")
+    p.add_argument("--kmax", type=int, help="largest exponent k to check (default 2)")
     p.add_argument("--random", type=int, default=0, metavar="N",
                    help="instead of a file, check axiom soundness on N random models")
     p.add_argument("--instances", type=int, default=1000,
@@ -230,8 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "check-model" and not args.random and not args.model:
-        ap.error("check-model needs a model file or --random N")
+    if args.command == "check-model":
+        if not args.random and not args.model:
+            ap.error("check-model needs a model file or --random N")
+        if args.random:  # the harness draws its own models and checks no protocol condition
+            for option, given in (("--spec", args.spec is not None), ("--zk", args.zk),
+                                  ("--kmax", args.kmax is not None)):
+                if given:
+                    ap.error(f"--random does not take {option}")
     try:
         return _emit(args, args.fn(args))
     except (ValueError, OSError) as exc:  # every kernel input error is a ValueError

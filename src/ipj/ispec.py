@@ -13,7 +13,6 @@ Spec file format, one entry per line (``#`` starts a comment):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -29,13 +28,17 @@ class DuplicateEntry(ISpecError):
     pass
 
 
-@dataclass(frozen=True)
 class ThresholdFn:
     """m(k): the table's value at a listed k, else the polynomial ``tail``
     (coefficients of k^0, k^1, ...) at k, else undefined."""
 
-    table: tuple[tuple[int, int], ...] = ()
-    tail: tuple[int, ...] = ()
+    def __init__(self, table: tuple[tuple[int, int], ...] = (), tail: tuple[int, ...] = ()):
+        self.table, self.tail = table, tail
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.table, self.tail) == (other.table, other.tail)
+        return NotImplemented
 
     def value_at(self, k: int) -> Optional[int]:
         for kk, m in self.table:
@@ -72,11 +75,11 @@ def error_exponent(n: int, x: Fraction) -> Optional[int]:
     return k
 
 
-@dataclass
 class InteractionSpec:
     """Map from canonical formula text to its threshold function."""
 
-    entries: dict[str, tuple[EFormula, ThresholdFn]] = field(default_factory=dict)
+    def __init__(self):
+        self.entries: dict[str, tuple[EFormula, ThresholdFn]] = {}
 
     def add(self, formula: EFormula, fn: ThresholdFn):
         key = syntax.print_eformula(formula)

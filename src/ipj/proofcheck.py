@@ -17,11 +17,9 @@ symbolic procedure cannot decide is rejected, never silently accepted.
 
 from __future__ import annotations
 
-import inspect
 import math
 import os
 import re
-from dataclasses import dataclass, field, fields
 from functools import partial
 from fractions import Fraction
 from typing import Optional
@@ -243,18 +241,18 @@ class NoMatch(Exception):
         self.reason = reason
 
 
-@dataclass
 class MatchContext:
-    spec: InteractionSpec
-    zk: bool = False
-    symctx: SymCtx = None
-    hints: dict = field(default_factory=dict)
+    __slots__ = ("spec", "zk", "symctx", "hints")
+
+    def __init__(self, spec: InteractionSpec, zk: bool = False, symctx: SymCtx = None,
+                 hints: Optional[dict] = None):
+        self.spec, self.zk, self.symctx = spec, zk, symctx
+        self.hints = {} if hints is None else hints
 
 
-@dataclass
 class Match:
-    schema: str
-    bindings: dict
+    def __init__(self, schema: str, bindings: dict):
+        self.schema, self.bindings = schema, bindings
 
 
 def _need(cond: bool, reason: str = "structural mismatch"):
@@ -285,7 +283,7 @@ def _eq(s, a):  # Pr= s (a)
 
 
 _FIELDS = {
-    cls: tuple(f.name for f in fields(cls))
+    cls: cls._fields
     for cls in (Epistemic, ProbGeq, ProbApprox, FNot, FAnd, ENot, EAnd, Box, Just,
                 App, Sum, Bang, Proto)
 }
@@ -320,8 +318,8 @@ class _Schema:
         self.build = build  # keyword bindings -> instance; extra keys are ignored
         self.side = side  # (bindings, ctx) -> None; raises NoMatch, may add bindings
         self.derive = derive  # bindings -> the bindings they determine
-        params = inspect.signature(build).parameters.values()
-        names = [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+        code = build.__code__  # the named parameters, before **_
+        names = code.co_varnames[:code.co_argcount]
         self.pattern = build(**{name: _Meta(name) for name in names})
 
 
@@ -553,24 +551,6 @@ def match_axiom(
     return _first_match(f, ctx, (schema,) if schema else SCHEMA_IDS)
 
 
-def match_failure_notes(
-    f: Formula,
-    spec: InteractionSpec,
-    zk: bool = False,
-    hints: Optional[dict] = None,
-    symctx: SymCtx = None,
-) -> list[str]:
-    ctx = MatchContext(spec=spec, zk=zk, symctx=symctx, hints=hints or {})
-    notes = []
-    for sid in SCHEMA_IDS:
-        try:
-            _match(sid, f, ctx)
-            notes.append(f"{sid}: matches")
-        except NoMatch as exc:
-            notes.append(f"{sid}: {exc.reason}")
-    return notes
-
-
 _EMPTY_SPEC = InteractionSpec()
 
 
@@ -600,32 +580,37 @@ def is_axiom_chain(alpha: EFormula) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ProofLine:
-    index: int
-    formula: Formula
-    rule: str  # a key of _RULES
-    args: tuple  # what the rule's reader made of the words after the keyword
+    """A line of a derivation: ``rule`` is a key of _RULES, ``args`` what the
+    rule's reader made of the words after the keyword."""
+
+    __slots__ = ("index", "formula", "rule", "args")
+
+    def __init__(self, index: int, formula: Formula, rule: str, args: tuple):
+        self.index, self.formula, self.rule, self.args = index, formula, rule, args
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.index, self.formula, self.rule, self.args) == (
+                other.index, other.formula, other.rule, other.args)
+        return NotImplemented
 
 
-@dataclass
 class Derivation:
-    spec: InteractionSpec
-    lines: list[ProofLine]
-    zk: bool = False
-    base_dir: str = "."
+    def __init__(self, spec: InteractionSpec, lines: list[ProofLine], zk: bool, base_dir: str):
+        self.spec, self.lines, self.zk, self.base_dir = spec, lines, zk, base_dir
 
 
-@dataclass
 class Report:
     """A verdict and why: ``lines`` are the text the CLI prints, ``fields``
     the values its ``--json`` adds beside them, ``counterexample`` the data of
     the first failure."""
 
-    ok: bool = True
-    lines: list[str] = field(default_factory=list)
-    fields: dict = field(default_factory=dict)
-    counterexample: Optional[tuple] = None
+    def __init__(self, ok: bool = True, lines: Optional[list[str]] = None,
+                 fields: Optional[dict] = None):
+        self.ok, self.counterexample = ok, None
+        self.lines = [] if lines is None else lines
+        self.fields = {} if fields is None else fields
 
     def note(self, text: str):
         self.lines.append(text)

@@ -12,7 +12,6 @@ run), exercising the limit forms of the model conditions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import syntax
@@ -35,32 +34,26 @@ _MAX_ROUNDS = 20
 _MAX_NMAX = 1000  # a witness model has about n_max worlds
 
 
-@dataclass(frozen=True)
 class RoundConfig:
-    rounds: int
-    per_round_error: Fraction
-    claim: EFormula = Atom("accept")
-    honest: bool = True
-
-    def __post_init__(self):
-        if self.rounds < 1:
+    def __init__(self, rounds: int, per_round_error: Fraction, claim: EFormula = Atom("accept"),
+                 honest: bool = True):
+        if rounds < 1:
             raise ConfigError("at least one round is required")
-        if self.rounds > _MAX_ROUNDS:
+        if rounds > _MAX_ROUNDS:
             raise SizeError(
-                f"{self.rounds} rounds would need 2^{self.rounds} worlds; "
-                f"the limit is {_MAX_ROUNDS}"
+                f"{rounds} rounds would need 2^{rounds} worlds; the limit is {_MAX_ROUNDS}"
             )
-        if not 0 < self.per_round_error < 1:
+        if not 0 < per_round_error < 1:
             raise ConfigError("the per-round error must be strictly between 0 and 1")
-        if not isinstance(self.claim, Atom):
+        if not isinstance(claim, Atom):
             raise ConfigError("the claim must be a single atom")
+        self.rounds, self.per_round_error, self.claim, self.honest = (
+            rounds, per_round_error, claim, honest)
 
 
-@dataclass
 class RoundModel:
-    cfg: RoundConfig
-    quasimodel: Quasimodel
-    round_terms: tuple[Term, ...]
+    def __init__(self, cfg: RoundConfig, quasimodel: Quasimodel, round_terms: tuple[Term, ...]):
+        self.cfg, self.quasimodel, self.round_terms = cfg, quasimodel, round_terms
 
     @property
     def claim(self) -> EFormula:

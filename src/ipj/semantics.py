@@ -223,10 +223,6 @@ class EpistemicModel:
                 raise ModelError("R[{}] is not transitive: {!r} -> {!r} -> {!r}".format(
                     a, *min(broken)))
 
-    def successors(self, agent: str, w: str) -> tuple[str, ...]:
-        """The ``agent`` successors of ``w``, sorted by name."""
-        return tuple(sorted(self.worlds[j] for j in self._succ[agent][self.index(w)]))
-
     def index(self, w: str) -> int:
         """The bit of world ``w`` in every mask."""
         try:
@@ -573,7 +569,7 @@ def _check_bounds(
 #   w = qeps
 #   w0: w
 
-_SECTION_RE = re.compile(r"^(worlds|R\[P\]|R\[V\]|val|evidence|U|mu|w0)\s*:\s*(.*)$")
+_SECTIONS = frozenset(("worlds", "R[P]", "R[V]", "val", "evidence", "U", "mu", "w0"))
 _EDGE_RE = re.compile(r"^(\S+)\s*->\s*(\S+)$")
 _VAL_SEP_RE = re.compile(r"\s+:\s*")
 # agent, term and formula; or agent, None, None and the rest of the line,
@@ -584,22 +580,27 @@ _EVIDENCE_RE = re.compile(r"^\S+\s+\[(P|V)\]\s+(?:(.*?)\s+:\s+(.*)|(.*))$")
 def parse_model_file(text: str) -> Quasimodel:
     sections: dict[str, list[str]] = {}
     current: Optional[str] = None
+    lines: list[str] = []  # the lines of the current section
     declared: set[str] = set()  # the worlds named so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        msec = _SECTION_RE.match(line)
-        # inside val, "w0 : p" for a world named w0 is a valuation line
-        if msec and not (current == "val" and line.split()[0] in declared):
-            current = msec.group(1)
-            sections.setdefault(current, [])
-            line = msec.group(2).strip()
-            if not line:
-                continue
-        elif current is None:
+        # a section header is a section name, maybe spaces, a colon and maybe
+        # the first content; inside val, "w0 : p" for a world named w0 is a
+        # valuation line
+        if ":" in line:
+            name, _, rest = line.partition(":")
+            name = name.rstrip()
+            if name in _SECTIONS and not (current == "val" and line.split()[0] in declared):
+                current = name
+                lines = sections.setdefault(name, [])
+                line = rest.strip()
+                if not line:
+                    continue
+        if current is None:
             raise ModelError(f"line {lineno}: content before any section header")
-        sections[current].append(line)
+        lines.append(line)
         if current == "worlds":
             declared.update(line.split())
 

@@ -29,7 +29,6 @@ expressions ``q + 1/v^j`` (see :class:`SymThresh`).
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -78,42 +77,101 @@ def comp_le(m: Complexity, n: Complexity) -> bool:
 
 
 class _Node:
-    """A node of a term or formula tree.
+    """A node of a term or formula tree, or a parametric threshold.
 
-    Its hash is the dataclass hash, of the tuple of its fields, computed on
-    the first ``hash()`` and kept in ``_hash``: a tree is hashed once, not
-    again at every lookup of a tree that holds it.  ``_hash`` is no field,
-    so ``fields()``, ``==``, pickling and copying do not see it."""
+    A subclass lists its fields in ``__slots__ = _fields = (...)``;
+    ``__init_subclass__`` gives it the ``__init__``, ``==`` and field tuple
+    ``_key`` of its arity.  Fields are frozen.  The hash, that of the field
+    tuple, is computed on the first ``hash()`` and kept in ``_hash``, which
+    ``==``, pickling and copying do not see: a tree is hashed once, not
+    again at every lookup of a tree that holds it."""
 
     __slots__ = ("_hash",)
 
+    def __init_subclass__(cls):
+        fields = cls._fields
+        init, eq, key = _ARITY[len(fields)]
+        cls.__init__ = init(*(vars(cls)[f].__set__ for f in fields))
+        cls.__eq__, cls._key = _renamed(eq, fields), _renamed(key, fields)
 
-def _frozen_setattr(self, name, value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-
-def _frozen_delattr(self, name):
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def _node(cls):
-    """A frozen, slotted dataclass over :class:`_Node`, hashed once."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    # the dataclass's own refuse its fields, but on Python 3.11 they raise
-    # TypeError for any other name, as they refer to the class before slots
-    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
-    field_hash = cls.__hash__
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:  # the first hash() of this node
-            h = field_hash(self)
+            h = hash(self._key())
             object.__setattr__(self, "_hash", h)
             return h
 
-    cls.__hash__ = __hash__
-    return cls
+    def __reduce__(self):  # pickle and copy the fields alone
+        return type(self), self._key()
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+# Per arity: an __init__ that writes each field through its slot's setter,
+# and an == and a field tuple that _renamed points at a class's fields.
+
+
+def _init1(s0):
+    def __init__(self, a):
+        s0(self, a)
+    return __init__
+
+
+def _init2(s0, s1):
+    def __init__(self, a, b):
+        s0(self, a)
+        s1(self, b)
+    return __init__
+
+
+def _init3(s0, s1, s2):
+    def __init__(self, a, b, c):
+        s0(self, a)
+        s1(self, b)
+        s2(self, c)
+    return __init__
+
+
+def _eq1(self, other):
+    if other.__class__ is self.__class__:
+        return (self._0,) == (other._0,)
+    return NotImplemented
+
+
+def _eq2(self, other):
+    if other.__class__ is self.__class__:
+        return (self._0, self._1) == (other._0, other._1)
+    return NotImplemented
+
+
+def _eq3(self, other):
+    if other.__class__ is self.__class__:
+        return (self._0, self._1, self._2) == (other._0, other._1, other._2)
+    return NotImplemented
+
+
+_ARITY = {
+    1: (_init1, _eq1, lambda self: (self._0,)),
+    2: (_init2, _eq2, lambda self: (self._0, self._1)),
+    3: (_init3, _eq3, lambda self: (self._0, self._1, self._2)),
+}
+
+
+def _renamed(fn, fields: tuple):
+    """``fn`` reading the attributes ``fields`` where its code reads ``_0``, ``_1``, ``_2``."""
+    names = dict(zip(("_0", "_1", "_2"), fields))
+    code = fn.__code__
+    return type(fn)(code.replace(co_names=tuple(names.get(n, n) for n in code.co_names)),
+                    fn.__globals__)
 
 
 # ---------------------------------------------------------------------------
@@ -121,37 +179,28 @@ def _node(cls):
 # ---------------------------------------------------------------------------
 
 
-@_node
 class Const(_Node):
-    name: str
+    __slots__ = _fields = ("name",)  # str
 
 
-@_node
 class Var(_Node):
-    name: str
+    __slots__ = _fields = ("name",)  # str
 
 
-@_node
 class App(_Node):
-    left: "Term"
-    right: "Term"
+    __slots__ = _fields = ("left", "right")  # Term, Term
 
 
-@_node
 class Sum(_Node):
-    left: "Term"
-    right: "Term"
+    __slots__ = _fields = ("left", "right")  # Term, Term
 
 
-@_node
 class Bang(_Node):
-    inner: "Term"
+    __slots__ = _fields = ("inner",)  # Term
 
 
-@_node
 class Proto(_Node):
-    complexity: Complexity
-    inner: "Term"
+    __slots__ = _fields = ("complexity", "inner")  # Complexity, Term
 
 
 Term = Union[Const, Var, App, Sum, Bang, Proto]
@@ -162,33 +211,24 @@ Term = Union[Const, Var, App, Sum, Bang, Proto]
 # ---------------------------------------------------------------------------
 
 
-@_node
 class Atom(_Node):
-    name: str
+    __slots__ = _fields = ("name",)  # str
 
 
-@_node
 class ENot(_Node):
-    inner: "EFormula"
+    __slots__ = _fields = ("inner",)  # EFormula
 
 
-@_node
 class EAnd(_Node):
-    left: "EFormula"
-    right: "EFormula"
+    __slots__ = _fields = ("left", "right")  # EFormula, EFormula
 
 
-@_node
 class Box(_Node):
-    agent: str
-    inner: "EFormula"
+    __slots__ = _fields = ("agent", "inner")  # str, EFormula
 
 
-@_node
 class Just(_Node):
-    term: Term
-    agent: str
-    inner: "EFormula"
+    __slots__ = _fields = ("term", "agent", "inner")  # Term, str, EFormula
 
 
 EFormula = Union[Atom, ENot, EAnd, Box, Just]
@@ -217,27 +257,15 @@ def dest_eimp(f: EFormula) -> Optional[tuple[EFormula, EFormula]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymThresh:
+class SymThresh(_Node):
     """Parametric threshold ``base + coeff / v^power`` used in proof templates.
 
     ``power >= 1`` with an integer parameter v >= N (approximation rule);
     ``power == 0`` means ``base + coeff * v`` with v ranging over the whole
-    unit interval (non-equality rule).
+    unit interval (non-equality rule).  A zero ``coeff`` goes with ``power == 0``.
     """
 
-    base: Fraction
-    coeff: Fraction
-    power: int
-
-    def __post_init__(self):
-        if self.coeff == 0 and self.power != 0:
-            object.__setattr__(self, "power", 0)
-
-    def instantiate(self, v: Union[int, Fraction]) -> Fraction:
-        if self.power == 0:
-            return self.base + self.coeff * Fraction(v)
-        return self.base + self.coeff / Fraction(v) ** self.power
+    __slots__ = _fields = ("base", "coeff", "power")  # Fraction, Fraction, int
 
     def __str__(self):
         if self.coeff == 0:
@@ -271,32 +299,24 @@ def is_symbolic(s: Threshold) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@_node
 class Epistemic(_Node):
-    inner: EFormula
+    __slots__ = _fields = ("inner",)  # EFormula
 
 
-@_node
 class ProbGeq(_Node):
-    threshold: Threshold
-    inner: EFormula
+    __slots__ = _fields = ("threshold", "inner")  # Threshold, EFormula
 
 
-@_node
 class ProbApprox(_Node):
-    r: Fraction
-    inner: EFormula
+    __slots__ = _fields = ("r", "inner")  # Fraction, EFormula
 
 
-@_node
 class FNot(_Node):
-    inner: "Formula"
+    __slots__ = _fields = ("inner",)  # Formula
 
 
-@_node
 class FAnd(_Node):
-    left: "Formula"
-    right: "Formula"
+    __slots__ = _fields = ("left", "right")  # Formula, Formula
 
 
 Formula = Union[Epistemic, ProbGeq, ProbApprox, FNot, FAnd]

@@ -346,7 +346,7 @@ def test_shared_parser_answers_like_a_fresh_one(capsys, tmp_path):
     calls = [
         ("eval", "p"),  # usage error: --model is required
         ("check-model",),  # ap.error: neither a file nor --random
-        ("check-model", "--random", "1", "--instances", "5", "--zk", "--json"),
+        ("check-model", "--random", "1", "--instances", "5", "--zk", "--json"),  # ap.error
         ("check-model", "--random", "1", "--instances", "5"),  # neither --zk nor --json carries over
         ("eval", "Pr>= 1/2 (p)", "--model", str(model), "--json"),
         ("eval", "Pr>= 1/2 (p)", "--model", str(model)),
@@ -356,7 +356,7 @@ def test_shared_parser_answers_like_a_fresh_one(capsys, tmp_path):
         got = run_or_exit(capsys, *argv)
         assert got == run_in_fresh_process(*argv), argv
         codes.append(got[0])
-    assert codes == [2, 2, 0, 0, 0, 0]
+    assert codes == [2, 2, 2, 0, 0, 0]
 
 
 # -- one renderer --------------------------------------------------------------------
@@ -392,12 +392,13 @@ def test_text_and_json_reports_agree(capsys, tmp_path):
         assert code_json == code and payload.pop("ok") is (code == 0), argv
         assert payload.pop("report") == out.splitlines(), argv
         assert payload == want_fields, argv
-    # the spec is read first, also under --random where it is not used
+    # the spec is read before the model; --random takes no spec, so the
+    # usage error comes before any file is read
     missing = str(tmp_path / "missing.ispec")
-    for argv in (["check-model", "--random", "1", "--spec", missing],
-                 ["check-model", str(tmp_path / "missing.ipjm"), "--spec", missing]):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "") and "missing.ispec" in err, argv
+    code, out, err = run(capsys, "check-model", str(tmp_path / "missing.ipjm"), "--spec", missing)
+    assert (code, out) == (2, "") and "missing.ispec" in err
+    code, out, err = run_or_exit(capsys, "check-model", "--random", "1", "--spec", missing)
+    assert (code, out) == (2, "") and err.endswith("error: --random does not take --spec\n")
 
 
 def test_every_kernel_input_error_is_a_value_error():
@@ -419,3 +420,15 @@ def test_python_m_ipj():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "p\n", "")
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # the kernel builds its classes without these modules, which cost start-up
+    src = str(Path(ipj.__file__).resolve().parent.parent)
+    code = ("import sys; before = set(sys.modules); import ipj.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -20,7 +20,6 @@ from ipj.proofcheck import (
     load_derivation_file,
     match_axiom,
     match_epistemic_axiom,
-    match_failure_notes,
     parse_derivation,
     thresh_ge,
     thresh_lt,
@@ -51,6 +50,19 @@ def fml(text):
 
 def q(x):
     return QEps.from_rational(Fraction(x))
+
+
+def match_failure_notes(f, spec, zk=False, hints=None):
+    """Why each schema does or does not match ``f``, one note per schema."""
+    ctx = proofcheck.MatchContext(spec, zk, hints=hints)
+    notes = []
+    for sid in proofcheck.SCHEMA_IDS:
+        try:
+            proofcheck._match(sid, f, ctx)
+            notes.append(f"{sid}: matches")
+        except proofcheck.NoMatch as exc:
+            notes.append(f"{sid}: {exc.reason}")
+    return notes
 
 
 # -- threshold comparison --------------------------------------------------------
@@ -334,7 +346,9 @@ def test_golden_proofs_valid():
 def instantiate_param(f, v):
     """f with every parametric threshold replaced by its value at v."""
     if isinstance(f, ProbGeq) and isinstance(f.threshold, SymThresh):
-        return ProbGeq(QEps.from_rational(f.threshold.instantiate(v)), f.inner)
+        s = f.threshold  # base + coeff * v, or base + coeff / v^power
+        value = s.base + (s.coeff * v if s.power == 0 else s.coeff / Fraction(v) ** s.power)
+        return ProbGeq(QEps.from_rational(value), f.inner)
     if isinstance(f, FNot):
         return FNot(instantiate_param(f.inner, v))
     if isinstance(f, FAnd):

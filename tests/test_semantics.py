@@ -139,18 +139,23 @@ def test_unknown_evidence_world_or_agent_is_the_first_bad_entry():
         "evidence mentions unknown world 'yy'\nevidence mentions unknown agent 'Q'\n"}
 
 
+def successors(m, agent, w):
+    """The ``agent`` successors of ``w`` in ``m``, sorted by name."""
+    return tuple(sorted(m.worlds[j] for j in m._succ[agent][m.index(w)]))
+
+
 def test_successors_are_sorted():
     rel = [("c", "a"), ("c", "c"), ("a", "a"), ("c", "b"), ("b", "b"), ("b", "a")]
     m = EpistemicModel(["c", "b", "a"], {"P": rel, "V": ident(["a", "b", "c"])}, {})
-    assert m.successors("P", "c") == ("a", "b", "c")
-    assert m.successors("P", "b") == ("a", "b")
-    assert m.successors("V", "c") == ("c",)
+    assert successors(m, "P", "c") == ("a", "b", "c")
+    assert successors(m, "P", "b") == ("a", "b")
+    assert successors(m, "V", "c") == ("c",)
     rng = random.Random(3)
     for _ in range(200):
         m = generators.rand_model(rng).base
         for a in ("P", "V"):
             for w in m.worlds:
-                assert m.successors(a, w) == tuple(u for (x, u) in sorted(m.rel[a]) if x == w)
+                assert successors(m, a, w) == tuple(u for (x, u) in sorted(m.rel[a]) if x == w)
 
 
 def test_masses_must_sum_to_one():
@@ -652,6 +657,38 @@ def test_worlds_named_like_sections():
     qm = parse_model_file(text)
     assert qm.w0 == "U" and qm.sample == ("w0", "U")
     assert all(qm.base.valuation[w] == {"p"} for w in names)
+
+
+def test_section_header_spellings():
+    # a header is a section name, then spaces or tabs, a colon and maybe the
+    # section's first content; inside val, "w0 : p" and "U : q" are the
+    # valuation lines of the worlds w0 and U
+    text = (
+        "worlds :\tw0 U\n"
+        "# a comment\n"
+        "R[P] :  w0 -> w0\n"
+        "U -> U\n"
+        "R[V]\t:\n"
+        "\tw0 -> w0\n"
+        "  # an indented comment\n"
+        "U -> U\n"
+        "val:\n"
+        "w0 : p\n"
+        "U\t:\tq r\n"
+        "evidence :  w0 [P] t : p\n"
+        "U:w0 U\n"
+        "mu\t:\n"
+        "w0 = 1/2\n"
+        "U = 1/2\n"
+        "w0 :U\n"
+    )
+    qm = parse_model_file(text)
+    assert qm.w0 == "U" and qm.sample == ("w0", "U") and qm.base.worlds == ("w0", "U")
+    assert qm.base.valuation == {"w0": {"p"}, "U": {"q", "r"}}
+    assert qm.base.evidence_base == {("P", Var("t"), Atom("p")): {"w0"}}
+    for a in ("P", "V"):
+        assert qm.base.rel[a] == {("w0", "w0"), ("U", "U")}
+    assert qm.measure == {"w0": q("1/2"), "U": q("1/2")}
 
 
 def test_model_file_errors():
