@@ -67,6 +67,8 @@ def cmd_check_proof(args) -> Report:
 def cmd_check_model(args) -> Report:
     if args.random < 0 or args.instances < 0:
         raise ValueError("--random and --instances must not be negative")
+    if args.kmax is not None and args.kmax < 1:  # k ranges over the positive integers
+        raise ValueError("--kmax must be at least 1")
     if args.random:
         return _soundness_harness(args)
     spec = _load_spec(args.spec)
@@ -235,7 +237,8 @@ def main(argv=None) -> int:
         if not args.random and not args.model:
             ap.error("check-model needs a model file or --random N")
         if args.random:  # the harness draws its own models and checks no protocol condition
-            for option, given in (("--spec", args.spec is not None), ("--zk", args.zk),
+            for option, given in (("a model file", args.model is not None),
+                                  ("--spec", args.spec is not None), ("--zk", args.zk),
                                   ("--kmax", args.kmax is not None)):
                 if given:
                     ap.error(f"--random does not take {option}")

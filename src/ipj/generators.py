@@ -14,11 +14,12 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from . import proofcheck, syntax
+from . import proofcheck
 from .ispec import InteractionSpec
-from .qeps import QEps
+from .qeps import ZERO, QEps
 from .semantics import EpistemicModel, Quasimodel
 from .syntax import (
+    AGENTS,
     OMEGA,
     App,
     Atom,
@@ -29,8 +30,6 @@ from .syntax import (
     ENot,
     EFormula,
     Epistemic,
-    FAnd,
-    FNot,
     Formula,
     Just,
     ProbApprox,
@@ -39,7 +38,6 @@ from .syntax import (
     Sum,
     Term,
     Var,
-    eimp,
     fand,
     fimp,
     fnot,
@@ -48,7 +46,8 @@ from .syntax import (
 ATOM_NAMES = ("p", "q", "r", "p1", "q1")
 VAR_NAMES = ("x", "y", "z", "t", "s", "u")
 CONST_NAMES = ("a", "b", "k1", "k2")
-AGENTS = (syntax.PROVER, syntax.VERIFIER)
+MAX_DEN = 12  # of a random rational
+MAX_WORLDS, MAX_SAMPLE = 6, 4  # of a random model
 
 
 # ---------------------------------------------------------------------------
@@ -56,14 +55,14 @@ AGENTS = (syntax.PROVER, syntax.VERIFIER)
 # ---------------------------------------------------------------------------
 
 
-def rand_fraction(rng: random.Random, max_den: int = 12) -> Fraction:
-    den = rng.randint(1, max_den)
+def rand_fraction(rng: random.Random) -> Fraction:
+    den = rng.randint(1, MAX_DEN)
     return Fraction(rng.randint(0, den), den)
 
 
-def rand_qeps(rng: random.Random, max_den: int = 12) -> QEps:
+def rand_qeps(rng: random.Random) -> QEps:
     """A random element of the unit interval, sometimes off by infinitesimals."""
-    q = rand_fraction(rng, max_den)
+    q = rand_fraction(rng)
     value = QEps.from_rational(q)
     if rng.random() < 0.4:
         bump = QEps.from_monomials([(Fraction(rng.randint(1, 3)), rng.randint(1, 2))])
@@ -97,17 +96,17 @@ def rand_term(rng: random.Random, depth: int = 4) -> Term:
     return Proto(comp, rand_term(rng, depth - 1))
 
 
-def rand_eformula(rng: random.Random, depth: int = 4, atoms=ATOM_NAMES) -> EFormula:
+def rand_eformula(rng: random.Random, depth: int = 4) -> EFormula:
     if depth <= 0 or rng.random() < 0.3:
-        return Atom(rng.choice(atoms))
+        return Atom(rng.choice(ATOM_NAMES))
     kind = rng.randrange(4)
     if kind == 0:
-        return ENot(rand_eformula(rng, depth - 1, atoms))
+        return ENot(rand_eformula(rng, depth - 1))
     if kind == 1:
-        return EAnd(rand_eformula(rng, depth - 1, atoms), rand_eformula(rng, depth - 1, atoms))
+        return EAnd(rand_eformula(rng, depth - 1), rand_eformula(rng, depth - 1))
     if kind == 2:
-        return Box(rng.choice(AGENTS), rand_eformula(rng, depth - 1, atoms))
-    return Just(rand_term(rng, depth - 1), rng.choice(AGENTS), rand_eformula(rng, depth - 1, atoms))
+        return Box(rng.choice(AGENTS), rand_eformula(rng, depth - 1))
+    return Just(rand_term(rng, depth - 1), rng.choice(AGENTS), rand_eformula(rng, depth - 1))
 
 
 def rand_formula(rng: random.Random, depth: int = 6) -> Formula:
@@ -140,13 +139,8 @@ def _transitive_closure(worlds, edges):
     return closed
 
 
-def rand_model(
-    rng: random.Random,
-    max_worlds: int = 6,
-    max_sample: int = 4,
-    atoms=ATOM_NAMES,
-) -> Quasimodel:
-    n = rng.randint(1, max_worlds)
+def rand_model(rng: random.Random) -> Quasimodel:
+    n = rng.randint(1, MAX_WORLDS)
     worlds = [f"w{i}" for i in range(n)]
     rel = {}
     for a in AGENTS:
@@ -155,16 +149,16 @@ def rand_model(
             edges.add((rng.choice(worlds), rng.choice(worlds)))
         rel[a] = _transitive_closure(worlds, edges)
     valuation = {
-        w: [at for at in atoms if rng.random() < 0.5] for w in worlds
+        w: [at for at in ATOM_NAMES if rng.random() < 0.5] for w in worlds
     }
     evidence: dict[tuple, list[str]] = {}
     for _ in range(rng.randint(0, 2 * n)):
         w, a = rng.choice(worlds), rng.choice(AGENTS)
-        t, alpha = rand_term(rng, 2), rand_eformula(rng, 2, atoms)
+        t, alpha = rand_term(rng, 2), rand_eformula(rng, 2)
         evidence.setdefault((a, t, alpha), []).append(w)
-    base = EpistemicModel(worlds, rel, valuation, evidence, atoms=atoms)
+    base = EpistemicModel(worlds, rel, valuation, evidence, atoms=ATOM_NAMES)
 
-    k = rng.randint(1, min(max_sample, n))
+    k = rng.randint(1, min(MAX_SAMPLE, n))
     sample = rng.sample(worlds, k)
     weights = [rng.randint(1, 5) for _ in sample]
     total = sum(weights)
@@ -186,10 +180,10 @@ def rand_model(
 # ---------------------------------------------------------------------------
 
 
-def _taut_instance(rng: random.Random, atoms) -> Formula:
-    x = rand_formula(rng, 2) if rng.random() < 0.5 else Epistemic(rand_eformula(rng, 2, atoms))
-    y = Epistemic(rand_eformula(rng, 2, atoms))
-    z = Epistemic(rand_eformula(rng, 1, atoms))
+def _taut_instance(rng: random.Random) -> Formula:
+    x = rand_formula(rng, 2) if rng.random() < 0.5 else Epistemic(rand_eformula(rng, 2))
+    y = Epistemic(rand_eformula(rng, 2))
+    z = Epistemic(rand_eformula(rng, 1))
     shapes = (
         lambda: fimp(x, x),
         lambda: fimp(x, fimp(y, x)),
@@ -202,91 +196,89 @@ def _taut_instance(rng: random.Random, atoms) -> Formula:
     return rng.choice(shapes)()
 
 
+def _sample_p2(rng: random.Random, b: dict, spec, k) -> dict:  # s < t
+    t = rand_qeps(rng)
+    while t.compare(ZERO) <= 0:
+        t = rand_qeps(rng)
+    s = t - QEps.from_monomials([(Fraction(1), rng.randint(1, 2))])
+    return {"s": s if s.in_unit_interval() else ZERO, "t": t}
+
+
+def _sample_pa1(rng: random.Random, b: dict, spec, k) -> dict:  # s in [0, r)
+    r = rand_fraction(rng)
+    while r == 0:
+        r = rand_fraction(rng)
+    s = Fraction(rng.randint(0, r.numerator * 2 - 1), r.denominator * 2)
+    return {"r": r, "s": QEps.from_rational(s)}
+
+
+def _sample_pa2(rng: random.Random, b: dict, spec, k) -> dict:  # s in (r, 1]
+    r = rand_fraction(rng)
+    while r == 1:
+        r = rand_fraction(rng)
+    return {"r": r, "s": QEps.from_rational(r + Fraction(1 - r, rng.randint(1, 4)))}
+
+
+def _sample_m(rng: random.Random, b: dict, spec, k) -> dict:  # m < n
+    m = rng.randint(1, 6)
+    return {"m": m, "n": OMEGA if rng.random() < 0.3 else m + rng.randint(1, 4)}
+
+
+def _sample_bound(rng: random.Random, b: dict, spec, k) -> dict:  # n > m(k)
+    k = rng.randint(1, 2) if k is None else k
+    return {"n": spec.threshold(b["alpha"]).value_at(k) + rng.randint(1, 4), "k": k}
+
+
+# A sampler per schema whose side condition constrains its bindings:
+# (rng, bindings drawn so far, spec, k) -> the bindings it draws.
+_SAMPLERS = {
+    "p": lambda rng, *_: {"formula": _taut_instance(rng)},
+    "p1": lambda rng, *_: {"s": ZERO},
+    "p2": _sample_p2,
+    "p6": lambda rng, *_: {"s": QEps.from_rational(rand_fraction(rng)),
+                           "t": QEps.from_rational(rand_fraction(rng))},
+    "pa1": _sample_pa1,
+    "pa2": _sample_pa2,
+    "m": _sample_m,
+    "c": _sample_bound,
+    "s": _sample_bound,
+    "zk1": _sample_bound,
+}
+
+
 def rand_axiom_instance(
     rng: random.Random,
     schema: str,
-    atoms=ATOM_NAMES,
     spec: Optional[InteractionSpec] = None,
     spec_formula: Optional[EFormula] = None,
     k: Optional[int] = None,
 ) -> Formula:
-    """A random instance of one schema whose side conditions hold."""
-    a = rng.choice(AGENTS)
-    A = rand_eformula(rng, 2, atoms)
-    B = rand_eformula(rng, 2, atoms)
-    t1 = rand_term(rng, 2)
-    t2 = rand_term(rng, 2)
-    if schema == "p":
-        return _taut_instance(rng, atoms)
-    if schema in ("k", "t", "4"):
-        return proofcheck.instantiate_schema(schema, {"agent": a, "A": A, "B": B})
-    if schema in ("j", "j+"):
-        return proofcheck.instantiate_schema(
-            schema, {"agent": a, "s": t1, "t": t2, "A": A, "B": B}
-        )
-    if schema in ("jt", "j4", "jyb"):
-        return proofcheck.instantiate_schema(schema, {"agent": a, "t": t1, "A": A})
-    if schema == "m":
-        m = rng.randint(1, 6)
-        n = OMEGA if rng.random() < 0.3 else m + rng.randint(1, 4)
-        return proofcheck.instantiate_schema(
-            "m", {"agent": a, "t": t1, "m": m, "n": n, "A": A}
-        )
-    if schema == "p1":
-        return proofcheck.instantiate_schema("p1", {"A": A, "s": QEps.from_rational(0)})
-    if schema == "p2":
-        t = rand_qeps(rng)
-        while t.compare(QEps.from_rational(0)) <= 0:
-            t = rand_qeps(rng)
-        s = t - QEps.from_monomials([(Fraction(1), rng.randint(1, 2))])
-        if not s.in_unit_interval():
-            s = QEps.from_rational(0)
-        return proofcheck.instantiate_schema("p2", {"A": A, "s": s, "t": t})
-    if schema == "p3":
-        return proofcheck.instantiate_schema("p3", {"A": A, "s": rand_qeps(rng)})
-    if schema == "p4":
-        return proofcheck.instantiate_schema("p4", {"A": A, "B": B, "s": rand_qeps(rng)})
-    if schema == "p5":
-        return proofcheck.instantiate_schema("p5", {"A": A, "s": rand_qeps(rng)})
-    if schema == "p6":
-        return proofcheck.instantiate_schema(
-            "p6",
-            {"A": A, "B": B, "s": QEps.from_rational(rand_fraction(rng)),
-             "t": QEps.from_rational(rand_fraction(rng))},
-        )
-    if schema == "p7":
-        return proofcheck.instantiate_schema("p7", {"A": A, "B": B, "s": rand_qeps(rng)})
-    if schema in ("pa1", "pa2"):
-        r = rand_fraction(rng)
-        if schema == "pa1":
-            while r == 0:
-                r = rand_fraction(rng)
-            num = rng.randint(0, r.numerator * 2 - 1)
-            s = Fraction(num, r.denominator * 2)  # in [0, r)
-        else:
-            while r == 1:
-                r = rand_fraction(rng)
-            s = r + Fraction(1 - r, rng.randint(1, 4))  # in (r, 1]
-        return proofcheck.instantiate_schema(
-            schema, {"A": A, "r": r, "s": QEps.from_rational(s)}
-        )
-    if schema in ("c", "s", "cw", "sw", "zk1", "zk2"):
+    """A random instance of one schema of ``proofcheck``'s table whose side
+    conditions hold.
+
+    Each binding is drawn by the sort its metavariable's name stands for.
+    Every call first draws an agent, the epistemic formulas A and B and the
+    terms t and u, in this order, whether the schema binds them or not; an
+    interaction schema's alpha is ``spec_formula``.  The schema's sampler,
+    if it has one, draws next; a threshold s that no sampler draws comes last.
+    """
+    sch = proofcheck._SCHEMAS.get(schema)
+    if sch is None:
+        raise ValueError(f"unknown schema {schema!r}")
+    b = {"agent": rng.choice(AGENTS), "A": rand_eformula(rng, 2), "B": rand_eformula(rng, 2),
+         "t": rand_term(rng, 2), "u": rand_term(rng, 2)}
+    if "alpha" in sch.names:
         if spec is None or spec_formula is None:
             raise ValueError("interaction schemas need a spec entry")
-        alpha = spec_formula
-        if schema in ("cw", "sw", "zk2"):
-            return proofcheck.instantiate_schema(schema, {"t": t1, "alpha": alpha})
-        kk = k if k is not None else rng.randint(1, 2)
-        fn = spec.threshold(alpha)
-        thr = fn.value_at(kk)
-        n = thr + rng.randint(1, 4)
-        return proofcheck.instantiate_schema(
-            schema, {"t": t1, "alpha": alpha, "n": n, "k": kk}
-        )
-    raise ValueError(f"unknown schema {schema!r}")
+        b["alpha"] = spec_formula
+    sampler = _SAMPLERS.get(schema)
+    if sampler is not None:
+        b.update(sampler(rng, b, spec, k))
+    elif "s" in sch.names:
+        b["s"] = rand_qeps(rng)
+    return proofcheck.instantiate_schema(schema, b)
 
 
-HARNESS_SCHEMAS = (
-    "p", "k", "t", "4", "j", "j+", "jt", "j4", "jyb",
-    "p1", "p2", "p3", "p4", "p5", "p6", "p7", "pa1", "pa2", "m",
-)
+# the schemas whose instances need no interaction spec
+HARNESS_SCHEMAS = tuple(
+    sid for sid, sch in proofcheck._SCHEMAS.items() if "alpha" not in sch.names)

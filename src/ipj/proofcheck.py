@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .ispec import InteractionSpec, error, error_exponent
-from .qeps import QEps
+from .qeps import ONE, ZERO, QEps
 from . import syntax
 from .syntax import (
     OMEGA,
@@ -76,9 +76,6 @@ class TemplateError(ValueError):
 # symctx is None (no parameter in scope), ("nu", N) for an integer parameter
 # v >= N, or ("sigma",) for a parameter ranging over the whole unit interval.
 SymCtx = Optional[tuple]
-
-_ZERO_Q = QEps.from_rational(0)
-_ONE_Q = QEps.from_rational(1)
 
 
 def _sym_view(x: Threshold) -> Optional[SymThresh]:
@@ -226,14 +223,6 @@ def is_tautology(f: Formula) -> Optional[bool]:
 # one unifier matches; a side condition then checks what the shape cannot
 # say, and a derive step recomputes bindings that the others determine.
 
-SCHEMA_IDS = (
-    "p", "k", "t", "4", "j", "j+", "jt", "j4", "jyb",
-    "p1", "p2", "p3", "p4", "p5", "p6", "p7", "pa1", "pa2",
-    "m", "c", "s", "cw", "sw", "zk1", "zk2",
-)
-
-EPISTEMIC_SCHEMAS = ("p", "k", "t", "4", "j", "j+", "jt", "j4", "jyb", "m")
-
 
 class NoMatch(Exception):
     def __init__(self, reason: str = "structural mismatch"):
@@ -312,15 +301,15 @@ def _unify(p, x, b: dict) -> bool:
 
 
 class _Schema:
-    __slots__ = ("build", "side", "derive", "pattern")
+    __slots__ = ("build", "side", "derive", "names", "pattern")
 
     def __init__(self, build, side=None, derive=None):
         self.build = build  # keyword bindings -> instance; extra keys are ignored
         self.side = side  # (bindings, ctx) -> None; raises NoMatch, may add bindings
         self.derive = derive  # bindings -> the bindings they determine
         code = build.__code__  # the named parameters, before **_
-        names = code.co_varnames[:code.co_argcount]
-        self.pattern = build(**{name: _Meta(name) for name in names})
+        self.names = code.co_varnames[:code.co_argcount]
+        self.pattern = build(**{name: _Meta(name) for name in self.names})
 
 
 # -- side conditions and derived bindings ----------------------------------------
@@ -338,7 +327,7 @@ def _side_m(b: dict, ctx: MatchContext):
 
 
 def _side_p1(b: dict, ctx: MatchContext):
-    _need(cmp_thresh(b["s"], _ZERO_Q, ctx.symctx) == 0, "threshold is not 0")
+    _need(cmp_thresh(b["s"], ZERO, ctx.symctx) == 0, "threshold is not 0")
 
 
 def _side_p2(b: dict, ctx: MatchContext):
@@ -354,7 +343,7 @@ def _side_p6(b: dict, ctx: MatchContext):
 
 def _derive_p6(b: dict) -> dict:
     total = b["s"] + b["t"]
-    return {"u": total if total.compare(_ONE_Q) <= 0 else _ONE_Q}
+    return {"u": total if total.compare(ONE) <= 0 else ONE}
 
 
 def _pa_range(s: Threshold, symctx: SymCtx, lo: Optional[bool], hi: Optional[bool], interval: str):
@@ -366,12 +355,12 @@ def _pa_range(s: Threshold, symctx: SymCtx, lo: Optional[bool], hi: Optional[boo
 
 def _side_pa1(b: dict, ctx: MatchContext):
     s, c = b["s"], ctx.symctx
-    _pa_range(s, c, thresh_ge(s, _ZERO_Q, c), thresh_lt(s, QEps.from_rational(b["r"]), c), "[0, r)")
+    _pa_range(s, c, thresh_ge(s, ZERO, c), thresh_lt(s, QEps.from_rational(b["r"]), c), "[0, r)")
 
 
 def _side_pa2(b: dict, ctx: MatchContext):
     s, c = b["s"], ctx.symctx  # thresh_signs is antisymmetric: s > r is r < s
-    _pa_range(s, c, thresh_lt(QEps.from_rational(b["r"]), s, c), thresh_ge(_ONE_Q, s, c), "(r, 1]")
+    _pa_range(s, c, thresh_lt(QEps.from_rational(b["r"]), s, c), thresh_ge(ONE, s, c), "(r, 1]")
 
 
 def _infer_nk(x: Fraction, n: int, ctx: MatchContext) -> int:
@@ -444,7 +433,7 @@ def _p5(A, s, **_):
 
 
 def _p6(A, B, s, t, u, **_):
-    disjoint = ProbGeq(_ONE_Q, ENot(EAnd(A, B)))
+    disjoint = ProbGeq(ONE, ENot(EAnd(A, B)))
     return fimp(fand(fand(_eq(s, A), _eq(t, B)), disjoint), _eq(u, eor(A, B)))
 
 
@@ -462,23 +451,23 @@ _SCHEMAS: dict[str, _Schema] = {
         eimp(Box(agent, eimp(A, B)), eimp(Box(agent, A), Box(agent, B))))),
     "t": _Schema(lambda agent, A, **_: Epistemic(eimp(Box(agent, A), A))),
     "4": _Schema(lambda agent, A, **_: Epistemic(eimp(Box(agent, A), Box(agent, Box(agent, A))))),
-    "j": _Schema(lambda agent, s, t, A, B, **_: Epistemic(eimp(
-        Just(s, agent, eimp(A, B)), eimp(Just(t, agent, A), Just(App(s, t), agent, B))))),
-    "j+": _Schema(lambda agent, s, t, A, **_: Epistemic(
-        eimp(eor(Just(s, agent, A), Just(t, agent, A)), Just(Sum(s, t), agent, A)))),
+    "j": _Schema(lambda agent, t, u, A, B, **_: Epistemic(eimp(
+        Just(t, agent, eimp(A, B)), eimp(Just(u, agent, A), Just(App(t, u), agent, B))))),
+    "j+": _Schema(lambda agent, t, u, A, **_: Epistemic(
+        eimp(eor(Just(t, agent, A), Just(u, agent, A)), Just(Sum(t, u), agent, A)))),
     "jt": _Schema(lambda agent, t, A, **_: Epistemic(eimp(Just(t, agent, A), A))),
     "j4": _Schema(lambda agent, t, A, **_: Epistemic(
         eimp(Just(t, agent, A), Just(Bang(t), agent, Just(t, agent, A))))),
     "jyb": _Schema(lambda agent, t, A, **_: Epistemic(eimp(Just(t, agent, A), Box(agent, A)))),
-    "p1": _Schema(lambda A, s=_ZERO_Q, **_: ProbGeq(s, A), _side_p1),
+    "p1": _Schema(lambda A, s=ZERO, **_: ProbGeq(s, A), _side_p1),
     "p2": _Schema(lambda A, s, t, **_: fimp(_leq(s, A), FNot(ProbGeq(t, A))), _side_p2),
     "p3": _Schema(lambda A, s, **_: fimp(FNot(ProbGeq(s, A)), _leq(s, A))),
     "p4": _Schema(lambda A, B, s, **_: fimp(
-        ProbGeq(_ONE_Q, eiff(A, B)), fimp(_eq(s, A), _eq(s, B)))),
+        ProbGeq(ONE, eiff(A, B)), fimp(_eq(s, A), _eq(s, B)))),
     "p5": _Schema(_p5),
     "p6": _Schema(_p6, _side_p6, _derive_p6),
     "p7": _Schema(lambda A, B, s, **_: fimp(
-        ProbGeq(_ONE_Q, eimp(A, B)), fimp(ProbGeq(s, A), ProbGeq(s, B)))),
+        ProbGeq(ONE, eimp(A, B)), fimp(ProbGeq(s, A), ProbGeq(s, B)))),
     "pa1": _Schema(lambda A, r, s, **_: fimp(ProbApprox(r, A), ProbGeq(s, A)), _side_pa1),
     "pa2": _Schema(lambda A, r, s, **_: fimp(ProbApprox(r, A), _leq(s, A)), _side_pa2),
     "m": _Schema(lambda agent, t, m, n, A, **_: Epistemic(
@@ -503,6 +492,11 @@ _SCHEMAS: dict[str, _Schema] = {
         Epistemic(_claim(t, alpha)), ProbApprox(Fraction(0), _run(OMEGA, t, _claim(t, alpha)))),
         _zk(_side_limit)),
 }
+
+SCHEMA_IDS = tuple(_SCHEMAS)
+# the schemas whose instances may be epistemic formulas, hence sit under constants
+EPISTEMIC_SCHEMAS = tuple(
+    sid for sid, sch in _SCHEMAS.items() if type(sch.pattern) in (Epistemic, _Meta))
 
 
 def instantiate_schema(schema: str, b: dict) -> Formula:
@@ -735,7 +729,7 @@ def _pnec(c: _Check, line: ProofLine, i: int):
     e = as_efml(c.cited(line, i))
     if e is None:
         raise NoMatch("probabilistic necessitation needs an epistemic premise")
-    if line.formula != ProbGeq(_ONE_Q, e):
+    if line.formula != ProbGeq(ONE, e):
         raise NoMatch("conclusion must assert the premise with probability >= 1")
 
 
@@ -766,11 +760,11 @@ def _approx(c: _Check, line: ProofLine, r: Fraction, path: str):
     # premise family: B -> Pr>= r - 1/v (A)  and  B -> Pr<= r + 1/v (A),
     # with thresholds clipped into the unit interval at the ends.
     if r == 0:
-        lower = fimp(b, ProbGeq(_ZERO_Q, a))
+        lower = fimp(b, ProbGeq(ZERO, a))
     else:
         lower = fimp(b, ProbGeq(SymThresh(r, Fraction(-1), 1), a))
     if r == 1:
-        upper = fimp(b, ProbGeq(_ZERO_Q, ENot(a)))
+        upper = fimp(b, ProbGeq(ZERO, ENot(a)))
     else:
         upper = fimp(b, ProbGeq(SymThresh(1 - r, Fraction(-1), 1), ENot(a)))
     derived = {l.formula for l in template.lines}

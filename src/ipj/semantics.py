@@ -26,8 +26,9 @@ from typing import Iterable, Mapping, Optional
 
 from . import proofcheck, syntax
 from .ispec import InteractionSpec, error
-from .qeps import QEps, QEpsParseError, parse_qeps
+from .qeps import ONE, ZERO, QEps, QEpsParseError, parse_qeps
 from .syntax import (
+    AGENTS,
     OMEGA,
     App,
     Atom,
@@ -53,8 +54,6 @@ from .syntax import (
     esubformulas,
     is_f_free,
 )
-
-AGENTS = (syntax.PROVER, syntax.VERIFIER)
 
 
 class ModelError(ValueError):
@@ -324,9 +323,6 @@ class EpistemicModel:
 # quasimodels
 # ---------------------------------------------------------------------------
 
-_ZERO = QEps.from_rational(0)
-_ONE = QEps.from_rational(1)
-
 
 class Quasimodel:
     """Epistemic model plus an exact probability space over a world sample.
@@ -348,7 +344,7 @@ class Quasimodel:
         self.sample: tuple[str, ...] = tuple(dict.fromkeys(sample))
         self.measure: dict[str, QEps] = dict(measure)
         self.w0 = w0
-        masses = [self.measure.get(w, _ZERO) for w in base.worlds]
+        masses = [self.measure.get(w, ZERO) for w in base.worlds]
         # per power of e, the polynomial masses' coefficients as integer
         # numerators over one denominator, by world
         polys = [m.num if len(m.den) == 1 else () for m in masses]
@@ -375,7 +371,7 @@ class Quasimodel:
         # Masses >= 0 that sum to exactly 1 are each <= 1, since Q[e] is an
         # ordered field; only a failure scans for the first bad sample world.
         distinct = {id(m): m for m in self.measure.values()}.values()
-        if all(m.sign() >= 0 for m in distinct) and self.measure_event(self.sample) == _ONE:
+        if all(m.sign() >= 0 for m in distinct) and self.measure_event(self.sample) == ONE:
             return
         for u in self.sample:
             if not self.measure[u].in_unit_interval():
@@ -532,7 +528,7 @@ def _check_bounds(
         if upper:
             ok = value.compare(bound) <= 0
         else:
-            ok = value.compare(_ONE - bound) >= 0
+            ok = value.compare(ONE - bound) >= 0
         if not ok:
             rep.fail(describe(n, value), (t, alpha, n, k, value))
     stab = q.measure_of(Just(Proto(max(n_star, thr + 1), t), syntax.VERIFIER, body))

@@ -50,6 +50,9 @@ class _Omega:
     def __repr__(self):
         return "w"
 
+    def __hash__(self):  # a constant, not the default by id: the same in every process
+        return 0x6F6D6567
+
 
 OMEGA = _Omega()
 Complexity = Union[int, _Omega]

@@ -223,6 +223,22 @@ def test_random_harness_rejects_negative_counts(capsys, counts):
     assert out == "" and err.startswith("error:")
 
 
+def test_random_harness_takes_no_model_file(capsys, tmp_path):
+    # the harness draws its own models, so a file next to --random would be ignored
+    for model in (str(tmp_path / "missing.ipjm"), str(GOLDEN / "golden.ispec")):
+        code, out, err = run_or_exit(capsys, "check-model", model, "--random", "1",
+                                     "--instances", "5")
+        assert (code, out) == (2, "") and err.endswith("error: --random does not take a model file\n")
+
+
+@pytest.mark.parametrize("kmax", ["-1", "0"])
+def test_kmax_below_one_is_an_input_error(capsys, tmp_path, kmax):
+    # k ranges over the positive integers: no k to check would print PASS
+    _, _, path, spec = witness_file(capsys, tmp_path)
+    code, out, err = run(capsys, "check-model", str(path), "--spec", str(spec), "--kmax", kmax)
+    assert (code, out, err) == (2, "", "error: --kmax must be at least 1\n")
+
+
 def test_unknown_atom_anywhere_is_an_input_error(capsys, tmp_path):
     _, _, path, _ = witness_file(capsys, tmp_path)
     # the left conjunct is false, so a short-circuit evaluation would never see zz

@@ -1,5 +1,6 @@
 """Axiom schema matching, symbolic thresholds, and derivation checking."""
 
+import hashlib
 import os
 import random
 import shutil
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from ipj import generators, proofcheck, syntax
+from ipj import generators, proofcheck, semantics, syntax
 from ipj.ispec import InteractionSpec, load_spec
 from ipj.proofcheck import (
     Report,
@@ -282,6 +283,47 @@ def test_bindings_roundtrip_random():
         m = match_axiom(f, spec, zk=schema in ("zk1", "zk2"), schema=schema)
         assert m is not None, (schema, print_formula(f))
         assert instantiate_schema(m.schema, m.bindings) == f
+
+
+def test_schema_lists_are_pinned():
+    # read from the schema table; perfbench shuffles SCHEMA_IDS and tests draw
+    # from these lists with rng.choice, so their order is part of those streams
+    assert proofcheck.SCHEMA_IDS == (
+        "p", "k", "t", "4", "j", "j+", "jt", "j4", "jyb",
+        "p1", "p2", "p3", "p4", "p5", "p6", "p7", "pa1", "pa2",
+        "m", "c", "s", "cw", "sw", "zk1", "zk2",
+    )
+    assert proofcheck.EPISTEMIC_SCHEMAS == ("p", "k", "t", "4", "j", "j+", "jt", "j4", "jyb", "m")
+    assert generators.HARNESS_SCHEMAS == proofcheck.SCHEMA_IDS[:19]
+
+
+def test_generator_streams_are_pinned():
+    # The soundness harness and the benchmark's derivations take their inputs
+    # from these draws: every schema with and without k, random models, and
+    # harness instances.  The digest was computed before the generator was
+    # rewritten over the schema table; a new digest means new random streams.
+    spec = load_spec("a : const 0\nbox[P] p : const 1\nq & r : poly 1 1\n")
+    rng = random.Random(19)
+    h = hashlib.sha256()
+    for _ in range(40):
+        for sid in proofcheck.SCHEMA_IDS:
+            for k in (None, 1, 3):
+                f = generators.rand_axiom_instance(
+                    rng, sid, spec=spec, spec_formula=rng.choice(spec.formulas()), k=k
+                )
+                h.update(print_formula(f).encode() + b"\n")
+    for _ in range(20):
+        h.update(semantics.write_model_file(generators.rand_model(rng)).encode())
+        for _ in range(50):
+            f = generators.rand_axiom_instance(rng, rng.choice(generators.HARNESS_SCHEMAS))
+            h.update(print_formula(f).encode())
+    assert h.hexdigest() == "e03bcfbe850d7bb7174e9bd312d740c0df98db1090dc5c9b1bd034ce13ebe460"
+
+
+@pytest.mark.parametrize("schema", ["nope", "c", "s", "cw", "sw", "zk1", "zk2"])
+def test_generator_input_errors(schema):
+    with pytest.raises(ValueError, match="unknown schema" if schema == "nope" else "spec entry"):
+        generators.rand_axiom_instance(random.Random(0), schema)
 
 
 # -- derivations ----------------------------------------------------------------

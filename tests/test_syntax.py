@@ -1,12 +1,17 @@
 """Parsing, printing, and desugaring of terms and formulas."""
 
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ipj
 from ipj import generators
 from ipj.qeps import QEps
 from ipj.syntax import (
@@ -334,3 +339,21 @@ def test_node_copies_equal_the_node_and_hash_afresh():
             assert not hasattr(twin, "_hash"), node
             assert twin == node and twin is not node
             assert hash(twin) == h
+
+
+def test_omega_hashes_alike_in_every_process():
+    # a node holding OMEGA hashes by its fields, so OMEGA's hash must not be
+    # its id: with string hashing fixed, two processes agree
+    src = str(Path(ipj.__file__).resolve().parent.parent)
+    code = "from ipj.syntax import OMEGA, Proto, Var; print(hash(Proto(OMEGA, Var('t'))))"
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
+    outs = [
+        subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                       timeout=120, check=True).stdout
+        for _ in range(2)
+    ]
+    assert outs[0] == outs[1] and outs[0].strip().lstrip("-").isdigit()
+    # still the one OMEGA, equal to itself alone
+    for twin in (pickle.loads(pickle.dumps(OMEGA)), copy.copy(OMEGA), copy.deepcopy(OMEGA)):
+        assert twin is OMEGA
+    assert OMEGA == OMEGA and OMEGA != hash(OMEGA)
