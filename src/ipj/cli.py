@@ -13,12 +13,11 @@ import functools
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import generators, proofcheck, protosim, semantics, syntax
 from .ispec import InteractionSpec, load_spec_file
 from .proofcheck import Report
-from .qeps import QEpsParseError, parse_qeps
+from .qeps import parse_qeps
 
 
 def _emit(args, report: Report) -> int:
@@ -28,13 +27,6 @@ def _emit(args, report: Report) -> int:
     else:
         print(report.render())
     return 0 if report.ok else 1
-
-
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise QEpsParseError(f"zero denominator in {text!r}") from None
 
 
 def _load_spec(path: str | None) -> InteractionSpec:
@@ -112,7 +104,8 @@ def cmd_simulate(args) -> Report:
         report = semantics.check_model_conditions(q, spec, zk=args.zk, kmax=args.k)
     else:
         cfg = protosim.RoundConfig(
-            rounds=args.rounds, per_round_error=_rational(args.error), honest=not args.dishonest
+            rounds=args.rounds, per_round_error=syntax.parse_rational(args.error),
+            honest=not args.dishonest,
         )
         model = protosim.build_round_model(cfg)
         q = model.quasimodel
@@ -142,7 +135,7 @@ def cmd_arith(args) -> Report:
             rep.note(f"std: {sp}")
             rep.fields["std"] = str(sp)
     if args.approx is not None:
-        r = _rational(args.approx)
+        r = syntax.parse_rational(args.approx)
         if a.approx_eq(r):
             rep.note(f"approx {r}: true")
         else:

@@ -41,6 +41,7 @@ from .syntax import (
     fand,
     fimp,
     fnot,
+    print_eformula,
 )
 
 ATOM_NAMES = ("p", "q", "r", "p1", "q1")
@@ -226,7 +227,13 @@ def _sample_m(rng: random.Random, b: dict, spec, k) -> dict:  # m < n
 
 def _sample_bound(rng: random.Random, b: dict, spec, k) -> dict:  # n > m(k)
     k = rng.randint(1, 2) if k is None else k
-    return {"n": spec.threshold(b["alpha"]).value_at(k) + rng.randint(1, 4), "k": k}
+    fn = spec.threshold(b["alpha"])
+    m = None if fn is None else fn.value_at(k)
+    if m is None:
+        text = print_eformula(b["alpha"])
+        raise ValueError(f"{text!r} has no spec entry" if fn is None
+                         else f"m(k) of {text!r} is undefined at k={k}")
+    return {"n": m + rng.randint(1, 4), "k": k}
 
 
 # A sampler per schema whose side condition constrains its bindings:

@@ -76,20 +76,20 @@ def error_exponent(n: int, x: Fraction) -> Optional[int]:
 
 
 class InteractionSpec:
-    """Map from canonical formula text to its threshold function."""
+    """Map from formula to its threshold function.  Printing is canonical
+    (two formulas print alike iff they are equal), so a formula is as good a
+    key as its text."""
 
     def __init__(self):
-        self.entries: dict[str, tuple[EFormula, ThresholdFn]] = {}
+        self.entries: dict[EFormula, ThresholdFn] = {}
 
     def add(self, formula: EFormula, fn: ThresholdFn):
-        key = syntax.print_eformula(formula)
-        if key in self.entries:
-            raise DuplicateEntry(f"duplicate entry for {key!r}")
-        self.entries[key] = (formula, fn)
+        if formula in self.entries:
+            raise DuplicateEntry(f"duplicate entry for {syntax.print_eformula(formula)!r}")
+        self.entries[formula] = fn
 
     def threshold(self, formula: EFormula) -> Optional[ThresholdFn]:
-        entry = self.entries.get(syntax.print_eformula(formula))
-        return entry[1] if entry else None
+        return self.entries.get(formula)
 
     def member(self, formula: EFormula, m: int, k: int) -> bool:
         """Membership of the formula in the (m, k) family."""
@@ -105,7 +105,7 @@ class InteractionSpec:
         return fn is not None and fn.is_total
 
     def formulas(self) -> list[EFormula]:
-        return [f for f, _ in self.entries.values()]
+        return list(self.entries)
 
 
 _ENTRY_RE = re.compile(r"^(?P<formula>.*?)\s*:\s*(?P<kind>const|poly|table)\s+(?P<rest>.*)$")

@@ -857,10 +857,9 @@ def _read_approx(words: list, usage: str) -> tuple:
         raise ProofParseError(usage)
     path = _read_template(words[1:], usage)
     try:
-        r = Fraction(words[0])
-    except (ValueError, ZeroDivisionError):
-        raise ProofParseError(f"bad rational {words[0]!r}") from None
-    return (r, *path)
+        return (syntax.parse_rational(words[0]), *path)
+    except syntax.ParseError as exc:
+        raise ProofParseError(str(exc)) from None
 
 
 # keyword -> (reader, its text for words of the wrong shape, check)

@@ -2,9 +2,9 @@
 
 Worlds carry a reflexive-transitive accessibility relation per agent, a
 valuation, and an evidence base: a mapping from (agent, term, eformula) to
-the set of worlds where the term is base evidence for the formula.  The
-model builders, the model-file reader and writer and the evaluator all use
-that mapping, one world set per entry.  Evidence membership is the least
+the mask of the worlds where the term is base evidence for the formula.  A
+model reads world names once, in its constructor, and holds each world set
+once, as a mask or as successor indices.  Evidence membership is the least
 relation containing the base and closed under sum, application, proof
 checking, axiom constants, and protocol monotonicity.  Evaluation works a
 set of worlds at a time (global labelling): each subformula's truth set,
@@ -103,12 +103,14 @@ def _indices_mask(indices: Iterable[int], n: int) -> int:
 class EpistemicModel:
     """Finite Kripke model with evidence; immutable after construction.
 
-    The evidence base maps each (agent, term, eformula) to the set of worlds
-    where the term is base evidence for the formula.  World ``self.worlds[i]``
-    is bit ``i`` of every mask: ``truth_mask`` and ``evidence_mask`` give the
-    set of worlds where a formula holds or where a term is evidence for a
-    formula, each computed once per formula (or per agent, term and formula)
-    for all worlds at a time.
+    World ``self.worlds[i]`` is bit ``i`` of every mask, and each world set
+    is held once, as a mask or by index: the valuation as one mask per atom,
+    each agent's relation as every world's successor indices, and the
+    evidence base as one mask per (agent, term, eformula), the worlds where
+    the term is base evidence for the formula.  ``truth_mask`` and
+    ``evidence_mask`` give the set of worlds where a formula holds or where
+    a term is evidence for a formula, each computed once per formula (or per
+    agent, term and formula) for all worlds at a time.
     """
 
     def __init__(
@@ -119,28 +121,74 @@ class EpistemicModel:
         evidence: Optional[Mapping[tuple[str, Term, EFormula], Iterable[str]]] = None,
         atoms: Optional[Iterable[str]] = None,
     ):
+        """Read the names once, raising ``ModelError`` for the first
+        structural fault: no worlds, the valuation's unknown worlds, the
+        evidence entries in the base's order (empty ones are dropped), then
+        per agent the edges that leave the model, reflexivity in the model's
+        order and transitivity.  Of an entry's unknown worlds, and of the
+        faulty edges and paths, the least by name is reported, so the fault
+        does not depend on hashing."""
         self.worlds: tuple[str, ...] = tuple(dict.fromkeys(worlds))
-        self.rel: dict[str, frozenset] = {
-            a: frozenset(rel.get(a, ())) for a in AGENTS
-        }
-        self.valuation: dict[str, frozenset] = {
-            w: frozenset(valuation.get(w, ())) for w in self.worlds
-        }
-        # an entry for a world outside the model is kept, for validate to report
-        self.valuation.update(
-            (w, frozenset(v)) for w, v in valuation.items() if w not in self.valuation
-        )
-        self.evidence_base: dict[tuple[str, Term, EFormula], frozenset] = {}
+        if not self.worlds:
+            raise ModelError("a model needs at least one world")
+        names, n = self.worlds, len(self.worlds)
+        self._index: dict[str, int] = {w: i for i, w in enumerate(names)}
+        index = self._index.get
+        views: dict[str, bytearray] = {}  # per atom, the worlds where it holds
+        for w, held in valuation.items():
+            i = index(w)
+            if i is None:
+                raise ModelError(f"valuation mentions unknown world {w!r}")
+            for name in held:
+                view = views.get(name)
+                if view is None:
+                    view = views[name] = bytearray(n)
+                view[i] = 1
+        self._atom_masks: dict[str, int] = dict.fromkeys(atoms or (), 0)
+        self._atom_masks.update((name, _mask(view)) for name, view in views.items())
+        self.atoms: frozenset = frozenset(self._atom_masks)
+        # the evidence base: one world mask per (agent, term, eformula)
+        self._base: dict[tuple[str, Term, EFormula], int] = {}
         for key, ws in (evidence or {}).items():
-            ws = frozenset(ws)
-            if ws:
-                self.evidence_base[key] = ws
-        declared = set(atoms) if atoms is not None else set()
-        for v in self.valuation.values():
-            declared |= v
-        self.atoms: frozenset = frozenset(declared)
+            ws = tuple(ws)
+            if not ws:
+                continue
+            found = tuple(map(index, ws))
+            if None in found:
+                unknown = min(w for w, i in zip(ws, found) if i is None)
+                raise ModelError(f"evidence mentions unknown world {unknown!r}")
+            if key[0] not in AGENTS:
+                raise ModelError(f"evidence mentions unknown agent {key[0]!r}")
+            self._base[key] = _indices_mask(found, n)
+        # per agent, each world's successors by index
+        self._succ: dict[str, list[list[int]]] = {}
+        for a in AGENTS:
+            edges = set(rel.get(a, ()))
+            succ = self._succ[a] = [[] for _ in range(n)]
+            outside = []
+            for w, u in edges:
+                i, j = index(w), index(u)
+                if i is None or j is None:
+                    outside.append((w, u))
+                else:
+                    succ[i].append(j)
+            if outside:
+                raise ModelError("R[{}] edge {!r} -> {!r} leaves the model".format(
+                    a, *min(outside)))
+            for w in names:
+                if (w, w) not in edges:
+                    raise ModelError(f"R[{a}] is not reflexive at {w!r}")
+            broken = [
+                (names[i], names[j], names[k])
+                for i, out in enumerate(succ) for j in out for k in succ[j]
+                if (names[i], names[k]) not in edges
+            ]
+            if broken:
+                raise ModelError("R[{}] is not transitive: {!r} -> {!r} -> {!r}".format(
+                    a, *min(broken)))
+
         pool = set()
-        for alpha in {alpha for _, _, alpha in self.evidence_base}:
+        for alpha in {alpha for _, _, alpha in self._base}:
             pool.add(alpha)
             for sub in esubformulas(alpha):
                 d = syntax.dest_eimp(sub)
@@ -148,32 +196,8 @@ class EpistemicModel:
                     pool.add(d[0])
                     pool.add(d[1])
         self.witness_pool: frozenset = frozenset(pool)
-        n = len(self.worlds)
-        self._index: dict[str, int] = {w: i for i, w in enumerate(self.worlds)}
-        # per agent, each world's successors by index, in one pass over the
-        # edges; an edge that leaves the model is left out, and validate
-        # finds it by counting
-        self._succ: dict[str, list[list[int]]] = {}
-        index = self._index.get
-        for a in AGENTS:
-            succ = self._succ[a] = [[] for _ in range(n)]
-            for w, u in self.rel[a]:
-                i, j = index(w), index(u)
-                if i is not None and j is not None:
-                    succ[i].append(j)
-        self.validate()
-
         self.full_mask: int = (1 << n) - 1
-        self._atom_masks = {
-            name: _mask(bytes(name in v for v in self.valuation.values()))
-            for name in self.atoms
-        }
-        # one mask per base entry, and the protocol entries by
-        # (agent, inner term, formula) -> [(complexity, mask)]
-        self._base = {
-            key: _indices_mask(map(self._index.__getitem__, ws), n)
-            for key, ws in self.evidence_base.items()
-        }
+        # the protocol entries by (agent, inner term, formula) -> [(complexity, mask)]
         self._proto: dict[tuple, list] = {}
         for (a, t, alpha), mask in self._base.items():
             if isinstance(t, Proto):
@@ -181,46 +205,6 @@ class EpistemicModel:
         self._truth: dict[EFormula, int] = {}
         self._evidence: dict[tuple, int] = {}
         self._boxes: dict[tuple, int] = {}  # (agent, mask) -> _box(agent, mask)
-
-    # -- structural checks ----------------------------------------------------
-
-    def validate(self):
-        """Raise ``ModelError`` for the first structural fault.
-
-        Evidence entries are checked in the base's order and worlds in the
-        model's order; an entry's unknown worlds, edges and paths are taken
-        in sorted order of their names.  So the fault reported does not
-        depend on hashing.
-        """
-        if not self.worlds:
-            raise ModelError("a model needs at least one world")
-        wset = self._index
-        for w in self.valuation:
-            if w not in wset:
-                raise ModelError(f"valuation mentions unknown world {w!r}")
-        for (a, _, _), ws in self.evidence_base.items():
-            unknown = ws.difference(wset)
-            if unknown:
-                raise ModelError(f"evidence mentions unknown world {min(unknown)!r}")
-            if a not in AGENTS:
-                raise ModelError(f"evidence mentions unknown agent {a!r}")
-        names = self.worlds
-        for a in AGENTS:
-            r, succ = self.rel[a], self._succ[a]
-            if sum(map(len, succ)) != len(r):
-                w, u = min((w, u) for w, u in r if w not in wset or u not in wset)
-                raise ModelError(f"R[{a}] edge {w!r} -> {u!r} leaves the model")
-            for w in names:
-                if (w, w) not in r:
-                    raise ModelError(f"R[{a}] is not reflexive at {w!r}")
-            broken = [
-                (names[i], names[j], names[k])
-                for i, out in enumerate(succ) for j in out for k in succ[j]
-                if (names[i], names[k]) not in r
-            ]
-            if broken:
-                raise ModelError("R[{}] is not transitive: {!r} -> {!r} -> {!r}".format(
-                    a, *min(broken)))
 
     def index(self, w: str) -> int:
         """The bit of world ``w`` in every mask."""
@@ -441,7 +425,7 @@ def stabilization_index(m: EpistemicModel) -> int:
     finite complexity in the base.
     """
     top = 0
-    for _, t, _ in m.evidence_base:
+    for _, t, _ in m._base:
         if isinstance(t, Proto) and isinstance(t.complexity, int):
             top = max(top, t.complexity)
     return top + 1
@@ -475,7 +459,7 @@ def check_model_conditions(
         f"complexity and constant for n > n*; conditions beyond n* reduce to the "
         f"standard part of the stabilized measure"
     )
-    runs = sorted({t for _, t, _ in m.evidence_base if isinstance(t, Proto)}, key=syntax.print_term)
+    runs = sorted({t for _, t, _ in m._base if isinstance(t, Proto)}, key=syntax.print_term)
     for t in dict.fromkeys(r.inner for r in runs if is_f_free(r.inner)):
         for alpha in spec.formulas():
             fn = spec.threshold(alpha)
@@ -686,29 +670,31 @@ def write_model_file(q: Quasimodel) -> str:
     """The model file of ``q``; evidence lines are sorted by world, agent,
     printed term and printed formula."""
     m = q.base
-    out = [f"worlds: {' '.join(m.worlds)}"]
+    names, n = m.worlds, len(m.worlds)
+    out = [f"worlds: {' '.join(names)}"]
     for a, sec in ((syntax.PROVER, "R[P]"), (syntax.VERIFIER, "R[V]")):
         out.append(f"{sec}:")
-        for w, u in sorted(m.rel[a]):
-            out.append(f"{w} -> {u}")
+        edges = sorted((names[i], names[j]) for i, succ in enumerate(m._succ[a]) for j in succ)
+        out.extend(f"{w} -> {u}" for w, u in edges)
     out.append("val:")
-    for w in m.worlds:
-        atoms = sorted(m.valuation.get(w, frozenset()))
-        if atoms:
-            out.append(f"{w} : {' '.join(atoms)}")
+    held: list[list[str]] = [[] for _ in range(n)]  # each world's atoms, sorted
+    for name in sorted(m._atom_masks):
+        for i in itertools.compress(range(n), _bits(m._atom_masks[name], n)):
+            held[i].append(name)
+    out.extend(f"{w} : {' '.join(atoms)}" for w, atoms in zip(names, held) if atoms)
     out.append("evidence:")
     # each entry printed once; taking the entries in sorted order leaves each
     # world's lines sorted
     entries = sorted(
-        ((a, syntax.print_term(t), syntax.print_eformula(alpha), ws)
-         for (a, t, alpha), ws in m.evidence_base.items()),
+        ((a, syntax.print_term(t), syntax.print_eformula(alpha), mask)
+         for (a, t, alpha), mask in m._base.items()),
         key=lambda entry: entry[:3],
     )
     lines: dict[str, list[str]] = {}
-    for a, term_text, eform_text, ws in entries:
+    for a, term_text, eform_text, mask in entries:
         tail = f"[{a}] {term_text} : {eform_text}"
-        for w in ws:
-            lines.setdefault(w, []).append(tail)
+        for i in itertools.compress(range(n), _bits(mask, n)):
+            lines.setdefault(names[i], []).append(tail)
     for w in sorted(lines):
         out.extend(f"{w} {tail}" for tail in lines[w])
     out.append(f"U: {' '.join(q.sample)}")

@@ -385,17 +385,6 @@ def prob_eq(s: Threshold, a: EFormula) -> Formula:
 # ---------------------------------------------------------------------------
 
 
-def esubformulas(f: EFormula) -> set[EFormula]:
-    out = {f}
-    if isinstance(f, ENot):
-        out |= esubformulas(f.inner)
-    elif isinstance(f, EAnd):
-        out |= esubformulas(f.left) | esubformulas(f.right)
-    elif isinstance(f, (Box, Just)):
-        out |= esubformulas(f.inner)
-    return out
-
-
 # the child nodes of each inner node of a term or formula tree
 _CHILDREN = {
     App: ("left", "right"), Sum: ("left", "right"), Bang: ("inner",), Proto: ("inner",),
@@ -405,6 +394,9 @@ _CHILDREN = {
 }
 # thresholds sit at the formula level, never under an epistemic node
 _FORMULA_CHILDREN = {FNot: ("inner",), FAnd: ("left", "right")}
+# the child eformulas of each inner node of an eformula; a justification's
+# term is none
+_EFORMULA_CHILDREN = {ENot: ("inner",), EAnd: ("left", "right"), Box: ("inner",), Just: ("inner",)}
 
 
 def nodes(x, children: dict = _CHILDREN) -> Iterator:
@@ -416,6 +408,10 @@ def nodes(x, children: dict = _CHILDREN) -> Iterator:
         node = stack.pop()
         yield node
         stack.extend(getattr(node, name) for name in children.get(type(node), ()))
+
+
+def esubformulas(f: EFormula) -> set[EFormula]:
+    return set(nodes(f, _EFORMULA_CHILDREN))
 
 
 def atoms_of_e(f: EFormula) -> set[str]:
@@ -1020,6 +1016,18 @@ def parse_term(text: str) -> Term:
     if not p.at_end():
         p.error(f"trailing input: {p.peek().text!r}")
     return t
+
+
+def parse_rational(text: str) -> Fraction:
+    """A rational ``n`` or ``n/d`` of the literal grammar."""
+    try:
+        p = Parser(text)
+        r = p.rational()
+        if p.at_end():
+            return r
+    except ParseError:
+        pass
+    raise ParseError(f"bad rational {text!r}")
 
 
 def parse_formula(text: str, allow_symbolic: bool = True, memo: Optional[dict] = None) -> Formula:

@@ -302,7 +302,7 @@ def test_protocol_events_monotone_and_stabilize():
     for _ in range(200):
         qm = generators.rand_model(rng)
         n_star = 1 + max(
-            (s.complexity for _, s, _ in qm.base.evidence_base
+            (s.complexity for _, s, _ in qm.base._base
              if isinstance(s, Proto) and isinstance(s.complexity, int)),
             default=0,
         )

@@ -333,6 +333,16 @@ def test_zero_denominators_are_input_errors(capsys, tmp_path, argv):
 # -- one parser per process ------------------------------------------------------------
 
 
+@pytest.mark.parametrize("text", ["0.5", "1e-3", "1_0", "+1/2", "1/-2", "1e10000000"])
+def test_rationals_are_read_in_the_literal_grammar(capsys, text):
+    # a decimal spelling is a usage error, and is refused before any arithmetic
+    for argv in (["arith", "1/2", "--approx", text], ["simulate", "--error", text]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: bad rational {text!r}\n")
+    code, out, _ = run(capsys, "arith", "1/2", "--approx", " 1 / 2")
+    assert code == 0 and "approx 1/2: true" in out
+
+
 def run_in_fresh_process(*argv):
     src = str(Path(ipj.__file__).resolve().parent.parent)
     proc = subprocess.run(

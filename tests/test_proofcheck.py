@@ -326,6 +326,18 @@ def test_generator_input_errors(schema):
         generators.rand_axiom_instance(random.Random(0), schema)
 
 
+@pytest.mark.parametrize("schema", ["c", "s", "zk1"])
+def test_generator_needs_the_threshold_at_k(schema):
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match=r"^'r' has no spec entry$"):
+        generators.rand_axiom_instance(
+            rng, schema, spec=load_spec("p : const 1\n"), spec_formula=parse_eformula("r"))
+    with pytest.raises(ValueError, match=r"^m\(k\) of 'q' is undefined at k=2$"):
+        generators.rand_axiom_instance(
+            rng, schema, spec=load_spec("q : table 1 -> 2\n"), spec_formula=parse_eformula("q"),
+            k=2)
+
+
 # -- derivations ----------------------------------------------------------------
 
 
@@ -506,6 +518,9 @@ _TEXTS = [
      ("parse", "line 1: usage: param-approx <rational> template=<file>")),
     ("1. p -> p ; param-approx x template=f", ("parse", "line 1: bad rational 'x'")),
     ("1. p -> p ; param-approx 1/0 template=f", ("parse", "line 1: bad rational '1/0'")),
+    ("1. p -> p ; param-approx 0.5 template=f", ("parse", "line 1: bad rational '0.5'")),
+    ("1. p -> p ; param-approx 1e10000000 template=f",
+     ("parse", "line 1: bad rational '1e10000000'")),
     ("1. p -> p ; param-arch", ("parse", "line 1: usage: param-arch template=<file>")),
     ("1. p -> p ; param-arch x.ipjp", ("parse", "line 1: usage: param-arch template=<file>")),
     # the derivation and its citations

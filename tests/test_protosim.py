@@ -72,11 +72,14 @@ def test_bound_strict_when_extra_mass():
     base = qm.base
     from ipj.semantics import EpistemicModel, Quasimodel
 
+    names = base.worlds
     richer = EpistemicModel(
-        base.worlds,
-        {a: base.rel[a] for a in ("P", "V")},
-        {w: [m.claim.name] for w in base.worlds},
-        base.evidence_base,
+        names,
+        {a: [(names[i], names[j]) for i, out in enumerate(base._succ[a]) for j in out]
+         for a in ("P", "V")},
+        {w: [m.claim.name] for w in names},
+        {key: [w for i, w in enumerate(names) if mask >> i & 1]
+         for key, mask in base._base.items()},
         atoms=[m.claim.name],
     )
     from ipj.protosim import RoundModel

@@ -67,6 +67,36 @@ def q(x):
     return QEps.from_rational(Fraction(x))
 
 
+class NamedModel(EpistemicModel):
+    """A model that also keeps the world sets it was built from, by world
+    name, for the definitions below to read."""
+
+    def __init__(self, worlds, rel, valuation, evidence=None, atoms=None):
+        super().__init__(worlds, rel, valuation, evidence, atoms)
+        self.rel = {a: frozenset(rel.get(a, ())) for a in ("P", "V")}
+        self.valuation = {w: frozenset(valuation.get(w, ())) for w in self.worlds}
+        self.evidence_base = {key: frozenset(ws) for key, ws in (evidence or {}).items() if ws}
+
+
+@pytest.fixture
+def named_models(monkeypatch):
+    """``generators.rand_model`` builds ``NamedModel``s."""
+    monkeypatch.setattr(generators, "EpistemicModel", NamedModel)
+
+
+def world_sets(m):
+    """The relations, valuation and evidence base of ``m`` by world name,
+    read back from its masks."""
+    names = m.worlds
+    rel = {a: {(names[i], names[j]) for i, out in enumerate(m._succ[a]) for j in out}
+           for a in ("P", "V")}
+    valuation = {w: {p for p, mask in m._atom_masks.items() if mask >> i & 1}
+                 for i, w in enumerate(names)}
+    evidence = {key: {w for i, w in enumerate(names) if mask >> i & 1}
+                for key, mask in m._base.items()}
+    return rel, valuation, evidence
+
+
 def event(qm, alpha):
     """The sample worlds of ``qm`` where ``alpha`` holds."""
     mask = qm.event_mask(alpha)
@@ -139,12 +169,59 @@ def test_unknown_evidence_world_or_agent_is_the_first_bad_entry():
         "evidence mentions unknown world 'yy'\nevidence mentions unknown agent 'Q'\n"}
 
 
+def test_names_are_read_once_into_masks():
+    t, p = Var("t"), Atom("p")
+    m = EpistemicModel(
+        ["b", "a", "b"],  # a repeated world keeps its first place
+        {"P": ident("ab") * 2 + [("b", "a")] * 2, "V": ident("ab")},  # each edge counts once
+        {"a": ["p", "p"], "b": []},
+        {("Q", t, p): [], ("P", t, p): [], ("V", t, p): ["a", "a"]},  # empty entries are dropped
+        atoms=["q"],  # declared only: an atom of the model, false everywhere
+    )
+    assert m.worlds == ("b", "a")
+    assert list(m._base) == [("V", t, p)] and m._base[("V", t, p)] == 0b10
+    assert [sorted(out) for out in m._succ["P"]] == [[0, 1], [1]]
+    assert m.atoms == {"p", "q"}
+    assert m.truth_mask(p) == 0b10 and m.truth_mask(Atom("q")) == 0
+    text = write_model_file(Quasimodel(m, ["a"], {"a": q(1)}, "a"))
+    assert text.split("U:")[0] == (
+        "worlds: b a\nR[P]:\na -> a\nb -> a\nb -> b\nR[V]:\na -> a\nb -> b\n"
+        "val:\na : p\nevidence:\na [V] t : p\n")
+
+
+def test_the_first_fault_is_reported():
+    t, p = Var("t"), Atom("p")
+    bad_rel = {"P": [("a", "zz"), ("a", "b")], "V": [("zz", "a")]}
+    bad_evidence = {("Q", t, p): ["a"], ("V", t, p): ["zz"]}
+    for args, text in (
+        (([], bad_rel, {"zz": ["p"]}, bad_evidence), "a model needs at least one world"),
+        ((["a", "b"], bad_rel, {"a": ["p"], "zz": []}, bad_evidence),
+         "valuation mentions unknown world 'zz'"),
+        ((["a", "b"], bad_rel, {},
+          {("Q", t, p): [], ("V", t, p): ["zz"], ("Q", t, Atom("q")): ["a"]}),
+         "evidence mentions unknown world 'zz'"),
+        ((["a", "b"], bad_rel, {}, bad_evidence), "evidence mentions unknown agent 'Q'"),
+        ((["a", "b"], bad_rel, {}, {}), "R[P] edge 'a' -> 'zz' leaves the model"),
+        ((["a", "b"], {"P": ident("ba") + [("b", "a")], "V": bad_rel["V"]}, {}, {}),
+         "R[V] edge 'zz' -> 'a' leaves the model"),
+        ((["b", "a"], {"P": [("a", "a"), ("a", "b")], "V": []}, {}, {}),
+         "R[P] is not reflexive at 'b'"),
+        ((["a", "b", "c"], {"P": ident("abc") + [("a", "b"), ("b", "c")], "V": []}, {}, {}),
+         "R[P] is not transitive: 'a' -> 'b' -> 'c'"),
+        ((["a", "b", "c"], {"P": ident("abc"), "V": ident("ab")}, {}, {}),
+         "R[V] is not reflexive at 'c'"),
+    ):
+        with pytest.raises(ModelError) as exc:
+            EpistemicModel(*args)
+        assert str(exc.value) == text
+
+
 def successors(m, agent, w):
     """The ``agent`` successors of ``w`` in ``m``, sorted by name."""
     return tuple(sorted(m.worlds[j] for j in m._succ[agent][m.index(w)]))
 
 
-def test_successors_are_sorted():
+def test_successors_are_sorted(named_models):
     rel = [("c", "a"), ("c", "c"), ("a", "a"), ("c", "b"), ("b", "b"), ("b", "a")]
     m = EpistemicModel(["c", "b", "a"], {"P": rel, "V": ident(["a", "b", "c"])}, {})
     assert successors(m, "P", "c") == ("a", "b", "c")
@@ -288,7 +365,7 @@ def mask_of(m, holds):
     return sum(1 << i for i, w in enumerate(m.worlds) if holds(w))
 
 
-def test_masks_agree_with_the_definitions():
+def test_masks_agree_with_the_definitions(named_models):
     rng = random.Random(6)
     # an infinitesimal rational function, moved between two sample worlds
     shift = QEps((0, 1), (1, 1))
@@ -581,9 +658,7 @@ def test_model_file_parse_and_roundtrip():
 def assert_roundtrip(qm):
     again = parse_model_file(write_model_file(qm))
     assert again.base.worlds == qm.base.worlds
-    assert again.base.rel == qm.base.rel
-    assert again.base.valuation == qm.base.valuation
-    assert again.base.evidence_base == qm.base.evidence_base
+    assert world_sets(again.base) == world_sets(qm.base)
     assert again.base._base == qm.base._base  # every base mask
     assert again.sample == qm.sample
     assert again.measure == qm.measure
@@ -612,7 +687,7 @@ def test_model_file_roundtrip_rounds_and_witnesses():
 
 def test_round_model_base_has_one_entry_per_round():
     m = build_round_model(RoundConfig(10, Fraction(1, 3)))
-    base = m.quasimodel.base.evidence_base
+    _, _, base = world_sets(m.quasimodel.base)
     assert list(base) == [("V", t, m.claim) for t in m.round_terms]
     for i, t in enumerate(m.round_terms, start=1):
         assert base[("V", t, m.claim)] == {w for w in m.quasimodel.base.worlds if w[i] == "1"}
@@ -656,7 +731,8 @@ def test_worlds_named_like_sections():
     ) + "\n"
     qm = parse_model_file(text)
     assert qm.w0 == "U" and qm.sample == ("w0", "U")
-    assert all(qm.base.valuation[w] == {"p"} for w in names)
+    _, valuation, _ = world_sets(qm.base)
+    assert all(valuation[w] == {"p"} for w in names)
 
 
 def test_section_header_spellings():
@@ -684,10 +760,11 @@ def test_section_header_spellings():
     )
     qm = parse_model_file(text)
     assert qm.w0 == "U" and qm.sample == ("w0", "U") and qm.base.worlds == ("w0", "U")
-    assert qm.base.valuation == {"w0": {"p"}, "U": {"q", "r"}}
-    assert qm.base.evidence_base == {("P", Var("t"), Atom("p")): {"w0"}}
+    rel, valuation, evidence = world_sets(qm.base)
+    assert valuation == {"w0": {"p"}, "U": {"q", "r"}}
+    assert evidence == {("P", Var("t"), Atom("p")): {"w0"}}
     for a in ("P", "V"):
-        assert qm.base.rel[a] == {("w0", "w0"), ("U", "U")}
+        assert rel[a] == {("w0", "w0"), ("U", "U")}
     assert qm.measure == {"w0": q("1/2"), "U": q("1/2")}
 
 

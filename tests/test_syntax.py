@@ -37,6 +37,7 @@ from ipj.syntax import (
     SymThresh,
     Var,
     dest_fimp,
+    esubformulas,
     fimp,
     fnot,
     formula_has_param,
@@ -246,6 +247,37 @@ def test_eformula_roundtrip_sample():
     for _ in range(300):
         e = generators.rand_eformula(rng)
         assert parse_eformula(print_eformula(e)) == e
+
+
+def recursive_esubformulas(f):
+    """The epistemic subformulas of ``f``, by their recursive definition."""
+    out = {f}
+    if isinstance(f, ENot):
+        out |= recursive_esubformulas(f.inner)
+    elif isinstance(f, EAnd):
+        out |= recursive_esubformulas(f.left) | recursive_esubformulas(f.right)
+    elif isinstance(f, (Box, Just)):
+        out |= recursive_esubformulas(f.inner)
+    return out
+
+
+def test_esubformulas_agree_with_the_definition():
+    rng = random.Random(13)
+    for _ in range(300):
+        e = generators.rand_eformula(rng, 4)
+        assert esubformulas(e) == recursive_esubformulas(e)
+    # the term of a justification is no subformula
+    f = parse_eformula("(t + !s) :[V] q")
+    assert esubformulas(f) == {f, Atom("q")}
+
+
+def test_esubformulas_of_a_deep_formula():
+    f = Atom("p")
+    for _ in range(5000):
+        f = ENot(f)
+        hash(f)  # each node's hash is kept, so no hash recurses
+    subs = esubformulas(f)
+    assert len(subs) == 5001 and Atom("p") in subs
 
 
 # -- nodes -----------------------------------------------------------------------
