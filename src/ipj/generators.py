@@ -236,6 +236,12 @@ def _sample_bound(rng: random.Random, b: dict, spec, k) -> dict:  # n > m(k)
     return {"n": m + rng.randint(1, 4), "k": k}
 
 
+def _sample_limit(rng: random.Random, b: dict, spec, k) -> dict:  # alpha in I
+    if not spec.in_I(b["alpha"]):
+        raise ValueError(f"{print_eformula(b['alpha'])!r} is not interactively provable")
+    return {}
+
+
 # A sampler per schema whose side condition constrains its bindings:
 # (rng, bindings drawn so far, spec, k) -> the bindings it draws.
 _SAMPLERS = {
@@ -250,6 +256,7 @@ _SAMPLERS = {
     "c": _sample_bound,
     "s": _sample_bound,
     "zk1": _sample_bound,
+    "cw": _sample_limit, "sw": _sample_limit, "zk2": _sample_limit,
 }
 
 

@@ -12,8 +12,8 @@ Spec file format, one entry per line (``#`` starts a comment):
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
+from itertools import takewhile
 from typing import Optional
 
 from . import syntax
@@ -108,64 +108,62 @@ class InteractionSpec:
         return list(self.entries)
 
 
-_ENTRY_RE = re.compile(r"^(?P<formula>.*?)\s*:\s*(?P<kind>const|poly|table)\s+(?P<rest>.*)$")
-_PAIR_RE = re.compile(r"(\d+)\s*->\s*(\d+)")
-
-
 def load_spec(text: str) -> InteractionSpec:
     spec = InteractionSpec()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _ENTRY_RE.match(line)
-        if not m:
+    for lineno, line in syntax.lines(text):
+        # the formula ends at the first ":" that a kind and a space follow
+        at = line.find(":")
+        while at >= 0:
+            words = line[at + 1 :].split(None, 1)
+            if len(words) == 2 and words[0] in ("const", "poly", "table"):
+                break
+            at = line.find(":", at + 1)
+        else:
             raise ISpecError(f"line {lineno}: expected 'eform : const|poly|table ...'")
         try:
-            formula = syntax.parse_eformula(m.group("formula"))
+            formula = syntax.parse_eformula(line[:at].rstrip())
         except syntax.ParseError as exc:
             raise ISpecError(f"line {lineno}: bad formula: {exc}") from exc
-        kind, rest = m.group("kind"), m.group("rest").strip()
         try:
-            fn = _parse_fn(kind, rest)
-        except ValueError as exc:
-            raise ISpecError(f"line {lineno}: {exc}") from exc
-        try:
-            spec.add(formula, fn)
+            spec.add(formula, _parse_fn(*words))
         except DuplicateEntry as exc:
             raise DuplicateEntry(f"line {lineno}: {exc}") from exc
+        except ValueError as exc:
+            raise ISpecError(f"line {lineno}: {exc}") from exc
     return spec
 
 
 def _parse_fn(kind: str, rest: str) -> ThresholdFn:
-    if kind == "const":
-        return ThresholdFn(tail=(_nat(rest),))
-    if kind == "poly":
-        coeffs = tuple(_nat(w) for w in rest.split())
-        if not coeffs:
-            raise ValueError("poly needs at least one coefficient")
-        return ThresholdFn(tail=coeffs)
+    if kind != "table":
+        words = [rest] if kind == "const" else rest.split()
+        tail = tuple(syntax.parse_nat(word, "natural number") for word in words)
+        if None in tail:
+            raise ValueError(f"expected a natural number, got {words[tail.index(None)]}")
+        return ThresholdFn(tail=tail)
+    # pairs "k -> m" (runs of digits, spaces allowed around the arrow, taken from the left
+    # with the longest runs), then maybe the word "default" and d; the rest is a bad entry
     tail = ()
-    dm = re.search(r"\bdefault\s+(\d+)\s*$", rest)
-    if dm:
-        tail = (int(dm.group(1)),)
-        rest = rest[: dm.start()]
-    pairs = tuple((int(a), int(b)) for a, b in _PAIR_RE.findall(rest))
-    leftover = _PAIR_RE.sub("", rest).strip()
-    if leftover:
-        raise ValueError(f"bad table entry near {leftover!r}")
+    head, default, d = rest.rpartition("default")
+    if default and not (head[-1:].isalnum() or head[-1:] == "_") and d[:1].isspace():
+        n = syntax.parse_nat(d.lstrip(), "natural number")
+        if n is not None:
+            rest, tail = head, (n,)
+    pairs, left, (cur, *pieces) = [], "", rest.split("->")
+    for piece in pieces:
+        before, after = cur.rstrip(), piece.lstrip()
+        k = "".join(takewhile(str.isdecimal, reversed(before)))[::-1]
+        m = "".join(takewhile(str.isdecimal, after))
+        if k and m:
+            pairs.append(tuple(syntax.parse_nat(run, "natural number") for run in (k, m)))
+            left, cur = left + before[: len(before) - len(k)], after[len(m) :]
+        else:
+            left, cur = left + cur + "->", piece
+    left = (left + cur).strip()
+    if left:
+        raise ValueError(f"bad table entry near {left!r}")
     if len({k for k, _ in pairs}) != len(pairs):
         raise ValueError("table has duplicate k entries")
-    if not pairs and not tail:
-        raise ValueError("empty table")
-    return ThresholdFn(pairs, tail)
-
-
-def _nat(w: str) -> int:
-    n = int(w)
-    if n < 0:
-        raise ValueError(f"expected a natural number, got {w}")
-    return n
+    return ThresholdFn(tuple(pairs), tail)
 
 
 def load_spec_file(path: str) -> InteractionSpec:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-import re
 from functools import partial
 from fractions import Fraction
 from typing import Optional
@@ -684,13 +683,10 @@ class _Check:
 def _load_template(d: Derivation, path: str, depth: int) -> Derivation:
     """Read and parse the template ``path`` that ``d``, checked at nesting
     ``depth``, cites; the caller keeps the depth limit."""
-    full = path if os.path.isabs(path) else os.path.join(d.base_dir, path)
     try:
-        with open(full, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        return load_derivation_file(os.path.join(d.base_dir, path), d.spec, d.zk)
     except OSError as exc:
         raise StructureError(f"cannot read template {path!r}: {exc}") from exc
-    return parse_derivation(text, d.spec, zk=d.zk, base_dir=os.path.dirname(full) or ".")
 
 
 # -- the inference rules ----------------------------------------------------------------
@@ -793,21 +789,8 @@ def _arch(c: _Check, line: ProofLine, path: str):
         raise NoMatch("conclusion must be the negation of the template hypothesis")
 
 
-_CHAIN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_']*)\[(P|V)\]$")
-_HINT_RE = re.compile(r"^([nkm])=(\d+)$")
-
-
 class ProofParseError(ValueError):
     pass
-
-
-def _int(word: str, what: str) -> int:
-    try:
-        return int(word)
-    except ValueError:
-        if word.isdecimal():  # more digits than int() reads
-            raise ProofParseError(f"bad {what}: number of {len(word)} digits is too long") from None
-        raise ProofParseError(f"bad {what} {word!r}") from None
 
 
 def _read_ax(words: list, usage: str) -> tuple:
@@ -815,10 +798,10 @@ def _read_ax(words: list, usage: str) -> tuple:
         raise ProofParseError(usage)
     hints = []
     for w in words[1:]:
-        hm = _HINT_RE.match(w)
-        if not hm:
+        n = syntax.parse_nat(w[2:], "axiom hint") if w[:2] in ("n=", "k=", "m=") else None
+        if n is None:
             raise ProofParseError(f"bad axiom hint {w!r}")
-        hints.append((hm.group(1), _int(hm.group(2), "axiom hint")))
+        hints.append((w[0], n))
     sch = _SCHEMAS.get(words[0])  # only the schemas that derive q from n and k read hints
     if hints and sch is not None and sch.derive is not _derive_q:
         raise ProofParseError(f"axiom ({words[0]}) takes no n=, k= or m= hints")
@@ -829,7 +812,12 @@ def _read_refs(count: int):
     def read(words: list, usage: str) -> tuple:
         if len(words) != count:
             raise ProofParseError(usage)
-        return tuple(_int(w, "line number") for w in words)
+        refs = []
+        for w in words:
+            refs.append(syntax.parse_nat(w, "line number"))
+            if refs[-1] is None:
+                raise ProofParseError(f"bad line number {w!r}")
+        return tuple(refs)
 
     return read
 
@@ -837,10 +825,14 @@ def _read_refs(count: int):
 def _read_chain(words: list, usage: str) -> tuple:
     chain = []
     for w in words:
-        cm = _CHAIN_RE.match(w)
-        if not cm:
+        try:
+            toks = syntax.tokenize(w)
+        except syntax.ParseError:
+            toks = []
+        shape = [t.kind for t in toks]
+        if shape != ["ident", "[", "ident", "]", "eof"] or toks[2].text not in syntax.AGENTS:
             raise ProofParseError(f"bad constant {w!r} (want name[P] or name[V])")
-        chain.append((cm.group(1), cm.group(2)))
+        chain.append((toks[0].text, toks[2].text))
     if not chain:
         raise ProofParseError(usage)
     return tuple(chain)
@@ -856,10 +848,7 @@ def _read_approx(words: list, usage: str) -> tuple:
     if len(words) != 2:
         raise ProofParseError(usage)
     path = _read_template(words[1:], usage)
-    try:
-        return (syntax.parse_rational(words[0]), *path)
-    except syntax.ParseError as exc:
-        raise ProofParseError(str(exc)) from None
+    return (syntax.parse_rational(words[0]), *path)
 
 
 # keyword -> (reader, its text for words of the wrong shape, check)
@@ -881,18 +870,15 @@ _RULES = {
 #
 #   n. <formula> ; <keyword of _RULES> <words its reader takes>
 
-_LINE_RE = re.compile(r"^(\d+)\.\s*(.*)$")
-
 
 def _read_line(text: str, memo: dict) -> ProofLine:
-    m = _LINE_RE.match(text)
-    if not m:
+    index_text, dot, body = text.partition(".")
+    index = syntax.parse_nat(index_text, "line number") if dot else None
+    if index is None:
         raise ProofParseError("expected 'n. formula ; justification'")
-    index = _int(m.group(1), "line number")
-    body = m.group(2)
-    if ";" not in body:
+    formula_text, semicolon, just_text = body.lstrip().rpartition(";")
+    if not semicolon:
         raise ProofParseError("missing ';' before the justification")
-    formula_text, just_text = body.rsplit(";", 1)
     formula = syntax.parse_formula(formula_text, memo=memo)
     words = just_text.split()
     if not words:
@@ -909,17 +895,14 @@ def parse_derivation(
 ) -> Derivation:
     lines = []
     memo: dict = {}  # the groups read so far in this file (see syntax.Parser)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            try:
-                lines.append(_read_line(stripped, memo))
-            except (ProofParseError, syntax.ParseError) as exc:
-                raise ProofParseError(f"line {lineno}: {exc}") from exc
+    for lineno, line in syntax.lines(text):
+        try:
+            lines.append(_read_line(line, memo))
+        except (ProofParseError, syntax.ParseError) as exc:
+            raise ProofParseError(f"line {lineno}: {exc}") from exc
     return Derivation(spec, lines, zk=zk, base_dir=base_dir)
 
 
 def load_derivation_file(path: str, spec: InteractionSpec, zk: bool = False) -> Derivation:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_derivation(text, spec, zk=zk, base_dir=os.path.dirname(path) or ".")
+        return parse_derivation(fh.read(), spec, zk=zk, base_dir=os.path.dirname(path) or ".")

@@ -18,9 +18,9 @@ a stabilization argument plus standard parts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
@@ -550,22 +550,13 @@ def _check_bounds(
 #   w0: w
 
 _SECTIONS = frozenset(("worlds", "R[P]", "R[V]", "val", "evidence", "U", "mu", "w0"))
-_EDGE_RE = re.compile(r"^(\S+)\s*->\s*(\S+)$")
-_VAL_SEP_RE = re.compile(r"\s+:\s*")
-# agent, term and formula; or agent, None, None and the rest of the line,
-# where no " : " separates a term from a formula
-_EVIDENCE_RE = re.compile(r"^\S+\s+\[(P|V)\]\s+(?:(.*?)\s+:\s+(.*)|(.*))$")
 
 
 def parse_model_file(text: str) -> Quasimodel:
-    sections: dict[str, list[str]] = {}
+    sections: dict[str, list[tuple[int, str]]] = {}  # popped when read, to spare memory
     current: Optional[str] = None
-    lines: list[str] = []  # the lines of the current section
     declared: set[str] = set()  # the worlds named so far
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in syntax.lines(text):
         # a section header is a section name, maybe spaces, a colon and maybe
         # the first content; inside val, "w0 : p" for a world named w0 is a
         # valuation line
@@ -580,7 +571,7 @@ def parse_model_file(text: str) -> Quasimodel:
                     continue
         if current is None:
             raise ModelError(f"line {lineno}: content before any section header")
-        lines.append(line)
+        lines.append((lineno, line))
         if current == "worlds":
             declared.update(line.split())
 
@@ -588,77 +579,78 @@ def parse_model_file(text: str) -> Quasimodel:
         if needed not in sections:
             raise ModelError(f"missing section {needed!r}")
 
-    worlds = " ".join(sections["worlds"]).split()
+    # each term, formula and mass text of the file is read once
+    read = functools.cache(lambda parse, source: parse(source))
+    worlds, sample, w0 = (" ".join(line for _, line in sections[name]).split()
+                          for name in ("worlds", "U", "w0"))
     rel = {}
     for a, sec in ((syntax.PROVER, "R[P]"), (syntax.VERIFIER, "R[V]")):
         edges = []
-        for line in sections.get(sec, []):
-            em = _EDGE_RE.match(line)
-            if not em:
-                raise ModelError(f"bad edge line in {sec}: {line!r}")
-            edges.append((em.group(1), em.group(2)))
+        for lineno, line in sections.pop(sec, []):
+            # w -> u: one word on each side of the last "->" that has that
+            at = len(line)
+            while (at := line.rfind("->", 0, at)) > 0:
+                w, u = line[:at].split(), line[at + 2 :].split()
+                if len(w) == 1 == len(u):
+                    break
+            else:
+                raise ModelError(f"line {lineno}: bad edge line in {sec}: {line!r}")
+            edges.append((w[0], u[0]))
         rel[a] = edges
 
     valuation: dict[str, list[str]] = {w: [] for w in worlds}
-    for line in sections.get("val", []):
-        parts = _VAL_SEP_RE.split(line, maxsplit=1)
-        if len(parts) != 2:
-            raise ModelError(f"bad valuation line: {line!r}")
-        w, atoms = parts[0].strip(), parts[1].split()
+    for lineno, line in sections.pop("val", []):
+        # w : atoms, split at the first colon with a space in front
+        at = line.find(":")
+        while at >= 0 and not line[at - 1 : at].isspace():
+            at = line.find(":", at + 1)
+        if at < 0:
+            raise ModelError(f"line {lineno}: bad valuation line: {line!r}")
+        w = line[:at].rstrip()
         if w not in valuation:
-            raise ModelError(f"valuation mentions unknown world {w!r}")
-        valuation[w].extend(atoms)
+            raise ModelError(f"line {lineno}: valuation mentions unknown world {w!r}")
+        valuation[w].extend(line[at + 1 :].split())
 
-    # the base's world lists by (agent, term, formula), and by the text after
-    # the world: a file repeats a few such texts on many lines, so each is
-    # matched once and each term and formula text is parsed once
+    # the base's world lists by (agent, term, formula), and by the text after the
+    # world, which a file repeats on many lines: each such text is split once
     evidence: dict[tuple, list[str]] = {}
     by_text: dict[str, list[str]] = {}
-    terms: dict[str, Term] = {}
-    eformulas: dict[str, EFormula] = {}
-    for line in sections.get("evidence", []):
-        # the world and the rest, as _EVIDENCE_RE splits them; a line of one
-        # word is no key, as every key has whitespace after the agent
+    for lineno, line in sections.pop("evidence", []):
+        # w [A] term : eform; the tail of a one-word line has no space, so is no key
         parts = line.split(None, 1)
         held = by_text.get(parts[-1])
         if held is None:
-            em = _EVIDENCE_RE.match(line)
-            if not em:
-                raise ModelError(f"bad evidence line: {line!r}")
-            a, term_text, eform_text, _ = em.groups()
-            if term_text is None:
-                raise ModelError(f"bad evidence line (need 'term : eform'): {line!r}")
+            tail = parts[-1]
+            if tail[:3] not in ("[P]", "[V]") or not tail[3:4].isspace():
+                raise ModelError(f"line {lineno}: bad evidence line: {line!r}")
+            # the term ends at the first colon with a space on each side
+            rest = tail[3:].lstrip()
+            at = rest.find(":", 1)
+            while at > 0 and not (rest[at - 1].isspace() and rest[at + 1 : at + 2].isspace()):
+                at = rest.find(":", at + 1)
+            if at < 0:
+                raise ModelError(
+                    f"line {lineno}: bad evidence line (need 'term : eform'): {line!r}")
             try:
-                t = terms.get(term_text)
-                if t is None:
-                    t = terms[term_text] = syntax.parse_term(term_text)
-                alpha = eformulas.get(eform_text)
-                if alpha is None:
-                    alpha = eformulas[eform_text] = syntax.parse_eformula(eform_text)
+                t = read(syntax.parse_term, rest[:at].rstrip())
+                alpha = read(syntax.parse_eformula, rest[at + 1 :].lstrip())
             except syntax.ParseError as exc:
-                raise ModelError(f"bad evidence line: {exc}") from exc
-            held = by_text[parts[1]] = evidence.setdefault((a, t, alpha), [])
+                raise ModelError(f"line {lineno}: bad evidence line: {exc}") from exc
+            held = by_text[tail] = evidence.setdefault((tail[1], t, alpha), [])
         held.append(parts[0])
 
-    sample = " ".join(sections["U"]).split()
     measure = {}
-    masses: dict[str, QEps] = {}  # few distinct mass texts, each parsed once
-    for line in sections["mu"]:
-        if "=" not in line:
-            raise ModelError(f"bad mass line: {line!r}")
-        w, _, val = line.partition("=")
-        val = val.strip()
+    for lineno, line in sections.pop("mu"):
+        w, equals, mass = line.partition("=")
+        if not equals:
+            raise ModelError(f"line {lineno}: bad mass line: {line!r}")
         try:
-            mass = masses.get(val)
-            if mass is None:
-                mass = masses[val] = parse_qeps(val)
+            measure[w.strip()] = read(parse_qeps, mass.strip())
         except QEpsParseError as exc:
-            raise ModelError(f"bad mass line: {exc}") from exc
-        measure[w.strip()] = mass
+            raise ModelError(f"line {lineno}: bad mass line: {exc}") from exc
 
-    w0 = " ".join(sections["w0"]).strip()
     base = EpistemicModel(worlds, rel, valuation, evidence)
-    return Quasimodel(base, sample, measure, w0)
+    return Quasimodel(base, sample, measure, " ".join(w0))
 
 
 def load_model_file(path: str) -> Quasimodel:

@@ -1055,6 +1055,24 @@ def parse_eformula(text: str) -> EFormula:
     return e
 
 
+def lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each line that is not blank or a ``#`` comment."""
+    stripped = enumerate(map(str.strip, text.splitlines()), start=1)
+    return ((lineno, line) for lineno, line in stripped if line and line[0] != "#")
+
+
+def parse_nat(text: str, what: str) -> Optional[int]:
+    """``text`` read as a natural number in decimal digits (no sign, no underscore),
+    else None. A numeral too long for int() is the error
+    ``bad <what>: number of N digits is too long``."""
+    if not text.isdecimal():
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() reads
+        raise ParseError(f"bad {what}: number of {len(text)} digits is too long") from None
+
+
 # ---------------------------------------------------------------------------
 # printer
 # ---------------------------------------------------------------------------

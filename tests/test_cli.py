@@ -99,6 +99,14 @@ def test_axiom_hints_are_checked(capsys, tmp_path, hints, valid):
         assert (code, out) == (1, "INVALID: line 1: formula is not an instance of axiom (c)\n")
 
 
+@pytest.mark.parametrize("fn", ["const 1_0", "poly +1", "const -1", "table 1 -> 2 default 1_0"])
+def test_spec_numbers_are_natural_numbers(capsys, tmp_path, fn):
+    spec = tmp_path / "p.ispec"
+    spec.write_text(f"# m(k)\np : {fn}\n")
+    code, out, err = run(capsys, "check-proof", str(GOLDEN / "probnec.ipjp"), "--spec", str(spec))
+    assert (code, out) == (2, "") and err.startswith("error: line 2: ")
+
+
 def test_missing_proof_file(capsys):
     code, _, err = run(capsys, "check-proof", "/nonexistent/file.ipjp")
     assert code == 2
@@ -112,7 +120,8 @@ def test_malformed_proof_file(capsys, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("just", ["mp a 1", "mp 1 x", "nec[P] one", "pnec 1.5"])
+@pytest.mark.parametrize("just", ["mp a 1", "mp 1 x", "nec[P] one", "pnec 1.5", "mp 1_0 1",
+                                  "mp +1 1", "pnec -1"])
 def test_bad_line_numbers_are_parse_errors(capsys, tmp_path, just):
     bad = tmp_path / "bad.ipjp"
     bad.write_text(f"1. Pr>= 1 (p -> p) ; ax p\n2. p -> p ; {just}\n")

@@ -12,7 +12,7 @@ from ipj.ispec import (
     error_exponent,
     load_spec,
 )
-from ipj.syntax import parse_eformula
+from ipj.syntax import parse_eformula, print_eformula
 
 
 def _fn(text: str) -> ThresholdFn:
@@ -89,11 +89,65 @@ def test_duplicate_entries_rejected():
 
 
 def test_parse_errors():
-    for bad in ("p const 1", "p : const", "p : const -1", "p : table", "p : foo 1"):
+    for bad in ("p const 1", "p : const", "p : const -1", "p : table", "p : foo 1",
+                "p : const 1_0", "p : poly +1"):
         with pytest.raises(ISpecError):
             load_spec(bad)
+    for fn in ("const", "poly 1", "table 1 ->", "table 1 -> 2 default"):
+        with pytest.raises(ISpecError) as exc:
+            load_spec(f"p : {fn} {'1' * 5000}")
+        assert str(exc.value) == "line 1: bad natural number: number of 5000 digits is too long"
 
 
 def test_formula_with_colon_in_entry():
     spec = load_spec("t :[P] p : const 2\n")
     assert spec.member(parse_eformula("t :[P] p"), 2, 1)
+
+
+# -- line shapes ---------------------------------------------------------------------
+
+# (an entry line, what it reads as: (formula, table, tail), or the error text);
+# the line is the third of its file, after a comment and a blank line
+_SPEC_LINES = [
+    ("p : const 3", ("p", (), (3,))),
+    ("p:const 3", ("p", (), (3,))),
+    ("t :[P] p : const 2", ("t :[P] p", (), (2,))),
+    ("const : const 1", ("const", (), (1,))),
+    ("p : poly 1 0 2", ("p", (), (1, 0, 2))),
+    ("p : table 1 -> 2 default 3", ("p", ((1, 2),), (3,))),
+    ("p : table 1->2 3 ->4", ("p", ((1, 2), (3, 4)), ())),
+    ("p : table default 3", ("p", (), (3,))),
+    ("p : table", "line 3: expected 'eform : const|poly|table ...'"),
+    ("p const 1", "line 3: expected 'eform : const|poly|table ...'"),
+    ("p : constant 1", "line 3: expected 'eform : const|poly|table ...'"),
+    ("p : foo 1", "line 3: expected 'eform : const|poly|table ...'"),
+    ("p & : const 1", "line 3: bad formula: 1:4: expected a formula, got ''"),
+    ("c:table :[P] p : const 1", "line 3: bad table entry near ':[P] p : const 1'"),
+    ("p : table 1 -> 2 x", "line 3: bad table entry near 'x'"),
+    ("p : table x 1 -> 2 y 3 -> 4 z", "line 3: bad table entry near 'x  y  z'"),
+    ("p : table 1 -> 2 -> 3", "line 3: bad table entry near '-> 3'"),
+    ("p : table 1 -> 2default 3", "line 3: bad table entry near 'default 3'"),
+    ("p : table 1 -> 2 default x", "line 3: bad table entry near 'default x'"),
+    ("p : table 1 -> 2 1 -> 3", "line 3: table has duplicate k entries"),
+    ("p : table 1_0 -> 2", "line 3: bad table entry near '1_'"),
+    ("p : table 1 -> 2 default 1_0", "line 3: bad table entry near 'default 1_0'"),
+    ("p : const -1", "line 3: expected a natural number, got -1"),
+    ("p : poly 1 -2", "line 3: expected a natural number, got -2"),
+    ("p : const x", "line 3: expected a natural number, got x"),
+    ("p : const 1 2", "line 3: expected a natural number, got 1 2"),
+    ("p : poly 1 x", "line 3: expected a natural number, got x"),
+    ("p : const 1_0", "line 3: expected a natural number, got 1_0"),
+    ("p : poly +1", "line 3: expected a natural number, got +1"),
+]
+
+
+@pytest.mark.parametrize("line, want", _SPEC_LINES)
+def test_spec_line_shapes(line, want):
+    try:
+        spec = load_spec(f"# a comment\n\n  {line}\n")
+    except ISpecError as exc:
+        got = str(exc)
+    else:
+        (formula, fn), = spec.entries.items()
+        got = (print_eformula(formula), fn.table, fn.tail)
+    assert got == want

@@ -338,6 +338,18 @@ def test_generator_needs_the_threshold_at_k(schema):
             k=2)
 
 
+@pytest.mark.parametrize("schema", ["cw", "sw", "zk2"])
+def test_generator_needs_an_interactively_provable_alpha(schema):
+    rng = random.Random(0)
+    for alpha in ("q", "r"):  # q is not total, and r has no entry
+        with pytest.raises(ValueError, match=f"^'{alpha}' is not interactively provable$"):
+            generators.rand_axiom_instance(rng, schema, spec=load_spec("q : table 1 -> 2\n"),
+                                           spec_formula=parse_eformula(alpha))
+    spec = load_spec("q : table 1 -> 2 default 3\n")
+    f = generators.rand_axiom_instance(rng, schema, spec=spec, spec_formula=parse_eformula("q"))
+    assert match_axiom(f, spec, True, schema) is not None
+
+
 # -- derivations ----------------------------------------------------------------
 
 
@@ -395,6 +407,21 @@ def test_golden_proofs_valid():
         d = load_derivation_file(os.path.join(GOLDEN, f"{name}.ipjp"), spec)
         rep = check_derivation(d)
         assert rep.ok, (name, rep.render())
+
+
+def readme_example(marker):
+    """The text of the first ``text`` block after ``marker`` in README.md."""
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    after = readme[readme.index(marker):]
+    return after.split("```text\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_are_read_and_valid():
+    spec = load_spec(readme_example("**Interaction specification** (`.ispec`)"))
+    assert len(spec.entries) == 3
+    d = parse_derivation(readme_example("**Proof file** (`.ipjp`)"), spec)
+    assert len(d.lines) == 2
+    assert check_derivation(d).render() == "VALID"
 
 
 def instantiate_param(f, v):
@@ -940,3 +967,57 @@ def test_malformed_lines_keep_their_error_texts():
             got.append((n, kind, error(parse_formula, bad),
                         error(lambda t: parse_derivation(t, EMPTY), proof)))
     assert got == _ERRORS
+
+
+# -- line shapes ---------------------------------------------------------------------
+
+# (a proof line, what it reads as: (index, printed formula, rule, args), or the
+# error text); the line is the third of its file, after a comment and a blank line
+_PROOF_LINES = [
+    ("1.p ; ax p", (1, "p", "ax", ("p", ()))),
+    ("1. p;ax p", (1, "p", "ax", ("p", ()))),
+    ("0012. p ; ax p", (12, "p", "ax", ("p", ()))),
+    ("3. p ; mp 1 2", (3, "p", "mp", (1, 2))),
+    ("1. p ; nec[P] 1", (1, "p", "nec[P]", (1,))),
+    ("1. p ; nec[V] ١", (1, "p", "nec[V]", (1,))),  # an Arabic-Indic digit one
+    ("1. p ; pnec 2", (1, "p", "pnec", (2,))),
+    ("1. p ; axnec c[P]", (1, "p", "axnec", (("c", "P"),))),
+    ("1. p ; axnec c'[P] d_1[V]", (1, "p", "axnec", (("c'", "P"), ("d_1", "V")))),
+    ("1. p ; ax c n=4 k=1", (1, "p", "ax", ("c", (("n", 4), ("k", 1))))),
+    ("1. p ; ax c m=0", (1, "p", "ax", ("c", (("m", 0),)))),
+    ("1. p ; param-approx 1/2 template=t.ipjp",
+     (1, "p", "param-approx", (Fraction(1, 2), "t.ipjp"))),
+    ("1. p ; param-arch template=t.ipjp", (1, "p", "param-arch", ("t.ipjp",))),
+    ("p ; ax p", "line 3: expected 'n. formula ; justification'"),
+    ("x. p ; ax p", "line 3: expected 'n. formula ; justification'"),
+    ("1 . p ; ax p", "line 3: expected 'n. formula ; justification'"),
+    ("1_0. p ; ax p", "line 3: expected 'n. formula ; justification'"),
+    ("-1. p ; ax p", "line 3: expected 'n. formula ; justification'"),
+    ("+1. p ; ax p", "line 3: expected 'n. formula ; justification'"),
+    ("1.5. p ; ax p", "line 3: 1:1: expected a formula, got '5'"),
+    ("1. a ; b ; ax p", "line 3: 1:3: trailing input: ';'"),
+    ("1. p ; ax c n=1_0", "line 3: bad axiom hint 'n=1_0'"),
+    ("1. p ; ax c n=+1", "line 3: bad axiom hint 'n=+1'"),
+    ("1. p ; ax c n=-1", "line 3: bad axiom hint 'n=-1'"),
+    ("1. p ; ax c n=", "line 3: bad axiom hint 'n='"),
+    ("1. p ; ax c N=1", "line 3: bad axiom hint 'N=1'"),
+    ("1. p ; axnec é[P]", "line 3: bad constant 'é[P]' (want name[P] or name[V])"),
+    ("1. p ; axnec c:a[P]", "line 3: bad constant 'c:a[P]' (want name[P] or name[V])"),
+    ("1. p ; axnec a[P]x", "line 3: bad constant 'a[P]x' (want name[P] or name[V])"),
+    ("1. p ; axnec 1a[P]", "line 3: bad constant '1a[P]' (want name[P] or name[V])"),
+    ("1. p ; axnec a [P]", "line 3: bad constant 'a' (want name[P] or name[V])"),
+    ("1. p ; mp 1_0 1", "line 3: bad line number '1_0'"),
+    ("1. p ; mp +1 2", "line 3: bad line number '+1'"),
+    ("1. p ; mp -1 2", "line 3: bad line number '-1'"),
+    ("1. p ; pnec 1_0", "line 3: bad line number '1_0'"),
+]
+
+
+@pytest.mark.parametrize("line, want", _PROOF_LINES)
+def test_proof_line_shapes(line, want):
+    try:
+        (got,) = parse_derivation(f"# a comment\n\n  {line}\n", EMPTY).lines
+    except ProofParseError as exc:
+        assert str(exc) == want
+    else:
+        assert (got.index, print_formula(got.formula), got.rule, got.args) == want

@@ -246,7 +246,8 @@ def test_literal_limits():
 
 def test_bad_mass_line_is_a_model_error():
     text = "worlds: a\nR[P]:\na -> a\nR[V]:\na -> a\nU: a\nmu:\na = 1/v\nw0: a\n"
-    with pytest.raises(ModelError, match="^bad mass line:"):
+    want = "^line 8: bad mass line: 1:1: the parameter v occurs only in proof templates$"
+    with pytest.raises(ModelError, match=want):
         parse_model_file(text)
 
 

@@ -789,3 +789,94 @@ def test_model_file_mass_errors(masses, error):
     with pytest.raises(ModelError) as exc:
         parse_model_file(text)
     assert str(exc.value) == error
+
+
+# -- line shapes ---------------------------------------------------------------------
+
+SHAPES_MODEL = """# a model for the line shapes
+worlds: w0 b
+R[P]:
+w0 -> w0
+b -> b
+w0 -> b
+
+R[V]:
+w0 -> w0
+b -> b
+val:
+w0 : p
+evidence:
+w0 [P] t : p
+U: w0 b
+mu:
+w0 = 1/2
+b = 1/2
+w0: w0
+"""
+
+# (a line of SHAPES_MODEL, the line put in its place, and what the file then
+# reads as: ("as", a plainer line in that place), or the error text)
+_MODEL_LINES = [
+    # R[P], line 6
+    ("w0 -> b", "w0->b", ("as", "w0 -> b")),
+    ("w0 -> b", "w0  ->\tb", ("as", "w0 -> b")),
+    ("w0 -> b", "w0 -> w0 -> w0", "line 6: bad edge line in R[P]: 'w0 -> w0 -> w0'"),
+    ("w0 -> b", "w0 - b", "line 6: bad edge line in R[P]: 'w0 - b'"),
+    ("w0 -> b", "w0 ->", "line 6: bad edge line in R[P]: 'w0 ->'"),
+    ("w0 -> b", "-> b", "line 6: bad edge line in R[P]: '-> b'"),
+    ("w0 -> b", "w0->b->b", "R[P] edge 'w0->b' -> 'b' leaves the model"),
+    ("w0 -> b", "w0->-> b", "R[P] edge 'w0->' -> 'b' leaves the model"),
+    ("w0 -> b", "w0 ->b->b", "R[P] edge 'w0' -> 'b->b' leaves the model"),
+    # val, line 12
+    ("w0 : p", "w0 : p q", ("as", "w0 : q p")),
+    ("w0 : p", "w0\t:\tp", ("as", "w0 : p")),
+    ("w0 : p", "w0 :p", ("as", "w0 : p")),
+    ("w0 : p", "w0 : ", ("as", "b :")),
+    ("w0 : p", "w0 p", "line 12: bad valuation line: 'w0 p'"),
+    ("w0 : p", "zz : p", "line 12: valuation mentions unknown world 'zz'"),
+    ("w0 : p", "w0 b : p", "line 12: valuation mentions unknown world 'w0 b'"),
+    ("w0 : p", "w0: p", "the distinguished world must belong to the sample"),  # a w0 header
+    # evidence, line 14
+    ("w0 [P] t : p", "w0\t[P]  t  :  p", ("as", "w0 [P] t : p")),
+    ("w0 [P] t : p", "w0 [P] (s + t) : p -> q", ("as", "w0 [P] s + t : ~(p & ~q)")),
+    ("w0 [P] t : p", "w0 [X] t : p", "line 14: bad evidence line: 'w0 [X] t : p'"),
+    ("w0 [P] t : p", "w0 [P]t : p", "line 14: bad evidence line: 'w0 [P]t : p'"),
+    ("w0 [P] t : p", "w0 [P]", "line 14: bad evidence line: 'w0 [P]'"),
+    ("w0 [P] t : p", "w0 [P] t", "line 14: bad evidence line (need 'term : eform'): 'w0 [P] t'"),
+    ("w0 [P] t : p", "w0 [P] t:p",
+     "line 14: bad evidence line (need 'term : eform'): 'w0 [P] t:p'"),
+    ("w0 [P] t : p", "w0 [P] : p",
+     "line 14: bad evidence line (need 'term : eform'): 'w0 [P] : p'"),
+    ("w0 [P] t : p", "w0 [P]  : p",
+     "line 14: bad evidence line (need 'term : eform'): 'w0 [P]  : p'"),
+    ("w0 [P] t : p", "w0 [P]  : p : q",
+     "line 14: bad evidence line: 1:1: expected a term, got ':'"),
+    ("w0 [P] t : p", "w0 [P] t :x : p", "line 14: bad evidence line: 1:3: trailing input: ':'"),
+    ("w0 [P] t : p", "w0 [P] t :[P] p : q",
+     "line 14: bad evidence line: 1:3: trailing input: ':['"),
+    ("w0 [P] t : p", "w0 [P] t : p &",
+     "line 14: bad evidence line: 1:4: expected a formula, got ''"),
+    # mu, line 18
+    ("b = 1/2", "b=1/2", ("as", "b = 1/2")),
+    ("b = 1/2", "b 1/2", "line 18: bad mass line: 'b 1/2'"),
+    ("b = 1/2", "b = x", "line 18: bad mass line: 1:1: expected 'num', got 'x'"),
+    ("b = 1/2", "b = 1/2 = 1", "line 18: bad mass line: 1:5: trailing input in literal: '='"),
+    # section headers
+    ("R[V]:", "R[V]\t:", ("as", "R[V]:")),
+    ("R[P]:", "R[P] :  w0 -> w0", ("as", "R[P]:")),
+    ("mu:", "mu :", ("as", "mu:")),
+    ("worlds: w0 b", "w0 b", "line 2: content before any section header"),
+]
+
+
+@pytest.mark.parametrize("old, new, want", _MODEL_LINES)
+def test_model_line_shapes(old, new, want):
+    text = SHAPES_MODEL.replace(old, new, 1)
+    assert text != SHAPES_MODEL
+    if isinstance(want, tuple):
+        plain = SHAPES_MODEL.replace(old, want[1], 1)
+        assert write_model_file(parse_model_file(text)) == write_model_file(parse_model_file(plain))
+    else:
+        with pytest.raises(ModelError) as exc:
+            parse_model_file(text)
+        assert str(exc.value) == want
