@@ -57,15 +57,13 @@ def cmd_check_proof(args) -> Report:
 
 
 def cmd_check_model(args) -> Report:
-    if args.random < 0 or args.instances < 0:
-        raise ValueError("--random and --instances must not be negative")
-    if args.kmax is not None and args.kmax < 1:  # k ranges over the positive integers
-        raise ValueError("--kmax must be at least 1")
     if args.random:
         return _soundness_harness(args)
+    kmax = 2 if args.kmax is None else syntax.parse_nat(args.kmax, "--kmax")
+    if kmax is None or kmax < 1:  # k ranges over the positive integers
+        raise ValueError("--kmax must be at least 1")
     spec = _load_spec(args.spec)
     q = semantics.load_model_file(args.model)
-    kmax = 2 if args.kmax is None else args.kmax
     return semantics.check_model_conditions(q, spec, zk=args.zk, kmax=kmax).verdict()
 
 
@@ -180,12 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", nargs="?")
     p.add_argument("--spec", help="interaction specification file")
     p.add_argument("--zk", action="store_true", help="also check the zero-knowledge condition")
-    p.add_argument("--kmax", type=int, help="largest exponent k to check (default 2)")
-    p.add_argument("--random", type=int, default=0, metavar="N",
+    p.add_argument("--kmax", help="largest exponent k to check (default 2)")
+    p.add_argument("--random", default="0", metavar="N",
                    help="instead of a file, check axiom soundness on N random models")
-    p.add_argument("--instances", type=int, default=1000,
+    p.add_argument("--instances", default="1000",
                    help="axiom instances per random model (default 1000)")
-    p.add_argument("--seed", type=int, default=0, help="random seed for the harness")
+    p.add_argument("--seed", default="0", help="random seed for the harness")
     common(p)
     p.set_defaults(fn=cmd_check_model)
 
@@ -196,14 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("simulate", help="build round/witness models and verify the bounds")
-    p.add_argument("--rounds", type=int, default=2, help="number of protocol rounds")
+    p.add_argument("--rounds", default="2", help="number of protocol rounds")
     p.add_argument("--error", default="1/3", help="per-round error as a rational (default 1/3)")
     p.add_argument("--dishonest", action="store_true", help="distinguish a failing run")
     p.add_argument("--witness", metavar="EFORMULA",
                    help="build a protocol-bound witness model for this formula instead")
     p.add_argument("--term", default="t", help="base evidence term for the witness model")
-    p.add_argument("--k", type=int, default=1, help="bound exponent for the witness model")
-    p.add_argument("--nmax", type=int, default=10,
+    p.add_argument("--k", default="1", help="bound exponent for the witness model")
+    p.add_argument("--nmax", default="10",
                    help=f"largest exact complexity level (default 10, at most "
                         f"{protosim._MAX_NMAX}, which takes about 1 s)")
     p.add_argument("--spec", help="interaction specification file")
@@ -223,19 +221,29 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the integer options but --kmax, read as natural numbers (decimal digits, no sign or underscore)
+_NATURALS = ("k", "nmax", "rounds", "random", "instances", "seed")
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "check-model":
-        if not args.random and not args.model:
-            ap.error("check-model needs a model file or --random N")
-        if args.random:  # the harness draws its own models and checks no protocol condition
-            for option, given in (("a model file", args.model is not None),
-                                  ("--spec", args.spec is not None), ("--zk", args.zk),
-                                  ("--kmax", args.kmax is not None)):
-                if given:
-                    ap.error(f"--random does not take {option}")
     try:
+        for name in _NATURALS:
+            if hasattr(args, name):
+                value = syntax.parse_nat(getattr(args, name), f"--{name}")
+                if value is None:
+                    raise ValueError(f"--{name} must be a natural number")
+                setattr(args, name, value)
+        if args.command == "check-model":
+            if not args.random and not args.model:
+                ap.error("check-model needs a model file or --random N")
+            if args.random:  # the harness draws its own models and checks no protocol condition
+                for option, given in (("a model file", args.model is not None),
+                                      ("--spec", args.spec is not None), ("--zk", args.zk),
+                                      ("--kmax", args.kmax is not None)):
+                    if given:
+                        ap.error(f"--random does not take {option}")
         return _emit(args, args.fn(args))
     except (ValueError, OSError) as exc:  # every kernel input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)

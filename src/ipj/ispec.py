@@ -161,6 +161,8 @@ def _parse_fn(kind: str, rest: str) -> ThresholdFn:
     left = (left + cur).strip()
     if left:
         raise ValueError(f"bad table entry near {left!r}")
+    if not pairs:
+        raise ValueError("a table needs at least one 'k -> m' pair")
     if len({k for k, _ in pairs}) != len(pairs):
         raise ValueError("table has duplicate k entries")
     return ThresholdFn(tuple(pairs), tail)

@@ -12,6 +12,7 @@ anywhere.  Literals such as ``(1 + 2 e)/(2 + 1 e)`` are read by
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -29,13 +30,7 @@ def _trim(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 def _padd(a, b):
-    n = max(len(a), len(b))
-    return _trim(
-        tuple(
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(n)
-        )
-    )
+    return _trim(tuple(x + y for x, y in zip_longest(a, b, fillvalue=0)))
 
 
 def _pneg(a):
@@ -89,6 +84,7 @@ def _pgcd(a, b):
 # the denominator of every polynomial value, shared so that the fast paths
 # recognise it by identity
 _DEN1 = (Fraction(1),)
+_FRACTION_ZERO = Fraction(0)
 
 
 def _order(p) -> int:
@@ -157,14 +153,12 @@ class QEps:
         """Build from ``(coefficient, power)`` pairs for numerator/denominator."""
 
         def poly(monos):
-            monos = list(monos)
-            size = max((p for _, p in monos), default=0) + 1
-            out = [Fraction(0)] * size
+            coeffs: dict[int, Fraction] = {}  # one Fraction per power
             for c, p in monos:
                 if p < 0:
                     raise ValueError("negative powers of e are not accepted")
-                out[p] += Fraction(c)
-            return out
+                coeffs[p] = coeffs[p] + c if p in coeffs else Fraction(c)
+            return [coeffs.get(p, _FRACTION_ZERO) for p in range(max(coeffs, default=-1) + 1)]
 
         if den is None:  # a polynomial: already canonical once trimmed
             return _canonical(_trim(poly(num)), _DEN1)
@@ -250,10 +244,14 @@ class QEps:
     def compare(self, other) -> int:
         """-1, 0 or 1: the sign of ``self - other`` for small positive e."""
         other = _coerce(other)
-        a, b = self.num, other.num
-        if len(a) <= 1 and len(b) <= 1 and self.den is _DEN1 and other.den is _DEN1:
-            x, y = (a[0] if a else 0), (b[0] if b else 0)
-            return (x > y) - (x < y)
+        if self.den is _DEN1 and other.den is _DEN1:
+            # the sign of the lowest-order coefficient of the difference
+            for x, y in zip_longest(self.num, other.num, fillvalue=0):
+                if x > y:
+                    return 1
+                if x < y:
+                    return -1
+            return 0
         return (self - other).sign()
 
     def sign(self) -> int:

@@ -18,7 +18,6 @@ a stabilization argument plus standard parts.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -163,25 +162,26 @@ class EpistemicModel:
         # per agent, each world's successors by index
         self._succ: dict[str, list[list[int]]] = {}
         for a in AGENTS:
-            edges = set(rel.get(a, ()))
+            edges = set()  # i * n + j for the edge from world i to world j
             succ = self._succ[a] = [[] for _ in range(n)]
             outside = []
-            for w, u in edges:
+            for w, u in rel.get(a, ()):
                 i, j = index(w), index(u)
                 if i is None or j is None:
                     outside.append((w, u))
-                else:
+                elif i * n + j not in edges:
+                    edges.add(i * n + j)
                     succ[i].append(j)
             if outside:
                 raise ModelError("R[{}] edge {!r} -> {!r} leaves the model".format(
                     a, *min(outside)))
-            for w in names:
-                if (w, w) not in edges:
+            for i, w in enumerate(names):
+                if i * n + i not in edges:
                     raise ModelError(f"R[{a}] is not reflexive at {w!r}")
             broken = [
                 (names[i], names[j], names[k])
                 for i, out in enumerate(succ) for j in out for k in succ[j]
-                if (names[i], names[k]) not in edges
+                if i * n + k not in edges
             ]
             if broken:
                 raise ModelError("R[{}] is not transitive: {!r} -> {!r} -> {!r}".format(
@@ -193,8 +193,7 @@ class EpistemicModel:
             for sub in esubformulas(alpha):
                 d = syntax.dest_eimp(sub)
                 if d is not None:
-                    pool.add(d[0])
-                    pool.add(d[1])
+                    pool.update(d)
         self.witness_pool: frozenset = frozenset(pool)
         self.full_mask: int = (1 << n) - 1
         # the protocol entries by (agent, inner term, formula) -> [(complexity, mask)]
@@ -212,9 +211,6 @@ class EpistemicModel:
             return self._index[w]
         except KeyError:
             raise ModelError(f"{w!r} is not a world of the model") from None
-
-    def mask_of(self, worlds: Iterable[str]) -> int:
-        return _indices_mask(map(self.index, worlds), len(self.worlds))
 
     def _box(self, agent: str, mask: int) -> int:
         """The worlds all of whose ``agent`` successors lie in ``mask``."""
@@ -340,13 +336,13 @@ class Quasimodel:
         # the rational-function masses, by world index
         self._other_masses = [(i, m) for i, m in enumerate(masses) if len(m.den) > 1]
         self._measures: dict[int, QEps] = {}
+        found = [base._index.get(w) for w in self.sample]
+        if None in found:
+            raise ModelError("sample worlds must be model worlds")
+        self.sample_mask: int = _indices_mask(found, len(base.worlds))
         self.validate()
-        self.sample_mask: int = base.mask_of(self.sample)
 
     def validate(self):
-        wset = set(self.base.worlds)
-        if not set(self.sample) <= wset:
-            raise ModelError("sample worlds must be model worlds")
         if self.w0 not in self.sample:
             raise ModelError("the distinguished world must belong to the sample")
         if set(self.measure) != set(self.sample):
@@ -355,12 +351,13 @@ class Quasimodel:
         # Masses >= 0 that sum to exactly 1 are each <= 1, since Q[e] is an
         # ordered field; only a failure scans for the first bad sample world.
         distinct = {id(m): m for m in self.measure.values()}.values()
-        if all(m.sign() >= 0 for m in distinct) and self.measure_event(self.sample) == ONE:
+        total = self.measure_mask(self.sample_mask)
+        if all(m.sign() >= 0 for m in distinct) and total == ONE:
             return
         for u in self.sample:
             if not self.measure[u].in_unit_interval():
                 raise ModelError(f"mass of {u!r} is outside the unit interval")
-        raise ModelError(f"masses sum to {self.measure_event(self.sample)}, not 1")
+        raise ModelError(f"masses sum to {total}, not 1")
 
     def event_mask(self, alpha: EFormula) -> int:
         """The sample worlds where ``alpha`` holds."""
@@ -380,9 +377,6 @@ class Quasimodel:
                     value = value + m
             self._measures[mask] = value
         return value
-
-    def measure_event(self, worlds: Iterable[str]) -> QEps:
-        return self.measure_mask(self.base.mask_of(worlds))
 
     def measure_of(self, alpha: EFormula) -> QEps:
         return self.measure_mask(self.event_mask(alpha))
@@ -579,8 +573,6 @@ def parse_model_file(text: str) -> Quasimodel:
         if needed not in sections:
             raise ModelError(f"missing section {needed!r}")
 
-    # each term, formula and mass text of the file is read once
-    read = functools.cache(lambda parse, source: parse(source))
     worlds, sample, w0 = (" ".join(line for _, line in sections[name]).split()
                           for name in ("worlds", "U", "w0"))
     rel = {}
@@ -611,41 +603,59 @@ def parse_model_file(text: str) -> Quasimodel:
             raise ModelError(f"line {lineno}: valuation mentions unknown world {w!r}")
         valuation[w].extend(line[at + 1 :].split())
 
-    # the base's world lists by (agent, term, formula), and by the text after the
-    # world, which a file repeats on many lines: each such text is split once
-    evidence: dict[tuple, list[str]] = {}
-    by_text: dict[str, list[str]] = {}
+    # Each line is split once; a bad line's error is raised once the lines before
+    # it are read.  An evidence line is a world and a text that a file repeats on
+    # many lines: each distinct text is split once.
+    tails: dict[str, tuple] = {}  # text -> (line, agent, term, eform, worlds)
     for lineno, line in sections.pop("evidence", []):
         # w [A] term : eform; the tail of a one-word line has no space, so is no key
         parts = line.split(None, 1)
-        held = by_text.get(parts[-1])
-        if held is None:
+        entry = tails.get(parts[-1])
+        if entry is None:
             tail = parts[-1]
-            if tail[:3] not in ("[P]", "[V]") or not tail[3:4].isspace():
-                raise ModelError(f"line {lineno}: bad evidence line: {line!r}")
             # the term ends at the first colon with a space on each side
             rest = tail[3:].lstrip()
             at = rest.find(":", 1)
             while at > 0 and not (rest[at - 1].isspace() and rest[at + 1 : at + 2].isspace()):
                 at = rest.find(":", at + 1)
-            if at < 0:
-                raise ModelError(
-                    f"line {lineno}: bad evidence line (need 'term : eform'): {line!r}")
-            try:
-                t = read(syntax.parse_term, rest[:at].rstrip())
-                alpha = read(syntax.parse_eformula, rest[at + 1 :].lstrip())
-            except syntax.ParseError as exc:
-                raise ModelError(f"line {lineno}: bad evidence line: {exc}") from exc
-            held = by_text[tail] = evidence.setdefault((tail[1], t, alpha), [])
-        held.append(parts[0])
-
-    measure = {}
+            if tail[:3] not in ("[P]", "[V]") or not tail[3:4].isspace():
+                entry = (lineno, None, f"bad evidence line: {line!r}", None, [])
+            elif at < 0:
+                entry = (lineno, None, f"bad evidence line (need 'term : eform'): {line!r}", None, [])
+            else:
+                entry = (lineno, tail[1], rest[:at].rstrip(), rest[at + 1 :].lstrip(), [])
+            tails[tail] = entry
+        entry[4].append(parts[0])
+    masses = []  # (line, world, mass), or (line, None, the line) for a bad line
     for lineno, line in sections.pop("mu"):
         w, equals, mass = line.partition("=")
-        if not equals:
-            raise ModelError(f"line {lineno}: bad mass line: {line!r}")
+        masses.append((lineno, w.strip(), mass.strip()) if equals else (lineno, None, line))
+
+    # Each distinct term, formula and mass text is read once: each kind through one
+    # parser (syntax.parse_each), and a text that parser did not read alone, so that
+    # every error is that of a plain read.
+    values = {parse: syntax.parse_each(texts, read_one) for parse, texts, read_one in (
+        (syntax.parse_term, [e[2] for e in tails.values() if e[1]], syntax.Parser.term),
+        (syntax.parse_eformula, [e[3] for e in tails.values() if e[1]],
+         lambda p: syntax.as_efml(p.formula())),
+        (parse_qeps, [mass for _, w, mass in masses if w is not None], syntax.Parser.literal),
+    )}
+    read = lambda parse, text: values[parse].get(text) or parse(text)  # noqa: E731
+    evidence: dict[tuple, list[str]] = {}  # the base's world lists
+    for lineno, a, term, eform, held in tails.values():
+        if a is None:
+            raise ModelError(f"line {lineno}: {term}")
         try:
-            measure[w.strip()] = read(parse_qeps, mass.strip())
+            t, alpha = read(syntax.parse_term, term), read(syntax.parse_eformula, eform)
+        except syntax.ParseError as exc:
+            raise ModelError(f"line {lineno}: bad evidence line: {exc}") from exc
+        evidence.setdefault((a, t, alpha), []).extend(held)
+    measure = {}
+    for lineno, w, mass in masses:
+        if w is None:
+            raise ModelError(f"line {lineno}: bad mass line: {mass!r}")
+        try:
+            measure[w] = read(parse_qeps, mass)
         except QEpsParseError as exc:
             raise ModelError(f"line {lineno}: bad mass line: {exc}") from exc
 

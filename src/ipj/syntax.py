@@ -1061,6 +1061,27 @@ def lines(text: str) -> Iterator[tuple[int, str]]:
     return ((lineno, line) for lineno, line in stripped if line and line[0] != "#")
 
 
+def parse_each(texts, read) -> dict:
+    """Each distinct text -> ``read(parser)``, through one :class:`Parser` (no
+    parameter v) over the texts joined one per line, up to the first text whose
+    read fails, gives None or does not take exactly its line's tokens.  A line
+    lexes to the tokens of its text alone, so a value is that of a plain read."""
+    texts, values = list(dict.fromkeys(texts)), {}
+    try:
+        p = Parser("\n".join(texts), allow_symbolic=False)
+        toks = p.toks
+        for line, text in enumerate(texts, start=1):
+            value = read(p)
+            end = toks[p.i]  # must be a later line's first token, or the end
+            if value is None or toks[p.i - 1].line != line or (
+                    end.line == line and end.kind != "eof"):
+                break
+            values[text] = value
+    except (ParseError, RecursionError):
+        pass
+    return values
+
+
 def parse_nat(text: str, what: str) -> Optional[int]:
     """``text`` read as a natural number in decimal digits (no sign, no underscore),
     else None. A numeral too long for int() is the error

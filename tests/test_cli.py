@@ -248,6 +248,40 @@ def test_kmax_below_one_is_an_input_error(capsys, tmp_path, kmax):
     assert (code, out, err) == (2, "", "error: --kmax must be at least 1\n")
 
 
+@pytest.mark.parametrize("argv, option", [
+    # the first bad option is named; each of these printed PASS when int() read them
+    (["simulate", "--witness", "p", "--k", "1_0", "--nmax", "+3"], "--k"),
+    (["simulate", "--witness", "p", "--nmax", "+3"], "--nmax"),
+    (["simulate", "--rounds", "-1"], "--rounds"),
+    (["simulate", "--rounds", "٣"], None),  # a decimal digit, as in the file formats
+    (["check-model", "--random", "1_0", "--instances", "+2", "--seed", "-1"], "--random"),
+    (["check-model", "--random", "1", "--instances", "+2", "--seed", "-1"], "--instances"),
+    (["check-model", "--random", "1", "--instances", "2", "--seed", "-1"], "--seed"),
+    (["check-model", "--random", "1", "--instances", "2", "--seed", " 1"], "--seed"),
+    (["check-model", "--random", "1", "--instances", "2", "--seed", "1" * 5000], "long"),
+])
+def test_integer_options_are_natural_numbers(capsys, tmp_path, argv, option):
+    spec = tmp_path / "s.ispec"
+    spec.write_text("p : const 2\n")
+    if argv[0] == "simulate":
+        argv = [*argv, "--spec", str(spec)]
+    code, out, err = run(capsys, *argv)
+    if option is None:
+        assert code == 0 and "PASS" in out
+    elif option == "long":
+        assert (code, out) == (2, "")
+        assert err == "error: bad --seed: number of 5000 digits is too long\n"
+    else:
+        assert (code, out, err) == (2, "", f"error: {option} must be a natural number\n")
+
+
+@pytest.mark.parametrize("kmax", ["1_0", "+1", " 1"])
+def test_kmax_is_a_natural_number(capsys, tmp_path, kmax):
+    _, _, path, spec = witness_file(capsys, tmp_path)
+    code, out, err = run(capsys, "check-model", str(path), "--spec", str(spec), "--kmax", kmax)
+    assert (code, out, err) == (2, "", "error: --kmax must be at least 1\n")
+
+
 def test_unknown_atom_anywhere_is_an_input_error(capsys, tmp_path):
     _, _, path, _ = witness_file(capsys, tmp_path)
     # the left conjunct is false, so a short-circuit evaluation would never see zz

@@ -116,7 +116,7 @@ _SPEC_LINES = [
     ("p : poly 1 0 2", ("p", (), (1, 0, 2))),
     ("p : table 1 -> 2 default 3", ("p", ((1, 2),), (3,))),
     ("p : table 1->2 3 ->4", ("p", ((1, 2), (3, 4)), ())),
-    ("p : table default 3", ("p", (), (3,))),
+    ("p : table default 3", "line 3: a table needs at least one 'k -> m' pair"),
     ("p : table", "line 3: expected 'eform : const|poly|table ...'"),
     ("p const 1", "line 3: expected 'eform : const|poly|table ...'"),
     ("p : constant 1", "line 3: expected 'eform : const|poly|table ...'"),

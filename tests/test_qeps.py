@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ipj.qeps import QEps, QEpsParseError, _padd, _pmul, _pneg, parse_qeps
 from ipj.semantics import ModelError, parse_model_file
@@ -117,6 +117,31 @@ def test_order_respects_addition(a, b, c):
 def test_order_respects_positive_multiplication(a, b, c):
     if a.compare(b) < 0 and c.compare(ZERO) > 0:
         assert (a * c).compare(b * c) < 0
+
+
+polynomials = st.lists(
+    st.tuples(small_fraction, st.integers(min_value=0, max_value=4)), max_size=4
+).map(QEps.from_monomials)
+
+
+@given(polynomials, polynomials)
+@settings(max_examples=300)
+@example(parse_qeps("1/2 + 1 e"), parse_qeps("1/2"))  # lengths 2 and 1
+@example(parse_qeps("1/2"), parse_qeps("1/2 + -1 e^3"))  # lengths 1 and 4
+@example(parse_qeps("1 e^2"), parse_qeps("1 e^2 + 1 e^4"))  # equal up to the shorter
+@example(parse_qeps("1 + 1 e"), parse_qeps("1 + 1 e"))  # equal
+@example(ZERO, parse_qeps("-1 e^3"))
+@example(ZERO, ZERO)
+def test_compare_of_polynomials_is_the_sign_of_the_difference(a, b):
+    want = (a - b).sign()
+    with pytest.MonkeyPatch.context() as mp:
+        # compare reads the coefficients from the lowest power of e: it builds no difference
+        mp.setattr(QEps, "__sub__", None)
+        mp.setattr(QEps, "__add__", None)
+        assert a.compare(b) == want
+        assert b.compare(a) == -want
+        assert a.compare(a) == 0
+        assert a.compare(0) == a.sign()
 
 
 def test_epsilon_below_every_positive_rational():

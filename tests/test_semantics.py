@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ipj
-from ipj import generators
+from ipj import generators, syntax
 from ipj.ispec import load_spec
 from ipj.qeps import QEps, parse_qeps
 from ipj.semantics import (
@@ -101,6 +101,11 @@ def event(qm, alpha):
     """The sample worlds of ``qm`` where ``alpha`` holds."""
     mask = qm.event_mask(alpha)
     return frozenset(u for u in qm.sample if mask >> qm.base.index(u) & 1)
+
+
+def measure_event(qm, worlds):
+    """The measure of the set of ``worlds`` of ``qm``."""
+    return qm.measure_mask(sum(1 << qm.base.index(w) for w in set(worlds)))
 
 
 # -- structural validation ---------------------------------------------------------
@@ -442,11 +447,11 @@ def test_measure_event_over_rational_and_mixed_masses():
     masses = {"w": q("1/3"), "u": q("1/6"), "v": q("1/2")}
     qm = Quasimodel(m, worlds, masses, "w")
     assert qm.measure_of(parse_eformula("p")) == q("1/2")
-    assert qm.measure_event([]) == q(0)
+    assert measure_event(qm, []) == q(0)
     eps = QEps.epsilon()
     qm = Quasimodel(m, worlds, {**masses, "w": masses["w"] - eps, "v": masses["v"] + eps}, "w")
     assert qm.measure_of(parse_eformula("p")) == q("1/2") - eps
-    assert qm.measure_event(["u", "v"]) == q("2/3") + eps
+    assert measure_event(qm, ["u", "v"]) == q("2/3") + eps
 
 
 def test_complement_additivity_random():
@@ -454,7 +459,7 @@ def test_complement_additivity_random():
     for _ in range(50):
         qm = generators.rand_model(rng)
         alpha = generators.rand_eformula(rng, 2)
-        total = qm.measure_of(alpha) + qm.measure_event(set(qm.sample) - event(qm, alpha))
+        total = qm.measure_of(alpha) + measure_event(qm, set(qm.sample) - event(qm, alpha))
         assert total == q(1)
 
 
@@ -464,9 +469,9 @@ def test_disjoint_additivity_random():
         qm = generators.rand_model(rng)
         a, b = generators.rand_eformula(rng, 2), generators.rand_eformula(rng, 2)
         ea, eb = event(qm, a), event(qm, b)
-        assert qm.measure_event(ea | eb) + qm.measure_event(ea & eb) == qm.measure_event(
-            ea
-        ) + qm.measure_event(eb)
+        assert measure_event(qm, ea | eb) + measure_event(qm, ea & eb) == measure_event(
+            qm, ea
+        ) + measure_event(qm, eb)
 
 
 def test_independence():
@@ -880,3 +885,181 @@ def test_model_line_shapes(old, new, want):
         with pytest.raises(ModelError) as exc:
             parse_model_file(text)
         assert str(exc.value) == want
+
+
+# -- the one parser per kind of text ---------------------------------------------------
+#
+# The reader reads each kind of text (terms, formulas, masses) through one parser
+# over the texts joined one per line, and reads alone a text that parser did not
+# read; these tests hold it to the errors and models of a reader that reads every
+# text alone.
+
+MANY_TEXTS = """worlds: a b c d
+R[P]:
+a -> a
+b -> b
+c -> c
+d -> d
+R[V]:
+a -> a
+b -> b
+c -> c
+d -> d
+val:
+a : p q
+evidence:
+a [P] t : p
+b [P] f[2](t) : box[P] p
+c [V] f[3](s) : p & q
+d [V] t * s : p -> q
+a [V] f[3](s) : p & q
+U: a b c d
+mu:
+a = 1/3
+b = 1/6
+c = 1/4
+d = 1/4
+w0: a
+"""
+
+
+def read_error(text):
+    with pytest.raises(ModelError) as exc:
+        parse_model_file(text)
+    return str(exc.value)
+
+
+def replaced(text, *pairs):
+    """``text`` with each (old, new) pair replaced once."""
+    for old, new in pairs:
+        assert old in text
+        text = text.replace(old, new, 1)
+    return text
+
+
+@pytest.mark.parametrize("pairs, error", [
+    # a lex error in one text among many
+    ((("c = 1/4", "c = 8/#9"),), "line 24: bad mass line: 1:3: unexpected character '#'"),
+    ((("c [V] f[3](s)", "c [V] f[3](s#)"),),
+     "line 17: bad evidence line: 1:7: unexpected character '#'"),
+    ((("p -> q", "p -> q#"),), "line 18: bad evidence line: 1:7: unexpected character '#'"),
+    # a text that read on into the next line's text, joined
+    ((("a = 1/3\nb = 1/6", "a = 1 +\nb = 2 e 3"),),
+     "line 22: bad mass line: 1:4: expected 'num', got ''"),
+    ((("[P] t : p\n", "[P] t : p &\n"),),
+     "line 15: bad evidence line: 1:4: expected a formula, got ''"),
+    # two bad sections, or two bad lines in one: the first bad line
+    ((("c [V] f[3](s)", "c [V] f[3](s"), ("b = 1/6", "b 1/6")),
+     "line 17: bad evidence line: 1:7: expected ')', got ''"),
+    ((("b [P] f[2](t)", "b [P] f[2](t"), ("d [V] t", "d [X] t")),
+     "line 16: bad evidence line: 1:7: expected ')', got ''"),
+    ((("a [P] t : p", "a [P] t"), ("c [V] f[3](s)", "c [V] f[3](s")),
+     "line 15: bad evidence line (need 'term : eform'): 'a [P] t'"),
+    ((("d [V] t * s : p -> q", "d [V] t * s : p -> q -> "), ("a = 1/3", "a = 1/0")),
+     "line 18: bad evidence line: 1:10: expected a formula, got ''"),
+    ((("b = 1/6", "b 1/6"), ("c = 1/4", "c = x")), "line 23: bad mass line: 'b 1/6'"),
+    ((("a = 1/3", "a = 1/"), ("b = 1/6", "b 1/6")),
+     "line 22: bad mass line: 1:3: expected 'num', got ''"),
+])
+def test_each_error_is_that_of_a_plain_read(pairs, error):
+    assert read_error(replaced(MANY_TEXTS, *pairs)) == error
+
+
+def test_texts_that_join_across_lines_do_not_depend_on_hashing():
+    # joined, "1 +" and "2 e 3" read as "1 + 2 e" and "3"
+    text = replaced(MANY_TEXTS, ("a = 1/3\nb = 1/6", "a = 1 +\nb = 2 e 3"))
+    code = (
+        "from ipj.semantics import ModelError, parse_model_file\n"
+        "try:\n"
+        f"    parse_model_file({text!r})\n"
+        "except ModelError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert outputs_under_hash_seeds(code, range(4)) == {
+        "line 22: bad mass line: 1:4: expected 'num', got ''\n"}
+
+
+def test_equal_texts_are_read_into_one_object():
+    qm = parse_model_file(MANY_TEXTS)
+    assert qm.measure["c"] is qm.measure["d"]  # "1/4" twice
+    # the two lines of "[V] f[3](s) : p & q" are one entry
+    assert len(qm.base._base) == 4
+    text = replaced(MANY_TEXTS, ("a [P] t : p", "a [P] t : p & q"))
+    formulas = [alpha for _, _, alpha in parse_model_file(text).base._base]
+    assert formulas[0] is formulas[2]  # "p & q" on two lines
+
+
+def fraction_form_model():
+    """Four sample worlds whose masses share the denominator 19 - e."""
+    den = [(19, 0), (-1, 1)]
+    nums = [[(5, 0), (-3, 1)], [(1, 0), (1, 1)], [(4, 0), (-2, 1)], [(9, 0), (3, 1)]]
+    masses = {w: QEps.from_monomials(num, den) for w, num in zip("abcd", nums)}
+    t, s = parse_term("t"), parse_term("s")
+    m = EpistemicModel(
+        "abcde", {"P": ident("abcde") + [("a", "b")], "V": ident("abcde")},
+        {"a": ["p"], "b": ["p", "q"], "e": ["q"]},
+        {("P", t, parse_eformula("p")): ["a", "b"], ("V", App(t, s), parse_eformula("p -> q")): ["c"]},
+    )
+    return Quasimodel(m, "abcd", masses, "c")
+
+
+def test_fraction_form_masses_round_trip():
+    qm = fraction_form_model()
+    text = write_model_file(qm)
+    assert "b = (1/19 + 1/19 e)/(1 + -1/19 e)\n" in text
+    again = parse_model_file(text)
+    assert_roundtrip(qm)
+    assert {str(m.den) for m in again.measure.values()} == {str(qm.measure["a"].den)}
+    assert again.measure_of(parse_eformula("p")) == qm.measure["a"] + qm.measure["b"]
+
+
+def mutated(rng, text):
+    """``text`` with one to three random edits, mostly on evidence and mass lines."""
+    pieces = list("()+*/e^-:[]~&!#= 0123456789pqst") + [
+        " + ", " e", "^2", " -> ", " : ", ":[V] ", "f[3](", "1/0", "8/#9", "\n", "\n+ ",
+        "\n* ", "\n& ", "\n:[P] ", "\n/3", "\n(", ")\n", "c:"]
+    lines = text.split("\n")
+    texts = [i for i, line in enumerate(lines) if "[" in line or " = " in line]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.choice(texts) if rng.random() < 0.8 else rng.randrange(len(lines))
+        i = min(i, len(lines) - 1)
+        line, at, op = lines[i], rng.randint(0, len(lines[i])), rng.randrange(6)
+        if op < 2:
+            lines[i] = line[:at] + rng.choice(pieces) + line[at:]
+        elif op == 2:
+            lines[i] = line[:at] + line[at + 1 :]
+        elif op == 3:
+            lines[i] = line[:at] + rng.choice(pieces) + line[at + 1 :]
+        elif op == 4:
+            lines.insert(i, line)
+        elif i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return "\n".join(lines)
+
+
+def read_outcome(text):
+    """The model read from ``text``, in full, or the type and text of its error."""
+    try:
+        qm = parse_model_file(text)
+    except Exception as exc:  # any error: the same one with and without the one parser
+        return type(exc).__name__, str(exc)
+    return (write_model_file(qm), qm.base.worlds, list(qm.base._base.items()),
+            qm.base._atom_masks, qm.base._succ, qm.sample, list(qm.measure.items()), qm.w0)
+
+
+def test_shared_read_changes_nothing(monkeypatch):
+    spec = load_spec("p & q : poly 1 1\n")
+    bases = [
+        write_model_file(build_interaction_witness(
+            spec, parse_eformula("p & q"), parse_term("t + c:a"), k=2, n_max=8, zk=True)),
+        write_model_file(fraction_form_model()),
+        write_model_file(build_round_model(RoundConfig(3, Fraction(2, 7))).quasimodel),
+    ]
+    rng = random.Random(22)
+    texts = [mutated(rng, bases[k % 3]) for k in range(2000)]
+    shared = [read_outcome(text) for text in texts]
+    # forced off, every text is read alone
+    monkeypatch.setattr(syntax, "parse_each", lambda texts, read: {})
+    alone = [read_outcome(text) for text in texts]
+    assert shared == alone
+    assert sum(out[0].startswith("worlds:") for out in alone) > 200
