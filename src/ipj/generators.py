@@ -56,9 +56,20 @@ MAX_WORLDS, MAX_SAMPLE = 6, 4  # of a random model
 # ---------------------------------------------------------------------------
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for ``n >= 1``, by the ``getrandbits`` calls of the stdlib's
+    ``_randbelow``; ``rng.choice(seq)`` is ``seq[_below(rng, len(seq))]`` and
+    ``rng.randint(a, b)`` is ``a + _below(rng, b - a + 1)``."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def rand_fraction(rng: random.Random) -> Fraction:
-    den = rng.randint(1, MAX_DEN)
-    return Fraction(rng.randint(0, den), den)
+    den = 1 + _below(rng, MAX_DEN)
+    return Fraction(_below(rng, den + 1), den)
 
 
 def rand_qeps(rng: random.Random) -> QEps:
@@ -66,7 +77,7 @@ def rand_qeps(rng: random.Random) -> QEps:
     q = rand_fraction(rng)
     value = QEps.from_rational(q)
     if rng.random() < 0.4:
-        bump = QEps.from_monomials([(Fraction(rng.randint(1, 3)), rng.randint(1, 2))])
+        bump = QEps.from_monomials([(Fraction(1 + _below(rng, 3)), 1 + _below(rng, 2))])
         if q == 0:
             value = value + bump
         elif q == 1:
@@ -84,36 +95,36 @@ def rand_qeps(rng: random.Random) -> QEps:
 def rand_term(rng: random.Random, depth: int = 4) -> Term:
     if depth <= 0 or rng.random() < 0.35:
         if rng.random() < 0.3:
-            return Const(rng.choice(CONST_NAMES))
-        return Var(rng.choice(VAR_NAMES))
-    kind = rng.randrange(4)
+            return Const(CONST_NAMES[_below(rng, len(CONST_NAMES))])
+        return Var(VAR_NAMES[_below(rng, len(VAR_NAMES))])
+    kind = _below(rng, 4)
     if kind == 0:
         return App(rand_term(rng, depth - 1), rand_term(rng, depth - 1))
     if kind == 1:
         return Sum(rand_term(rng, depth - 1), rand_term(rng, depth - 1))
     if kind == 2:
         return Bang(rand_term(rng, depth - 1))
-    comp = OMEGA if rng.random() < 0.25 else rng.randint(1, 9)
+    comp = OMEGA if rng.random() < 0.25 else 1 + _below(rng, 9)
     return Proto(comp, rand_term(rng, depth - 1))
 
 
 def rand_eformula(rng: random.Random, depth: int = 4) -> EFormula:
     if depth <= 0 or rng.random() < 0.3:
-        return Atom(rng.choice(ATOM_NAMES))
-    kind = rng.randrange(4)
+        return Atom(ATOM_NAMES[_below(rng, len(ATOM_NAMES))])
+    kind = _below(rng, 4)
     if kind == 0:
         return ENot(rand_eformula(rng, depth - 1))
     if kind == 1:
         return EAnd(rand_eformula(rng, depth - 1), rand_eformula(rng, depth - 1))
     if kind == 2:
-        return Box(rng.choice(AGENTS), rand_eformula(rng, depth - 1))
-    return Just(rand_term(rng, depth - 1), rng.choice(AGENTS), rand_eformula(rng, depth - 1))
+        return Box(AGENTS[_below(rng, 2)], rand_eformula(rng, depth - 1))
+    return Just(rand_term(rng, depth - 1), AGENTS[_below(rng, 2)], rand_eformula(rng, depth - 1))
 
 
 def rand_formula(rng: random.Random, depth: int = 6) -> Formula:
     if depth <= 0 or rng.random() < 0.25:
         return Epistemic(rand_eformula(rng, min(depth, 3)))
-    kind = rng.randrange(4)
+    kind = _below(rng, 4)
     if kind == 0:
         return fnot(rand_formula(rng, depth - 1))
     if kind == 1:
@@ -141,38 +152,38 @@ def _transitive_closure(worlds, edges):
 
 
 def rand_model(rng: random.Random) -> Quasimodel:
-    n = rng.randint(1, MAX_WORLDS)
+    n = 1 + _below(rng, MAX_WORLDS)
     worlds = [f"w{i}" for i in range(n)]
     rel = {}
     for a in AGENTS:
         edges = {(w, w) for w in worlds}
-        for _ in range(rng.randint(0, n)):
-            edges.add((rng.choice(worlds), rng.choice(worlds)))
+        for _ in range(_below(rng, n + 1)):
+            edges.add((worlds[_below(rng, n)], worlds[_below(rng, n)]))
         rel[a] = _transitive_closure(worlds, edges)
     valuation = {
         w: [at for at in ATOM_NAMES if rng.random() < 0.5] for w in worlds
     }
     evidence: dict[tuple, list[str]] = {}
-    for _ in range(rng.randint(0, 2 * n)):
-        w, a = rng.choice(worlds), rng.choice(AGENTS)
+    for _ in range(_below(rng, 2 * n + 1)):
+        w, a = worlds[_below(rng, n)], AGENTS[_below(rng, 2)]
         t, alpha = rand_term(rng, 2), rand_eformula(rng, 2)
         evidence.setdefault((a, t, alpha), []).append(w)
     base = EpistemicModel(worlds, rel, valuation, evidence, atoms=ATOM_NAMES)
 
-    k = rng.randint(1, min(MAX_SAMPLE, n))
+    k = 1 + _below(rng, min(MAX_SAMPLE, n))
     sample = rng.sample(worlds, k)
-    weights = [rng.randint(1, 5) for _ in sample]
+    weights = [1 + _below(rng, 5) for _ in sample]
     total = sum(weights)
     measure = {
         u: QEps.from_rational(Fraction(wt, total)) for u, wt in zip(sample, weights)
     }
     if len(sample) >= 2 and rng.random() < 0.5:
         # shift an infinitesimal between two worlds; the total stays 1
-        bump = QEps.from_monomials([(Fraction(1), rng.randint(1, 2))])
+        bump = QEps.from_monomials([(Fraction(1), 1 + _below(rng, 2))])
         a, b = rng.sample(sample, 2)
         measure[a] = measure[a] - bump
         measure[b] = measure[b] + bump
-    w0 = rng.choice(sample)
+    w0 = sample[_below(rng, k)]
     return Quasimodel(base, sample, measure, w0)
 
 
@@ -194,14 +205,14 @@ def _taut_instance(rng: random.Random) -> Formula:
         lambda: fimp(fnot(fnot(x)), x),
         lambda: fimp(fimp(x, y), fimp(fnot(y), fnot(x))),
     )
-    return rng.choice(shapes)()
+    return shapes[_below(rng, len(shapes))]()
 
 
 def _sample_p2(rng: random.Random, b: dict, spec, k) -> dict:  # s < t
     t = rand_qeps(rng)
     while t.compare(ZERO) <= 0:
         t = rand_qeps(rng)
-    s = t - QEps.from_monomials([(Fraction(1), rng.randint(1, 2))])
+    s = t - QEps.from_monomials([(Fraction(1), 1 + _below(rng, 2))])
     return {"s": s if s.in_unit_interval() else ZERO, "t": t}
 
 
@@ -209,7 +220,7 @@ def _sample_pa1(rng: random.Random, b: dict, spec, k) -> dict:  # s in [0, r)
     r = rand_fraction(rng)
     while r == 0:
         r = rand_fraction(rng)
-    s = Fraction(rng.randint(0, r.numerator * 2 - 1), r.denominator * 2)
+    s = Fraction(_below(rng, r.numerator * 2), r.denominator * 2)
     return {"r": r, "s": QEps.from_rational(s)}
 
 
@@ -217,23 +228,23 @@ def _sample_pa2(rng: random.Random, b: dict, spec, k) -> dict:  # s in (r, 1]
     r = rand_fraction(rng)
     while r == 1:
         r = rand_fraction(rng)
-    return {"r": r, "s": QEps.from_rational(r + Fraction(1 - r, rng.randint(1, 4)))}
+    return {"r": r, "s": QEps.from_rational(r + Fraction(1 - r, 1 + _below(rng, 4)))}
 
 
 def _sample_m(rng: random.Random, b: dict, spec, k) -> dict:  # m < n
-    m = rng.randint(1, 6)
-    return {"m": m, "n": OMEGA if rng.random() < 0.3 else m + rng.randint(1, 4)}
+    m = 1 + _below(rng, 6)
+    return {"m": m, "n": OMEGA if rng.random() < 0.3 else m + 1 + _below(rng, 4)}
 
 
 def _sample_bound(rng: random.Random, b: dict, spec, k) -> dict:  # n > m(k)
-    k = rng.randint(1, 2) if k is None else k
+    k = 1 + _below(rng, 2) if k is None else k
     fn = spec.threshold(b["alpha"])
     m = None if fn is None else fn.value_at(k)
     if m is None:
         text = print_eformula(b["alpha"])
         raise ValueError(f"{text!r} has no spec entry" if fn is None
                          else f"m(k) of {text!r} is undefined at k={k}")
-    return {"n": m + rng.randint(1, 4), "k": k}
+    return {"n": m + 1 + _below(rng, 4), "k": k}
 
 
 def _sample_limit(rng: random.Random, b: dict, spec, k) -> dict:  # alpha in I
@@ -279,7 +290,7 @@ def rand_axiom_instance(
     sch = proofcheck._SCHEMAS.get(schema)
     if sch is None:
         raise ValueError(f"unknown schema {schema!r}")
-    b = {"agent": rng.choice(AGENTS), "A": rand_eformula(rng, 2), "B": rand_eformula(rng, 2),
+    b = {"agent": AGENTS[_below(rng, 2)], "A": rand_eformula(rng, 2), "B": rand_eformula(rng, 2),
          "t": rand_term(rng, 2), "u": rand_term(rng, 2)}
     if "alpha" in sch.names:
         if spec is None or spec_formula is None:

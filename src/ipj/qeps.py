@@ -357,7 +357,6 @@ def _poly_str(p) -> str:
 
 ZERO = QEps()
 ONE = QEps.from_rational(1)
-EPS = QEps.epsilon()
 
 
 class QEpsParseError(ValueError):

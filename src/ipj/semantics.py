@@ -9,11 +9,14 @@ relation containing the base and closed under sum, application, proof
 checking, axiom constants, and protocol monotonicity.  Evaluation works a
 set of worlds at a time (global labelling): each subformula's truth set,
 and each (agent, term, formula) evidence set, is an int bitmask over the
-worlds, computed once per model.  A quasimodel adds a finitely additive
-measure over a sample of worlds: the event algebra is the full power set,
-an event is a mask, masses live in the exact field Q[e] and each event's
-measure is computed once.  The infinitary model conditions are decided by
-a stabilization argument plus standard parts.
+worlds, computed once per model.  So are the facts of the closure that
+depend on a formula alone: whether it is an axiom chain (then every
+constant is evidence for it) and the candidates beta that an application
+t . u may use for it.  A quasimodel adds a finitely additive measure over
+a sample of worlds: the event algebra is the full power set, an event is
+a mask, masses live in the exact field Q[e] and each event's measure is
+computed once.  The infinitary model conditions are decided by a
+stabilization argument plus standard parts.
 """
 
 from __future__ import annotations
@@ -204,6 +207,10 @@ class EpistemicModel:
         self._truth: dict[EFormula, int] = {}
         self._evidence: dict[tuple, int] = {}
         self._boxes: dict[tuple, int] = {}  # (agent, mask) -> _box(agent, mask)
+        # per formula alpha: the candidates beta of t . u, and the mask where
+        # a constant is evidence for alpha
+        self._pools: dict[EFormula, frozenset] = {}
+        self._axiom_chains: dict[EFormula, int] = {}
 
     def index(self, w: str) -> int:
         """The bit of world ``w`` in every mask."""
@@ -248,8 +255,11 @@ class EpistemicModel:
                 agent, t.right, alpha
             )
         if isinstance(t, App):
+            pool = self._pools.get(alpha)
+            if pool is None:
+                pool = self._pools[alpha] = self.witness_pool | esubformulas(alpha)
             mask = 0
-            for beta in self.witness_pool | esubformulas(alpha):
+            for beta in pool:
                 right = self.evidence_mask(agent, t.right, beta)
                 if right & ~mask:
                     mask |= right & self.evidence_mask(agent, t.left, eimp(beta, alpha))
@@ -265,7 +275,11 @@ class EpistemicModel:
                     mask |= m
             return mask
         if isinstance(t, Const):
-            return self.full_mask if proofcheck.is_axiom_chain(alpha) else 0
+            mask = self._axiom_chains.get(alpha)
+            if mask is None:
+                mask = self._axiom_chains[alpha] = (
+                    self.full_mask if proofcheck.is_axiom_chain(alpha) else 0)
+            return mask
         return 0  # a bare variable holds only its base tuples
 
     # -- truth ------------------------------------------------------------------

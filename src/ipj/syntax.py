@@ -84,17 +84,17 @@ class _Node:
 
     A subclass lists its fields in ``__slots__ = _fields = (...)``;
     ``__init_subclass__`` gives it the ``__init__``, ``==`` and field tuple
-    ``_key`` of its arity.  Fields are frozen.  The hash, that of the field
-    tuple, is computed on the first ``hash()`` and kept in ``_hash``, which
-    ``==``, pickling and copying do not see: a tree is hashed once, not
-    again at every lookup of a tree that holds it."""
+    ``_key`` of its arity.  Fields are frozen.  ``__init__`` sets ``_hash``
+    to None, and the first ``hash()`` keeps the hash of the field tuple
+    there; ``==``, pickling and copying do not see it (a twin hashes afresh).
+    So a tree is hashed once, not again at every lookup of a tree that holds it."""
 
     __slots__ = ("_hash",)
 
     def __init_subclass__(cls):
         fields = cls._fields
         init, eq, key = _ARITY[len(fields)]
-        cls.__init__ = init(*(vars(cls)[f].__set__ for f in fields))
+        cls.__init__ = init(_set_hash, *(vars(cls)[f].__set__ for f in fields))
         cls.__eq__, cls._key = _renamed(eq, fields), _renamed(key, fields)
 
     def __setattr__(self, name, value):
@@ -104,12 +104,11 @@ class _Node:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:  # the first hash() of this node
+        h = self._hash
+        if h is None:  # the first hash() of this node
             h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-            return h
+            _set_hash(self, h)
+        return h
 
     def __reduce__(self):  # pickle and copy the fields alone
         return type(self), self._key()
@@ -119,25 +118,31 @@ class _Node:
         return f"{type(self).__qualname__}({args})"
 
 
-# Per arity: an __init__ that writes each field through its slot's setter,
-# and an == and a field tuple that _renamed points at a class's fields.
+_set_hash = _Node._hash.__set__
+
+# Per arity: an __init__ that writes None to _hash and each field through
+# its slot's setter, and an == and a field tuple that _renamed points at a
+# class's fields.
 
 
-def _init1(s0):
+def _init1(sh, s0):
     def __init__(self, a):
+        sh(self, None)
         s0(self, a)
     return __init__
 
 
-def _init2(s0, s1):
+def _init2(sh, s0, s1):
     def __init__(self, a, b):
+        sh(self, None)
         s0(self, a)
         s1(self, b)
     return __init__
 
 
-def _init3(s0, s1, s2):
+def _init3(sh, s0, s1, s2):
     def __init__(self, a, b, c):
+        sh(self, None)
         s0(self, a)
         s1(self, b)
         s2(self, c)

@@ -320,6 +320,22 @@ def test_generator_streams_are_pinned():
     assert h.hexdigest() == "e03bcfbe850d7bb7174e9bd312d740c0df98db1090dc5c9b1bd034ce13ebe460"
 
 
+def test_below_draws_what_the_stdlib_draws():
+    # The generators draw every choice, randrange and randint through
+    # _below, which repeats the getrandbits calls of random.Random._randbelow.
+    # A Python whose _randbelow draws otherwise fails here by name, not only
+    # through the digest above.
+    for seed in (0, 1, 19, 2**40 + 3):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        for n in range(1, 71):
+            seq = [f"x{i}" for i in range(n)]
+            for _ in range(3):
+                assert generators._below(ours, n) == stdlib.randrange(n)
+                assert seq[generators._below(ours, len(seq))] == stdlib.choice(seq)
+                assert -2 + generators._below(ours, n) == stdlib.randint(-2, n - 3)
+                assert ours.getstate() == stdlib.getstate()
+
+
 @pytest.mark.parametrize("schema", ["nope", "c", "s", "cw", "sw", "zk1", "zk2"])
 def test_generator_input_errors(schema):
     with pytest.raises(ValueError, match="unknown schema" if schema == "nope" else "spec entry"):

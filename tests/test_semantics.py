@@ -410,6 +410,31 @@ def test_masks_agree_with_the_definitions(named_models):
     assert checked == 1800 and mixed > 50
 
 
+def test_model_memos_do_not_depend_on_the_order_of_evaluation():
+    # A model memoises truth and evidence masks, the candidate formulas of an
+    # application term, the axiom-constant masks and event measures.  Harness
+    # instances evaluated in drawn order, in reverse order, and each on a
+    # fresh copy of the model give the same verdicts and the same memos.
+    memos = ("_truth", "_evidence", "_boxes", "_pools", "_axiom_chains")
+    rng = random.Random(23)
+    for _ in range(200):
+        seed = rng.getrandbits(32)
+        forward, backward = (generators.rand_model(random.Random(seed)) for _ in range(2))
+        insts = [generators.rand_axiom_instance(rng, rng.choice(generators.HARNESS_SCHEMAS))
+                 for _ in range(25)]
+        verdicts = [forward.eval(f) for f in insts]
+        assert [backward.eval(f) for f in reversed(insts)] == verdicts[::-1]
+        for name in memos:
+            assert getattr(backward.base, name) == getattr(forward.base, name), name
+        assert backward._measures == forward._measures
+        for f, verdict in zip(insts, verdicts):
+            fresh = generators.rand_model(random.Random(seed))
+            assert fresh.eval(f) == verdict
+            for name in memos:
+                assert getattr(fresh.base, name).items() <= getattr(forward.base, name).items()
+            assert fresh._measures.items() <= forward._measures.items()
+
+
 def test_round_model_evaluates_each_subformula_once():
     m = build_round_model(RoundConfig(10, Fraction(1, 3)))
     assert verify_ipp_bound(m).ok
