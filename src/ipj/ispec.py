@@ -13,7 +13,6 @@ Spec file format, one entry per line (``#`` starts a comment):
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import takewhile
 from typing import Optional
 
 from . import syntax
@@ -140,27 +139,20 @@ def _parse_fn(kind: str, rest: str) -> ThresholdFn:
         if None in tail:
             raise ValueError(f"expected a natural number, got {words[tail.index(None)]}")
         return ThresholdFn(tail=tail)
-    # pairs "k -> m" (runs of digits, spaces allowed around the arrow, taken from the left
-    # with the longest runs), then maybe the word "default" and d; the rest is a bad entry
-    tail = ()
-    head, default, d = rest.rpartition("default")
-    if default and not (head[-1:].isalnum() or head[-1:] == "_") and d[:1].isspace():
-        n = syntax.parse_nat(d.lstrip(), "natural number")
-        if n is not None:
-            rest, tail = head, (n,)
-    pairs, left, (cur, *pieces) = [], "", rest.split("->")
-    for piece in pieces:
-        before, after = cur.rstrip(), piece.lstrip()
-        k = "".join(takewhile(str.isdecimal, reversed(before)))[::-1]
-        m = "".join(takewhile(str.isdecimal, after))
-        if k and m:
-            pairs.append(tuple(syntax.parse_nat(run, "natural number") for run in (k, m)))
-            left, cur = left + before[: len(before) - len(k)], after[len(m) :]
-        else:
-            left, cur = left + cur + "->", piece
-    left = (left + cur).strip()
-    if left:
-        raise ValueError(f"bad table entry near {left!r}")
+    # pairs "k -> m", then maybe "default d"; the text from the first entry that
+    # does not fit to the end of the line is a bad entry
+    toks = syntax.tokenize(rest)
+    # the natural numbers; one glued to a name, as in "1_0" or "2default", is none
+    nats = [syntax.parse_nat(t.text, "natural number") if t.kind == "num" and not
+            rest[t.col - 1 + len(t.text) :][:1].isidentifier() else None for t in toks]
+    pairs, tail, i = [], (), 0
+    while nats[i] is not None and toks[i + 1].kind == "->" and nats[i + 2] is not None:
+        pairs.append((nats[i], nats[i + 2]))
+        i += 3
+    if toks[i][:2] == ("ident", "default") and nats[i + 1] is not None:
+        tail, i = (nats[i + 1],), i + 2
+    if toks[i].kind != "eof":
+        raise ValueError(f"bad table entry near {rest[toks[i].col - 1 :]!r}")
     if not pairs:
         raise ValueError("a table needs at least one 'k -> m' pair")
     if len({k for k, _ in pairs}) != len(pairs):

@@ -202,6 +202,10 @@ class QEps:
     def __neg__(self) -> "QEps":
         return _canonical(_pneg(self.num), self.den)
 
+    def complement(self) -> "QEps":  # 1 - self = (den - num)/den, still in lowest terms
+        diff = [d - n for d, n in zip_longest(self.den, self.num, fillvalue=0)]
+        return _canonical(_trim(diff), self.den)
+
     def __sub__(self, other) -> "QEps":
         return self + (-_coerce(other))
 

@@ -558,92 +558,93 @@ def _check_bounds(
 #   w0: w
 
 _SECTIONS = frozenset(("worlds", "R[P]", "R[V]", "val", "evidence", "U", "mu", "w0"))
+_HEADS = frozenset(name[0] for name in _SECTIONS)  # the first character of a header
 
 
 def parse_model_file(text: str) -> Quasimodel:
-    sections: dict[str, list[tuple[int, str]]] = {}  # popped when read, to spare memory
+    # One pass, each line read by its section's branch.  Bad lines are kept, and the first
+    # raised after the loop in stage order: missing sections, R[P], R[V], val, evidence, mu.
+    words: dict[str, list[str]] = {}  # per section met; the words of U and w0
+    declared: dict[str, None] = {}  # the worlds named so far, in order
+    rel: dict[str, list[tuple[str, str]]] = {syntax.PROVER: [], syntax.VERIFIER: []}
+    bad = []  # (section, line, error text): "R[P]" < "R[V]" < "val" is the stage order
+    valuation: dict[str, list[str]] = {}
+    late = []  # (line, world) of each val line whose world is not declared before it
+    # an evidence line is a world and a text that many lines repeat; each text is split once
+    tails: dict[str, tuple] = {}  # text -> (line, agent, term, eform, worlds)
+    masses = []  # (line, world, mass), or (line, None, error text) for a bad line
     current: Optional[str] = None
-    declared: set[str] = set()  # the worlds named so far
     for lineno, line in syntax.lines(text):
         # a section header is a section name, maybe spaces, a colon and maybe
         # the first content; inside val, "w0 : p" for a world named w0 is a
         # valuation line
-        if ":" in line:
-            name, _, rest = line.partition(":")
-            name = name.rstrip()
+        if line[0] in _HEADS and ":" in line:
+            name = line.partition(":")[0].rstrip()
             if name in _SECTIONS and not (current == "val" and line.split()[0] in declared):
                 current = name
-                lines = sections.setdefault(name, [])
-                line = rest.strip()
+                words.setdefault(name, [])
+                line = line.partition(":")[2].strip()
                 if not line:
                     continue
-        if current is None:
+        if current == "evidence":
+            # w [A] term : eform; the tail of a one-word line has no space, so is no key
+            parts = line.split(None, 1)
+            entry = tails.get(tail := parts[-1])
+            if entry is None:
+                # the term ends at the first colon with a space on each side
+                rest = tail[3:].lstrip()
+                at = rest.find(":", 1)
+                while at > 0 and not (rest[at - 1].isspace() and rest[at + 1 : at + 2].isspace()):
+                    at = rest.find(":", at + 1)
+                if tail[:3] not in ("[P]", "[V]") or not tail[3:4].isspace():
+                    entry = (lineno, None, f"bad evidence line: {line!r}", None, [])
+                elif at < 0:
+                    entry = (lineno, None, f"bad evidence line (need 'term : eform'): {line!r}", None, [])
+                else:
+                    entry = (lineno, tail[1], rest[:at].rstrip(), rest[at + 1 :].lstrip(), [])
+                tails[tail] = entry
+            entry[4].append(parts[0])
+        elif current == "R[P]" or current == "R[V]":
+            # w -> u: its words, else one word on each side of the last "->" that has that
+            ends, at = line.split(), len(line)
+            while not (len(ends) == 3 and ends[1] == "->") and (at := line.rfind("->", 0, at)) > 0:
+                w, u = line[:at].split(), line[at + 2 :].split()
+                ends = [*w, "->", *u] if len(w) == 1 == len(u) else ()
+            if len(ends) == 3 and ends[1] == "->":
+                rel[current[2]].append((ends[0], ends[2]))
+            else:
+                bad.append((current, lineno, f"bad edge line in {current}: {line!r}"))
+        elif current == "val":
+            # w : atoms, split at the first colon with a space in front
+            at = line.find(":")
+            while at >= 0 and not line[at - 1 : at].isspace():
+                at = line.find(":", at + 1)
+            if at < 0:
+                bad.append(("val", lineno, f"bad valuation line: {line!r}"))
+                continue
+            w = line[:at].rstrip()
+            if w not in declared:
+                late.append((lineno, w))
+            valuation.setdefault(w, []).extend(line[at + 1 :].split())
+        elif current == "mu":
+            w, equals, mass = line.partition("=")
+            masses.append((lineno, w.strip(), mass.strip()) if equals
+                          else (lineno, None, f"bad mass line: {line!r}"))
+        elif current is None:
             raise ModelError(f"line {lineno}: content before any section header")
-        lines.append((lineno, line))
-        if current == "worlds":
-            declared.update(line.split())
+        elif current == "worlds":
+            declared.update(dict.fromkeys(line.split()))
+        else:  # U and w0
+            words[current] += line.split()
 
     for needed in ("worlds", "U", "mu", "w0"):
-        if needed not in sections:
+        if needed not in words:
             raise ModelError(f"missing section {needed!r}")
-
-    worlds, sample, w0 = (" ".join(line for _, line in sections[name]).split()
-                          for name in ("worlds", "U", "w0"))
-    rel = {}
-    for a, sec in ((syntax.PROVER, "R[P]"), (syntax.VERIFIER, "R[V]")):
-        edges = []
-        for lineno, line in sections.pop(sec, []):
-            # w -> u: one word on each side of the last "->" that has that
-            at = len(line)
-            while (at := line.rfind("->", 0, at)) > 0:
-                w, u = line[:at].split(), line[at + 2 :].split()
-                if len(w) == 1 == len(u):
-                    break
-            else:
-                raise ModelError(f"line {lineno}: bad edge line in {sec}: {line!r}")
-            edges.append((w[0], u[0]))
-        rel[a] = edges
-
-    valuation: dict[str, list[str]] = {w: [] for w in worlds}
-    for lineno, line in sections.pop("val", []):
-        # w : atoms, split at the first colon with a space in front
-        at = line.find(":")
-        while at >= 0 and not line[at - 1 : at].isspace():
-            at = line.find(":", at + 1)
-        if at < 0:
-            raise ModelError(f"line {lineno}: bad valuation line: {line!r}")
-        w = line[:at].rstrip()
-        if w not in valuation:
-            raise ModelError(f"line {lineno}: valuation mentions unknown world {w!r}")
-        valuation[w].extend(line[at + 1 :].split())
-
-    # Each line is split once; a bad line's error is raised once the lines before
-    # it are read.  An evidence line is a world and a text that a file repeats on
-    # many lines: each distinct text is split once.
-    tails: dict[str, tuple] = {}  # text -> (line, agent, term, eform, worlds)
-    for lineno, line in sections.pop("evidence", []):
-        # w [A] term : eform; the tail of a one-word line has no space, so is no key
-        parts = line.split(None, 1)
-        entry = tails.get(parts[-1])
-        if entry is None:
-            tail = parts[-1]
-            # the term ends at the first colon with a space on each side
-            rest = tail[3:].lstrip()
-            at = rest.find(":", 1)
-            while at > 0 and not (rest[at - 1].isspace() and rest[at + 1 : at + 2].isspace()):
-                at = rest.find(":", at + 1)
-            if tail[:3] not in ("[P]", "[V]") or not tail[3:4].isspace():
-                entry = (lineno, None, f"bad evidence line: {line!r}", None, [])
-            elif at < 0:
-                entry = (lineno, None, f"bad evidence line (need 'term : eform'): {line!r}", None, [])
-            else:
-                entry = (lineno, tail[1], rest[:at].rstrip(), rest[at + 1 :].lstrip(), [])
-            tails[tail] = entry
-        entry[4].append(parts[0])
-    masses = []  # (line, world, mass), or (line, None, the line) for a bad line
-    for lineno, line in sections.pop("mu"):
-        w, equals, mass = line.partition("=")
-        masses.append((lineno, w.strip(), mass.strip()) if equals else (lineno, None, line))
+    # a val line may name a world that a later line declares
+    bad += [("val", n, f"valuation mentions unknown world {w!r}") for n, w in late
+            if w not in declared]
+    if bad:
+        raise ModelError("line {1}: {2}".format(*min(bad)))
 
     # Each distinct term, formula and mass text is read once: each kind through one
     # parser (syntax.parse_each), and a text that parser did not read alone, so that
@@ -667,14 +668,16 @@ def parse_model_file(text: str) -> Quasimodel:
     measure = {}
     for lineno, w, mass in masses:
         if w is None:
-            raise ModelError(f"line {lineno}: bad mass line: {mass!r}")
+            raise ModelError(f"line {lineno}: {mass}")
+        if w in measure:
+            raise ModelError(f"line {lineno}: second mass line for world {w!r}")
         try:
             measure[w] = read(parse_qeps, mass)
         except QEpsParseError as exc:
             raise ModelError(f"line {lineno}: bad mass line: {exc}") from exc
 
-    base = EpistemicModel(worlds, rel, valuation, evidence)
-    return Quasimodel(base, sample, measure, " ".join(w0))
+    base = EpistemicModel(declared, rel, valuation, evidence)
+    return Quasimodel(base, words["U"], measure, " ".join(words["w0"]))
 
 
 def load_model_file(path: str) -> Quasimodel:

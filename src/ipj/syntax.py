@@ -28,6 +28,7 @@ expressions ``q + 1/v^j`` (see :class:`SymThresh`).
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
@@ -295,7 +296,7 @@ def thresh_complement(s: Threshold) -> Threshold:
     """1 - s, for concrete and parametric thresholds alike."""
     if isinstance(s, SymThresh):
         return SymThresh(1 - s.base, -s.coeff, s.power)
-    return QEps.from_rational(1) - s
+    return s.complement()
 
 
 def is_symbolic(s: Threshold) -> bool:
@@ -1062,8 +1063,8 @@ def parse_eformula(text: str) -> EFormula:
 
 def lines(text: str) -> Iterator[tuple[int, str]]:
     """(line number, stripped text) of each line that is not blank or a ``#`` comment."""
-    stripped = enumerate(map(str.strip, text.splitlines()), start=1)
-    return ((lineno, line) for lineno, line in stripped if line and line[0] != "#")
+    stripped = list(map(str.strip, text.splitlines()))
+    return itertools.compress(enumerate(stripped, 1), [s and s[0] != "#" for s in stripped])
 
 
 def parse_each(texts, read) -> dict:

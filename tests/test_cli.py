@@ -205,6 +205,17 @@ def test_eval_in_model(capsys, tmp_path):
     assert code == 1 and out.strip() == "false"
 
 
+def test_a_world_with_two_mass_lines_exit_2(capsys, tmp_path):
+    _, _, path, spec = witness_file(capsys, tmp_path)
+    # with the last mass line read, the masses would sum to 1
+    text = path.read_text().replace("u2 = 1/2", "u2 = 1/3\nu2 = 1/2")
+    path.write_text(text)
+    want = (2, "", f"error: line {text.splitlines().index('u2 = 1/2') + 1}: "
+                   "second mass line for world 'u2'\n")
+    assert run(capsys, "eval", "Pr>= 1/5 (t :[P] p)", "--model", str(path)) == want
+    assert run(capsys, "check-model", str(path), "--spec", str(spec), "--kmax", "1") == want
+
+
 def test_deep_nesting_exit_2(capsys, tmp_path):
     _, _, model, _ = witness_file(capsys, tmp_path)
     deep = "~" * 2000 + "p"

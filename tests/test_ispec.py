@@ -124,12 +124,12 @@ _SPEC_LINES = [
     ("p & : const 1", "line 3: bad formula: 1:4: expected a formula, got ''"),
     ("c:table :[P] p : const 1", "line 3: bad table entry near ':[P] p : const 1'"),
     ("p : table 1 -> 2 x", "line 3: bad table entry near 'x'"),
-    ("p : table x 1 -> 2 y 3 -> 4 z", "line 3: bad table entry near 'x  y  z'"),
+    ("p : table x 1 -> 2 y 3 -> 4 z", "line 3: bad table entry near 'x 1 -> 2 y 3 -> 4 z'"),
     ("p : table 1 -> 2 -> 3", "line 3: bad table entry near '-> 3'"),
-    ("p : table 1 -> 2default 3", "line 3: bad table entry near 'default 3'"),
+    ("p : table 1 -> 2default 3", "line 3: bad table entry near '1 -> 2default 3'"),
     ("p : table 1 -> 2 default x", "line 3: bad table entry near 'default x'"),
     ("p : table 1 -> 2 1 -> 3", "line 3: table has duplicate k entries"),
-    ("p : table 1_0 -> 2", "line 3: bad table entry near '1_'"),
+    ("p : table 1_0 -> 2", "line 3: bad table entry near '1_0 -> 2'"),
     ("p : table 1 -> 2 default 1_0", "line 3: bad table entry near 'default 1_0'"),
     ("p : const -1", "line 3: expected a natural number, got -1"),
     ("p : poly 1 -2", "line 3: expected a natural number, got -2"),
@@ -138,6 +138,7 @@ _SPEC_LINES = [
     ("p : poly 1 x", "line 3: expected a natural number, got x"),
     ("p : const 1_0", "line 3: expected a natural number, got 1_0"),
     ("p : poly +1", "line 3: expected a natural number, got +1"),
+    ("p : table 1 -> 2 @", "line 3: 1:8: unexpected character '@'"),
 ]
 
 

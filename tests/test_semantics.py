@@ -896,6 +896,8 @@ _MODEL_LINES = [
     ("R[P]:", "R[P] :  w0 -> w0", ("as", "R[P]:")),
     ("mu:", "mu :", ("as", "mu:")),
     ("worlds: w0 b", "w0 b", "line 2: content before any section header"),
+    # a world with two mass lines (the last one read would make the masses sum to 1)
+    ("w0 = 1/2", "w0 = 1/3\nw0 = 1/2", "line 18: second mass line for world 'w0'"),
 ]
 
 
@@ -987,6 +989,40 @@ def replaced(text, *pairs):
      "line 22: bad mass line: 1:3: expected 'num', got ''"),
 ])
 def test_each_error_is_that_of_a_plain_read(pairs, error):
+    assert read_error(replaced(MANY_TEXTS, *pairs)) == error
+
+
+# MANY_TEXTS's R[P] and mu sections, to move about
+R_P_SECTION = "R[P]:\na -> a\nb -> b\nc -> c\nd -> d\n"
+MU_SECTION = "mu:\na = 1/3\nb = 1/6\nc = 1/4\nd = 1/4\n"
+
+
+@pytest.mark.parametrize("pairs, error", [
+    # val and evidence before R[P], each with a bad line: the R[P] line's error
+    (((R_P_SECTION, ""), ("U: a", R_P_SECTION.replace("c -> c", "c - c") + "U: a"),
+      ("a : p q", "a p q"), ("c [V] f[3](s)", "c [X] f[3](s)")),
+     "line 18: bad edge line in R[P]: 'c - c'"),
+    (((R_P_SECTION, ""), ("U: a", R_P_SECTION.replace("c -> c", "c - c") + "U: a"),
+      ("c [V] f[3](s)", "c [X] f[3](s)")),
+     "line 18: bad edge line in R[P]: 'c - c'"),
+    # a repeated R[V] header: its bad line after a bad val line, or before a bad R[P] line
+    ((("a : p q", "a p q\nR[V]:\nb -> b x"),), "line 15: bad edge line in R[V]: 'b -> b x'"),
+    ((("worlds: a b c d\n", "worlds: a b c d\nR[V]:\nx y\n"), ("c -> c", "c - c")),
+     "line 7: bad edge line in R[P]: 'c - c'"),
+    # mu before worlds, with a bad mass line and a bad val line
+    (((MU_SECTION, ""), ("worlds:", MU_SECTION.replace("b = 1/6", "b 1/6") + "worlds:"),
+      ("a : p q", "zz : p q")),
+     "line 18: valuation mentions unknown world 'zz'"),
+    # a val line that names a world declared only after it is no error
+    ((("val:\na : p q\n", ""), ("worlds:", "val:\nb : p\nworlds:"), ("c = 1/4", "c = x")),
+     "line 24: bad mass line: 1:1: expected 'num', got 'x'"),
+    ((("val:\na : p q\n", ""), ("worlds:", "val:\nb : p\nzz : q\nworlds:"), ("c = 1/4", "c = x")),
+     "line 3: valuation mentions unknown world 'zz'"),
+])
+def test_first_error_follows_the_section_order(pairs, error):
+    # sections out of their usual order, or met twice: the first error is still that
+    # of reading R[P], R[V], val, evidence and mu one after another, not the first
+    # bad line of the file
     assert read_error(replaced(MANY_TEXTS, *pairs)) == error
 
 

@@ -47,6 +47,7 @@ from ipj.syntax import (
     print_eformula,
     print_formula,
     print_term,
+    thresh_complement,
     tokenize,
 )
 
@@ -138,6 +139,28 @@ def test_infinitesimal_thresholds():
     assert isinstance(f, ProbGeq)
     assert f.threshold == QEps.from_monomials([(Fraction(1), 0), (Fraction(-1), 1)])
     assert print_formula(f) == "Pr>= 1 + -1 e (p)"
+
+
+def test_thresh_complement_is_one_minus_s():
+    # the complement read off num and den is the general 1 - s, representation
+    # and all, on polynomial and rational-function values, 0 and 1 included
+    rng = random.Random(24)
+
+    def poly():
+        return [Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(rng.randint(0, 4))]
+
+    values = [q(0), q(1), QEps.epsilon()]
+    while len(values) < 5000:
+        if len(values) % 2:
+            values.append(generators.rand_qeps(rng))
+        else:
+            den = poly()
+            values.append(QEps(poly(), den if any(den) else [1, rng.randint(1, 3)]))
+    assert sum(len(s.den) > 1 for s in values) > 1000
+    for s in values:
+        old, new = QEps.from_rational(1) - s, thresh_complement(s)
+        assert (new.num, new.den) == (old.num, old.den)
+        assert new.den is s.den
 
 
 def test_symbolic_thresholds():
