@@ -179,38 +179,38 @@ def thresh_is_rational_valued(s: Threshold, symctx: SymCtx) -> bool:
 _MAX_TAUT_LEAVES = 16
 
 
-def _opaque(f, leaves: dict):
-    """Add f's non-boolean subformulas to ``leaves``, in first-seen order."""
-    if isinstance(f, (FNot, ENot, Epistemic)):
-        _opaque(f.inner, leaves)
-    elif isinstance(f, (FAnd, EAnd)):
-        _opaque(f.left, leaves)
-        _opaque(f.right, leaves)
-    else:
-        leaves[f] = None
-
-
-def _truth_mask(f, masks: dict, full: int) -> int:
-    """Bit i is f's value under assignment i, given each leaf's mask."""
-    if isinstance(f, (FNot, ENot)):
-        return full ^ _truth_mask(f.inner, masks, full)
-    if isinstance(f, (FAnd, EAnd)):
-        return _truth_mask(f.left, masks, full) & _truth_mask(f.right, masks, full)
-    if isinstance(f, Epistemic):
-        return _truth_mask(f.inner, masks, full)
-    return masks[f]
-
-
 def is_tautology(f: Formula) -> Optional[bool]:
     """True/False, or None when there are too many opaque leaves to decide."""
-    leaves: dict = {}
-    _opaque(f, leaves)
+    # the skeleton in pre-order, walked with one explicit stack; its
+    # non-boolean subformulas are the leaves, in first-seen order
+    skeleton, todo, leaves = [], [f], {}
+    while todo:
+        g = todo.pop()
+        skeleton.append(g)
+        cls = g.__class__
+        if cls is FAnd or cls is EAnd:
+            todo += (g.right, g.left)
+        elif cls is FNot or cls is ENot or cls is Epistemic:
+            todo.append(g.inner)
+        else:
+            leaves[g] = None
     if len(leaves) > _MAX_TAUT_LEAVES:
         return None
     full = (1 << (1 << len(leaves))) - 1
     # leaf j is true under assignment i iff bit j of i is set
     masks = {leaf: full // ((1 << (1 << j)) + 1) << (1 << j) for j, leaf in enumerate(leaves)}
-    return _truth_mask(f, masks, full) == full
+    # folded in reverse, each connective finds its operands' masks on top of
+    # the stack, its left operand's last; bit i is a value under assignment i
+    values = []
+    for g in reversed(skeleton):
+        cls = g.__class__
+        if cls is FNot or cls is ENot:
+            values.append(full ^ values.pop())
+        elif cls is FAnd or cls is EAnd:
+            values.append(values.pop() & values.pop())
+        elif cls is not Epistemic:
+            values.append(masks[g])
+    return values[0] == full
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +871,8 @@ _RULES = {
 #   n. <formula> ; <keyword of _RULES> <words its reader takes>
 
 
-def _read_line(text: str, memo: dict) -> ProofLine:
+def _split_line(text: str) -> tuple[int, str, list]:
+    """The index, the formula text and the justification words of a line."""
     index_text, dot, body = text.partition(".")
     index = syntax.parse_nat(index_text, "line number") if dot else None
     if index is None:
@@ -879,27 +880,43 @@ def _read_line(text: str, memo: dict) -> ProofLine:
     formula_text, semicolon, just_text = body.lstrip().rpartition(";")
     if not semicolon:
         raise ProofParseError("missing ';' before the justification")
-    formula = syntax.parse_formula(formula_text, memo=memo)
-    words = just_text.split()
+    return index, formula_text, just_text.split()
+
+
+def _read_justification(words: list) -> tuple[str, tuple]:
     if not words:
         raise ProofParseError("missing justification")
     rule = _RULES.get(words[0])
     if rule is None:
         raise ProofParseError(f"unknown justification {words[0]!r}")
     read, usage, _ = rule
-    return ProofLine(index, formula, words[0], read(words[1:], usage))
+    return words[0], read(words[1:], usage)
 
 
 def parse_derivation(
     text: str, spec: InteractionSpec, zk: bool = False, base_dir: str = "."
 ) -> Derivation:
-    lines = []
-    memo: dict = {}  # the groups read so far in this file (see syntax.Parser)
+    # Each line is split up to the first whose shape is bad.  The formula texts
+    # are read through one parser (syntax.parse_each), and a text that parser did
+    # not read alone, so every error, and which comes first, is that of a plain read.
+    rows, bad = [], None  # (line number, index, formula text, words); the bad line's error
     for lineno, line in syntax.lines(text):
         try:
-            lines.append(_read_line(line, memo))
+            rows.append((lineno, *_split_line(line)))
+        except (ProofParseError, syntax.ParseError) as exc:
+            bad = lineno, exc
+            break
+    formulas = syntax.parse_each([row[2] for row in rows], syntax.Parser.formula,
+                                 allow_symbolic=True, memo={})
+    lines = []
+    for lineno, index, formula_text, words in rows:
+        try:
+            formula = formulas.get(formula_text) or syntax.parse_formula(formula_text)
+            lines.append(ProofLine(index, formula, *_read_justification(words)))
         except (ProofParseError, syntax.ParseError) as exc:
             raise ProofParseError(f"line {lineno}: {exc}") from exc
+    if bad is not None:
+        raise ProofParseError("line {}: {}".format(*bad)) from bad[1]
     return Derivation(spec, lines, zk=zk, base_dir=base_dir)
 
 

@@ -34,9 +34,12 @@ _MAX_ROUNDS = 20
 _MAX_NMAX = 1000  # a witness model has about n_max worlds
 
 
+# the claim of every round model: it holds where some round passes
+CLAIM = Atom("accept")
+
+
 class RoundConfig:
-    def __init__(self, rounds: int, per_round_error: Fraction, claim: EFormula = Atom("accept"),
-                 honest: bool = True):
+    def __init__(self, rounds: int, per_round_error: Fraction, honest: bool = True):
         if rounds < 1:
             raise ConfigError("at least one round is required")
         if rounds > _MAX_ROUNDS:
@@ -45,26 +48,20 @@ class RoundConfig:
             )
         if not 0 < per_round_error < 1:
             raise ConfigError("the per-round error must be strictly between 0 and 1")
-        if not isinstance(claim, Atom):
-            raise ConfigError("the claim must be a single atom")
-        self.rounds, self.per_round_error, self.claim, self.honest = (
-            rounds, per_round_error, claim, honest)
+        self.rounds, self.per_round_error, self.honest = rounds, per_round_error, honest
 
 
 class RoundModel:
+    claim = CLAIM
+
     def __init__(self, cfg: RoundConfig, quasimodel: Quasimodel, round_terms: tuple[Term, ...]):
         self.cfg, self.quasimodel, self.round_terms = cfg, quasimodel, round_terms
-
-    @property
-    def claim(self) -> EFormula:
-        return self.cfg.claim
 
 
 def build_round_model(cfg: RoundConfig) -> RoundModel:
     """Product-measure quasimodel with one world per outcome vector."""
     n = cfg.rounds
     r = cfg.per_round_error
-    claim = cfg.claim.name
     terms = tuple(Var(f"s{i}") for i in range(1, n + 1))
 
     worlds = ["o" + "".join(bits) for bits in itertools.product("10", repeat=n)]
@@ -74,17 +71,17 @@ def build_round_model(cfg: RoundConfig) -> RoundModel:
     # round i passes in the worlds whose bit i is 1: the round term's
     # evidence, and the claim where any round passes
     evidence = {
-        (syntax.VERIFIER, term, cfg.claim): [w for w in worlds if w[i] == "1"]
+        (syntax.VERIFIER, term, CLAIM): [w for w in worlds if w[i] == "1"]
         for i, term in enumerate(terms, start=1)
     }
-    valuation = {w: [claim] for w in worlds if "1" in w}
+    valuation = {w: [CLAIM.name] for w in worlds if "1" in w}
     measure = {w: masses[w.count("1")] for w in worlds}
     base = EpistemicModel(
         worlds,
         {syntax.PROVER: identity, syntax.VERIFIER: identity},
         valuation,
         evidence,
-        atoms=[claim],
+        atoms=[CLAIM.name],
     )
     w0 = "o" + ("1" if cfg.honest else "0") * n
     return RoundModel(cfg, Quasimodel(base, worlds, measure, w0), terms)

@@ -485,21 +485,10 @@ MAX_POWER = 100
 
 
 class Token(NamedTuple):
-    kind: str  # 'num' | 'ident' | 'const' | exact symbol text
+    kind: str  # 'num' | 'ident' | 'const' | 'group' | exact symbol text
     text: str
     line: int
     col: int
-
-
-class GroupToken(NamedTuple):
-    """A group ``"(" formula ")"`` lexed as one token: its node is the
-    memo's at ``key``."""
-
-    kind: str  # always "group"
-    text: str  # "(": an error at the group names its first character
-    line: int
-    col: int
-    key: tuple  # (allow_symbolic, the text of the group)
 
 
 _new_token = tuple.__new__  # Token(...) without the Python-level __new__
@@ -563,11 +552,11 @@ _PAREN_RE = re.compile(r"[()]")
 _FORMULA_MARK_RE = re.compile(r"[~&|>]|:\[|\bbox\b|\bPr[<>=~]")
 
 
-def _tokenize_skipping(text: str, allow_symbolic: bool, memo: dict) -> list:
-    """:func:`tokenize`, except that a group is one :class:`GroupToken`, and
-    its text is not lexed, where ``memo`` holds its text or where the same
-    text comes earlier in ``text``: the parser reads that first copy and
-    keeps it in the memo before it comes to the later one.
+def _tokenize_skipping(text: str) -> list:
+    """:func:`tokenize`, except that a group whose text comes earlier in
+    ``text`` is one ``group`` token, whose text is the group's, and is not
+    lexed: the parser reads that first copy and keeps it in its memo before
+    it comes to the later one.
 
     A group whose text holds nothing that only a formula holds stays tokens,
     as it may be a term: ``(t)``, ``(x)``, ``(s + t)``.  A group that holds
@@ -586,20 +575,20 @@ def _tokenize_skipping(text: str, allow_symbolic: bool, memo: dict) -> list:
     toks: list = []
     append = toks.append
     pos, line, col = 0, 1, 1
-    first = set()  # the keys of the groups read in this text, not in the memo
+    first = set()  # the texts of the groups met so far
     for at in opens:
         end = close.get(at)
         if at < pos or end is None:  # inside a group taken whole, or unclosed
             continue
         end += 1
-        key = (allow_symbolic, text[at:end])
-        if key not in memo and key not in first:
+        key = text[at:end]
+        if key not in first:
             first.add(key)
             continue
         if not _FORMULA_MARK_RE.search(text, at, end):
             continue
         line, col = _lex(text, pos, at, line, col, append)
-        append(GroupToken("group", "(", line, col, key))
+        append(Token("group", key, line, col))
         newlines = text.count("\n", at, end)
         if newlines:
             line += newlines
@@ -628,26 +617,23 @@ _LITERAL_KINDS = frozenset(("num", "ident", "/", "+", "^", "(", ")"))
 class Parser:
     """A recursive-descent reader over the tokens of one text.
 
-    ``memo``, when given, is filled by the parser with what it read without
-    an error, and what it holds is not read again, so equal groups and equal
-    thresholds share one object:
+    ``memo``, when given, must be empty.  The parser fills it with what it
+    read without an error, and what it holds is not read again, so equal
+    groups and equal thresholds of the text share one object:
 
-    - (``allow_symbolic``, the text of a group ``"(" formula ")"``) maps to
-      the formula read there.  Such a group is not even lexed again: it is
-      one token that names its node (see :func:`_tokenize_skipping`).
+    - the text of a group ``"(" formula ")"`` maps to the formula read
+      there.  A later copy of the text is not even lexed: it is one token
+      that names its node (see :func:`_tokenize_skipping`).
     - (whether the operator is ``Pr~``, which reads a rational and not a
-      literal, ``allow_symbolic``, the token texts of a threshold) maps to
-      the threshold read from them.
+      literal, the token texts of a threshold) maps to the threshold read
+      from them.
 
-    :func:`parse_formula` reads a text that fails with a memo once more
-    without one, so errors and their positions do not depend on the memo.
+    Only a text that fails may read otherwise with a memo than without one;
+    :func:`parse_each` reads such a text alone.
     """
 
     def __init__(self, text: str, allow_symbolic: bool = True, memo: Optional[dict] = None):
-        if memo is None:
-            self.toks = tokenize(text)
-        else:
-            self.toks = _tokenize_skipping(text, allow_symbolic, memo)
+        self.toks = tokenize(text) if memo is None else _tokenize_skipping(text)
         self.i = 0
         self.allow_symbolic = allow_symbolic
         self.text = text
@@ -779,7 +765,7 @@ class Parser:
         """``"(" formula ")"``, or the node of a group the memo holds."""
         tok = self.peek()
         if tok.kind == "group":
-            f = self.memo.get(tok.key)
+            f = self.memo.get(tok.text)
             if f is None:  # its first copy was no formula group
                 self.error("expected a formula group")
             self.i += 1
@@ -789,7 +775,7 @@ class Parser:
         f = self.formula()
         self.expect(")")
         if self.memo is not None:
-            self.memo[self.allow_symbolic, self.source(start, self.i - 1)] = f
+            self.memo[self.source(start, self.i - 1)] = f
         return f
 
     def form_and(self) -> Formula:
@@ -891,7 +877,7 @@ class Parser:
         if self.memo is None:
             return self.read_threshold(op)
         start, end = self.i, self.literal_end()
-        key = (op == "Pr~", self.allow_symbolic, tuple(t.text for t in self.toks[start:end]))
+        key = (op == "Pr~", tuple(t.text for t in self.toks[start:end]))
         s = self.memo.get(key)
         if s is None:
             s = self.read_threshold(op)
@@ -1036,21 +1022,12 @@ def parse_rational(text: str) -> Fraction:
     raise ParseError(f"bad rational {text!r}")
 
 
-def parse_formula(text: str, allow_symbolic: bool = True, memo: Optional[dict] = None) -> Formula:
-    """Read a formula; ``memo`` shares groups between calls (see :class:`Parser`)."""
-    try:
-        p = Parser(text, allow_symbolic=allow_symbolic, memo=memo)
-        f = p.formula()
-        if not p.at_end():
-            p.error(f"trailing input: {p.peek().text!r}")
-        return f
-    except ParseError:
-        if memo is None:
-            raise
-    # a group token stands where the text has no formula group only in a text
-    # that fails, and it may fail elsewhere there: read it again without the
-    # memo, for the error of a read without one
-    return parse_formula(text, allow_symbolic=allow_symbolic)
+def parse_formula(text: str, allow_symbolic: bool = True) -> Formula:
+    p = Parser(text, allow_symbolic=allow_symbolic)
+    f = p.formula()
+    if not p.at_end():
+        p.error(f"trailing input: {p.peek().text!r}")
+    return f
 
 
 def parse_eformula(text: str) -> EFormula:
@@ -1067,14 +1044,17 @@ def lines(text: str) -> Iterator[tuple[int, str]]:
     return itertools.compress(enumerate(stripped, 1), [s and s[0] != "#" for s in stripped])
 
 
-def parse_each(texts, read) -> dict:
-    """Each distinct text -> ``read(parser)``, through one :class:`Parser` (no
-    parameter v) over the texts joined one per line, up to the first text whose
-    read fails, gives None or does not take exactly its line's tokens.  A line
-    lexes to the tokens of its text alone, so a value is that of a plain read."""
+def parse_each(texts, read, allow_symbolic: bool = False, memo: Optional[dict] = None) -> dict:
+    """Each distinct text -> ``read(parser)``, through one :class:`Parser`
+    (with ``allow_symbolic`` and ``memo``) over the texts joined one per line,
+    up to the first text whose read fails, gives None or does not take exactly
+    its line's tokens.  A line lexes to the tokens of its text alone (with a
+    memo, a group whose text came before to one token for the node read there),
+    so a value is that of a plain read.  The caller reads every other text
+    alone."""
     texts, values = list(dict.fromkeys(texts)), {}
     try:
-        p = Parser("\n".join(texts), allow_symbolic=False)
+        p = Parser("\n".join(texts), allow_symbolic, memo)
         toks = p.toks
         for line, text in enumerate(texts, start=1):
             value = read(p)

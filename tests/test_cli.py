@@ -227,6 +227,14 @@ def test_deep_nesting_exit_2(capsys, tmp_path):
         assert run(capsys, *argv) == (2, "", "error: formula nested too deeply\n"), argv[0]
 
 
+def test_wide_tautology_is_valid(capsys, tmp_path):
+    # 10,000 conjuncts nest 10,000 deep on the left: the tautology check walks
+    # them without recursion
+    proof = tmp_path / "wide.ipjp"
+    proof.write_text(f"1. {' & '.join(['p'] * 10_000)} -> p ; ax p\n")
+    assert run(capsys, "check-proof", str(proof)) == (0, "VALID\n", "")
+
+
 def test_random_harness(capsys):
     code, out, _ = run(
         capsys, "check-model", "--random", "3", "--instances", "50", "--seed", "7"

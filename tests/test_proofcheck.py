@@ -31,6 +31,7 @@ from ipj.syntax import (
     FAnd,
     FNot,
     ParseError,
+    Parser,
     ProbApprox,
     ProbGeq,
     RangeError,
@@ -767,12 +768,24 @@ def _outcome(read, text):
 def _check_memo(memo):
     """Every entry of a parser memo is what a read without one gives."""
     for key, value in memo.items():
-        if len(key) == 2:  # (allow_symbolic, the text of a group)
-            assert parse_formula(key[1], allow_symbolic=key[0]) == value, key
-        else:  # (Pr~, allow_symbolic, the token texts of a threshold)
-            op = "Pr~" if key[0] else "Pr>="
-            f = parse_formula(f"{op} {' '.join(key[2])} (p)", allow_symbolic=key[1])
+        if isinstance(key, str):  # the text of a group
+            assert parse_formula(key) == value, key
+        else:  # (Pr~, the token texts of a threshold)
+            f = parse_formula(f"{'Pr~' if key[0] else 'Pr>='} {' '.join(key[1])} (p)")
             assert _thresholds(f) == [value], key
+
+
+def _memo_read(text):
+    """``text`` read by one Parser with a memo: its formula, or None where it fails."""
+    memo = {}
+    try:
+        p = Parser(text, memo=memo)
+        f = p.formula()
+        return f if p.at_end() else None
+    except ParseError:
+        return None
+    finally:
+        _check_memo(memo)
 
 
 def test_skipped_groups_read_like_no_memo(monkeypatch):
@@ -788,15 +801,23 @@ def test_skipped_groups_read_like_no_memo(monkeypatch):
         good += [a, f"({a}) -> (q -> ({a}))", f"q -> ({a})"]
         if isinstance(f, Epistemic):
             good += [f"box[V] ({a})", f"Pr>= 1 ({a})", f"c:k1 :[V] ({a})"]
-    # one memo for every text, over many lines each: whatever it holds, and
-    # wherever a group spans lines, a text reads as it does without a memo
-    memo = {}
-    for a in good + list(_SKIP_ERRORS):
+    # a text that reads without a memo reads alike with one, where its groups
+    # span lines too; a text that fails without a memo fails with one
+    for k, a in enumerate(good + list(_SKIP_ERRORS)):
         spread = a.replace(" ", "\n ")
         for text in (a, spread, *_mutants(rng, a), *_mutants(rng, spread)):
             want = _outcome(parse_formula, text)
-            assert _outcome(lambda t: parse_formula(t, memo=memo), text) == want, text
-    _check_memo(memo)
+            want = None if isinstance(want, str) else want
+            assert _memo_read(text) == want, text
+            if "\n" in text:
+                continue
+            # a line of parse_each after lines that put groups in the memo: read
+            # alike, or, where a plain read fails, left to a read alone
+            memo = {}
+            texts = [*_SKIP_CASES, good[k % len(good) - 1], text]
+            got = syntax.parse_each(texts, Parser.formula, allow_symbolic=True, memo=memo)
+            assert got.get(text) == want, text
+            _check_memo(memo)
     # a proof file whose line k is faulty or a case of its own
     fresh = [parse_formula(a) for a in good]
     lines = [f"{i}. {a} ; ax p" for i, a in enumerate(good, 1)]
@@ -809,7 +830,7 @@ def test_skipped_groups_read_like_no_memo(monkeypatch):
                 assert got == f"line {k + 1}: {want}", proof
             else:
                 assert [line.formula for line in got.lines] == fresh[:k] + [want] + fresh[k + 1:]
-    # a file without a fault is read once: no line falls back to a read without memo
+    # a file without a fault is read once: no line falls back to a read alone
     lexed, tokenize = [], syntax.tokenize
     monkeypatch.setattr(syntax, "tokenize", lambda text: lexed.append(text) or tokenize(text))
     assert [line.formula for line in parse_derivation("\n".join(lines), spec).lines] == fresh
@@ -848,38 +869,87 @@ def test_thresholds_read_once_per_file():
 
 
 def test_threshold_memo_keeps_errors():
-    # read with and without the parameter allowed, in both orders
-    for order in ((True, False), (False, True)):
-        memo = {}
-        for symbolic in order:
-            text = "Pr>= 1 + -1/v (p)"
-            want = _outcome(lambda t: parse_formula(t, allow_symbolic=symbolic), text)
-            assert _outcome(lambda t: parse_formula(t, allow_symbolic=symbolic, memo=memo), text) == want
+    # read with and without the parameter allowed, each by a parser of its own
+    texts = ["Pr>= 1 + -1/v (p)", "Pr>= 1 + -1/v (q) & Pr>= 1 + -1/v (p)"]
+    for symbolic, want in ((True, {t: parse_formula(t) for t in texts}), (False, {})):
+        assert syntax.parse_each(texts, Parser.formula, allow_symbolic=symbolic, memo={}) == want
     assert _outcome(lambda t: parse_formula(t, allow_symbolic=False), "Pr>= 1 + -1/v (p)") == (
         "1:6: the parameter v occurs only in proof templates"
     )
-    # an out-of-range threshold is read afresh, with its error, on every line
-    memo = {}
-    for text, want in (
-        ("Pr>= 3/2 (p) & q", "1:6: probability threshold 3/2 outside [0,1]"),
-        ("Pr>= 3/2 (q)", "1:6: probability threshold 3/2 outside [0,1]"),
-        ("p & Pr~ 2 (p)", "1:9: approximate-probability threshold 2 outside [0,1]"),
-        ("Pr~ 2 (q)", "1:5: approximate-probability threshold 2 outside [0,1]"),
+    # an out-of-range threshold, or one that does not reach the body, is not
+    # kept: the text is left to a read alone, which gives its error
+    for text, want, error in (
+        ("Pr>= 3/2 (p) & q", "1:6: probability threshold 3/2 outside [0,1]", RangeError),
+        ("Pr>= 3/2 (q)", "1:6: probability threshold 3/2 outside [0,1]", RangeError),
+        ("p & Pr~ 2 (p)", "1:9: approximate-probability threshold 2 outside [0,1]", RangeError),
+        ("Pr~ 2 (q)", "1:5: approximate-probability threshold 2 outside [0,1]", RangeError),
+        ("Pr>= 1/2 p (q)", "1:10: expected '(', got 'p'", ParseError),
+        ("Pr>= 1 e e (q)", "1:10: expected '(', got 'e'", ParseError),
+        ("Pr~ 1/2 + 1 e (q)", "1:9: expected '(', got '+'", ParseError),
     ):
-        for _ in range(2):
-            with pytest.raises(RangeError) as exc:
-                parse_formula(text, memo=memo)
-            assert str(exc.value) == want
-    assert not memo
-    # a threshold that does not reach the body is not kept either
-    for text, want in (
-        ("Pr>= 1/2 p (q)", "1:10: expected '(', got 'p'"),
-        ("Pr>= 1 e e (q)", "1:10: expected '(', got 'e'"),
-        ("Pr~ 1/2 + 1 e (q)", "1:9: expected '(', got '+'"),
-    ):
-        for _ in range(2):
-            assert _outcome(lambda t: parse_formula(t, memo=memo), text) == want
-    assert not memo
+        memo = {}
+        assert syntax.parse_each([text], Parser.formula, allow_symbolic=True, memo=memo) == {}
+        assert not memo
+        with pytest.raises(error) as exc:
+            parse_formula(text)
+        assert str(exc.value) == want
+
+
+def _mutated_proof(rng, text):
+    """``text`` with one to three edits: a character put in, taken out or
+    replaced, a line doubled or taken out, or a line split in two."""
+    pieces = list("()~&|->:[]Pp1/ev+*!c.;# 0123456789") + [
+        " ; ", ". ", " -> ", " :[V] ", "Pr>= ", "(p & q)", " ; ax p", " ; mp 1 2", "\n"]
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        line, at, op = lines[i], rng.randint(0, len(lines[i])), rng.randrange(6)
+        if op == 0:
+            lines[i] = line[:at] + rng.choice(pieces) + line[at:]
+        elif op == 1:
+            lines[i] = line[:at] + line[at + 1 :]
+        elif op == 2:
+            lines[i] = line[:at] + rng.choice(pieces) + line[at + 1 :]
+        elif op == 3:
+            lines.insert(i, line)
+        elif op == 4 and len(lines) > 1:
+            del lines[i]
+        else:
+            lines[i : i + 1] = [line[:at], line[at:]]
+    return "\n".join(lines)
+
+
+def _proof_outcome(text, spec):
+    """Each line's index, printed formula, rule and arguments, or the error text."""
+    try:
+        d = parse_derivation(text, spec)
+    except (ParseError, ProofParseError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(line.index, print_formula(line.formula), line.rule, line.args) for line in d.lines]
+
+
+def test_shared_proof_read_changes_nothing(monkeypatch):
+    spec = load_spec(open(os.path.join(GOLDEN, "golden.ispec")).read())
+    bases = [open(os.path.join(GOLDEN, name)).read()
+             for name in sorted(os.listdir(GOLDEN)) if name.endswith(".ipjp")]
+    rng = random.Random(25)
+    lines = []
+    for _ in range(8):
+        schema = rng.choice(proofcheck.SCHEMA_IDS)
+        f = generators.rand_axiom_instance(
+            rng, schema, spec=spec, spec_formula=rng.choice(spec.formulas()), k=2
+        )
+        a, n = print_formula(f), len(lines)
+        lines += [f"{n + 1}. {a} ; ax {schema}", f"{n + 2}. ({a}) -> (q -> ({a})) ; ax p",
+                  f"{n + 3}. q -> ({a}) ; mp {n + 1} {n + 2}"]
+    bases.append("\n".join(lines))
+    texts = [_mutated_proof(rng, bases[k % len(bases)]) for k in range(2100)]
+    shared = [_proof_outcome(text, spec) for text in texts]
+    # forced off, every formula text is read alone
+    monkeypatch.setattr(syntax, "parse_each", lambda texts, read, **options: {})
+    alone = [_proof_outcome(text, spec) for text in texts]
+    assert shared == alone
+    assert sum(isinstance(out, list) for out in alone) > 200
 
 
 _LINES = (

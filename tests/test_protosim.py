@@ -35,8 +35,6 @@ def test_config_validation():
         RoundConfig(2, Fraction(0))
     with pytest.raises(ConfigError):
         RoundConfig(2, Fraction(1))
-    with pytest.raises(ConfigError):
-        RoundConfig(2, Fraction(1, 3), claim=parse_eformula("p & q"))
 
 
 # -- amplification -------------------------------------------------------------------
