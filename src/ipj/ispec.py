@@ -161,5 +161,5 @@ def _parse_fn(kind: str, rest: str) -> ThresholdFn:
 
 
 def load_spec_file(path: str) -> InteractionSpec:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return load_spec(fh.read())

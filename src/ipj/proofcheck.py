@@ -633,8 +633,11 @@ def check_derivation(d: Derivation, symctx: SymCtx = None) -> Report:
 
 class _Check:
     """One check of a derivation: the lines so far, the parameter range, the
-    template nesting depth, and the templates read during the top-level
-    check, so that a template cited N times is read and parsed once."""
+    template nesting depth, and what the top-level check has learnt of
+    templates.  ``templates`` maps a template's absolute path to its parsed
+    derivation and the reports of its checks by (parameter range, depth), so
+    that a template cited N times is read and parsed once, and checked once
+    per parameter range."""
 
     def __init__(self, d: Derivation, symctx: SymCtx, depth: int, templates: dict):
         self.d, self.symctx, self.depth, self.templates = d, symctx, depth, templates
@@ -667,14 +670,19 @@ class _Check:
         return self.by_index[i]
 
     def template(self, path: str, symctx: SymCtx) -> Derivation:
-        """The template at ``path``, read once per check, which must hold under ``symctx``."""
+        """The template at ``path``, which must hold under ``symctx``: read
+        once per check, and checked once per check and parameter range."""
         if self.depth >= _MAX_TEMPLATE_DEPTH:
             raise TemplateError("template nesting too deep")
         key = os.path.abspath(os.path.join(self.d.base_dir, path))
-        t = self.templates.get(key)
-        if t is None:
-            t = self.templates[key] = _load_template(self.d, path, self.depth)
-        rep = _Check(t, symctx, self.depth + 1, self.templates).run()
+        entry = self.templates.get(key)
+        if entry is None:
+            entry = self.templates[key] = (_load_template(self.d, path, self.depth), {})
+        t, reports = entry
+        rep = reports.get((symctx, self.depth))
+        if rep is None:
+            rep = _Check(t, symctx, self.depth + 1, self.templates).run()
+            reports[symctx, self.depth] = rep
         if not rep.ok:
             raise NoMatch(f"template {path!r} fails: {rep.render()}")
         return t
@@ -921,5 +929,5 @@ def parse_derivation(
 
 
 def load_derivation_file(path: str, spec: InteractionSpec, zk: bool = False) -> Derivation:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_derivation(fh.read(), spec, zk=zk, base_dir=os.path.dirname(path) or ".")

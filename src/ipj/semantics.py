@@ -681,7 +681,7 @@ def parse_model_file(text: str) -> Quasimodel:
 
 
 def load_model_file(path: str) -> Quasimodel:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_model_file(fh.read())
 
 

@@ -398,8 +398,6 @@ _CHILDREN = {
     Epistemic: ("inner",), ProbGeq: ("inner",), ProbApprox: ("inner",),
     FNot: ("inner",), FAnd: ("left", "right"),
 }
-# thresholds sit at the formula level, never under an epistemic node
-_FORMULA_CHILDREN = {FNot: ("inner",), FAnd: ("left", "right")}
 # the child eformulas of each inner node of an eformula; a justification's
 # term is none
 _EFORMULA_CHILDREN = {ENot: ("inner",), EAnd: ("left", "right"), Box: ("inner",), Just: ("inner",)}
@@ -434,8 +432,19 @@ def names_in_formula(f: Formula) -> set[str]:
 
 
 def formula_has_param(f: Formula) -> bool:
-    probs = nodes(f, _FORMULA_CHILDREN)
-    return any(type(n) is ProbGeq and is_symbolic(n.threshold) for n in probs)
+    """Whether a threshold of ``f`` is symbolic.  Thresholds sit only under
+    ``FNot`` and ``FAnd``, which one explicit stack walks."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        cls = g.__class__
+        if cls is FAnd:
+            stack += (g.left, g.right)
+        elif cls is FNot:
+            stack.append(g.inner)
+        elif cls is ProbGeq and is_symbolic(g.threshold):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -460,21 +469,34 @@ class RangeError(ParseError):
 
 # one match per token: the whitespace in front of it, then the token; a
 # character that starts no token is matched alone, so that every character
-# is read, and the empty match at the end takes the trailing whitespace
+# is read, and the empty match at the end takes the trailing whitespace.
+# The alternatives are tried in this order, so "Pr>=" is no ident, "c:x" no
+# ident "c" and "-1" no bad "-".
 _TOKEN_RE = re.compile(
     r"""
     (\s*)
-    (?: (Pr>=|Pr<=|Pr~|Pr=|Pr<|Pr>)       # prop
-      | (c:(?=[A-Za-z_]))                 # the prefix of a constant
-      | (-?\d+)                           # num
-      | ([A-Za-z_][A-Za-z0-9_']*)         # ident
-      | (->|:\[|[()\[\]/^~&|*+!:=.;,])     # a symbol: its text is its kind
-      | (.)                               # a character that starts no token
-      | \Z
+    ( Pr>= | Pr<= | Pr~ | Pr= | Pr< | Pr>     # prop
+    | c:(?=[A-Za-z_])                         # the prefix of a constant
+    | -?\d+                                   # num
+    | [A-Za-z_][A-Za-z0-9_']*                 # ident
+    | -> | :\[ | [()\[\]/^~&|*+!:=.;,]        # a symbol
+    | .                                       # a character that starts no token
+    | \Z
     )
     """,
     re.VERBOSE | re.DOTALL,
 )
+
+# A token's kind by its text: a symbol's kind is its text, the Pr operators
+# are "prop" and "c:" is the prefix of a constant.  Otherwise the first
+# character tells an ident from a num.  A num may also start with "-" or with
+# a digit outside ASCII; it ends in a digit, and a character that starts no
+# token is no digit.
+_KINDS = {sym: sym for sym in ("->", ":[", "c:", *"()[]/^~&|*+!:=.;,")}
+_KINDS.update(dict.fromkeys(("Pr>=", "Pr<=", "Pr~", "Pr=", "Pr<", "Pr>"), "prop"))
+_FIRST_CHAR_KINDS = dict.fromkeys("0123456789", "num")
+_FIRST_CHAR_KINDS.update(dict.fromkeys(
+    "_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz", "ident"))
 
 # "v" is the parameter of proof templates, read only inside thresholds
 RESERVED_NAMES = {"box", "f", "P", "V", "v"}
@@ -502,7 +524,7 @@ def _lex(text: str, pos: int, endpos: int, line: int, col: int, append) -> tuple
     each whitespace run's newlines.  A token never spans a parenthesis, so
     ``endpos`` may be any ``"("``."""
     const = None  # the position of a "c:" whose name is the next token
-    for ws, prop, const_prefix, num, ident, sym, bad in _TOKEN_RE.findall(text, pos, endpos):
+    for ws, tok in _TOKEN_RE.findall(text, pos, endpos):
         if ws:
             newlines = ws.count("\n")
             if newlines:
@@ -510,31 +532,23 @@ def _lex(text: str, pos: int, endpos: int, line: int, col: int, append) -> tuple
                 col = len(ws) - ws.rfind("\n")
             else:
                 col += len(ws)
-        if sym:
-            tok = _new_token(Token, (sym, sym, line, col))
-        elif ident:
-            tok = _new_token(Token, ("ident", ident, line, col))
-        elif num:
-            tok = _new_token(Token, ("num", num, line, col))
-        elif prop:
-            tok = _new_token(Token, ("prop", prop, line, col))
-        elif const_prefix:
-            if const is None:
-                const = (line, col)
-                col += 2
-                continue
-            # "c:c:x" reads as the constant "c:" and then x
-            tok = _new_token(Token, (const_prefix, const_prefix, line, col))
-        elif bad:
-            raise ParseError(f"unexpected character {bad!r}", line, col)
-        else:  # the end of the text
+        if not tok:  # the end of the text
             continue
-        col += len(tok.text)
+        kind = _KINDS.get(tok) or _FIRST_CHAR_KINDS.get(tok[0])
+        if kind is None:
+            if not tok[-1].isdecimal():
+                raise ParseError(f"unexpected character {tok!r}", line, col)
+            kind = "num"
         if const is not None:
-            # the constant token carries the text of the token after "c:"
-            tok = _new_token(Token, ("const", tok.text, *const))
+            # the constant token carries the text of the token after "c:";
+            # "c:c:x" reads as the constant "c:" and then x
+            append(_new_token(Token, ("const", tok, *const)))
             const = None
-        append(tok)
+        elif kind == "c:":
+            const = (line, col)
+        else:
+            append(_new_token(Token, (kind, tok, line, col)))
+        col += len(tok)
     return line, col
 
 

@@ -197,6 +197,37 @@ def test_check_model_failure(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def with_bom(tmp_path, path):
+    """A copy of the file ``path`` that starts with a UTF-8 byte-order mark."""
+    copy = tmp_path / f"bom-{path.name}"
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
+
+def test_a_proof_file_with_a_byte_order_mark(capsys, tmp_path):
+    spec = str(GOLDEN / "golden.ispec")
+    plain = run(capsys, "check-proof", str(GOLDEN / "c_axiom.ipjp"), "--spec", spec)
+    assert plain[:2] == (0, "VALID\n")
+    bom = with_bom(tmp_path, GOLDEN / "c_axiom.ipjp")
+    assert run(capsys, "check-proof", str(bom), "--spec", spec) == plain
+
+
+def test_a_model_file_with_a_byte_order_mark(capsys, tmp_path):
+    _, _, path, spec = witness_file(capsys, tmp_path)
+    plain = run(capsys, "check-model", str(path), "--spec", str(spec), "--kmax", "1")
+    assert plain[0] == 0 and plain[1].endswith("PASS\n")
+    bom = with_bom(tmp_path, path)
+    assert run(capsys, "check-model", str(bom), "--spec", str(spec), "--kmax", "1") == plain
+
+
+def test_a_spec_file_with_a_byte_order_mark(capsys, tmp_path):
+    proof = str(GOLDEN / "c_axiom.ipjp")
+    plain = run(capsys, "check-proof", proof, "--spec", str(GOLDEN / "golden.ispec"))
+    assert plain[:2] == (0, "VALID\n")
+    bom = with_bom(tmp_path, GOLDEN / "golden.ispec")
+    assert run(capsys, "check-proof", proof, "--spec", str(bom)) == plain
+
+
 def test_eval_in_model(capsys, tmp_path):
     _, _, path, _ = witness_file(capsys, tmp_path)
     code, out, _ = run(capsys, "eval", "Pr~ 1/5 (t :[P] p)", "--model", str(path))

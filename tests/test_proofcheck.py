@@ -230,6 +230,18 @@ def test_interaction_schemas():
     )
 
 
+def test_interaction_axioms_need_n_past_the_threshold():
+    # m(k) = 2: the c axiom holds from n = 3 on, with or without an m hint
+    spec = load_spec("p : const 2\n")
+    run = "(f[{}](t) :[V] box[P] p)"
+    for line, valid in (
+        (f"1. t :[P] p -> Pr>= 1/2 {run.format(2)} ; ax c k=1", False),
+        (f"1. t :[P] p -> Pr>= 1/2 {run.format(2)} ; ax c k=1 m=2", False),
+        (f"1. t :[P] p -> Pr>= 2/3 {run.format(3)} ; ax c k=1", True),
+    ):
+        assert check_derivation(parse_derivation(line, spec)).ok == valid, line
+
+
 def test_interaction_bound_exponent_is_found_exactly():
     spec = load_spec("box[P] p : const 1\n")
 
@@ -503,11 +515,27 @@ def test_template_parsed_once_per_check(monkeypatch):
         parsed.append(text)
         return real(text, *args, **kwargs)
 
+    checked = []
+    real_run = proofcheck._Check.run
+
+    def counting_run(self):
+        if self.depth:  # a template's check
+            checked.append(self.symctx)
+        return real_run(self)
+
     monkeypatch.setattr(proofcheck, "parse_derivation", counting)
+    monkeypatch.setattr(proofcheck._Check, "run", counting_run)
     assert check_derivation(d).ok
-    assert len(parsed) == 1
-    assert check_derivation(d).ok  # no cache outlives a check
-    assert len(parsed) == 2
+    assert (len(parsed), checked) == (1, [("nu", 1)])
+    # another r checks the template once more, under its own range
+    other = line.replace("Pr~ 1 ", "Pr~ 1/2 ").replace("param-approx 1 ", "param-approx 1/2 ")
+    d.lines += parse_derivation(f"4. {other}\n", spec, base_dir=GOLDEN).lines
+    for _ in range(2):  # no cache outlives a check
+        parsed.clear()
+        checked.clear()
+        rep = check_derivation(d)
+        assert rep.render() == "INVALID: line 4: template does not derive the lower premise family"
+        assert (len(parsed), checked) == (1, [("nu", 1), ("nu", 2)])
 
 
 def test_justification_parse_errors():

@@ -531,8 +531,9 @@ def test_desugared_operator_coherence():
 # -- model conditions -------------------------------------------------------------------
 
 
-def witness_quasimodel(mass_u2, mass_ustar, holds=True):
-    """Three-world model with protocol evidence stabilizing at u2 + ustar."""
+def witness_quasimodel(mass_u2, mass_ustar, holds=True, extra=None):
+    """Three-world model with protocol evidence stabilizing at u2 + ustar,
+    and the evidence entries ``extra``."""
     worlds = ["u2", "ustar", "uout"]
     evidence = {
         ("V", Proto(2, Var("t")), Box("P", parse_eformula("p"))): ["u2"],
@@ -540,6 +541,7 @@ def witness_quasimodel(mass_u2, mass_ustar, holds=True):
     }
     if holds:
         evidence[("P", Var("t"), parse_eformula("p"))] = ["ustar"]
+    evidence.update(extra or {})
     m = EpistemicModel(
         worlds,
         {"P": ident(worlds), "V": ident(worlds)},
@@ -561,6 +563,26 @@ def test_model_conditions_pass_and_fail():
     assert not rep.ok
     assert rep.counterexample is not None
     assert "standard part" in "\n".join(rep.lines)
+
+
+def test_model_conditions_check_the_first_level_past_the_threshold():
+    # m(k) = 1: the bound 1 - 1/2 fails at n = 2 alone, since f[3](t) adds ustar
+    spec = load_spec("p : const 1\n")
+    qm = witness_quasimodel(q("1/4"), q("3/4") - QEps.epsilon())
+    rep = check_model_conditions(qm, spec, kmax=1)
+    assert not rep.ok
+    failures = [line for line in rep.lines if "fails" in line]
+    assert failures == ["condition 1 fails at t=t, alpha=p, n=2, k=1: measure 1/4"]
+
+
+def test_model_conditions_check_the_omega_event():
+    # f[w](t) holds at uout, which no f[n](t) entry reaches
+    spec = load_spec("p : const 1\n")
+    omega = {("V", Proto(OMEGA, Var("t")), Box("P", parse_eformula("p"))): ["uout"]}
+    qm = witness_quasimodel(q("1/2"), q("1/2") - QEps.epsilon(), extra=omega)
+    rep = check_model_conditions(qm, spec, kmax=1)
+    assert not rep.ok
+    assert "omega event differs from the stabilized event for t=t, alpha=p" in rep.lines
 
 
 def test_model_conditions_dishonest():

@@ -4,6 +4,8 @@ import copy
 import os
 import pickle
 import random
+import re
+import string
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import ipj
-from ipj import generators
+from ipj import generators, ispec, proofcheck, semantics
 from ipj.qeps import QEps
 from ipj.syntax import (
     OMEGA,
@@ -234,6 +236,108 @@ def test_tokenize_lines_and_columns():
     for text, where in (("p &\n  q\n @", "3:2"), ("  \t#", "1:4"), ("p - q", "1:3")):
         with pytest.raises(ParseError, match=f"^{where}: unexpected character"):
             tokenize(text)
+
+
+# -- the lexer against a reference ----------------------------------------------------
+
+# the lexer as it was written with one capture group per kind of token: the
+# reference that the table-driven lexer of ipj.syntax must agree with
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (\s*)
+    (?: (Pr>=|Pr<=|Pr~|Pr=|Pr<|Pr>)       # prop
+      | (c:(?=[A-Za-z_]))                 # the prefix of a constant
+      | (-?\d+)                           # num
+      | ([A-Za-z_][A-Za-z0-9_']*)         # ident
+      | (->|:\[|[()\[\]/^~&|*+!:=.;,])     # a symbol: its text is its kind
+      | (.)                               # a character that starts no token
+      | \Z
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def reference_tokenize(text):
+    toks, line, col = [], 1, 1
+    const = None  # the position of a "c:" whose name is the next token
+    for ws, prop, const_prefix, num, ident, sym, bad in _REFERENCE_TOKEN_RE.findall(text):
+        if ws:
+            newlines = ws.count("\n")
+            if newlines:
+                line += newlines
+                col = len(ws) - ws.rfind("\n")
+            else:
+                col += len(ws)
+        if sym:
+            tok = (sym, sym, line, col)
+        elif ident:
+            tok = ("ident", ident, line, col)
+        elif num:
+            tok = ("num", num, line, col)
+        elif prop:
+            tok = ("prop", prop, line, col)
+        elif const_prefix:
+            if const is None:
+                const = (line, col)
+                col += 2
+                continue
+            tok = (const_prefix, const_prefix, line, col)
+        elif bad:
+            raise ParseError(f"unexpected character {bad!r}", line, col)
+        else:  # the end of the text
+            continue
+        col += len(tok[1])
+        if const is not None:
+            tok = ("const", tok[1], *const)
+            const = None
+        toks.append(tok)
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+def lex_outcome(lex, text):
+    try:
+        return [tuple(tok) for tok in lex(text)]
+    except ParseError as exc:
+        return str(exc)
+
+
+# "\u0663" is a digit outside ASCII, "\u00a0" a space outside ASCII
+_EDIT_CHARS = "()[]:~&|*+!-=./^;,_ \t\n@\u00a0\u0663" + string.ascii_letters + string.digits
+
+
+def test_lexer_agrees_with_the_reference():
+    rng = random.Random(26)
+    texts = []
+    for path in sorted((Path(__file__).parent / "golden").iterdir()):
+        texts += path.read_text(encoding="utf-8").splitlines()
+    for _ in range(5):
+        texts += semantics.write_model_file(generators.rand_model(rng)).splitlines()
+    for _ in range(300):
+        texts.append(print_formula(generators.rand_formula(rng, 4)))
+        spec_formula = generators.rand_eformula(rng, 2)
+        spec = ispec.InteractionSpec()
+        spec.add(spec_formula, ispec.ThresholdFn(tail=(1,)))
+        schema = rng.choice(proofcheck.SCHEMA_IDS)
+        texts.append(print_formula(generators.rand_axiom_instance(rng, schema, spec, spec_formula)))
+    cases = list(texts)
+    while len(cases) < 5000:  # random one-character edits of the texts
+        chars = list(rng.choice(texts))
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randint(0, len(chars))
+            edit = rng.randrange(3)
+            if edit == 0:
+                chars.insert(at, rng.choice(_EDIT_CHARS))
+            elif at < len(chars):
+                chars[at:at + 1] = [rng.choice(_EDIT_CHARS)] if edit == 1 else []
+        cases.append("".join(chars))
+    errors = 0
+    for text in cases:
+        want = lex_outcome(reference_tokenize, text)
+        assert lex_outcome(tokenize, text) == want, text
+        errors += isinstance(want, str)
+    assert 250 <= errors <= len(cases) - 250, errors  # both outcomes are common
 
 
 def test_literal_limits_are_parse_errors():
