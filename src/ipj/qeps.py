@@ -2,11 +2,13 @@
 of a positive infinitesimal ``e``.
 
 Values are reduced fractions of dense coefficient polynomials over exact
-rationals.  The order is decided structurally from the sign of the
-lowest-order coefficient of a difference; no floating point is used
-anywhere.  Literals such as ``(1 + 2 e)/(2 + 1 e)`` are read by
-:func:`parse_qeps` through the one literal grammar, which lives in
-:class:`ipj.syntax.Parser` and serves formula thresholds as well.
+rationals, normalised once, when they are built; a coefficient is an int or
+a ``Fraction``, never a float.  The order, the standard part and
+``approx_eq`` are read from the coefficients of the operands, with no
+difference built and no normalisation.  Literals such as
+``(1 + 2 e)/(2 + 1 e)`` are read by :func:`parse_qeps` through the one
+literal grammar, which lives in :class:`ipj.syntax.Parser` and serves
+formula thresholds as well.
 """
 
 from __future__ import annotations
@@ -71,9 +73,17 @@ def _pdivmod(a, b):
     return _trim(q), _trim(a)
 
 
+# the denominator of every polynomial value, shared so that the fast paths
+# recognise it by identity
+_DEN1 = (Fraction(1),)
+_FRACTION_ZERO = Fraction(0)
+
+
 def _pgcd(a, b):
     a, b = _trim(a), _trim(b)
     while b:
+        if len(b) == 1:  # a nonzero constant: coprime
+            return _DEN1
         _, r = _pdivmod(a, b)
         a, b = b, r
     if not a:
@@ -81,10 +91,11 @@ def _pgcd(a, b):
     return tuple(c / a[-1] for c in a)  # monic
 
 
-# the denominator of every polynomial value, shared so that the fast paths
-# recognise it by identity
-_DEN1 = (Fraction(1),)
-_FRACTION_ZERO = Fraction(0)
+def _fraction(c) -> Fraction:
+    """A coefficient as a ``Fraction``: no value is ever read from a float."""
+    if isinstance(c, (int, Fraction)):
+        return Fraction(c)
+    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
 
 
 def _order(p) -> int:
@@ -110,8 +121,8 @@ class QEps:
         num: Iterable[RationalLike] = (),
         den: Iterable[RationalLike] = (1,),
     ):
-        n = _trim(tuple(Fraction(c) for c in num))
-        d = _trim(tuple(Fraction(c) for c in den))
+        n = _trim(tuple(map(_fraction, num)))
+        d = _trim(tuple(map(_fraction, den)))
         if not d:
             raise ZeroDivisionError("zero denominator polynomial")
         if not n:
@@ -141,7 +152,7 @@ class QEps:
 
     @classmethod
     def from_rational(cls, r: RationalLike) -> "QEps":
-        r = Fraction(r)
+        r = _fraction(r)
         return _canonical((r,) if r else (), _DEN1)
 
     @classmethod
@@ -157,7 +168,8 @@ class QEps:
             for c, p in monos:
                 if p < 0:
                     raise ValueError("negative powers of e are not accepted")
-                coeffs[p] = coeffs[p] + c if p in coeffs else Fraction(c)
+                c = _fraction(c)
+                coeffs[p] = coeffs[p] + c if p in coeffs else c
             return [coeffs.get(p, _FRACTION_ZERO) for p in range(max(coeffs, default=-1) + 1)]
 
         if den is None:  # a polynomial: already canonical once trimmed
@@ -248,15 +260,18 @@ class QEps:
     def compare(self, other) -> int:
         """-1, 0 or 1: the sign of ``self - other`` for small positive e."""
         other = _coerce(other)
-        if self.den is _DEN1 and other.den is _DEN1:
-            # the sign of the lowest-order coefficient of the difference
-            for x, y in zip_longest(self.num, other.num, fillvalue=0):
-                if x > y:
-                    return 1
-                if x < y:
-                    return -1
-            return 0
-        return (self - other).sign()
+        a, c = self.num, other.num
+        if self.den is not _DEN1 or other.den is not _DEN1:
+            # both denominators start with 1, so they are positive for small
+            # e: a/b - c/d has the sign of a d - c b
+            a, c = _pmul(a, other.den), _pmul(c, self.den)
+        # the sign of the lowest-order coefficient of the difference
+        for x, y in zip_longest(a, c, fillvalue=0):
+            if x > y:
+                return 1
+            if x < y:
+                return -1
+        return 0
 
     def sign(self) -> int:
         """-1, 0 or 1: the sign for small positive e.
@@ -292,17 +307,13 @@ class QEps:
 
     # -- standard part & approximation ----------------------------------------
 
+    # A canonical value is finite iff its denominator's constant term is
+    # nonzero, and that term is then 1, so the numerator's is the standard part.
     def std_part(self) -> Fraction:
         """The rational limit as e goes to 0 from above."""
-        if self.is_zero:
-            return Fraction(0)
-        s = self.shift
-        if s > 0:
-            return Fraction(0)
-        if s < 0:
+        if not self.den[0]:
             raise ValueError(f"{self} is infinite and has no standard part")
-        o = _order(self.num)
-        return self.num[o] / self.den[o]
+        return self.num[0] if self.num else Fraction(0)
 
     @property
     def is_infinitesimal(self) -> bool:
@@ -310,8 +321,8 @@ class QEps:
 
     def approx_eq(self, r: RationalLike) -> bool:
         """True iff the value is within 1/n of the rational r for every n."""
-        d = self - QEps.from_rational(r)
-        return d.is_zero or d.is_infinitesimal
+        r = _fraction(r)
+        return bool(self.den[0]) and self.std_part() == r
 
     def in_unit_interval(self) -> bool:
         return self.sign() >= 0 and self <= ONE

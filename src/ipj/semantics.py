@@ -28,7 +28,8 @@ from typing import Iterable, Mapping, Optional
 
 from . import proofcheck, syntax
 from .ispec import InteractionSpec, error
-from .qeps import ONE, ZERO, QEps, QEpsParseError, parse_qeps
+from .qeps import _DEN1, ONE, ZERO, QEps, QEpsParseError, _canonical, parse_qeps
+from .qeps import _padd, _pmul, _trim
 from .syntax import (
     AGENTS,
     OMEGA,
@@ -324,7 +325,8 @@ class Quasimodel:
     An event is a mask of sample worlds, and each event's measure is computed
     once: the masses that are polynomials in e are summed as integer
     numerators over one denominator per power of e, and the other masses are
-    added to that sum as ``QEps``.
+    summed per shared denominator, so that the measure is normalised once
+    for each distinct denominator among the event's masses.
     """
 
     def __init__(
@@ -347,8 +349,13 @@ class Quasimodel:
             cs = [p[power] if power < len(p) else Fraction(0) for p in polys]
             den = math.lcm(*(c.denominator for c in cs))
             self._coefficients.append((den, [c.numerator * (den // c.denominator) for c in cs]))
-        # the rational-function masses, by world index
-        self._other_masses = [(i, m) for i, m in enumerate(masses) if len(m.den) > 1]
+        # the numerators of the rational-function masses by world index, in
+        # one group per shared denominator
+        groups: dict[tuple, list] = {}
+        for i, m in enumerate(masses):
+            if len(m.den) > 1:
+                groups.setdefault(m.den, []).append((i, m.num))
+        self._fraction_groups = list(groups.items())
         self._measures: dict[int, QEps] = {}
         found = [base._index.get(w) for w in self.sample]
         if None in found:
@@ -382,13 +389,18 @@ class Quasimodel:
         value = self._measures.get(mask)
         if value is None:
             bits = _bits(mask, len(self.base.worlds))
-            value = QEps(
+            value = _canonical(_trim(tuple(
                 Fraction(sum(itertools.compress(nums, bits)), den)
                 for den, nums in self._coefficients
-            )
-            for i, m in self._other_masses:
-                if bits[i]:
-                    value = value + m
+            )), _DEN1)
+            for den, group in self._fraction_groups:
+                num = ()
+                for i, m in group:
+                    if bits[i]:
+                        num = _padd(num, m)
+                if num:  # value + num/den, normalised once
+                    value = QEps(_padd(_pmul(value.num, den), _pmul(num, value.den)),
+                                 _pmul(value.den, den))
             self._measures[mask] = value
         return value
 

@@ -391,6 +391,14 @@ def test_arith_cmp_std_approx(capsys):
     assert "approx 1/2: true" in out
 
 
+def test_arith_approx_of_rational_functions(capsys):
+    # the standard part is the numerator's constant term; an infinite value has none
+    assert run(capsys, "arith", "(3 + 1 e^2)/(6 + 2 e)", "--approx", "1/2") == (
+        0, "(1/2 + 1/6 e^2)/(1 + 1/3 e)\napprox 1/2: true\n", "")
+    assert run(capsys, "arith", "(1)/(2 e + 1 e^2)", "--approx", "0") == (
+        1, "(1/2)/(1 e + 1/2 e^2)\napprox 0: false\n", "")
+
+
 def test_arith_bad_literal(capsys):
     code, _, err = run(capsys, "arith", "1//2")
     assert code == 2

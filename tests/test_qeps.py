@@ -144,6 +144,32 @@ def test_compare_of_polynomials_is_the_sign_of_the_difference(a, b):
         assert a.compare(0) == a.sign()
 
 
+@given(values, values)
+@settings(max_examples=300)
+@example(parse_qeps("(2 + 3 e)/(24 + 6 e)"), parse_qeps("(5 + -1 e)/(24 + 6 e)"))  # one denominator
+@example(parse_qeps("(1)/(1 e)"), parse_qeps("(1 + 1 e)/(1 + 1 e^2)"))  # an infinite value
+@example(parse_qeps("(1 + 1 e)/(1 + 2 e + 1 e^2)"), parse_qeps("(2)/(2 + 2 e)"))  # equal once reduced
+def test_compare_of_rational_functions_is_the_sign_of_the_difference(a, b):
+    want = (a - b).sign()
+    with pytest.MonkeyPatch.context() as mp:
+        # compare reads the coefficients of a d - c b for a/b and c/d: it builds no difference
+        mp.setattr(QEps, "__sub__", None)
+        mp.setattr(QEps, "__add__", None)
+        assert a.compare(b) == want
+        assert b.compare(a) == -want
+        assert a.compare(0) == a.sign()
+
+
+def test_compare_is_the_sign_of_the_leading_term_of_the_difference():
+    sympy = pytest.importorskip("sympy")
+    e = sympy.Symbol("e", positive=True)
+    rng = random.Random(27)
+    for _ in range(120):
+        (a, left), (b, right) = sympy_pair(sympy, e, rng), sympy_pair(sympy, e, rng)
+        leading = sympy.cancel(left - right).as_leading_term(e)
+        assert a.compare(b) == int(sympy.sign(leading.subs(e, 1))), (a, b)
+
+
 def test_epsilon_below_every_positive_rational():
     for i in range(1, 101):
         q = QEps.from_rational(Fraction(1, i))
@@ -186,6 +212,23 @@ def test_approx_eq():
     assert ONE.approx_eq(Fraction(1))
 
 
+@given(values)
+@settings(max_examples=300)
+@example(ONE / EPS)  # infinite
+@example(parse_qeps("(1 + 1 e)/(3 + 1 e)"))  # 1/3 and an infinitesimal
+@example(parse_qeps("(1 e)/(1 + 1 e)"))  # infinitesimal
+@example(ZERO)
+def test_approx_eq_reads_the_constant_terms(a):
+    rs = [Fraction(0)]
+    if is_finite(a):
+        rs += [a.std_part() + d for d in (0, Fraction(1, 7), Fraction(-1, 7))]
+    else:  # the numerator's constant term is no standard part
+        rs.append(a.num[0])
+    for r in rs:
+        d = a - QEps.from_rational(r)
+        assert a.approx_eq(r) == (d.is_zero or d.is_infinitesimal), r
+
+
 # -- the sign decides the order --------------------------------------------------------
 
 
@@ -197,24 +240,30 @@ def test_sign_is_multiplicative_and_odd(x, y):
     assert x.compare(y) == (x - y).sign()
 
 
-def test_sign_is_the_sign_of_the_leading_term():
-    sympy = pytest.importorskip("sympy")
-    e = sympy.Symbol("e", positive=True)
-    rng = random.Random(14)
+def sympy_pair(sympy, e, rng):
+    """A seeded rational function as a value and as a sympy expression of
+    the coefficients as given, before normalisation."""
 
     def poly():
         return [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(rng.randint(0, 4))]
 
+    def expr(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * e**i for i, c in enumerate(p))
+
+    num, den = poly(), poly()
+    if not any(den):
+        den = [Fraction(1)]
+    return QEps(num, den), expr(num) / expr(den)
+
+
+def test_sign_is_the_sign_of_the_leading_term():
+    sympy = pytest.importorskip("sympy")
+    e = sympy.Symbol("e", positive=True)
+    rng = random.Random(14)
     for _ in range(300):
-        num, den = poly(), poly()
-        if not any(den):
-            den = [Fraction(1)]
-        x = QEps(num, den)
-        # the value as given, before normalisation
-        expr = sum(sympy.Rational(c.numerator, c.denominator) * e**i for i, c in enumerate(num))
-        expr /= sum(sympy.Rational(c.numerator, c.denominator) * e**i for i, c in enumerate(den))
+        x, expr = sympy_pair(sympy, e, rng)
         leading = sympy.cancel(expr).as_leading_term(e)
-        assert x.sign() == int(sympy.sign(leading.subs(e, 1))), (num, den)
+        assert x.sign() == int(sympy.sign(leading.subs(e, 1))), x
 
 
 def test_unit_interval_membership():
@@ -319,3 +368,24 @@ def test_constant_denominators_are_canonical(r, c):
     assert fields(QEps.from_rational(r)) == general((r,), (1,))
     assert fields(QEps((r, c), (c,))) == general((r, c), (c,))
     assert fields(QEps((r,), (c,))) == fields(QEps.from_rational(r / c))
+
+
+# -- no value is read from a float ----------------------------------------------------
+
+
+NOT_RATIONAL = {
+    "QEps numerator": lambda: QEps((0.5,)),
+    "QEps denominator": lambda: QEps((1,), (1, 0.5)),
+    "QEps string": lambda: QEps(("1/3",)),
+    "from_rational float": lambda: QEps.from_rational(0.1),
+    "from_rational string": lambda: QEps.from_rational("1/3"),
+    "from_monomials numerator": lambda: QEps.from_monomials([(0.25, 1)]),
+    "from_monomials denominator": lambda: QEps.from_monomials([(1, 0)], [(1, 0), (0.5, 1)]),
+    "approx_eq": lambda: ONE.approx_eq(1.0),
+}
+
+
+@pytest.mark.parametrize("name", NOT_RATIONAL)
+def test_constructors_refuse_a_coefficient_that_is_not_rational(name):
+    with pytest.raises(TypeError, match="is not an int or a Fraction"):
+        NOT_RATIONAL[name]()

@@ -12,7 +12,7 @@ import pytest
 import ipj
 from ipj import generators, syntax
 from ipj.ispec import load_spec
-from ipj.qeps import QEps, parse_qeps
+from ipj.qeps import ZERO, QEps, parse_qeps
 from ipj.semantics import (
     EpistemicModel,
     ModelError,
@@ -477,6 +477,42 @@ def test_measure_event_over_rational_and_mixed_masses():
     qm = Quasimodel(m, worlds, {**masses, "w": masses["w"] - eps, "v": masses["v"] + eps}, "w")
     assert qm.measure_of(parse_eformula("p")) == q("1/2") - eps
     assert measure_event(qm, ["u", "v"]) == q("2/3") + eps
+
+
+def mixed_masses(rng, worlds):
+    """Masses summing to 1 that mix rationals, polynomials and rational
+    functions over one to three distinct denominators: rational weights with
+    infinitesimals moved between pairs of worlds."""
+    weights = [1 + rng.randrange(5) for _ in worlds]
+    masses = [q(Fraction(wt, sum(weights))) for wt in weights]
+    dens = [QEps((1, 1 + rng.randrange(4 * j + 1, 4 * j + 5))) for j in range(1 + rng.randrange(3))]
+    moves = [QEps.epsilon(1 + rng.randrange(2)) for _ in range(1 + rng.randrange(2))]
+    moves += [QEps((0, 1 + rng.randrange(3))) / den for den in dens for _ in range(1 + rng.randrange(2))]
+    for move in moves:
+        i, j = rng.sample(range(len(worlds)), 2)
+        masses[i], masses[j] = masses[i] + move, masses[j] - move
+    return dict(zip(worlds, masses))
+
+
+def test_measure_sums_each_denominator_like_a_world_by_world_sum():
+    rng = random.Random(27)
+    for _ in range(40):
+        worlds = [f"w{i}" for i in range(2 + rng.randrange(5))]
+        m = simple_model(worlds=worlds, rel={a: ident(worlds) for a in "PV"}, valuation={})
+        qm = Quasimodel(m, worlds, mixed_masses(rng, worlds), worlds[0])
+        assert any(len(u.den) > 1 for u in qm.measure.values())
+        for mask in range(1 << len(worlds)):
+            event = [u for i, u in enumerate(worlds) if mask >> i & 1]
+            assert qm.measure_mask(mask) == sum((qm.measure[u] for u in event), ZERO)
+
+
+def test_masses_that_miss_one_name_their_sum():
+    text = ("worlds: a b c\nR[P]:\na -> a\nb -> b\nc -> c\nR[V]:\na -> a\nb -> b\nc -> c\n"
+            "U: a b c\nmu:\na = (1 + 1 e)/(2 + 1 e)\nb = (12/25 + -13/50 e)/(2 + 1 e)\n"
+            "c = 1/4\nw0: a\n")
+    with pytest.raises(ModelError) as exc:
+        parse_model_file(text)
+    assert str(exc.value) == "masses sum to 99/100, not 1"
 
 
 def test_complement_additivity_random():
