@@ -145,8 +145,8 @@ class QEps:
     def __setattr__(self, *a):  # immutable
         raise AttributeError("QEps values are immutable")
 
-    def __reduce__(self):  # pickle and copy without __setattr__
-        return _canonical, (self.num, self.den)
+    def __reduce__(self):  # pickle and copy without __setattr__; a polynomial gets _DEN1 back
+        return _canonical, (self.num,) if self.den is _DEN1 else (self.num, self.den)
 
     # -- constructors -------------------------------------------------------
 
@@ -338,7 +338,7 @@ class QEps:
         return f"QEps({self})"
 
 
-def _canonical(num: tuple, den: tuple) -> QEps:
+def _canonical(num: tuple, den: tuple = _DEN1) -> QEps:
     """A QEps from a ``(num, den)`` pair that is already in canonical form."""
     q = object.__new__(QEps)
     object.__setattr__(q, "num", num)
@@ -390,7 +390,7 @@ def parse_qeps(text: str) -> QEps:
         p = Parser(text, allow_symbolic=False)
         value = p.literal()
         if not p.at_end():
-            p.error(f"trailing input in literal: {p.peek().text!r}")
+            p.error(f"trailing input in literal: {p.texts[p.i]!r}")
     except ParseError as exc:
         raise QEpsParseError(str(exc)) from None
     return value

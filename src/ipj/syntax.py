@@ -29,6 +29,7 @@ expressions ``q + 1/v^j`` (see :class:`SymThresh`).
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
@@ -467,19 +468,18 @@ class RangeError(ParseError):
 # lexer
 # ---------------------------------------------------------------------------
 
-# one match per token: the whitespace in front of it, then the token; a
-# character that starts no token is matched alone, so that every character
-# is read, and the empty match at the end takes the trailing whitespace.
-# The alternatives are tried in this order, so "Pr>=" is no ident, "c:x" no
-# ident "c" and "-1" no bad "-".
+# one match per token, after the whitespace in front of it; a character that
+# starts no token is matched alone, so that every character is read, and an
+# empty match at the end takes the trailing whitespace.  The alternatives are
+# tried in this order, so "Pr>=" is no ident, "c:x" no ident "c" and ":[" no ":".
 _TOKEN_RE = re.compile(
     r"""
-    (\s*)
-    ( Pr>= | Pr<= | Pr~ | Pr= | Pr< | Pr>     # prop
+    \s*
+    ( [()\[\]/^~&|*+!=.;,] | :\[? | ->       # a symbol
+    | Pr(?:>= | <= | ~ | = | < | >)           # prop
     | c:(?=[A-Za-z_])                         # the prefix of a constant
-    | -?\d+                                   # num
     | [A-Za-z_][A-Za-z0-9_']*                 # ident
-    | -> | :\[ | [()\[\]/^~&|*+!:=.;,]        # a symbol
+    | -?\d+                                   # num
     | .                                       # a character that starts no token
     | \Z
     )
@@ -488,15 +488,19 @@ _TOKEN_RE = re.compile(
 )
 
 # A token's kind by its text: a symbol's kind is its text, the Pr operators
-# are "prop" and "c:" is the prefix of a constant.  Otherwise the first
-# character tells an ident from a num.  A num may also start with "-" or with
-# a digit outside ASCII; it ends in a digit, and a character that starts no
-# token is no digit.
+# are "prop", "c:" is the prefix of a constant and a lone "-" starts no token.
+# Otherwise the first character tells an ident from a num, and a token that
+# starts with "(" and is not one is a group the parser's memo holds (see
+# _tokenize).  A num may also start with a digit outside ASCII; it ends in a
+# digit, and a character that starts no token is no digit.
 _KINDS = {sym: sym for sym in ("->", ":[", "c:", *"()[]/^~&|*+!:=.;,")}
 _KINDS.update(dict.fromkeys(("Pr>=", "Pr<=", "Pr~", "Pr=", "Pr<", "Pr>"), "prop"))
-_FIRST_CHAR_KINDS = dict.fromkeys("0123456789", "num")
+_KINDS["-"] = None
+_FIRST_CHAR_KINDS = dict.fromkeys("-0123456789", "num")
 _FIRST_CHAR_KINDS.update(dict.fromkeys(
     "_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz", "ident"))
+_FIRST_CHAR_KINDS["("] = "group"
+_first_char = operator.itemgetter(0)
 
 # "v" is the parameter of proof templates, read only inside thresholds
 RESERVED_NAMES = {"box", "f", "P", "V", "v"}
@@ -507,57 +511,10 @@ MAX_POWER = 100
 
 
 class Token(NamedTuple):
-    kind: str  # 'num' | 'ident' | 'const' | 'group' | exact symbol text
+    kind: str  # 'num' | 'ident' | 'const' | 'eof' | exact symbol text
     text: str
     line: int
     col: int
-
-
-_new_token = tuple.__new__  # Token(...) without the Python-level __new__
-
-
-def _lex(text: str, pos: int, endpos: int, line: int, col: int, append) -> tuple[int, int]:
-    """Append the tokens of ``text[pos:endpos]``, which starts at ``line`` and
-    ``col``, and return the line and column at ``endpos``.
-
-    ``line`` and ``col`` (both from 1) move on with each token's length and
-    each whitespace run's newlines.  A token never spans a parenthesis, so
-    ``endpos`` may be any ``"("``."""
-    const = None  # the position of a "c:" whose name is the next token
-    for ws, tok in _TOKEN_RE.findall(text, pos, endpos):
-        if ws:
-            newlines = ws.count("\n")
-            if newlines:
-                line += newlines
-                col = len(ws) - ws.rfind("\n")
-            else:
-                col += len(ws)
-        if not tok:  # the end of the text
-            continue
-        kind = _KINDS.get(tok) or _FIRST_CHAR_KINDS.get(tok[0])
-        if kind is None:
-            if not tok[-1].isdecimal():
-                raise ParseError(f"unexpected character {tok!r}", line, col)
-            kind = "num"
-        if const is not None:
-            # the constant token carries the text of the token after "c:";
-            # "c:c:x" reads as the constant "c:" and then x
-            append(_new_token(Token, ("const", tok, *const)))
-            const = None
-        elif kind == "c:":
-            const = (line, col)
-        else:
-            append(_new_token(Token, (kind, tok, line, col)))
-        col += len(tok)
-    return line, col
-
-
-def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text`` and an end token, each with its line and column."""
-    toks: list = []
-    line, col = _lex(text, 0, len(text), 1, 1, toks.append)
-    toks.append(Token("eof", "", line, col))
-    return toks
 
 
 _PAREN_RE = re.compile(r"[()]")
@@ -566,57 +523,115 @@ _PAREN_RE = re.compile(r"[()]")
 _FORMULA_MARK_RE = re.compile(r"[~&|>]|:\[|\bbox\b|\bPr[<>=~]")
 
 
-def _tokenize_skipping(text: str) -> list:
-    """:func:`tokenize`, except that a group whose text comes earlier in
-    ``text`` is one ``group`` token, whose text is the group's, and is not
-    lexed: the parser reads that first copy and keeps it in its memo before
-    it comes to the later one.
+def _tokenize(text: str, skip: bool) -> tuple[list, list, list, dict]:
+    """The kinds and the texts of the tokens of ``text`` and of an end token.
 
-    A group whose text holds nothing that only a formula holds stays tokens,
-    as it may be a term: ``(t)``, ``(x)``, ``(s + t)``.  A group that holds
-    such a mark is no term, so where it is followed by ``:[``, ``+`` or
-    ``*`` the text is no formula: it fails, as without a memo."""
-    opens = []  # the offset of each "(", in text order
-    close = {}  # the offset of each "(" -> that of its matching ")"
-    opened = []
-    for m in _PAREN_RE.finditer(text):
-        at = m.start()
-        if text[at] == "(":
-            opens.append(at)
-            opened.append(at)
-        elif opened:
-            close[opened.pop()] = at
-    toks: list = []
-    append = toks.append
-    pos, line, col = 0, 1, 1
-    first = set()  # the texts of the groups met so far
-    for at in opens:
-        end = close.get(at)
-        if at < pos or end is None:  # inside a group taken whole, or unclosed
-            continue
-        end += 1
-        key = text[at:end]
-        if key not in first:
-            first.add(key)
-            continue
-        if not _FORMULA_MARK_RE.search(text, at, end):
-            continue
-        line, col = _lex(text, pos, at, line, col, append)
-        append(Token("group", key, line, col))
-        newlines = text.count("\n", at, end)
-        if newlines:
-            line += newlines
-            col = end - text.rfind("\n", at, end)
+    A constant is one token: its text is that of the token after ``"c:"``,
+    whatever it is, so ``"c:c:x"`` reads as the constant ``"c:"`` and then x.
+
+    With ``skip``, a group whose text comes earlier in ``text`` is one
+    ``group`` token, whose text is the group's, and is not lexed: the parser
+    reads that first copy and keeps it in its memo before it comes to the
+    later one.  A group whose text holds nothing that only a formula holds
+    stays tokens, as it may be a term: ``(t)``, ``(x)``, ``(s + t)``.  A group
+    that holds such a mark is no term, so where it is followed by ``:[``,
+    ``+`` or ``*`` the text is no formula: it fails, as without a memo.
+
+    Also the text of each closed group whose ``"("`` is lexed, in text order,
+    and the offset of each group token's ``"("`` -> the offset after its
+    ``")"``."""
+    texts, keys, groups, pos = [], [], {}, 0
+    if skip:
+        opens = []  # the offset of each "(", in text order
+        close = {}  # the offset of each "(" -> that of its matching ")"
+        opened = []
+        for m in _PAREN_RE.finditer(text):
+            at = m.start()
+            if text[at] == "(":
+                opens.append(at)
+                opened.append(at)
+            elif opened:
+                close[opened.pop()] = at
+        first = set()  # the texts of the groups met so far
+        for at in opens:
+            end = close.get(at)
+            if at < pos or end is None:  # inside a group taken whole, or unclosed
+                continue
+            end += 1
+            key = text[at:end]
+            if key not in first:
+                first.add(key)
+            elif _FORMULA_MARK_RE.search(text, at, end):
+                texts += _TOKEN_RE.findall(text, pos, at)
+                texts.append(key)
+                groups[at] = pos = end
+                continue
+            keys.append(key)
+    texts += _TOKEN_RE.findall(text, pos)
+    texts = list(filter(None, texts))  # without the empty matches that end each part
+    kinds = list(map(_KINDS.get, texts, map(_FIRST_CHAR_KINDS.get, map(_first_char, texts))))
+    if "c:" in kinds:
+        kinds, texts = _constants(kinds, texts)
+    if None in kinds:
+        for j in [j for j, kind in enumerate(kinds) if kind is None]:
+            if not texts[j][-1].isdecimal():
+                msg = f"unexpected character {texts[j]!r}"
+                raise ParseError(msg, *_position(text, j, groups))
+            kinds[j] = "num"
+    kinds.append("eof")
+    texts.append("")
+    return kinds, texts, keys, groups
+
+
+def _constants(kinds: list, texts: list) -> tuple[list, list]:
+    """The tokens with each ``"c:"`` and the token after it one constant token."""
+    fixed_kinds, fixed_texts, start = [], [], 0
+    j = kinds.index("c:")
+    while True:
+        fixed_kinds += kinds[start:j]
+        fixed_texts += texts[start:j]
+        fixed_kinds.append("const")
+        fixed_texts.append(texts[j + 1])
+        start = j + 2
+        try:
+            j = kinds.index("c:", start)
+        except ValueError:
+            return fixed_kinds + kinds[start:], fixed_texts + texts[start:]
+
+
+def _positions(text: str, groups: dict) -> Iterator[tuple[int, int]]:
+    """The line and column (both from 1) of each token of ``text``, the end
+    token's included, as :func:`_tokenize` reads them with ``groups``, the
+    offset of each group token's ``"("`` -> the offset after its ``")"``.
+    Only ``"\\n"`` starts a line."""
+    line, last, prev, pos = 1, -1, 0, 0
+    while True:
+        matches = _TOKEN_RE.finditer(text, pos)
+        for m in matches:
+            at = m.start(1)
+            newlines = text.count("\n", prev, at)  # no token holds one
+            if newlines:
+                line, last = line + newlines, text.rfind("\n", prev, at)
+            prev = at
+            yield line, at - last
+            if at in groups:  # go on after the group
+                pos = groups[at]
+                break
+            if m[1] == "c:":  # a constant is one token, which starts at its "c:"
+                next(matches)
         else:
-            col += end - at
-        pos = end
-    line, col = _lex(text, pos, len(text), line, col, append)
-    append(Token("eof", "", line, col))
-    return toks
+            return
 
 
-def _is_word(tok: Token, word: str) -> bool:
-    return tok.kind == "ident" and tok.text == word
+def _position(text: str, n: int, groups: dict) -> tuple[int, int]:
+    """The line and column of the ``n``-th token (from 0) of ``text``."""
+    return next(itertools.islice(_positions(text, groups), n, None))
+
+
+def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text`` and an end token, each with its line and column."""
+    kinds, texts, _, _ = _tokenize(text, False)
+    return [Token(kind, tok, *at) for kind, tok, at in zip(kinds, texts, _positions(text, {}))]
 
 
 # the kinds of token a threshold literal is written with
@@ -631,13 +646,18 @@ _LITERAL_KINDS = frozenset(("num", "ident", "/", "+", "^", "(", ")"))
 class Parser:
     """A recursive-descent reader over the tokens of one text.
 
+    A token is a kind and a text, held in the parallel lists ``kinds`` and
+    ``texts``; ``i`` is the index of the next one.  No token carries a
+    position: :meth:`error` computes the line and column of the token it
+    names from the text, when it raises.
+
     ``memo``, when given, must be empty.  The parser fills it with what it
     read without an error, and what it holds is not read again, so equal
     groups and equal thresholds of the text share one object:
 
     - the text of a group ``"(" formula ")"`` maps to the formula read
       there.  A later copy of the text is not even lexed: it is one token
-      that names its node (see :func:`_tokenize_skipping`).
+      that names its node (see :func:`_tokenize`).
     - (whether the operator is ``Pr~``, which reads a rational and not a
       literal, the token texts of a threshold) maps to the threshold read
       from them.
@@ -647,85 +667,86 @@ class Parser:
     """
 
     def __init__(self, text: str, allow_symbolic: bool = True, memo: Optional[dict] = None):
-        self.toks = tokenize(text) if memo is None else _tokenize_skipping(text)
+        self.kinds, self.texts, keys, self.groups = _tokenize(text, memo is not None)
         self.i = 0
         self.allow_symbolic = allow_symbolic
         self.text = text
         self.memo = memo
         # the index of each "(" token's matching ")"
-        self.close = {}
+        self.close = close = {}
         opened = []
-        for j, tok in enumerate(self.toks):
-            if tok.kind == "(":
+        for j, kind in enumerate(self.kinds):
+            if kind == "(":
                 opened.append(j)
-            elif tok.kind == ")" and opened:
-                self.close[opened.pop()] = j
+            elif kind == ")" and opened:
+                close[opened.pop()] = j
         if memo is not None:
-            # the offset in the text of the first character of each line
-            self.line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
+            # the text of the group at each closed "(" token: each paren of the
+            # text outside the group tokens is one token, so the two agree
+            self.keys = dict(zip(sorted(close), keys))
 
     # -- token plumbing ------------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
+    def next(self) -> int:
+        """The index of the next token, which is then read unless it is the end."""
+        i = self.i
+        if self.kinds[i] != "eof":
+            self.i = i + 1
+        return i
 
-    def next(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
+    def expect(self, kind: str) -> int:
+        i = self.next()
+        if self.kinds[i] != kind:
+            self.error(f"expected {kind!r}, got {self.texts[i]!r}", i)
+        return i
 
-    def expect(self, kind: str) -> Token:
-        t = self.next()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, got {t.text!r}", t.line, t.col)
-        return t
+    def position(self, j: int) -> tuple[int, int]:
+        """The line and column of token ``j``, computed from the text."""
+        return _position(self.text, j, self.groups)
 
-    def error(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+    def error(self, msg: str, at: Optional[int] = None):
+        """Raise ``msg`` at token ``at``, by default the next one."""
+        raise ParseError(msg, *self.position(self.i if at is None else at))
 
     def at_end(self) -> bool:
-        return self.peek().kind == "eof"
+        return self.kinds[self.i] == "eof"
 
-    def source(self, i: int, j: int) -> str:
-        """The text from the start of token i to the end of token j."""
-        first, last = self.toks[i], self.toks[j]
-        starts = self.line_starts
-        return self.text[starts[first.line - 1] + first.col - 1 : starts[last.line - 1] + last.col]
+    def is_word(self, j: int, word: str) -> bool:
+        return self.texts[j] == word and self.kinds[j] == "ident"
 
     # -- terms ----------------------------------------------------------------
 
     def term(self) -> Term:
         t = self.term_mul()
-        while self.peek().kind == "+":
-            self.next()
+        while self.kinds[self.i] == "+":
+            self.i += 1
             t = Sum(t, self.term_mul())
         return t
 
     def term_mul(self) -> Term:
         t = self.term_prefix()
-        while self.peek().kind == "*":
-            self.next()
+        while self.kinds[self.i] == "*":
+            self.i += 1
             t = App(t, self.term_prefix())
         return t
 
     def term_prefix(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "!":
-            self.next()
+        i = self.i
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == "!":
+            self.i = i + 1
             return Bang(self.term_prefix())
-        if tok.kind == "const":
-            self.next()
-            return Const(tok.text)
-        if tok.kind == "(":
-            self.next()
+        if kind == "const":
+            self.i = i + 1
+            return Const(text)
+        if kind == "(":
+            self.i = i + 1
             t = self.term()
             self.expect(")")
             return t
-        if tok.kind == "ident":
-            if tok.text == "f":
-                self.next()
+        if kind == "ident":
+            if text == "f":
+                self.i = i + 1
                 self.expect("[")
                 c = self.complexity()
                 self.expect("]")
@@ -733,137 +754,136 @@ class Parser:
                 inner = self.term()
                 self.expect(")")
                 return Proto(c, inner)
-            if tok.text in RESERVED_NAMES:
-                self.error(f"{tok.text!r} is reserved and cannot name a variable")
-            self.next()
-            return Var(tok.text)
-        self.error(f"expected a term, got {tok.text!r}")
+            if text in RESERVED_NAMES:
+                self.error(f"{text!r} is reserved and cannot name a variable")
+            self.i = i + 1
+            return Var(text)
+        self.error(f"expected a term, got {text!r}")
 
-    def integer(self, tok: Token) -> int:
+    def integer(self, j: int) -> int:
+        """The value of the num token ``j``."""
+        text = self.texts[j]
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:  # more digits than int() reads
-            msg = f"number of {len(tok.text)} digits is too long"
-            raise ParseError(msg, tok.line, tok.col) from None
+            msg = f"number of {len(text)} digits is too long"
+            raise ParseError(msg, *self.position(j)) from None
 
     def complexity(self) -> Complexity:
-        tok = self.next()
-        if tok.kind == "num":
-            n = self.integer(tok)
+        j = self.next()
+        kind, text = self.kinds[j], self.texts[j]
+        if kind == "num":
+            n = self.integer(j)
             if n < 0:
-                raise ParseError("complexity must be a natural number", tok.line, tok.col)
+                self.error("complexity must be a natural number", j)
             return n
-        if tok.kind == "ident" and tok.text == "w":
+        if kind == "ident" and text == "w":
             return OMEGA
-        raise ParseError(f"expected a complexity (nat or 'w'), got {tok.text!r}", tok.line, tok.col)
+        self.error(f"expected a complexity (nat or 'w'), got {text!r}", j)
 
     def agent(self) -> str:
-        tok = self.next()
-        if tok.kind == "ident" and tok.text in AGENTS:
-            return tok.text
-        raise ParseError(f"expected agent 'P' or 'V', got {tok.text!r}", tok.line, tok.col)
+        j = self.next()
+        text = self.texts[j]
+        if self.kinds[j] == "ident" and text in AGENTS:
+            return text
+        self.error(f"expected agent 'P' or 'V', got {text!r}", j)
 
     # -- formulas ---------------------------------------------------------------
 
     def formula(self) -> Formula:
         f = self.form_and()
-        while self.peek().kind == "|":
-            self.next()
+        while self.kinds[self.i] == "|":
+            self.i += 1
             f = for_(f, self.form_and())
-        if self.peek().kind == "->":
-            self.next()
+        if self.kinds[self.i] == "->":
+            self.i += 1
             return fimp(f, self.formula())
         return f
 
     def group(self) -> Formula:
         """``"(" formula ")"``, or the node of a group the memo holds."""
-        tok = self.peek()
-        if tok.kind == "group":
-            f = self.memo.get(tok.text)
+        i = self.i
+        if self.kinds[i] == "group":
+            f = self.memo.get(self.texts[i])
             if f is None:  # its first copy was no formula group
                 self.error("expected a formula group")
-            self.i += 1
+            self.i = i + 1
             return f
-        start = self.i
         self.expect("(")
         f = self.formula()
         self.expect(")")
         if self.memo is not None:
-            self.memo[self.source(start, self.i - 1)] = f
+            self.memo[self.keys[i]] = f
         return f
 
     def form_and(self) -> Formula:
         f = self.form_unary()
-        while self.peek().kind == "&":
-            self.next()
+        while self.kinds[self.i] == "&":
+            self.i += 1
             f = fand(f, self.form_unary())
         return f
 
     def form_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.next()
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "~":
+            self.i = i + 1
             return fnot(self.form_unary())
-        if tok.kind == "prop":
-            return self.prob_formula(tok)
-        if tok.kind == "ident" and tok.text == "box":
-            self.next()
+        if kind == "prop":
+            return self.prob_formula()
+        if kind == "ident" and self.texts[i] == "box":
+            self.i = i + 1
             self.expect("[")
             a = self.agent()
             self.expect("]")
             inner = self.form_unary()
-            return Epistemic(Box(a, self.require_efml(inner, tok)))
-        if tok.kind == "(" or tok.kind == "group":
+            return Epistemic(Box(a, self.require_efml(inner, i)))
+        if kind == "(" or kind == "group":
             # a parenthesized formula, or a parenthesized term in front of a
             # justification separator; a term reading can end at ":[" only if
             # the token after the matching ")" goes on with a term or is ":["
-            close = self.close.get(self.i)
-            if close is not None and self.toks[close + 1].kind in (":[", "+", "*"):
-                mark = self.i
+            close = self.close.get(i)
+            if close is not None and self.kinds[close + 1] in (":[", "+", "*"):
                 try:
                     t = self.term()
-                    if self.peek().kind == ":[":
+                    if self.kinds[self.i] == ":[":
                         return self.justification(t)
                 except ParseError:
                     pass
-                self.i = mark
+                self.i = i
             f = self.group()
-            if self.peek().kind == ":[":
+            if self.kinds[self.i] == ":[":
                 self.error("a justified formula needs a term on the left of ':['")
             return f
-        if tok.kind in ("ident", "const", "!"):
-            mark = self.i
+        if kind in ("ident", "const", "!"):
             t = self.term()
-            if self.peek().kind == ":[":
+            if self.kinds[self.i] == ":[":
                 return self.justification(t)
             if isinstance(t, Var):
                 return Epistemic(Atom(t.name))
-            self.i = mark
-            self.error("expected ':[' after term")
-        self.error(f"expected a formula, got {tok.text!r}")
+            self.error("expected ':[' after term", i)
+        self.error(f"expected a formula, got {self.texts[i]!r}")
 
     def justification(self, t: Term) -> Formula:
-        tok = self.expect(":[")
+        j = self.expect(":[")
         a = self.agent()
         self.expect("]")
         inner = self.form_unary()
-        return Epistemic(Just(t, a, self.require_efml(inner, tok)))
+        return Epistemic(Just(t, a, self.require_efml(inner, j)))
 
-    def require_efml(self, f: Formula, tok: Token) -> EFormula:
+    def require_efml(self, f: Formula, j: int) -> EFormula:
+        """``f`` as an epistemic formula, else an error at token ``j``."""
         e = as_efml(f)
         if e is None:
-            raise ParseError(
-                "probability operators cannot occur inside an epistemic formula",
-                tok.line,
-                tok.col,
-            )
+            self.error("probability operators cannot occur inside an epistemic formula", j)
         return e
 
-    def prob_formula(self, tok: Token) -> Formula:
-        op = self.next().text
+    def prob_formula(self) -> Formula:
+        j = self.next()
+        op = self.texts[j]
         s = self.threshold(op)
         body = self.group()
-        e = self.require_efml(body, tok)
+        e = self.require_efml(body, j)
         if op == "Pr~":
             assert isinstance(s, Fraction)
             return ProbApprox(s, e)
@@ -891,7 +911,7 @@ class Parser:
         if self.memo is None:
             return self.read_threshold(op)
         start, end = self.i, self.literal_end()
-        key = (op == "Pr~", tuple(t.text for t in self.toks[start:end]))
+        key = (op == "Pr~", tuple(self.texts[start:end]))
         s = self.memo.get(key)
         if s is None:
             s = self.read_threshold(op)
@@ -906,45 +926,44 @@ class Parser:
         without reading it: the first of a kind no literal is written with,
         or the ``(`` of the body.  Within these kinds a token's text tells
         its kind, and the reader takes each token it can end on alike."""
-        toks = self.toks
+        kinds = self.kinds
         i = j = self.i
-        while toks[j].kind in _LITERAL_KINDS:
+        while kinds[j] in _LITERAL_KINDS:
             # only the polys of the fraction form start with "("
-            if toks[j].kind == "(" and j > i and toks[j - 1].kind != "/":
+            if kinds[j] == "(" and j > i and kinds[j - 1] != "/":
                 break
             j += 1
         return j
 
     def read_threshold(self, op: str):
-        tok = self.peek()
+        j = self.i
         if op == "Pr~":
             r = self.rational()
             if not 0 <= r <= 1:
-                raise RangeError(
-                    f"approximate-probability threshold {r} outside [0,1]", tok.line, tok.col
-                )
+                msg = f"approximate-probability threshold {r} outside [0,1]"
+                raise RangeError(msg, *self.position(j))
             return r
         s = self.literal()
         if isinstance(s, QEps) and not s.in_unit_interval():
-            raise RangeError(f"probability threshold {s} outside [0,1]", tok.line, tok.col)
+            raise RangeError(f"probability threshold {s} outside [0,1]", *self.position(j))
         return s
 
     def rational(self) -> Fraction:
-        tok = self.expect("num")
-        n = self.integer(tok)
-        if self.peek().kind == "/":
-            self.next()
+        j = self.expect("num")
+        n = self.integer(j)
+        if self.kinds[self.i] == "/":
+            self.i += 1
             d = self.integer(self.expect("num"))
             if d <= 0:
-                raise ParseError("denominator must be positive", tok.line, tok.col)
+                self.error("denominator must be positive", j)
             return Fraction(n, d)
         return Fraction(n)
 
     def literal(self):
         """A value of Q[e], or a parametric threshold where the parser allows one."""
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
+        j = self.i
+        if self.kinds[j] == "(":
+            self.i += 1
             num, sym = self.poly()
             self.expect(")")
             self.expect("/")
@@ -952,67 +971,64 @@ class Parser:
             den, den_sym = self.poly()
             self.expect(")")
             if sym or den_sym:
-                raise ParseError(
-                    "parametric threshold cannot use the fraction form", tok.line, tok.col
-                )
+                self.error("parametric threshold cannot use the fraction form", j)
             try:
                 return QEps.from_monomials(num, den)
             except ZeroDivisionError as exc:
-                raise ParseError(str(exc), tok.line, tok.col) from None
+                raise ParseError(str(exc), *self.position(j)) from None
         monos, sym = self.poly()
         if sym is None:
             return QEps.from_monomials(monos)
         if not self.allow_symbolic:
-            raise ParseError("the parameter v occurs only in proof templates", tok.line, tok.col)
+            self.error("the parameter v occurs only in proof templates", j)
         if any(p != 0 for _, p in monos):
-            raise ParseError("cannot mix e and the parameter v in one threshold", tok.line, tok.col)
+            self.error("cannot mix e and the parameter v in one threshold", j)
         base = sum((c for c, _ in monos), Fraction(0))
         # with a zero coefficient the value is the rational base: one spelling per value
         return SymThresh(base, sym[0], sym[1]) if sym[0] else QEps.from_rational(base)
 
     def poly(self):
         """The e-monomials ``(coeff, power)`` of a poly and its v-monomial, if any."""
+        kinds = self.kinds
         monos: list[tuple[Fraction, int]] = []
         sym = None
         while True:
-            tok = self.peek()
-            ahead = self.toks[self.i + 1 : self.i + 3]
+            i = self.i
             param = None
-            if _is_word(tok, "v"):
-                self.next()
+            if self.is_word(i, "v"):
+                self.i = i + 1
                 param = (Fraction(1), 0)
-            elif tok.kind == "num" and ahead[0].kind == "/" and _is_word(ahead[1], "v"):
-                self.i += 3  # c/v with c a bare integer
-                param = (Fraction(self.integer(tok)), self.power("v"))
+            elif kinds[i] == "num" and kinds[i + 1] == "/" and self.is_word(i + 2, "v"):
+                self.i = i + 3  # c/v with c a bare integer
+                param = (Fraction(self.integer(i)), self.power("v"))
             else:
                 c = self.rational()
-                if _is_word(self.peek(), "v"):
-                    self.next()
+                if self.is_word(self.i, "v"):
+                    self.i += 1
                     param = (c, 0)
-                elif _is_word(self.peek(), "e"):
-                    self.next()
+                elif self.is_word(self.i, "e"):
+                    self.i += 1
                     monos.append((c, self.power("e")))
                 else:
                     monos.append((c, 0))
             if param is not None:
                 if sym is not None:
-                    raise ParseError("only one parametric monomial is allowed", tok.line, tok.col)
+                    self.error("only one parametric monomial is allowed", i)
                 sym = param
-            if self.peek().kind != "+":
+            if kinds[self.i] != "+":
                 return monos, sym
-            self.next()
+            self.i += 1
 
     def power(self, name: str) -> int:
-        if self.peek().kind != "^":
+        if self.kinds[self.i] != "^":
             return 1
-        self.next()
-        tok = self.expect("num")
-        p = self.integer(tok)
+        self.i += 1
+        j = self.expect("num")
+        p = self.integer(j)
         if p <= 0:
-            raise ParseError(f"{name} power must be positive", tok.line, tok.col)
+            self.error(f"{name} power must be positive", j)
         if p > MAX_POWER:
-            msg = f"{name} power {p} is over the limit of {MAX_POWER}"
-            raise ParseError(msg, tok.line, tok.col)
+            self.error(f"{name} power {p} is over the limit of {MAX_POWER}", j)
         return p
 
 
@@ -1020,7 +1036,7 @@ def parse_term(text: str) -> Term:
     p = Parser(text)
     t = p.term()
     if not p.at_end():
-        p.error(f"trailing input: {p.peek().text!r}")
+        p.error(f"trailing input: {p.texts[p.i]!r}")
     return t
 
 
@@ -1040,7 +1056,7 @@ def parse_formula(text: str, allow_symbolic: bool = True) -> Formula:
     p = Parser(text, allow_symbolic=allow_symbolic)
     f = p.formula()
     if not p.at_end():
-        p.error(f"trailing input: {p.peek().text!r}")
+        p.error(f"trailing input: {p.texts[p.i]!r}")
     return f
 
 
@@ -1060,23 +1076,24 @@ def lines(text: str) -> Iterator[tuple[int, str]]:
 
 def parse_each(texts, read, allow_symbolic: bool = False, memo: Optional[dict] = None) -> dict:
     """Each distinct text -> ``read(parser)``, through one :class:`Parser`
-    (with ``allow_symbolic`` and ``memo``) over the texts joined one per line,
-    up to the first text whose read fails, gives None or does not take exactly
-    its line's tokens.  A line lexes to the tokens of its text alone (with a
-    memo, a group whose text came before to one token for the node read there),
-    so a value is that of a plain read.  The caller reads every other text
-    alone."""
+    (with ``allow_symbolic`` and ``memo``) over the texts, each followed by a
+    ``;``, up to the first text that holds a ``;`` or whose read fails, gives
+    None or does not end at its ``;``.  No reader takes a ``;``, so a read
+    stops at one as at the end of a text read alone (with a memo, a group
+    whose text came before is one token for the node read there), and a
+    value is that of a plain read.  The caller reads every other text alone."""
     texts, values = list(dict.fromkeys(texts)), {}
     try:
-        p = Parser("\n".join(texts), allow_symbolic, memo)
-        toks = p.toks
-        for line, text in enumerate(texts, start=1):
+        p = Parser(";".join([*texts, ""]), allow_symbolic, memo)
+        kinds = p.kinds
+        for text in texts:
+            if ";" in text:
+                break
             value = read(p)
-            end = toks[p.i]  # must be a later line's first token, or the end
-            if value is None or toks[p.i - 1].line != line or (
-                    end.line == line and end.kind != "eof"):
+            if value is None or kinds[p.i] != ";":
                 break
             values[text] = value
+            p.i += 1
     except (ParseError, RecursionError):
         pass
     return values

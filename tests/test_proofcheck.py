@@ -858,11 +858,13 @@ def test_skipped_groups_read_like_no_memo(monkeypatch):
                 assert got == f"line {k + 1}: {want}", proof
             else:
                 assert [line.formula for line in got.lines] == fresh[:k] + [want] + fresh[k + 1:]
-    # a file without a fault is read once: no line falls back to a read alone
-    lexed, tokenize = [], syntax.tokenize
-    monkeypatch.setattr(syntax, "tokenize", lambda text: lexed.append(text) or tokenize(text))
+    # a file without a fault is read once: by one parser, with no line left
+    # to a read alone
+    read, init = [], Parser.__init__
+    monkeypatch.setattr(Parser, "__init__",
+                        lambda p, text, *a, **k: read.append(text) or init(p, text, *a, **k))
     assert [line.formula for line in parse_derivation("\n".join(lines), spec).lines] == fresh
-    assert lexed == []
+    assert len(read) == 1
 
 
 def _thresholds(f):

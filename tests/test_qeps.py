@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ipj.qeps import QEps, QEpsParseError, _padd, _pmul, _pneg, parse_qeps
+from ipj.qeps import _DEN1, QEps, QEpsParseError, _padd, _pmul, _pneg, parse_qeps
 from ipj.semantics import ModelError, parse_model_file
 from ipj.syntax import parse_formula
 
@@ -281,10 +281,15 @@ def test_literal_roundtrip(a):
 
 
 @given(values)
+@example(parse_qeps("1/2 + 1 e"))
+@example(parse_qeps("(1 + 2 e)/(3 + 1 e)"))
 @settings(max_examples=100)
 def test_pickle_and_copy_roundtrip(a):
+    # a polynomial's twin keeps the shared denominator, which the fast paths of
+    # +, * and compare recognise by identity
     for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
         assert (twin.num, twin.den) == (a.num, a.den) and hash(twin) == hash(a)
+        assert (twin.den is _DEN1) == (len(a.den) == 1)
 
 
 def test_parse_errors():

@@ -1,6 +1,7 @@
 """Parsing, printing, and desugaring of terms and formulas."""
 
 import copy
+import hashlib
 import os
 import pickle
 import random
@@ -15,7 +16,7 @@ import pytest
 
 import ipj
 from ipj import generators, ispec, proofcheck, semantics
-from ipj.qeps import QEps
+from ipj.qeps import QEps, QEpsParseError, parse_qeps
 from ipj.syntax import (
     OMEGA,
     App,
@@ -31,6 +32,7 @@ from ipj.syntax import (
     Just,
     MAX_POWER,
     ParseError,
+    Parser,
     ProbApprox,
     ProbGeq,
     Proto,
@@ -307,7 +309,9 @@ def lex_outcome(lex, text):
 _EDIT_CHARS = "()[]:~&|*+!-=./^;,_ \t\n@\u00a0\u0663" + string.ascii_letters + string.digits
 
 
-def test_lexer_agrees_with_the_reference():
+def _lexer_corpus():
+    """5,000 texts: the lines of the golden files and of random model files,
+    random formulas and axiom instances, and random edits of them."""
     rng = random.Random(26)
     texts = []
     for path in sorted((Path(__file__).parent / "golden").iterdir()):
@@ -332,12 +336,52 @@ def test_lexer_agrees_with_the_reference():
             elif at < len(chars):
                 chars[at:at + 1] = [rng.choice(_EDIT_CHARS)] if edit == 1 else []
         cases.append("".join(chars))
+    return cases
+
+
+def test_lexer_agrees_with_the_reference():
+    cases = _lexer_corpus()
     errors = 0
     for text in cases:
         want = lex_outcome(reference_tokenize, text)
         assert lex_outcome(tokenize, text) == want, text
         errors += isinstance(want, str)
     assert 250 <= errors <= len(cases) - 250, errors  # both outcomes are common
+
+
+def test_plain_read_outcomes_are_pinned():
+    # What a plain read of each text of the corpus gives as a formula, a term
+    # and a value of Q[e]: the printed value, or the error with its line:col.
+    # The digest was computed before the lexer stopped giving tokens positions.
+    def outcome(read, show, text):
+        try:
+            return show(read(text))
+        except (ParseError, QEpsParseError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    h = hashlib.sha256()
+    for text in _lexer_corpus():
+        for read, show in ((parse_formula, print_formula), (parse_term, print_term),
+                           (parse_qeps, str)):
+            h.update(outcome(read, show, text).encode() + b"\n")
+    assert h.hexdigest() == "fe553d26f351e86085c57132514fed42e2173a175f2dcfb3e76fdc045d9b1ab5"
+
+
+def test_token_positions_with_skipped_groups():
+    # a parser with a memo lexes a repeated group as one token; the line and
+    # column of each token, that one's and those after it included, are where
+    # its text starts (a constant's at its "c:")
+    for text in _lexer_corpus()[::10]:
+        text = f"({text}) &\n ({text}) & ({text})"
+        try:
+            p = Parser(text, memo={})
+        except ParseError:
+            continue
+        lines = text.split("\n")
+        for j, (kind, tok) in enumerate(zip(p.kinds, p.texts)):
+            line, col = p.position(j)
+            want = f"c:{tok}" if kind == "const" else tok.split("\n")[0]
+            assert lines[line - 1][col - 1:].startswith(want), (text, j)
 
 
 def test_literal_limits_are_parse_errors():
