@@ -141,18 +141,21 @@ def _parse_fn(kind: str, rest: str) -> ThresholdFn:
         return ThresholdFn(tail=tail)
     # pairs "k -> m", then maybe "default d"; the text from the first entry that
     # does not fit to the end of the line is a bad entry
-    toks = syntax.tokenize(rest)
+    p = syntax.Parser(rest)
+    kinds, texts = p.kinds, p.texts
+    offsets = list(syntax.token_offsets(rest, kinds, texts))
     # the natural numbers; one glued to a name, as in "1_0" or "2default", is none
-    nats = [syntax.parse_nat(t.text, "natural number") if t.kind == "num" and not
-            rest[t.col - 1 + len(t.text) :][:1].isidentifier() else None for t in toks]
+    nats = [syntax.parse_nat(text, "natural number") if kind == "num" and not
+            rest[at + len(text) :][:1].isidentifier() else None
+            for kind, text, at in zip(kinds, texts, offsets)]
     pairs, tail, i = [], (), 0
-    while nats[i] is not None and toks[i + 1].kind == "->" and nats[i + 2] is not None:
+    while nats[i] is not None and kinds[i + 1] == "->" and nats[i + 2] is not None:
         pairs.append((nats[i], nats[i + 2]))
         i += 3
-    if toks[i][:2] == ("ident", "default") and nats[i + 1] is not None:
+    if p.is_word(i, "default") and nats[i + 1] is not None:
         tail, i = (nats[i + 1],), i + 2
-    if toks[i].kind != "eof":
-        raise ValueError(f"bad table entry near {rest[toks[i].col - 1 :]!r}")
+    if kinds[i] != "eof":
+        raise ValueError(f"bad table entry near {rest[offsets[i] :]!r}")
     if not pairs:
         raise ValueError("a table needs at least one 'k -> m' pair")
     if len({k for k, _ in pairs}) != len(pairs):

@@ -56,6 +56,8 @@ from .syntax import (
     fimp,
     fnot,
     formula_has_param,
+    prob_eq,
+    prob_leq,
     thresh_complement,
 )
 
@@ -256,18 +258,9 @@ class _Meta:
     def __init__(self, name: str, co: bool = False):
         self.name, self.co = name, co
 
-
-def _co(s):
-    """1 - s, as a pattern for a metavariable and as a value otherwise."""
-    return _Meta(s.name, True) if type(s) is _Meta else thresh_complement(s)
-
-
-def _leq(s, a):  # Pr<= s (a)
-    return ProbGeq(_co(s), ENot(a))
-
-
-def _eq(s, a):  # Pr= s (a)
-    return FAnd(_leq(s, a), ProbGeq(s, a))
+    def complement(self) -> "_Meta":
+        """1 - s as a pattern, so that thresh_complement builds it."""
+        return _Meta(self.name, not self.co)
 
 
 _FIELDS = {
@@ -427,13 +420,13 @@ def _zk(side):
 
 
 def _p5(A, s, **_):
-    lhs = _leq(s, A)
+    lhs = prob_leq(s, A)
     return fand(fimp(lhs, lhs), fimp(lhs, lhs))
 
 
 def _p6(A, B, s, t, u, **_):
     disjoint = ProbGeq(ONE, ENot(EAnd(A, B)))
-    return fimp(fand(fand(_eq(s, A), _eq(t, B)), disjoint), _eq(u, eor(A, B)))
+    return fimp(fand(fand(prob_eq(s, A), prob_eq(t, B)), disjoint), prob_eq(u, eor(A, B)))
 
 
 def _claim(t, alpha):  # t :[P] alpha
@@ -459,24 +452,24 @@ _SCHEMAS: dict[str, _Schema] = {
         eimp(Just(t, agent, A), Just(Bang(t), agent, Just(t, agent, A))))),
     "jyb": _Schema(lambda agent, t, A, **_: Epistemic(eimp(Just(t, agent, A), Box(agent, A)))),
     "p1": _Schema(lambda A, s=ZERO, **_: ProbGeq(s, A), _side_p1),
-    "p2": _Schema(lambda A, s, t, **_: fimp(_leq(s, A), FNot(ProbGeq(t, A))), _side_p2),
-    "p3": _Schema(lambda A, s, **_: fimp(FNot(ProbGeq(s, A)), _leq(s, A))),
+    "p2": _Schema(lambda A, s, t, **_: fimp(prob_leq(s, A), FNot(ProbGeq(t, A))), _side_p2),
+    "p3": _Schema(lambda A, s, **_: fimp(FNot(ProbGeq(s, A)), prob_leq(s, A))),
     "p4": _Schema(lambda A, B, s, **_: fimp(
-        ProbGeq(ONE, eiff(A, B)), fimp(_eq(s, A), _eq(s, B)))),
+        ProbGeq(ONE, eiff(A, B)), fimp(prob_eq(s, A), prob_eq(s, B)))),
     "p5": _Schema(_p5),
     "p6": _Schema(_p6, _side_p6, _derive_p6),
     "p7": _Schema(lambda A, B, s, **_: fimp(
         ProbGeq(ONE, eimp(A, B)), fimp(ProbGeq(s, A), ProbGeq(s, B)))),
     "pa1": _Schema(lambda A, r, s, **_: fimp(ProbApprox(r, A), ProbGeq(s, A)), _side_pa1),
-    "pa2": _Schema(lambda A, r, s, **_: fimp(ProbApprox(r, A), _leq(s, A)), _side_pa2),
+    "pa2": _Schema(lambda A, r, s, **_: fimp(ProbApprox(r, A), prob_leq(s, A)), _side_pa2),
     "m": _Schema(lambda agent, t, m, n, A, **_: Epistemic(
         eimp(Just(Proto(m, t), agent, A), Just(Proto(n, t), agent, A))), _side_m),
     # q is the error bound 1/n^k, derived from n and k
     "c": _Schema(lambda t, alpha, n, q, **_: fimp(
-        Epistemic(_claim(t, alpha)), ProbGeq(_co(q), _run(n, t, Box("P", alpha)))),
+        Epistemic(_claim(t, alpha)), ProbGeq(thresh_complement(q), _run(n, t, Box("P", alpha)))),
         _side_bound, _derive_q),
     "s": _Schema(lambda t, alpha, n, q, **_: fimp(
-        Epistemic(ENot(_claim(t, alpha))), _leq(q, _run(n, t, Box("P", alpha)))),
+        Epistemic(ENot(_claim(t, alpha))), prob_leq(q, _run(n, t, Box("P", alpha)))),
         _side_bound, _derive_q),
     "cw": _Schema(lambda t, alpha, **_: fimp(
         Epistemic(_claim(t, alpha)), ProbApprox(Fraction(1), _run(OMEGA, t, Box("P", alpha)))),
@@ -485,7 +478,7 @@ _SCHEMAS: dict[str, _Schema] = {
         Epistemic(ENot(_claim(t, alpha))),
         ProbApprox(Fraction(0), _run(OMEGA, t, Box("P", alpha)))), _side_limit),
     "zk1": _Schema(lambda t, alpha, n, q, **_: fimp(
-        Epistemic(_claim(t, alpha)), _leq(q, _run(n, t, _claim(t, alpha)))),
+        Epistemic(_claim(t, alpha)), prob_leq(q, _run(n, t, _claim(t, alpha)))),
         _zk(_side_bound), _derive_q),
     "zk2": _Schema(lambda t, alpha, **_: fimp(
         Epistemic(_claim(t, alpha)), ProbApprox(Fraction(0), _run(OMEGA, t, _claim(t, alpha)))),
@@ -626,9 +619,9 @@ class Report:
 _MAX_TEMPLATE_DEPTH = 4
 
 
-def check_derivation(d: Derivation, symctx: SymCtx = None) -> Report:
+def check_derivation(d: Derivation) -> Report:
     """Validate every line; report VALID or the first offending line."""
-    return _Check(d, symctx, 0, {}).run()
+    return _Check(d, None, 0, {}).run()
 
 
 class _Check:
@@ -789,7 +782,7 @@ def _arch(c: _Check, line: ProofLine, path: str):
         isinstance(rhs, FNot)
         and isinstance(rhs.inner, FAnd)
         and isinstance(rhs.inner.right, ProbGeq)
-        and rhs.inner == _eq(sigma, rhs.inner.right.inner)
+        and rhs.inner == prob_eq(sigma, rhs.inner.right.inner)
     )
     if not ok:
         raise NoMatch("template conclusion must deny Pr= v uniformly")
@@ -834,13 +827,13 @@ def _read_chain(words: list, usage: str) -> tuple:
     chain = []
     for w in words:
         try:
-            toks = syntax.tokenize(w)
+            p = syntax.Parser(w)
+            ok = p.kinds == ["ident", "[", "ident", "]", "eof"] and p.texts[2] in syntax.AGENTS
         except syntax.ParseError:
-            toks = []
-        shape = [t.kind for t in toks]
-        if shape != ["ident", "[", "ident", "]", "eof"] or toks[2].text not in syntax.AGENTS:
+            ok = False
+        if not ok:
             raise ProofParseError(f"bad constant {w!r} (want name[P] or name[V])")
-        chain.append((toks[0].text, toks[2].text))
+        chain.append((p.texts[0], p.texts[2]))
     if not chain:
         raise ProofParseError(usage)
     return tuple(chain)

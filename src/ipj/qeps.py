@@ -243,18 +243,6 @@ class QEps:
     def __rtruediv__(self, other) -> "QEps":
         return _coerce(other) * self.inverse()
 
-    def __pow__(self, n: int) -> "QEps":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- order ----------------------------------------------------------------
 
     def compare(self, other) -> int:

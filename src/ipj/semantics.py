@@ -483,7 +483,7 @@ def check_model_conditions(
     for t in dict.fromkeys(r.inner for r in runs if is_f_free(r.inner)):
         for alpha in spec.formulas():
             fn = spec.threshold(alpha)
-            thresholds = [] if fn is None else [(k, fn.value_at(k)) for k in range(1, kmax + 1)]
+            thresholds = [(k, fn.value_at(k)) for k in range(1, kmax + 1)]
             claim = Just(t, syntax.PROVER, alpha)
             holds = m.eval(q.w0, claim)
             # (body, upper bound?, label, where the omega check reports)

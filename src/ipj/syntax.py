@@ -32,7 +32,7 @@ import itertools
 import operator
 import re
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .qeps import QEps
 
@@ -510,20 +510,14 @@ RESERVED_NAMES = {"box", "f", "P", "V", "v"}
 MAX_POWER = 100
 
 
-class Token(NamedTuple):
-    kind: str  # 'num' | 'ident' | 'const' | 'eof' | exact symbol text
-    text: str
-    line: int
-    col: int
-
-
+_SPACE_RE = re.compile(r"\s*")
 _PAREN_RE = re.compile(r"[()]")
 # what only a formula holds: a formula other than an atom holds one of these,
 # a term, a threshold and a bare atom ``(x)`` none
 _FORMULA_MARK_RE = re.compile(r"[~&|>]|:\[|\bbox\b|\bPr[<>=~]")
 
 
-def _tokenize(text: str, skip: bool) -> tuple[list, list, list, dict]:
+def _tokenize(text: str, skip: bool) -> tuple[list, list, list]:
     """The kinds and the texts of the tokens of ``text`` and of an end token.
 
     A constant is one token: its text is that of the token after ``"c:"``,
@@ -537,10 +531,8 @@ def _tokenize(text: str, skip: bool) -> tuple[list, list, list, dict]:
     that holds such a mark is no term, so where it is followed by ``:[``,
     ``+`` or ``*`` the text is no formula: it fails, as without a memo.
 
-    Also the text of each closed group whose ``"("`` is lexed, in text order,
-    and the offset of each group token's ``"("`` -> the offset after its
-    ``")"``."""
-    texts, keys, groups, pos = [], [], {}, 0
+    Also the text of each closed group whose ``"("`` is lexed, in text order."""
+    texts, keys, pos = [], [], 0
     if skip:
         opens = []  # the offset of each "(", in text order
         close = {}  # the offset of each "(" -> that of its matching ")"
@@ -564,7 +556,7 @@ def _tokenize(text: str, skip: bool) -> tuple[list, list, list, dict]:
             elif _FORMULA_MARK_RE.search(text, at, end):
                 texts += _TOKEN_RE.findall(text, pos, at)
                 texts.append(key)
-                groups[at] = pos = end
+                pos = end
                 continue
             keys.append(key)
     texts += _TOKEN_RE.findall(text, pos)
@@ -576,11 +568,11 @@ def _tokenize(text: str, skip: bool) -> tuple[list, list, list, dict]:
         for j in [j for j, kind in enumerate(kinds) if kind is None]:
             if not texts[j][-1].isdecimal():
                 msg = f"unexpected character {texts[j]!r}"
-                raise ParseError(msg, *_position(text, j, groups))
+                raise ParseError(msg, *_position(text, kinds, texts, j))
             kinds[j] = "num"
     kinds.append("eof")
     texts.append("")
-    return kinds, texts, keys, groups
+    return kinds, texts, keys
 
 
 def _constants(kinds: list, texts: list) -> tuple[list, list]:
@@ -599,39 +591,23 @@ def _constants(kinds: list, texts: list) -> tuple[list, list]:
             return fixed_kinds + kinds[start:], fixed_texts + texts[start:]
 
 
-def _positions(text: str, groups: dict) -> Iterator[tuple[int, int]]:
-    """The line and column (both from 1) of each token of ``text``, the end
-    token's included, as :func:`_tokenize` reads them with ``groups``, the
-    offset of each group token's ``"("`` -> the offset after its ``")"``.
-    Only ``"\\n"`` starts a line."""
-    line, last, prev, pos = 1, -1, 0, 0
-    while True:
-        matches = _TOKEN_RE.finditer(text, pos)
-        for m in matches:
-            at = m.start(1)
-            newlines = text.count("\n", prev, at)  # no token holds one
-            if newlines:
-                line, last = line + newlines, text.rfind("\n", prev, at)
-            prev = at
-            yield line, at - last
-            if at in groups:  # go on after the group
-                pos = groups[at]
-                break
-            if m[1] == "c:":  # a constant is one token, which starts at its "c:"
-                next(matches)
-        else:
-            return
+def token_offsets(text: str, kinds: list, texts: list) -> Iterator[int]:
+    """The offset in ``text`` of each token that :func:`_tokenize` read from
+    it as ``kinds`` and ``texts``, the end token's included: skip the
+    whitespace in front of a token, then step over its text, and over the
+    ``"c:"`` in front of a constant's."""
+    pos = 0
+    for kind, tok in zip(kinds, texts):
+        pos = _SPACE_RE.match(text, pos).end()
+        yield pos
+        pos += len(tok) + 2 if kind == "const" else len(tok)
 
 
-def _position(text: str, n: int, groups: dict) -> tuple[int, int]:
-    """The line and column of the ``n``-th token (from 0) of ``text``."""
-    return next(itertools.islice(_positions(text, groups), n, None))
-
-
-def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text`` and an end token, each with its line and column."""
-    kinds, texts, _, _ = _tokenize(text, False)
-    return [Token(kind, tok, *at) for kind, tok, at in zip(kinds, texts, _positions(text, {}))]
+def _position(text: str, kinds: list, texts: list, n: int) -> tuple[int, int]:
+    """The line and column (both from 1) of token ``n`` (from 0); only
+    ``"\\n"`` starts a line."""
+    at = next(itertools.islice(token_offsets(text, kinds, texts), n, None))
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 # the kinds of token a threshold literal is written with
@@ -649,7 +625,8 @@ class Parser:
     A token is a kind and a text, held in the parallel lists ``kinds`` and
     ``texts``; ``i`` is the index of the next one.  No token carries a
     position: :meth:`error` computes the line and column of the token it
-    names from the text, when it raises.
+    names from the text and the tokens before it (see :func:`token_offsets`),
+    when it raises.
 
     ``memo``, when given, must be empty.  The parser fills it with what it
     read without an error, and what it holds is not read again, so equal
@@ -667,7 +644,7 @@ class Parser:
     """
 
     def __init__(self, text: str, allow_symbolic: bool = True, memo: Optional[dict] = None):
-        self.kinds, self.texts, keys, self.groups = _tokenize(text, memo is not None)
+        self.kinds, self.texts, keys = _tokenize(text, memo is not None)
         self.i = 0
         self.allow_symbolic = allow_symbolic
         self.text = text
@@ -702,7 +679,7 @@ class Parser:
 
     def position(self, j: int) -> tuple[int, int]:
         """The line and column of token ``j``, computed from the text."""
-        return _position(self.text, j, self.groups)
+        return _position(self.text, self.kinds, self.texts, j)
 
     def error(self, msg: str, at: Optional[int] = None):
         """Raise ``msg`` at token ``at``, by default the next one."""

@@ -52,7 +52,6 @@ from ipj.syntax import (
     print_formula,
     print_term,
     thresh_complement,
-    tokenize,
 )
 
 
@@ -210,6 +209,12 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as exc:
         parse_formula("p &")
     assert exc.value.line == 1
+
+
+def tokenize(text):
+    """The tokens of ``text`` and an end token, each a kind, a text, a line and a column."""
+    p = Parser(text)
+    return [(kind, tok, *p.position(j)) for j, (kind, tok) in enumerate(zip(p.kinds, p.texts))]
 
 
 def test_tokenize_lines_and_columns():
@@ -382,6 +387,19 @@ def test_token_positions_with_skipped_groups():
             line, col = p.position(j)
             want = f"c:{tok}" if kind == "const" else tok.split("\n")[0]
             assert lines[line - 1][col - 1:].startswith(want), (text, j)
+
+
+def test_memo_and_plain_reads_name_the_same_error_position():
+    # the "unexpected character" error of a text that a memo lexes with a
+    # group token, a constant or a digit outside ASCII before the bad character
+    for text, where in (
+        ("(p & q) &\n ((p & q)) & (p & q) @ x", "2:22"),
+        ("c:k :[P] (p & q) &\n c:c:x & (p & q) @", "2:18"),
+        ("(p & q) & Pr>= \u0663 ((p & q)) &\n\t(p & q) @", "2:10"),
+    ):
+        for memo in (None, {}):
+            with pytest.raises(ParseError, match=f"^{where}: unexpected character '@'"):
+                Parser(text, memo=memo)
 
 
 def test_literal_limits_are_parse_errors():
