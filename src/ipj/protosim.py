@@ -68,13 +68,13 @@ def build_round_model(cfg: RoundConfig) -> RoundModel:
     identity = [(w, w) for w in worlds]
     # the mass of a world depends only on how many rounds pass in it
     masses = [QEps.from_rational((1 - r) ** k * r ** (n - k)) for k in range(n + 1)]
-    # round i passes in the worlds whose bit i is 1: the round term's
-    # evidence, and the claim where any round passes
-    evidence = {
-        (syntax.VERIFIER, term, CLAIM): [w for w in worlds if w[i] == "1"]
-        for i, term in enumerate(terms, start=1)
-    }
-    valuation = {w: [CLAIM.name] for w in worlds if "1" in w}
+    # round i passes in the worlds whose bit i is 1, the round term's evidence: in product
+    # order, runs of 2^(n-i) worlds that alternate with runs where it fails
+    runs = [[1] * 2 ** (n - i) + [0] * 2 ** (n - i) for i in range(1, n + 1)]
+    evidence = {(syntax.VERIFIER, t, CLAIM): list(itertools.compress(worlds, itertools.cycle(run)))
+                for t, run in zip(terms, runs)}
+    # the claim holds where any round passes: in every world but the last, o0...0
+    valuation = dict.fromkeys(worlds[:-1], [CLAIM.name])
     measure = {w: masses[w.count("1")] for w in worlds}
     base = EpistemicModel(
         worlds,

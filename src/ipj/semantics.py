@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
@@ -163,13 +164,17 @@ class EpistemicModel:
             if key[0] not in AGENTS:
                 raise ModelError(f"evidence mentions unknown agent {key[0]!r}")
             self._base[key] = _indices_mask(found, n)
-        # per agent, each world's successors by index
+        # per agent, each world's successors by index, shared with the agent before if equal
         self._succ: dict[str, list[list[int]]] = {}
+        last_edges = last_succ = None
         for a in AGENTS:
+            if (pairs := list(rel.get(a, ()))) == last_edges:
+                self._succ[a] = last_succ
+                continue
             edges = set()  # i * n + j for the edge from world i to world j
             succ = self._succ[a] = [[] for _ in range(n)]
             outside = []
-            for w, u in rel.get(a, ()):
+            for w, u in pairs:
                 i, j = index(w), index(u)
                 if i is None or j is None:
                     outside.append((w, u))
@@ -179,9 +184,9 @@ class EpistemicModel:
             if outside:
                 raise ModelError("R[{}] edge {!r} -> {!r} leaves the model".format(
                     a, *min(outside)))
-            for i, w in enumerate(names):
-                if i * n + i not in edges:
-                    raise ModelError(f"R[{a}] is not reflexive at {w!r}")
+            if not edges.issuperset(range(0, n * n, n + 1)):  # each i * n + i
+                w = next(w for i, w in enumerate(names) if i * n + i not in edges)
+                raise ModelError(f"R[{a}] is not reflexive at {w!r}")
             broken = [
                 (names[i], names[j], names[k])
                 for i, out in enumerate(succ) for j in out for k in succ[j]
@@ -190,6 +195,7 @@ class EpistemicModel:
             if broken:
                 raise ModelError("R[{}] is not transitive: {!r} -> {!r} -> {!r}".format(
                     a, *min(broken)))
+            last_edges, last_succ = pairs, succ
 
         pool = set()
         for alpha in {alpha for _, _, alpha in self._base}:
@@ -341,14 +347,15 @@ class Quasimodel:
         self.measure: dict[str, QEps] = dict(measure)
         self.w0 = w0
         masses = [self.measure.get(w, ZERO) for w in base.worlds]
-        # per power of e, the polynomial masses' coefficients as integer
-        # numerators over one denominator, by world
-        polys = [m.num if len(m.den) == 1 else () for m in masses]
+        # per power of e, the polynomial masses' coefficients as integer numerators
+        # over one denominator, by world; each mass object is read once
+        polys = {id(m): m.num for m in {id(m): m for m in masses}.values() if len(m.den) == 1}
         self._coefficients: list[tuple[int, list[int]]] = []
-        for power in range(max(map(len, polys))):
-            cs = [p[power] if power < len(p) else Fraction(0) for p in polys]
-            den = math.lcm(*(c.denominator for c in cs))
-            self._coefficients.append((den, [c.numerator * (den // c.denominator) for c in cs]))
+        for power in range(max(map(len, polys.values()), default=0)):
+            cs = {key: p[power] for key, p in polys.items() if power < len(p)}
+            den = math.lcm(*(c.denominator for c in cs.values()))
+            nums = {key: c.numerator * (den // c.denominator) for key, c in cs.items()}
+            self._coefficients.append((den, [nums.get(id(m), 0) for m in masses]))
         # the numerators of the rational-function masses by world index, in
         # one group per shared denominator
         groups: dict[tuple, list] = {}
@@ -359,15 +366,18 @@ class Quasimodel:
         self._measures: dict[int, QEps] = {}
         found = [base._index.get(w) for w in self.sample]
         if None in found:
-            raise ModelError("sample worlds must be model worlds")
+            raise ModelError(f"sample world {self.sample[found.index(None)]!r} is not a model world")
         self.sample_mask: int = _indices_mask(found, len(base.worlds))
         self.validate()
 
     def validate(self):
         if self.w0 not in self.sample:
             raise ModelError("the distinguished world must belong to the sample")
-        if set(self.measure) != set(self.sample):
-            raise ModelError("the measure must assign a mass to each sample world")
+        if self.measure.keys() != (sample := set(self.sample)):  # the first by U, else by mu
+            missing = [u for u in self.sample if u not in self.measure]
+            extra = [w for w in self.measure if w not in sample]
+            raise ModelError(f"sample world {missing[0]!r} has no mass" if missing
+                             else f"world {extra[0]!r} has a mass but is not in the sample")
         # each mass object once: a model file's equal masses share one object.
         # Masses >= 0 that sum to exactly 1 are each <= 1, since Q[e] is an
         # ordered field; only a failure scans for the first bad sample world.
@@ -570,12 +580,16 @@ def _check_bounds(
 #   w0: w
 
 _SECTIONS = frozenset(("worlds", "R[P]", "R[V]", "val", "evidence", "U", "mu", "w0"))
-_HEADS = frozenset(name[0] for name in _SECTIONS)  # the first character of a header
+_HEADS = re.compile("[%s]" % "".join({name[0] for name in _SECTIONS}))  # a header's first character
 
 
 def parse_model_file(text: str) -> Quasimodel:
-    # One pass, each line read by its section's branch.  Bad lines are kept, and the first
-    # raised after the loop in stage order: missing sections, R[P], R[V], val, evidence, mu.
+    # At each header, the section before it is read by its own loop.  Bad lines are kept,
+    # and the first raised in stage order: missing sections, R[P], R[V], val, evidence, mu.
+    # A line is known by its index j in syntax.lines(text), its number found for an error.
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    lines = [line for line in lines if line[0] != "#"] if "#" in text else lines
+    number = lambda j: next(itertools.islice(syntax.lines(text), j, None))[0]  # noqa: E731
     words: dict[str, list[str]] = {}  # per section met; the words of U and w0
     declared: dict[str, None] = {}  # the worlds named so far, in order
     rel: dict[str, list[tuple[str, str]]] = {syntax.PROVER: [], syntax.VERIFIER: []}
@@ -583,110 +597,116 @@ def parse_model_file(text: str) -> Quasimodel:
     valuation: dict[str, list[str]] = {}
     late = []  # (line, world) of each val line whose world is not declared before it
     # an evidence line is a world and a text that many lines repeat; each text is split once
-    tails: dict[str, tuple] = {}  # text -> (line, agent, term, eform, worlds)
-    masses = []  # (line, world, mass), or (line, None, error text) for a bad line
-    current: Optional[str] = None
-    for lineno, line in syntax.lines(text):
-        # a section header is a section name, maybe spaces, a colon and maybe
-        # the first content; inside val, "w0 : p" for a world named w0 is a
-        # valuation line
-        if line[0] in _HEADS and ":" in line:
-            name = line.partition(":")[0].rstrip()
-            if name in _SECTIONS and not (current == "val" and line.split()[0] in declared):
-                current = name
-                words.setdefault(name, [])
-                line = line.partition(":")[2].strip()
-                if not line:
+    tails: dict[str, list[str]] = {}  # text -> the worlds of its lines
+    entries = []  # per text, in order: (line, agent, term, eform, worlds)
+    masses = []  # (line, world, "=", mass), or (line, text, "", "") for a bad line
+    current, start = None, 0  # the section read, and the index of its first line
+    firsts = "".join([line[0] for line in lines])
+    for k in [*(m.start() for m in _HEADS.finditer(firsts)), len(lines)]:
+        # a header is a section name, maybe spaces, a colon and maybe the first content;
+        # inside val, "w0 : p" for a world named w0 is a valuation line
+        if k < len(lines):
+            name, colon, first = lines[k].partition(":")
+            if not colon or (name := name.rstrip()) not in _SECTIONS or (
+                    current == "val" and lines[k].split()[0] in declared):
+                continue
+        body = lines[start:k]
+        if current is None and body:
+            raise ModelError(f"line {number(start)}: content before any section header")
+        elif current == "evidence":
+            for j, line in enumerate(body, start):
+                # w [A] term : eform; the tail of a one-word line has no space, so is no key
+                parts = line.split(None, 1)
+                if (held := tails.get(tail := parts[-1])) is not None:
+                    held.append(parts[0])
                     continue
-        if current == "evidence":
-            # w [A] term : eform; the tail of a one-word line has no space, so is no key
-            parts = line.split(None, 1)
-            entry = tails.get(tail := parts[-1])
-            if entry is None:
+                tails[tail] = held = [parts[0]]
                 # the term ends at the first colon with a space on each side
-                rest = tail[3:].lstrip()
-                at = rest.find(":", 1)
+                at = (rest := tail[3:].lstrip()).find(":", 1)
                 while at > 0 and not (rest[at - 1].isspace() and rest[at + 1 : at + 2].isspace()):
                     at = rest.find(":", at + 1)
                 if tail[:3] not in ("[P]", "[V]") or not tail[3:4].isspace():
-                    entry = (lineno, None, f"bad evidence line: {line!r}", None, [])
+                    entries.append((j, None, f"bad evidence line: {line!r}", None, held))
                 elif at < 0:
-                    entry = (lineno, None, f"bad evidence line (need 'term : eform'): {line!r}", None, [])
+                    entries.append((j, None, f"bad evidence line (need 'term : eform'): {line!r}",
+                                    None, held))
                 else:
-                    entry = (lineno, tail[1], rest[:at].rstrip(), rest[at + 1 :].lstrip(), [])
-                tails[tail] = entry
-            entry[4].append(parts[0])
-        elif current == "R[P]" or current == "R[V]":
-            # w -> u: its words, else one word on each side of the last "->" that has that
-            ends, at = line.split(), len(line)
-            while not (len(ends) == 3 and ends[1] == "->") and (at := line.rfind("->", 0, at)) > 0:
-                w, u = line[:at].split(), line[at + 2 :].split()
-                ends = [*w, "->", *u] if len(w) == 1 == len(u) else ()
-            if len(ends) == 3 and ends[1] == "->":
-                rel[current[2]].append((ends[0], ends[2]))
-            else:
-                bad.append((current, lineno, f"bad edge line in {current}: {line!r}"))
+                    entries.append((j, tail[1], rest[:at].rstrip(), rest[at + 1 :].lstrip(), held))
+        elif current in ("R[P]", "R[V]"):
+            for j, line in enumerate(body, start):
+                # w -> u: its words, else one word on each side of the last "->" that has that
+                ends, at = line.split(), len(line)
+                while len(ends) != 3 or ends[1] != "->":
+                    if (at := line.rfind("->", 0, at)) <= 0:
+                        bad.append((current, j, f"bad edge line in {current}: {line!r}"))
+                        break
+                    w, u = line[:at].split(), line[at + 2 :].split()
+                    ends = [*w, "->", *u] if len(w) == 1 == len(u) else ()
+                else:
+                    rel[current[2]].append((ends[0], ends[2]))
         elif current == "val":
-            # w : atoms, split at the first colon with a space in front
-            at = line.find(":")
-            while at >= 0 and not line[at - 1 : at].isspace():
-                at = line.find(":", at + 1)
-            if at < 0:
-                bad.append(("val", lineno, f"bad valuation line: {line!r}"))
-                continue
-            w = line[:at].rstrip()
-            if w not in declared:
-                late.append((lineno, w))
-            valuation.setdefault(w, []).extend(line[at + 1 :].split())
+            for j, line in enumerate(body, start):
+                # w : atoms, split at the first colon with a space in front
+                w, colon, atoms = line.partition(":")
+                while colon and not w[-1:].isspace():  # no space in front: the next colon
+                    more, colon, atoms = atoms.partition(":")
+                    w = f"{w}:{more}"
+                if not colon:
+                    bad.append(("val", j, f"bad valuation line: {line!r}"))
+                    continue
+                if (w := w.rstrip()) not in declared:
+                    late.append((j, w))
+                valuation.setdefault(w, []).extend(atoms.split())
         elif current == "mu":
-            w, equals, mass = line.partition("=")
-            masses.append((lineno, w.strip(), mass.strip()) if equals
-                          else (lineno, None, f"bad mass line: {line!r}"))
-        elif current is None:
-            raise ModelError(f"line {lineno}: content before any section header")
+            masses += [(j, *line.partition("=")) for j, line in enumerate(body, start)]
         elif current == "worlds":
-            declared.update(dict.fromkeys(line.split()))
-        else:  # U and w0
-            words[current] += line.split()
+            declared.update(dict.fromkeys(" ".join(body).split()))
+        elif current:  # U and w0
+            words[current] += " ".join(body).split()
+        if k < len(lines):
+            words.setdefault(name, [])
+            lines[k] = first.strip()  # the header's own content is its section's first line
+            current, start = name, k if lines[k] else k + 1
 
     for needed in ("worlds", "U", "mu", "w0"):
         if needed not in words:
             raise ModelError(f"missing section {needed!r}")
     # a val line may name a world that a later line declares
-    bad += [("val", n, f"valuation mentions unknown world {w!r}") for n, w in late
+    bad += [("val", j, f"valuation mentions unknown world {w!r}") for j, w in late
             if w not in declared]
     if bad:
-        raise ModelError("line {1}: {2}".format(*min(bad)))
+        _, j, message = min(bad)
+        raise ModelError(f"line {number(j)}: {message}")
 
     # Each distinct term, formula and mass text is read once: each kind through one
     # parser (syntax.parse_each), and a text that parser did not read alone, so that
     # every error is that of a plain read.
     values = {parse: syntax.parse_each(texts, read_one) for parse, texts, read_one in (
-        (syntax.parse_term, [e[2] for e in tails.values() if e[1]], syntax.Parser.term),
-        (syntax.parse_eformula, [e[3] for e in tails.values() if e[1]],
+        (syntax.parse_term, [e[2] for e in entries if e[1]], syntax.Parser.term),
+        (syntax.parse_eformula, [e[3] for e in entries if e[1]],
          lambda p: syntax.as_efml(p.formula())),
-        (parse_qeps, [mass for _, w, mass in masses if w is not None], syntax.Parser.literal),
+        (parse_qeps, [m.strip() for _, _, equals, m in masses if equals], syntax.Parser.literal),
     )}
     read = lambda parse, text: values[parse].get(text) or parse(text)  # noqa: E731
     evidence: dict[tuple, list[str]] = {}  # the base's world lists
-    for lineno, a, term, eform, held in tails.values():
+    for lineno, a, term, eform, held in entries:
         if a is None:
-            raise ModelError(f"line {lineno}: {term}")
+            raise ModelError(f"line {number(lineno)}: {term}")
         try:
             t, alpha = read(syntax.parse_term, term), read(syntax.parse_eformula, eform)
         except syntax.ParseError as exc:
-            raise ModelError(f"line {lineno}: bad evidence line: {exc}") from exc
+            raise ModelError(f"line {number(lineno)}: bad evidence line: {exc}") from exc
         evidence.setdefault((a, t, alpha), []).extend(held)
-    measure = {}
-    for lineno, w, mass in masses:
-        if w is None:
-            raise ModelError(f"line {lineno}: {mass}")
-        if w in measure:
-            raise ModelError(f"line {lineno}: second mass line for world {w!r}")
+    measure, read_masses = {}, values[parse_qeps]
+    for lineno, w, equals, mass in masses:
+        if not equals:
+            raise ModelError(f"line {number(lineno)}: bad mass line: {w!r}")
+        if (w := w.strip()) in measure:
+            raise ModelError(f"line {number(lineno)}: second mass line for world {w!r}")
         try:
-            measure[w] = read(parse_qeps, mass)
+            measure[w] = read_masses.get(mass := mass.strip()) or parse_qeps(mass)
         except QEpsParseError as exc:
-            raise ModelError(f"line {lineno}: bad mass line: {exc}") from exc
+            raise ModelError(f"line {number(lineno)}: bad mass line: {exc}") from exc
 
     base = EpistemicModel(declared, rel, valuation, evidence)
     return Quasimodel(base, words["U"], measure, " ".join(words["w0"]))
@@ -698,44 +718,39 @@ def load_model_file(path: str) -> Quasimodel:
 
 
 def write_model_file(q: Quasimodel) -> str:
-    """The model file of ``q``; evidence lines are sorted by world, agent,
-    printed term and printed formula."""
+    """The model file of ``q``, each section joined whole; edges are sorted by
+    world, and evidence lines by world, agent, printed term and printed formula."""
     m = q.base
     names, n = m.worlds, len(m.worlds)
-    out = [f"worlds: {' '.join(names)}"]
-    for a, sec in ((syntax.PROVER, "R[P]"), (syntax.VERIFIER, "R[V]")):
-        out.append(f"{sec}:")
-        edges = sorted((names[i], names[j]) for i, succ in enumerate(m._succ[a]) for j in succ)
-        out.extend(f"{w} -> {u}" for w, u in edges)
-    out.append("val:")
+    order = sorted(range(n), key=names.__getitem__)  # the worlds by name
+    sections = [f"worlds: {' '.join(names)}"]
+    shared = {id(succ): succ for succ in m._succ.values()}  # agents may share successor lists
+    edges = {key: "".join([
+        f"\n{names[i]} -> {names[j]}" for i in order
+        for j in (sorted(succ[i], key=names.__getitem__) if len(succ[i]) > 1 else succ[i])])
+        for key, succ in shared.items()}
+    sections += [f"R[{a}]:{edges[id(m._succ[a])]}" for a in AGENTS]
     held: list[list[str]] = [[] for _ in range(n)]  # each world's atoms, sorted
     for name in sorted(m._atom_masks):
         for i in itertools.compress(range(n), _bits(m._atom_masks[name], n)):
             held[i].append(name)
-    out.extend(f"{w} : {' '.join(atoms)}" for w, atoms in zip(names, held) if atoms)
-    out.append("evidence:")
-    # each entry printed once; taking the entries in sorted order leaves each
-    # world's lines sorted
+    sections.append("val:" + "".join(
+        [f"\n{w} : {' '.join(atoms)}" for w, atoms in zip(names, held) if atoms]))
+    # each entry printed once; a world's lines are those of the entries that hold
+    # there, in sorted order: a column of the entries' byte views
     entries = sorted(
         ((a, syntax.print_term(t), syntax.print_eformula(alpha), mask)
          for (a, t, alpha), mask in m._base.items()),
         key=lambda entry: entry[:3],
     )
-    lines: dict[str, list[str]] = {}
-    for a, term_text, eform_text, mask in entries:
-        tail = f"[{a}] {term_text} : {eform_text}"
-        for i in itertools.compress(range(n), _bits(mask, n)):
-            lines.setdefault(names[i], []).append(tail)
-    for w in sorted(lines):
-        out.extend(f"{w} {tail}" for tail in lines[w])
-    out.append(f"U: {' '.join(q.sample)}")
-    out.append("mu:")
-    texts: dict[int, str] = {}  # equal masses often share one object: print it once
-    for u in q.sample:
-        mass = q.measure[u]
-        text = texts.get(id(mass))
-        if text is None:
-            text = texts[id(mass)] = str(mass)
-        out.append(f"{u} = {text}")
-    out.append(f"w0: {q.w0}")
-    return "\n".join(out) + "\n"
+    tails = [f"[{a}] {term_text} : {eform_text}" for a, term_text, eform_text, _ in entries]
+    columns = list(zip(*(_bits(mask, n) for *_, mask in entries))) or [()] * n
+    sections.append("evidence:" + "".join([
+        f"\n{names[i]} " + f"\n{names[i]} ".join(lines) for i in order
+        if (lines := list(itertools.compress(tails, columns[i])))]))
+    sections.append(f"U: {' '.join(q.sample)}")
+    # equal masses often share one object: print it once
+    texts = {key: str(mass) for key, mass in {id(m): m for m in q.measure.values()}.items()}
+    sections.append("mu:" + "".join([f"\n{u} = {texts[id(q.measure[u])]}" for u in q.sample]))
+    sections.append(f"w0: {q.w0}")
+    return "\n".join(sections) + "\n"

@@ -1,7 +1,9 @@
 """Models, evidence closure, measures, and the model conditions."""
 
+import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -781,6 +783,24 @@ def test_round_model_base_has_one_entry_per_round():
         assert base[("V", t, m.claim)] == {w for w in m.quasimodel.base.worlds if w[i] == "1"}
 
 
+def test_written_model_files_are_pinned():
+    # the bytes that `simulate --emit` writes for 10-round models (errors 1/7 to 6/7,
+    # honest and dishonest) and for the eight witness models of the benchmark's shape
+    h = hashlib.sha256()
+    for a in range(1, 7):
+        for honest in (True, False):
+            qm = build_round_model(RoundConfig(10, Fraction(a, 7), honest=honest)).quasimodel
+            h.update(write_model_file(qm).encode())
+    spec = load_spec("p : const 2\n")
+    for k in (1, 2):
+        for honest in (True, False):
+            for zk in (False, True):
+                qm = build_interaction_witness(spec, Atom("p"), Var("t"), k=k, n_max=16,
+                                               honest=honest, zk=zk)
+                h.update(write_model_file(qm).encode())
+    assert h.hexdigest() == "8d3038caaf558195e99eb34c63a7a94691194779c68976d2729deba12d752eaf"
+
+
 def test_model_file_lines_do_not_depend_on_hashing():
     # one world holds t for five formulas: the lines are sorted by formula too
     code = (
@@ -877,6 +897,22 @@ def test_model_file_mass_errors(masses, error):
     with pytest.raises(ModelError) as exc:
         parse_model_file(text)
     assert str(exc.value) == error
+
+
+@pytest.mark.parametrize("sample, masses, error", [
+    ("u1", "u1 = 1\nu2 = 0", "world 'u2' has a mass but is not in the sample"),
+    ("u1", "u2 = 0\nu1 = 1", "world 'u2' has a mass but is not in the sample"),
+    ("u1 u2", "u1 = 1", "sample world 'u2' has no mass"),
+    ("u2 u1", "u1 = 1", "sample world 'u2' has no mass"),
+    ("u1 u2", "u1 = 1\nzz = 0", "sample world 'u2' has no mass"),  # a missing mass comes first
+    ("u1 zz u2", "u1 = 1/2\nu2 = 1/2", "sample world 'zz' is not a model world"),
+    ("u1 u2 zz yy", "u1 = 1/2\nu2 = 1/2", "sample world 'zz' is not a model world"),
+])
+def test_sample_errors_name_a_world(sample, masses, error):
+    # the first such world in the order of U (a missing or foreign sample world)
+    # or of mu (a mass outside the sample), so the error does not depend on hashing
+    text = replaced(MODEL_TEXT, ("U: u1 u2", f"U: {sample}"), ("u1 = 1/2\nu2 = 1/2", masses))
+    assert read_error(text) == error
 
 
 # -- line shapes ---------------------------------------------------------------------
@@ -1182,3 +1218,102 @@ def test_shared_read_changes_nothing(monkeypatch):
     alone = [read_outcome(text) for text in texts]
     assert shared == alone
     assert sum(out[0].startswith("worlds:") for out in alone) > 200
+
+
+_HEADER_RE = re.compile(r"\s*(worlds|R\[P\]|R\[V\]|val|evidence|U|mu|w0)\s*:")
+_LAYOUT = {
+    "header": [" :", "\t:", " : ", ":\t", "", "::", ": x", ":\r"],
+    "name": ["World", "R[p]", "R [P]", "r[V]", "Val", "evidences", "u", "MU", "w 0", "#mu", "\tmu"],
+    "comment": ["# c", "  # indented", "#", "\t#x : y", "# worlds: z", "#mu:"],
+    "blank": ["", " ", "\t", "  \t ", "\r", "\x0c", "\xa0"],
+    "break": ["\r", "\x0b", "\x1c", "\u2028", "\x85", "\r\n", "\n"],
+    "space": ["\t", "  ", "\xa0", "\u3000", " \t"],
+    "world": ["w0", "U", "mu", "val", "worlds", "R[P]", "evidence"],
+}
+
+
+def reshaped(rng, text):
+    """``text`` with its layout edited: maybe a whole section swapped, repeated,
+    moved, dropped or split from its header, then one to three edits of header
+    lines, comments, blank lines, spaces, tabs and line breaks, and now and then
+    an edit of ``mutated`` on top."""
+    lines = text.split("\n")
+    starts = [i for i, line in enumerate(lines) if _HEADER_RE.match(line)]
+    sections = [lines[a:b] for a, b in zip(starts, starts[1:] + [len(lines)])]
+    op, i, j = rng.randrange(8), rng.randrange(len(sections)), rng.randrange(len(sections))
+    if op == 0:
+        sections[i], sections[j] = sections[j], sections[i]
+    elif op == 1:
+        sections.insert(j, list(sections[i]))
+    elif op == 2:
+        sections.insert(j, sections.pop(i))
+    elif op == 3:
+        del sections[i]
+    elif op == 4:  # "worlds: a b" -> "worlds:" and "a b", or "R[P]:" and "a -> a" -> "R[P]: a -> a"
+        head, _, rest = sections[i][0].partition(":")
+        sections[i][:1] = [f"{head}:", rest] if rest.strip() else [" ".join(sections[i][:2])]
+    elif op == 5:
+        sections.insert(j, [sections[i][0].partition(":")[0] + ":"])
+    lines = [line for section in sections for line in section]
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(lines))
+        line, at, op = lines[k], rng.randint(0, len(lines[k])), rng.randrange(7)
+        if op == 0:
+            heads = [n for n, line in enumerate(lines) if _HEADER_RE.match(line)] or [k]
+            k = rng.choice(heads)
+            head, _, rest = lines[k].partition(":")
+            if rng.random() < 0.5:
+                lines[k] = head + rng.choice(_LAYOUT["header"]) + rest
+            else:
+                lines[k] = rng.choice(_LAYOUT["name"]) + ":" + rest
+        elif op == 1:
+            if rng.random() < 0.7:
+                lines.insert(k, rng.choice(_LAYOUT["comment"]))
+            else:
+                lines[k] = line + " " + rng.choice(_LAYOUT["comment"])
+        elif op == 2:
+            lines.insert(k, rng.choice(_LAYOUT["blank"]))
+        elif op == 3:
+            at = line.find(" ", at) if " " in line[at:] else line.find(" ")
+            if at >= 0:
+                lines[k] = line[:at] + rng.choice(_LAYOUT["space"]) + line[at + 1 :]
+            else:
+                lines[k] = rng.choice(_LAYOUT["space"]) + line
+        elif op == 4:
+            lines[k] = line[:at] + rng.choice(_LAYOUT["break"]) + line[at:]
+        elif op == 5:
+            lines = [line + "\r" for line in lines] if rng.random() < 0.3 else lines
+            lines[k] = line.rstrip() + rng.choice(("\r", " \t", "\t\r"))
+        else:
+            words = line.split(" ", 1)
+            lines[k] = " ".join([rng.choice(_LAYOUT["world"]), *words[1:]])
+    text = "\n".join(lines)
+    return mutated(rng, text) if rng.random() < 0.3 else text
+
+
+def test_read_outcomes_are_pinned():
+    # What the reader gives for 3,200 edited model files: the model in full, or the
+    # type and text of its error.  The digest was computed with the reader that read
+    # a file a line at a time, once the sample errors named their world.
+    spec = load_spec("p & q : poly 1 1\n")
+    bases = [
+        write_model_file(build_interaction_witness(
+            spec, parse_eformula("p & q"), parse_term("t + c:a"), k=2, n_max=8, zk=zk))
+        for zk in (False, True)
+    ] + [
+        write_model_file(fraction_form_model()),
+        write_model_file(build_round_model(RoundConfig(4, Fraction(2, 7))).quasimodel),
+        write_model_file(build_round_model(RoundConfig(4, Fraction(3, 7), honest=False))
+                         .quasimodel),
+        SHAPES_MODEL,
+        MANY_TEXTS,
+    ]
+    rng = random.Random(30)
+    bases += [write_model_file(generators.rand_model(rng)) for _ in range(5)]
+    h, read = hashlib.sha256(), 0
+    for k in range(3200):
+        outcome = read_outcome(reshaped(rng, bases[k % len(bases)]))
+        read += outcome[0].startswith("worlds:")
+        h.update(repr(outcome).encode() + b"\n")
+    assert read > 500
+    assert h.hexdigest() == "fa5efdd6e6b63b5f5d0dada279a12ee21e24a45a208aa59b54c2da212b410c33"
