@@ -49,28 +49,17 @@ def _pmul(a, b):
     return _trim(out)
 
 
-def _pscale(a, c: Fraction):
-    if c == 0:
-        return ()
-    return tuple(x * c for x in a)
-
-
 def _pdivmod(a, b):
-    # b must be nonzero
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(a) >= len(b) and any(c != 0 for c in a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
+    # b must be nonzero and trimmed; each step clears the lead of a exactly
+    a = list(_trim(a))
+    q = [_FRACTION_ZERO] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
         k = len(a) - len(b)
-        c = a[-1] / lead
-        q[k] = c
+        q[k] = c = a[-1] / b[-1]
         for i, cb in enumerate(b):
             a[k + i] -= c * cb
-    return _trim(q), _trim(a)
+        a = list(_trim(a))
+    return _trim(q), tuple(a)
 
 
 # the denominator of every polynomial value, shared so that the fast paths
@@ -92,10 +81,18 @@ def _pgcd(a, b):
 
 
 def _fraction(c) -> Fraction:
-    """A coefficient as a ``Fraction``: no value is ever read from a float."""
+    """A coefficient as a ``Fraction``, one of class ``Fraction`` kept as it is; never a float."""
+    if type(c) is Fraction:
+        return c
     if isinstance(c, (int, Fraction)):
         return Fraction(c)
     raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+
+
+def _add_monomial(coeffs: list, c: Fraction, power: int) -> None:
+    """Add ``c e^power`` to the dense coefficient list ``coeffs``."""
+    coeffs += [_FRACTION_ZERO] * (power + 1 - len(coeffs))
+    coeffs[power] = coeffs[power] + c if coeffs[power] else c
 
 
 def _order(p) -> int:
@@ -135,8 +132,7 @@ class QEps:
                     d, _ = _pdivmod(d, g)
             c = d[_order(d)]
             if c != 1:
-                n = _pscale(n, 1 / c)
-                d = _pscale(d, 1 / c)
+                n, d = tuple(x / c for x in n), tuple(x / c for x in d)
             if len(d) == 1:
                 d = _DEN1
         object.__setattr__(self, "num", n)
@@ -164,13 +160,12 @@ class QEps:
         """Build from ``(coefficient, power)`` pairs for numerator/denominator."""
 
         def poly(monos):
-            coeffs: dict[int, Fraction] = {}  # one Fraction per power
+            coeffs: list[Fraction] = []  # index = power of e
             for c, p in monos:
                 if p < 0:
                     raise ValueError("negative powers of e are not accepted")
-                c = _fraction(c)
-                coeffs[p] = coeffs[p] + c if p in coeffs else c
-            return [coeffs.get(p, _FRACTION_ZERO) for p in range(max(coeffs, default=-1) + 1)]
+                _add_monomial(coeffs, _fraction(c), p)
+            return coeffs
 
         if den is None:  # a polynomial: already canonical once trimmed
             return _canonical(_trim(poly(num)), _DEN1)
@@ -278,8 +273,8 @@ class QEps:
         other = _coerce(other)
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    def __hash__(self):  # a rational value hashes like the Fraction it equals
+        return hash(self.as_rational() if self.is_rational else (self.num, self.den))
 
     def __lt__(self, other):
         return self.compare(other) < 0

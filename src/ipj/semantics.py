@@ -347,9 +347,11 @@ class Quasimodel:
         self.measure: dict[str, QEps] = dict(measure)
         self.w0 = w0
         masses = [self.measure.get(w, ZERO) for w in base.worlds]
+        # each mass object is read once: a model file's equal masses share one object
+        distinct = {id(m): m for m in masses}
         # per power of e, the polynomial masses' coefficients as integer numerators
-        # over one denominator, by world; each mass object is read once
-        polys = {id(m): m.num for m in {id(m): m for m in masses}.values() if len(m.den) == 1}
+        # over one denominator, by world
+        polys = {key: m.num for key, m in distinct.items() if len(m.den) == 1}
         self._coefficients: list[tuple[int, list[int]]] = []
         for power in range(max(map(len, polys.values()), default=0)):
             cs = {key: p[power] for key, p in polys.items() if power < len(p)}
@@ -359,18 +361,19 @@ class Quasimodel:
         # the numerators of the rational-function masses by world index, in
         # one group per shared denominator
         groups: dict[tuple, list] = {}
-        for i, m in enumerate(masses):
-            if len(m.den) > 1:
-                groups.setdefault(m.den, []).append((i, m.num))
+        if len(polys) < len(distinct):  # some mass is a rational function
+            for i, m in enumerate(masses):
+                if len(m.den) > 1:
+                    groups.setdefault(m.den, []).append((i, m.num))
         self._fraction_groups = list(groups.items())
         self._measures: dict[int, QEps] = {}
         found = [base._index.get(w) for w in self.sample]
         if None in found:
             raise ModelError(f"sample world {self.sample[found.index(None)]!r} is not a model world")
         self.sample_mask: int = _indices_mask(found, len(base.worlds))
-        self.validate()
+        self.validate(distinct.values())
 
-    def validate(self):
+    def validate(self, distinct: Iterable[QEps]):  # each mass object of the model once
         if self.w0 not in self.sample:
             raise ModelError("the distinguished world must belong to the sample")
         if self.measure.keys() != (sample := set(self.sample)):  # the first by U, else by mu
@@ -378,10 +381,8 @@ class Quasimodel:
             extra = [w for w in self.measure if w not in sample]
             raise ModelError(f"sample world {missing[0]!r} has no mass" if missing
                              else f"world {extra[0]!r} has a mass but is not in the sample")
-        # each mass object once: a model file's equal masses share one object.
         # Masses >= 0 that sum to exactly 1 are each <= 1, since Q[e] is an
         # ordered field; only a failure scans for the first bad sample world.
-        distinct = {id(m): m for m in self.measure.values()}.values()
         total = self.measure_mask(self.sample_mask)
         if all(m.sign() >= 0 for m in distinct) and total == ONE:
             return

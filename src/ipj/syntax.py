@@ -34,7 +34,7 @@ import re
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from .qeps import QEps
+from .qeps import _DEN1, _FRACTION_ZERO, QEps, _add_monomial, _canonical, _trim
 
 # ---------------------------------------------------------------------------
 # complexities and agents
@@ -644,12 +644,17 @@ class Parser:
     """
 
     def __init__(self, text: str, allow_symbolic: bool = True, memo: Optional[dict] = None):
-        self.kinds, self.texts, keys = _tokenize(text, memo is not None)
+        self.kinds, self.texts, self.group_texts = _tokenize(text, memo is not None)
         self.i = 0
         self.allow_symbolic = allow_symbolic
         self.text = text
         self.memo = memo
-        # the index of each "(" token's matching ")"
+        self.close = None  # the paren map, built only for a formula read (pair_parens)
+        if memo is not None:
+            self.pair_parens()
+
+    def pair_parens(self):
+        """Set ``close``, the index of each "(" token's matching ")", and with a memo ``keys``."""
         self.close = close = {}
         opened = []
         for j, kind in enumerate(self.kinds):
@@ -657,10 +662,8 @@ class Parser:
                 opened.append(j)
             elif kind == ")" and opened:
                 close[opened.pop()] = j
-        if memo is not None:
-            # the text of the group at each closed "(" token: each paren of the
-            # text outside the group tokens is one token, so the two agree
-            self.keys = dict(zip(sorted(close), keys))
+        if self.memo is not None:  # each group's text, in the order of its "(" token
+            self.keys = dict(zip(sorted(close), self.group_texts))
 
     # -- token plumbing ------------------------------------------------------
 
@@ -819,6 +822,8 @@ class Parser:
             # a parenthesized formula, or a parenthesized term in front of a
             # justification separator; a term reading can end at ":[" only if
             # the token after the matching ")" goes on with a term or is ":["
+            if self.close is None:
+                self.pair_parens()
             close = self.close.get(i)
             if close is not None and self.kinds[close + 1] in (":[", "+", "*"):
                 try:
@@ -950,24 +955,23 @@ class Parser:
             if sym or den_sym:
                 self.error("parametric threshold cannot use the fraction form", j)
             try:
-                return QEps.from_monomials(num, den)
+                return QEps(num, den)
             except ZeroDivisionError as exc:
                 raise ParseError(str(exc), *self.position(j)) from None
-        monos, sym = self.poly()
-        if sym is None:
-            return QEps.from_monomials(monos)
-        if not self.allow_symbolic:
-            self.error("the parameter v occurs only in proof templates", j)
-        if any(p != 0 for _, p in monos):
-            self.error("cannot mix e and the parameter v in one threshold", j)
-        base = sum((c for c, _ in monos), Fraction(0))
-        # with a zero coefficient the value is the rational base: one spelling per value
-        return SymThresh(base, sym[0], sym[1]) if sym[0] else QEps.from_rational(base)
+        coeffs, sym = self.poly()
+        if sym is not None:
+            if not self.allow_symbolic:
+                self.error("the parameter v occurs only in proof templates", j)
+            if len(coeffs) > 1:  # "0 e" writes e too
+                self.error("cannot mix e and the parameter v in one threshold", j)
+            if sym[0]:  # with a zero coefficient the value is the rational base: one spelling
+                return SymThresh(coeffs[0] if coeffs else _FRACTION_ZERO, *sym)
+        return _canonical(_trim(coeffs), _DEN1)
 
     def poly(self):
-        """The e-monomials ``(coeff, power)`` of a poly and its v-monomial, if any."""
+        """The e-coefficients of a poly by power, up to the highest written, and its v-monomial."""
         kinds = self.kinds
-        monos: list[tuple[Fraction, int]] = []
+        coeffs: list[Fraction] = []
         sym = None
         while True:
             i = self.i
@@ -985,15 +989,15 @@ class Parser:
                     param = (c, 0)
                 elif self.is_word(self.i, "e"):
                     self.i += 1
-                    monos.append((c, self.power("e")))
+                    _add_monomial(coeffs, c, self.power("e"))
                 else:
-                    monos.append((c, 0))
+                    _add_monomial(coeffs, c, 0)
             if param is not None:
                 if sym is not None:
                     self.error("only one parametric monomial is allowed", i)
                 sym = param
             if kinds[self.i] != "+":
-                return monos, sym
+                return coeffs, sym
             self.i += 1
 
     def power(self, name: str) -> int:

@@ -1,16 +1,18 @@
 """Field, order, and standard-part laws of the exact infinitesimal field."""
 
 import copy
+import hashlib
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ipj.qeps import _DEN1, QEps, QEpsParseError, _padd, _pmul, _pneg, parse_qeps
-from ipj.semantics import ModelError, parse_model_file
-from ipj.syntax import parse_formula
+from ipj.semantics import ModelError, Quasimodel, parse_model_file
+from ipj.syntax import SymThresh, parse_formula
 
 ZERO = QEps.from_rational(0)
 ONE = QEps.from_rational(1)
@@ -375,6 +377,25 @@ def test_constant_denominators_are_canonical(r, c):
     assert fields(QEps((r,), (c,))) == fields(QEps.from_rational(r / c))
 
 
+# -- a rational value is its Fraction in a set or a dict ------------------------------
+
+
+def test_a_rational_value_hashes_like_its_fraction():
+    rng = random.Random(32)
+    rationals = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(1000)]
+    ints = [rng.randint(-10**12, 10**12) for _ in range(200)] + list(range(-3, 4))
+    for r in rationals + ints + [True, False]:
+        q = QEps.from_rational(r)
+        assert q == r and hash(q) == hash(r)
+        assert {r: "r"}.get(q) == "r" and {q: "q"}.get(r) == "q"
+        assert len({q, r}) == 1 and q in {r} and r in {q}
+    assert {ONE, 1, Fraction(1), True} == {ONE} and len({ZERO, 0, Fraction(0)}) == 1
+    # a value that is not rational hashes by its canonical fields, however it was built
+    for text in ("1 e", "1/2 + 1 e^3", "(2 + 4 e)/(2 + 1 e)", "(1)/(1 + 1 e)"):
+        q = parse_qeps(text)
+        assert hash(q) == hash(QEps(q.num, q.den)) == hash((q.num, q.den))
+
+
 # -- no value is read from a float ----------------------------------------------------
 
 
@@ -394,3 +415,169 @@ NOT_RATIONAL = {
 def test_constructors_refuse_a_coefficient_that_is_not_rational(name):
     with pytest.raises(TypeError, match="is not an int or a Fraction"):
         NOT_RATIONAL[name]()
+
+
+# -- the literal reader, pinned ---------------------------------------------------------
+#
+# Seeded literal texts, each read five ways: parse_qeps, a Pr>= threshold with and
+# without allow_symbolic, a Pr~ rational, and a mass line of a model file (read through
+# the model file's shared syntax.parse_each pass); and in groups of six as the masses of
+# one file, so that one parser reads several texts.  An outcome is a value's exact
+# coefficients, each with its type, or the error's type and text.  The digest was
+# computed with the reader that built each value through a per-power dict.
+
+LITERAL_DIGEST = "533707b66da5db156741c55d8cb1c35c39303e4775b6ccd3f6b2e43679a0e69a"
+
+BAD_LITERALS = ("1/0", "(1)/(0)", "1 e^0", "((1))/(1)", "1 2", "1 e + 2 3", "1 e + v",
+                "0 e + v", "v + v", "1/v + 2 v", "1/2 v + 1/v^2", "", "1 +", "e", "1 x",
+                "(1 + 1 e)/(1", "1/2/3", "1 e^-1", "1/-2", "(1 + v)/(2)", "1 e^", "+ 1")
+
+
+def _rational_text(rng):
+    n = rng.choice((0, 0, 1, -1, 2, 3, -5, 8, 12, 100, rng.randint(-999, 999)))
+    if rng.random() < 0.5:
+        return str(n)
+    return f"{n}/{rng.choice((1, 2, 3, 4, 6, 9, 12, 97, rng.randint(1, 999)))}"
+
+
+def _monomial_text(rng):
+    c = _rational_text(rng)
+    power = rng.choice((0, 0, 1, 1, 1, 2, 2, 3, 5) if rng.random() < 0.95 else (100, 101))
+    if power == 0:
+        return c
+    space = rng.choice((" ", " ", ""))
+    return f"{c}{space}e" if power == 1 and rng.random() < 0.7 else f"{c}{space}e^{power}"
+
+
+def _poly_text(rng, coeffs=None):
+    if coeffs is None:  # random monomials: repeated powers and zero coefficients included
+        monos = [_monomial_text(rng) for _ in range(rng.randint(1, 4))]
+    else:
+        monos = [str(c) if p == 0 else f"{c} e" if p == 1 else f"{c} e^{p}"
+                 for p, c in enumerate(coeffs) if c or rng.random() < 0.2]
+        monos = monos or ["0"]
+        rng.shuffle(monos)
+    return rng.choice((" + ", "+", " +")).join(monos)
+
+
+def _times(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _coefficients(rng, n):
+    return [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))) for _ in range(n)]
+
+
+def _fraction_text(rng):
+    num, den = _coefficients(rng, rng.randint(1, 3)), _coefficients(rng, rng.randint(1, 3))
+    if rng.random() < 0.6:  # a common factor
+        factor = _coefficients(rng, rng.randint(1, 3))
+        num, den = _times(num, factor), _times(den, factor)
+    if rng.random() < 0.3:  # a factor of e
+        num, den = [Fraction(0), *num], [Fraction(0), *den]
+    if rng.random() < 0.2:
+        return f"({_poly_text(rng)})/({_poly_text(rng)})"
+    return f"({_poly_text(rng, num)})/({_poly_text(rng, den)})"
+
+
+def _parametric_text(rng):
+    c = rng.randint(-3, 9)
+    mono = rng.choice(("v", f"{_rational_text(rng)} v", f"{c}/v", f"{c}/v^{rng.randint(1, 4)}",
+                       "0 v", "0/v"))
+    parts = [mono, _rational_text(rng)] if rng.random() < 0.7 else [mono]
+    if rng.random() < 0.15:
+        parts.append(_monomial_text(rng))  # e and v in one threshold, or a second rational
+    rng.shuffle(parts)
+    return " + ".join(parts)
+
+
+def _literal_texts():
+    rng = random.Random(20261020)
+    makers = (_poly_text, _poly_text, _poly_text, _fraction_text, _fraction_text,
+              _rational_text, _parametric_text)
+    texts = [*BAD_LITERALS, "1 e + 2 e + 0 e^3", "1 e^100", "1 e^101", "(1 e^100)/(1 e^100)"]
+    while len(texts) < 5040:
+        texts.append(rng.choice(makers)(rng))
+    return texts
+
+
+def _described(value):
+    coefficient = lambda c: (type(c).__name__, str(c))  # noqa: E731
+    if isinstance(value, QEps):
+        return ([*map(coefficient, value.num)], [*map(coefficient, value.den)])
+    if isinstance(value, SymThresh):
+        return (coefficient(value.base), coefficient(value.coeff), value.power)
+    if isinstance(value, list):
+        return [*map(_described, value)]
+    return coefficient(value)
+
+
+def _outcome(read):
+    try:
+        return _described(read())
+    except Exception as exc:  # the error's type and text are pinned too
+        return (type(exc).__name__, str(exc))
+
+
+def _model_text(masses):
+    worlds = " ".join(f"a{i}" for i in range(len(masses)))
+    edges = "\n".join(f"a{i} -> a{i}" for i in range(len(masses)))
+    mu = "\n".join(f"a{i} = {m}" for i, m in enumerate(masses))
+    return f"worlds: {worlds}\nR[P]:\n{edges}\nR[V]:\n{edges}\nU: {worlds}\nmu:\n{mu}\nw0: a0\n"
+
+
+def test_the_literal_reader_reads_every_text_as_pinned(monkeypatch):
+    # the masses of a file need not sum to 1 here: the value read is what is pinned
+    monkeypatch.setattr(Quasimodel, "validate", lambda self, *args: None)
+    texts = _literal_texts()
+    outcomes = []
+    for text in texts:
+        outcomes += [
+            _outcome(lambda: parse_qeps(text)),
+            _outcome(lambda: parse_formula(f"Pr>= {text} (p)").threshold),
+            _outcome(lambda: parse_formula(f"Pr>= {text} (p)", allow_symbolic=False).threshold),
+            _outcome(lambda: parse_formula(f"Pr~ {text} (p)").r),
+            _outcome(lambda: parse_model_file(_model_text([text])).measure["a0"]),
+        ]
+    for at in range(0, len(texts), 6):
+        group = texts[at : at + 6]
+        outcomes.append(_outcome(lambda: [*parse_model_file(_model_text(group)).measure.values()]))
+    assert len(texts) >= 5000
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == LITERAL_DIGEST
+
+
+class _Third(Fraction):  # a subclass of Fraction comes out as a plain Fraction
+    pass
+
+
+@pytest.mark.parametrize("c", [True, 3, Fraction(2, 3), _Third(1, 3)],
+                         ids=["bool", "int", "Fraction", "subclass"])
+def test_every_coefficient_stored_is_a_plain_fraction(c):
+    a, b = QEps((1, c), (c, 1)), parse_qeps("1/2 + 3 e")
+    built = [QEps((c,)), QEps((0, c), (c, c)), a, b, QEps.from_rational(c), QEps.epsilon(2),
+             QEps.from_monomials([(c, 2), (c, 0), (c, 2)]),
+             QEps.from_monomials([(c, 1)], [(1, 0), (c, 1)])]
+    built += [a + b, a - b, a * b, a / b, -a, a.complement(), a.inverse(),
+              b + c, c + b, b - c, c - b, b * c, c * b, b / c, c / b]
+    for x in built:
+        assert all(type(coefficient) is Fraction for coefficient in x.num + x.den), x
+
+
+def test_a_fraction_coefficient_is_kept_as_given():
+    r, s = Fraction(8, 9), Fraction(-1, 2)
+    assert QEps.from_rational(r).num[0] is r
+    assert QEps((r, 0, s)).num == (r, 0, s) and QEps((r, 0, s)).num[2] is s
+    assert QEps.from_monomials([(s, 3), (r, 0)]).num[3] is s
+
+
+@pytest.mark.parametrize("c", [0.5, Decimal("0.5"), "1/2"], ids=["float", "Decimal", "str"])
+def test_a_coefficient_that_is_not_rational_is_still_refused(c):
+    for build in (lambda: QEps((c,)), lambda: QEps((1,), (1, c)), lambda: QEps.from_rational(c),
+                  lambda: QEps.from_monomials([(c, 1)]),
+                  lambda: QEps.from_monomials([(1, 0)], [(c, 0)])):
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            build()
