@@ -29,6 +29,7 @@ from . import syntax
 from .syntax import (
     OMEGA,
     App,
+    Atom,
     Bang,
     Box,
     Const,
@@ -551,14 +552,13 @@ def match_epistemic_axiom(alpha: EFormula, symctx: SymCtx = None) -> Optional[Ma
 
 
 def is_axiom_chain(alpha: EFormula) -> bool:
-    """True for c2:...:cn:A with constant justifications and an axiom core."""
-    if match_epistemic_axiom(alpha) is not None:
-        return True
-    return (
-        isinstance(alpha, Just)
-        and isinstance(alpha.term, Const)
-        and is_axiom_chain(alpha.inner)
-    )
+    """True for c2:...:cn:A with constant justifications and an axiom core.
+    An atom, a box or a justification skips the schema table: each schema but
+    ``p`` has a negation at its top, and a lone opaque leaf is no tautology."""
+    cls = alpha.__class__
+    if cls is Just:
+        return alpha.term.__class__ is Const and is_axiom_chain(alpha.inner)
+    return cls is not Atom and cls is not Box and match_epistemic_axiom(alpha) is not None
 
 
 # ---------------------------------------------------------------------------

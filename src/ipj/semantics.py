@@ -7,16 +7,16 @@ model reads world names once, in its constructor, and holds each world set
 once, as a mask or as successor indices.  Evidence membership is the least
 relation containing the base and closed under sum, application, proof
 checking, axiom constants, and protocol monotonicity.  Evaluation works a
-set of worlds at a time (global labelling): each subformula's truth set,
-and each (agent, term, formula) evidence set, is an int bitmask over the
-worlds, computed once per model.  So are the facts of the closure that
-depend on a formula alone: whether it is an axiom chain (then every
-constant is evidence for it) and the candidates beta that an application
-t . u may use for it.  A quasimodel adds a finitely additive measure over
-a sample of worlds: the event algebra is the full power set, an event is
-a mask, masses live in the exact field Q[e] and each event's measure is
-computed once.  The infinitary model conditions are decided by a
-stabilization argument plus standard parts.
+set of worlds at a time, on int bitmasks over the worlds.  A formula's
+truth set is one walk of its tree.  Memoised per model are each (agent,
+term, formula) evidence set, each box of a world set, and the facts of the
+closure that depend on a formula alone: whether it is an axiom chain (then
+every constant is evidence for it) and the candidates beta that an
+application t . u may use for it.  A quasimodel adds a finitely additive
+measure over a sample of worlds: the event algebra is the full power set,
+an event is a mask, masses live in the exact field Q[e] and each event's
+measure is computed once.  The infinitary model conditions are decided by
+a stabilization argument plus standard parts.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ class EpistemicModel:
     evidence base as one mask per (agent, term, eformula), the worlds where
     the term is base evidence for the formula.  ``truth_mask`` and
     ``evidence_mask`` give the set of worlds where a formula holds or where
-    a term is evidence for a formula, each computed once per formula (or per
-    agent, term and formula) for all worlds at a time.
+    a term is evidence for a formula, for all worlds at a time: truth in one
+    walk of the formula's tree, evidence once per agent, term and formula.
     """
 
     def __init__(
@@ -211,7 +211,8 @@ class EpistemicModel:
         for (a, t, alpha), mask in self._base.items():
             if isinstance(t, Proto):
                 self._proto.setdefault((a, t.inner, alpha), []).append((t.complexity, mask))
-        self._truth: dict[EFormula, int] = {}
+        self._based_terms = frozenset(t for _, t, _ in self._base)  # see _is_live
+        self._run_inners = frozenset(inner for _, inner, _ in self._proto)
         self._evidence: dict[tuple, int] = {}
         self._boxes: dict[tuple, int] = {}  # (agent, mask) -> _box(agent, mask)
         # per formula alpha: the candidates beta of t . u, and the mask where
@@ -247,14 +248,30 @@ class EpistemicModel:
 
         The least relation that contains the base and is closed under sum,
         application, proof checking, axiom constants and protocol
-        monotonicity; each case recurses on subterms only.
+        monotonicity; each case recurses on subterms only.  A term that is
+        not live gives 0 before ``alpha`` is hashed.
         """
+        if not self._is_live(t):
+            return 0
         key = (agent, t, alpha)
         mask = self._evidence.get(key)
         if mask is None:
             mask = self._base.get(key, 0) | self._closure_mask(agent, t, alpha)
             self._evidence[key] = mask
         return mask
+
+    def _is_live(self, t: Term) -> bool:
+        """A constant or a term with a base entry is live; else a sum is if a
+        side is, an application if both sides are, a bang if its inner term
+        is, and a protocol term if the base has one with its inner term.  By
+        induction on a dead term, each case of ``_closure_mask`` meets only
+        dead terms or no base entry, so the term has no evidence anywhere."""
+        cls = t.__class__
+        return cls is Const or t in self._based_terms or (
+            self._is_live(t.left) or self._is_live(t.right) if cls is Sum else
+            self._is_live(t.left) and self._is_live(t.right) if cls is App else
+            self._is_live(t.inner) if cls is Bang else
+            cls is Proto and t.inner in self._run_inners)
 
     def _closure_mask(self, agent: str, t: Term, alpha: EFormula) -> int:
         if isinstance(t, Sum):
@@ -295,28 +312,25 @@ class EpistemicModel:
         return bool(self.truth_mask(alpha) >> self.index(w) & 1)
 
     def truth_mask(self, alpha: EFormula) -> int:
-        """The worlds where ``alpha`` holds."""
-        mask = self._truth.get(alpha)
-        if mask is None:
-            mask = self._truth[alpha] = self._truth_mask(alpha)
-        return mask
-
-    def _truth_mask(self, alpha: EFormula) -> int:
-        if isinstance(alpha, Atom):
+        """The worlds where ``alpha`` holds, in one walk of its tree: only
+        evidence and box masks are memoised.  The walk is linear in the
+        printed size, as ``print_eformula`` is: ``parse_formula`` shares no
+        groups, so every formula the CLI reads is a tree."""
+        cls = alpha.__class__
+        if cls is ENot:
+            return self.full_mask & ~self.truth_mask(alpha.inner)
+        if cls is EAnd:
+            return self.truth_mask(alpha.left) & self.truth_mask(alpha.right)
+        if cls is Atom:
             mask = self._atom_masks.get(alpha.name)
             if mask is None:
                 raise UnknownAtom(f"atom {alpha.name!r} is not in the model")
             return mask
-        if isinstance(alpha, ENot):
-            return self.full_mask & ~self.truth_mask(alpha.inner)
-        if isinstance(alpha, EAnd):
-            return self.truth_mask(alpha.left) & self.truth_mask(alpha.right)
-        if isinstance(alpha, Box):
+        if cls is Box:
             return self._box(alpha.agent, self.truth_mask(alpha.inner))
-        if isinstance(alpha, Just):
-            inner = self.truth_mask(alpha.inner)
-            evidence = self.evidence_mask(alpha.agent, alpha.term, alpha.inner)
-            return evidence & self._box(alpha.agent, inner)
+        if cls is Just:  # the inner mask even without evidence: an unknown atom raises
+            box = self._box(alpha.agent, self.truth_mask(alpha.inner))
+            return self.evidence_mask(alpha.agent, alpha.term, alpha.inner) & box
         raise TypeError(f"not an epistemic formula: {alpha!r}")
 
 
@@ -421,19 +435,20 @@ class Quasimodel:
     def eval(self, f: Formula) -> bool:
         """Truth at w0.  Both sides of a conjunction are evaluated, so an
         input error anywhere in ``f`` is raised whatever the truth values."""
-        if isinstance(f, Epistemic):
+        cls = f.__class__
+        if cls is FNot:
+            return not self.eval(f.inner)
+        if cls is FAnd:
+            left, right = self.eval(f.left), self.eval(f.right)
+            return left and right
+        if cls is Epistemic:
             return self.base.eval(self.w0, f.inner)
-        if isinstance(f, ProbGeq):
+        if cls is ProbGeq:
             if isinstance(f.threshold, SymThresh):
                 raise ModelError("cannot evaluate a parametric threshold")
             return self.measure_of(f.inner).compare(f.threshold) >= 0
-        if isinstance(f, ProbApprox):
+        if cls is ProbApprox:
             return self.measure_of(f.inner).approx_eq(f.r)
-        if isinstance(f, FNot):
-            return not self.eval(f.inner)
-        if isinstance(f, FAnd):
-            left, right = self.eval(f.left), self.eval(f.right)
-            return left and right
         raise TypeError(f"not a formula: {f!r}")
 
 

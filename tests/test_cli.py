@@ -248,14 +248,19 @@ def test_a_world_with_two_mass_lines_exit_2(capsys, tmp_path):
 
 
 def test_deep_nesting_exit_2(capsys, tmp_path):
+    # the parser and the evaluator take about a frame per level: twice the
+    # recursion limit is too deep to read, half of it is read and evaluated
     _, _, model, _ = witness_file(capsys, tmp_path)
-    deep = "~" * 2000 + "p"
+    limit = sys.getrecursionlimit()
+    deep = "~" * (2 * limit) + "p"
     proof = tmp_path / "deep.ipjp"
     proof.write_text(f"1. {deep} -> {deep} ; ax p\n")
-    # 500 levels parse, but reach the limit in the evaluator
-    for argv in (["parse", deep], ["eval", "~" * 500 + "p", "--model", str(model)],
-                 ["check-proof", str(proof)]):
+    for argv in (["parse", deep], ["check-proof", str(proof)]):
         assert run(capsys, *argv) == (2, "", "error: formula nested too deeply\n"), argv[0]
+    assert run(capsys, "eval", "p", "--model", str(model)) == (0, "true\n", "")
+    for depth in (limit // 2, limit // 2 + 1):
+        want = (1, "false\n", "") if depth % 2 else (0, "true\n", "")
+        assert run(capsys, "eval", "~" * depth + "p", "--model", str(model)) == want, depth
 
 
 def test_wide_tautology_is_valid(capsys, tmp_path):

@@ -27,15 +27,18 @@ from ipj.proofcheck import (
 )
 from ipj.qeps import QEps
 from ipj.syntax import (
+    Const,
     Epistemic,
     FAnd,
     FNot,
+    Just,
     ParseError,
     Parser,
     ProbApprox,
     ProbGeq,
     RangeError,
     SymThresh,
+    Var,
     dest_fimp,
     parse_eformula,
     parse_formula,
@@ -283,6 +286,38 @@ def test_match_failure_notes():
 def test_epistemic_axiom_matching():
     assert match_epistemic_axiom(parse_eformula("t :[P] p -> p")).schema == "jt"
     assert match_epistemic_axiom(parse_eformula("p -> q")) is None
+
+
+def _chain_by_the_table(alpha):
+    """``is_axiom_chain`` without its shape guard: every formula meets the table."""
+    return match_epistemic_axiom(alpha) is not None or (
+        isinstance(alpha, Just) and isinstance(alpha.term, Const)
+        and _chain_by_the_table(alpha.inner))
+
+
+def test_axiom_chain_shape_guard_agrees_with_the_schema_table():
+    # is_axiom_chain sends an atom, a box or a justification past the schema
+    # table; the evidence tests' naive closure calls is_axiom_chain itself, so
+    # only this comparison checks that skip
+    rng = random.Random(33)
+    cores = [parse_eformula(text) for text in (
+        "p | ~p", "(p & q) -> p", "box[P] p -> box[P] p", "(p | ~p) & (q | ~q)",
+        "(box[P] p -> box[P] p) & (box[P] p -> box[P] p)", "t :[P] p -> p", "p", "box[V] p",
+        "x :[V] (p | ~p)")]
+    for _ in range(400):  # the inner formulas of harness instances
+        inst = generators.rand_axiom_instance(rng, rng.choice(generators.HARNESS_SCHEMAS))
+        cores += [f.inner for f in syntax.nodes(inst)
+                  if type(f) in (Epistemic, ProbGeq, ProbApprox)]
+    chains = 0
+    for _ in range(20_000):
+        alpha = (rng.choice(cores) if rng.random() < 0.5
+                 else generators.rand_eformula(rng, rng.randrange(5)))
+        for _ in range(rng.randrange(3)):  # c:a :[P] and x :[P] wrappers
+            alpha = Just(Const("a") if rng.random() < 0.7 else Var("x"), rng.choice("PV"), alpha)
+        want = _chain_by_the_table(alpha)
+        assert proofcheck.is_axiom_chain(alpha) == want, syntax.print_eformula(alpha)
+        chains += want
+    assert 1_000 < chains < 19_000  # both answers, many times
 
 
 def test_bindings_roundtrip_random():

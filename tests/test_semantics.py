@@ -412,12 +412,63 @@ def test_masks_agree_with_the_definitions(named_models):
     assert checked == 1800 and mixed > 50
 
 
+def test_dead_terms_have_no_evidence(named_models):
+    # evidence_mask answers 0 for a term that is not live before it hashes
+    # the formula: sums, applications, bangs and protocol terms built from
+    # base terms, base-free variables and constants must each agree with the
+    # closure conditions, and have no evidence at all when not live
+    rng = random.Random(34)
+    dead = {cls: 0 for cls in (Var, Sum, App, Bang, Proto)}
+    for _ in range(300):
+        m = generators.rand_model(rng).base
+        based = [t for _, t, _ in m.evidence_base]
+        leaves = based + [Var(x) for x in generators.VAR_NAMES if Var(x) not in based]
+        leaves += [Const("a"), *(t.inner for t in based if isinstance(t, Proto))]
+
+        def draw(depth):
+            kind = rng.randrange(5) if depth else 0
+            if kind == 0:
+                return rng.choice(leaves)
+            if kind == 3:
+                return Bang(draw(depth - 1))
+            if kind == 4:
+                return Proto(rng.choice([*range(1, 10), OMEGA]), draw(depth - 1))
+            return (Sum, App)[kind - 1](draw(depth - 1), draw(depth - 1))
+
+        formulas = [alpha for _, _, alpha in m.evidence_base] + [generators.rand_eformula(rng, 2)]
+        assert all(m._is_live(t) for t in based)
+        for _ in range(12):
+            t, alpha, a = draw(2), rng.choice(formulas), rng.choice("PV")
+            if isinstance(t, Bang) and rng.random() < 0.5:
+                alpha = Just(t.inner, a, alpha)
+            mask = m.evidence_mask(a, t, alpha)
+            assert mask == mask_of(m, lambda w: naive_evidence(m, w, a, t, alpha))
+            if not m._is_live(t):
+                assert mask == 0 and all(m.evidence_mask(b, t, beta) == 0
+                                         for b in "PV" for beta in formulas)
+                dead[type(t)] += 1
+    assert min(dead.values()) >= 100, dead
+
+
+def test_a_term_is_live_through_its_own_base_entry():
+    # each term's parts are base-free, so only its own entry makes it live
+    x, y, p = Var("x"), Var("y"), parse_eformula("p")
+    terms = [Sum(x, y), App(x, y), Bang(x), Proto(3, x)]
+    m = simple_model(worlds=["w", "u"], rel={"P": ident(["w", "u"]), "V": ident(["w", "u"])},
+                     evidence={("P", t, p): ["u"] for t in terms})
+    assert not any(m._is_live(s) for s in (x, y, Proto(3, y)))
+    for t in terms:
+        assert m._is_live(t) and m.evidence_mask("P", t, p) == 0b10
+        assert m.evidence_mask("V", t, p) == 0
+    assert m.evidence_mask("P", Proto(OMEGA, x), p) == 0b10  # monotone in the complexity
+
+
 def test_model_memos_do_not_depend_on_the_order_of_evaluation():
-    # A model memoises truth and evidence masks, the candidate formulas of an
+    # A model memoises evidence and box masks, the candidate formulas of an
     # application term, the axiom-constant masks and event measures.  Harness
     # instances evaluated in drawn order, in reverse order, and each on a
     # fresh copy of the model give the same verdicts and the same memos.
-    memos = ("_truth", "_evidence", "_boxes", "_pools", "_axiom_chains")
+    memos = ("_evidence", "_boxes", "_pools", "_axiom_chains")
     rng = random.Random(23)
     for _ in range(200):
         seed = rng.getrandbits(32)
@@ -437,12 +488,12 @@ def test_model_memos_do_not_depend_on_the_order_of_evaluation():
             assert fresh._measures.items() <= forward._measures.items()
 
 
-def test_round_model_evaluates_each_subformula_once():
+def test_round_model_asks_each_round_for_evidence_once():
     m = build_round_model(RoundConfig(10, Fraction(1, 3)))
     assert verify_ipp_bound(m).ok
     qm = m.quasimodel
-    events = [Just(t, "V", m.claim) for t in m.round_terms]
-    assert set(qm.base._truth) == set().union(*map(esubformulas, events))
+    # one evidence mask per round term for the claim, and no other
+    assert list(qm.base._evidence) == [("V", t, m.claim) for t in m.round_terms]
     # the sample, the claim, each round and each pair of rounds: one measure each
     assert len(qm._measures) == 1 + 1 + 10 + 45
 
