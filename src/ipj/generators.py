@@ -139,7 +139,7 @@ def rand_formula(rng: random.Random, depth: int = 6) -> Formula:
 # ---------------------------------------------------------------------------
 
 
-def _transitive_closure(worlds, edges):
+def _transitive_closure(edges):
     closed = set(edges)
     changed = True
     while changed:
@@ -159,7 +159,7 @@ def rand_model(rng: random.Random) -> Quasimodel:
         edges = {(w, w) for w in worlds}
         for _ in range(_below(rng, n + 1)):
             edges.add((worlds[_below(rng, n)], worlds[_below(rng, n)]))
-        rel[a] = _transitive_closure(worlds, edges)
+        rel[a] = _transitive_closure(edges)
     valuation = {
         w: [at for at in ATOM_NAMES if rng.random() < 0.5] for w in worlds
     }

@@ -23,10 +23,6 @@ class ISpecError(ValueError):
     pass
 
 
-class DuplicateEntry(ISpecError):
-    pass
-
-
 class ThresholdFn:
     """m(k): the table's value at a listed k, else the polynomial ``tail``
     (coefficients of k^0, k^1, ...) at k, else undefined."""
@@ -84,7 +80,7 @@ class InteractionSpec:
 
     def add(self, formula: EFormula, fn: ThresholdFn):
         if formula in self.entries:
-            raise DuplicateEntry(f"duplicate entry for {syntax.print_eformula(formula)!r}")
+            raise ISpecError(f"duplicate entry for {syntax.print_eformula(formula)!r}")
         self.entries[formula] = fn
 
     def threshold(self, formula: EFormula) -> Optional[ThresholdFn]:
@@ -125,8 +121,6 @@ def load_spec(text: str) -> InteractionSpec:
             raise ISpecError(f"line {lineno}: bad formula: {exc}") from exc
         try:
             spec.add(formula, _parse_fn(*words))
-        except DuplicateEntry as exc:
-            raise DuplicateEntry(f"line {lineno}: {exc}") from exc
         except ValueError as exc:
             raise ISpecError(f"line {lineno}: {exc}") from exc
     return spec

@@ -63,14 +63,6 @@ from .syntax import (
 )
 
 
-class StructureError(ValueError):
-    """Malformed derivation object (bad indices, bad citations)."""
-
-
-class TemplateError(ValueError):
-    """Malformed parametric template."""
-
-
 # ---------------------------------------------------------------------------
 # symbolic threshold comparison
 # ---------------------------------------------------------------------------
@@ -227,6 +219,11 @@ def is_tautology(f: Formula) -> Optional[bool]:
 
 
 class NoMatch(Exception):
+    """Why a formula or a proof line is not a valid step: a schema that does
+    not match, a rule that does not apply, a bad citation or template.  It
+    is a verdict, not an input error: ``_Check.run`` reports it as INVALID
+    (exit 1), and ``_first_match`` tries the next schema."""
+
     def __init__(self, reason: str = "structural mismatch"):
         super().__init__(reason)
         self.reason = reason
@@ -642,31 +639,31 @@ class _Check:
         for line in self.d.lines:
             try:
                 self.check(line)
-            except (NoMatch, StructureError, TemplateError) as exc:
+            except NoMatch as exc:
                 return Report(False, [f"INVALID: line {line.index}: {exc}"], {"line": line.index})
             self.by_index[line.index] = line.formula
         return Report(True, ["VALID"])
 
     def check(self, line: ProofLine):
         if line.index in self.by_index:
-            raise StructureError(f"duplicate line index {line.index}")
+            raise NoMatch(f"duplicate line index {line.index}")
         if self.symctx is None:
             if formula_has_param(line.formula):
-                raise TemplateError("parametric threshold outside a template")
+                raise NoMatch("parametric threshold outside a template")
         elif "v" in syntax.names_in_formula(line.formula):
-            raise TemplateError("the parameter 'v' may only occur inside thresholds")
+            raise NoMatch("the parameter 'v' may only occur inside thresholds")
         _RULES[line.rule][2](self, line, *line.args)
 
     def cited(self, line: ProofLine, i: int) -> Formula:
         if i not in self.by_index or i >= line.index:
-            raise StructureError(f"citation of line {i} is not an earlier line")
+            raise NoMatch(f"citation of line {i} is not an earlier line")
         return self.by_index[i]
 
     def template(self, path: str, symctx: SymCtx) -> Derivation:
         """The template at ``path``, which must hold under ``symctx``: read
         once per check, and checked once per check and parameter range."""
         if self.depth >= _MAX_TEMPLATE_DEPTH:
-            raise TemplateError("template nesting too deep")
+            raise NoMatch("template nesting too deep")
         key = os.path.abspath(os.path.join(self.d.base_dir, path))
         entry = self.templates.get(key)
         if entry is None:
@@ -687,7 +684,7 @@ def _load_template(d: Derivation, path: str, depth: int) -> Derivation:
     try:
         return load_derivation_file(os.path.join(d.base_dir, path), d.spec, d.zk)
     except OSError as exc:
-        raise StructureError(f"cannot read template {path!r}: {exc}") from exc
+        raise NoMatch(f"cannot read template {path!r}: {exc}") from exc
 
 
 # -- the inference rules ----------------------------------------------------------------
@@ -699,7 +696,7 @@ def _load_template(d: Derivation, path: str, depth: int) -> Derivation:
 
 def _ax(c: _Check, line: ProofLine, schema: str, hints: tuple):
     if schema not in SCHEMA_IDS:
-        raise StructureError(f"unknown schema {schema!r}")
+        raise NoMatch(f"unknown schema {schema!r}")
     d = c.d
     if match_axiom(line.formula, d.spec, d.zk, schema, dict(hints), c.symctx) is None:
         raise NoMatch(f"formula is not an instance of axiom ({schema})")
@@ -744,7 +741,7 @@ def _axnec(c: _Check, line: ProofLine, *chain: tuple):
 
 def _approx(c: _Check, line: ProofLine, r: Fraction, path: str):
     if not 0 <= r <= 1:
-        raise StructureError("approximation rule needs r in [0,1]")
+        raise NoMatch("approximation rule needs r in [0,1]")
     dimp = dest_fimp(line.formula)
     if dimp is None or not isinstance(dimp[1], ProbApprox):
         raise NoMatch("conclusion must have the shape B -> Pr~ r (A)")

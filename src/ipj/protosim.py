@@ -26,10 +26,6 @@ class ConfigError(ValueError):
     pass
 
 
-class SizeError(ConfigError):
-    pass
-
-
 _MAX_ROUNDS = 20
 _MAX_NMAX = 1000  # a witness model has about n_max worlds
 
@@ -43,7 +39,7 @@ class RoundConfig:
         if rounds < 1:
             raise ConfigError("at least one round is required")
         if rounds > _MAX_ROUNDS:
-            raise SizeError(
+            raise ConfigError(
                 f"{rounds} rounds would need 2^{rounds} worlds; the limit is {_MAX_ROUNDS}"
             )
         if not 0 < per_round_error < 1:
@@ -142,7 +138,7 @@ def build_interaction_witness(
     if k < 1:
         raise ConfigError("k must be at least 1")
     if n_max > _MAX_NMAX:
-        raise SizeError(f"n_max {n_max} is over the limit of {_MAX_NMAX}")
+        raise ConfigError(f"n_max {n_max} is over the limit of {_MAX_NMAX}")
     if not syntax.is_f_free(t):
         raise ConfigError("the base term must not mention protocol runs")
     fn = spec.threshold(alpha)

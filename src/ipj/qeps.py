@@ -357,23 +357,16 @@ ZERO = QEps()
 ONE = QEps.from_rational(1)
 
 
-class QEpsParseError(ValueError):
-    pass
-
-
 def parse_qeps(text: str) -> QEps:
     """Parse a value in the literal grammar, e.g. ``(1 + 2 e)/(2 + 1 e)``.
 
     The grammar lives in :class:`ipj.syntax.Parser`, which reads formula
-    thresholds with it too.
+    thresholds with it too; bad text raises its ``ParseError``.
     """
-    from .syntax import ParseError, Parser  # syntax imports QEps at module level
+    from .syntax import Parser  # syntax imports QEps at module level
 
-    try:
-        p = Parser(text, allow_symbolic=False)
-        value = p.literal()
-        if not p.at_end():
-            p.error(f"trailing input in literal: {p.texts[p.i]!r}")
-    except ParseError as exc:
-        raise QEpsParseError(str(exc)) from None
+    p = Parser(text, allow_symbolic=False)
+    value = p.literal()
+    if not p.at_end():
+        p.error(f"trailing input in literal: {p.texts[p.i]!r}")
     return value

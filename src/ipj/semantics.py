@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Optional
 
 from . import proofcheck, syntax
 from .ispec import InteractionSpec, error
-from .qeps import _DEN1, ONE, ZERO, QEps, QEpsParseError, _canonical, parse_qeps
+from .qeps import _DEN1, ONE, ZERO, QEps, _canonical, parse_qeps
 from .qeps import _padd, _pmul, _trim
 from .syntax import (
     AGENTS,
@@ -61,14 +61,6 @@ from .syntax import (
 
 
 class ModelError(ValueError):
-    pass
-
-
-class UnknownAtom(ModelError):
-    pass
-
-
-class UniverseError(ModelError):
     pass
 
 
@@ -324,7 +316,7 @@ class EpistemicModel:
         if cls is Atom:
             mask = self._atom_masks.get(alpha.name)
             if mask is None:
-                raise UnknownAtom(f"atom {alpha.name!r} is not in the model")
+                raise ModelError(f"atom {alpha.name!r} is not in the model")
             return mask
         if cls is Box:
             return self._box(alpha.agent, self.truth_mask(alpha.inner))
@@ -498,7 +490,7 @@ def check_model_conditions(
     for alpha in spec.formulas():
         for name in syntax.atoms_of_e(alpha):
             if name not in m.atoms:
-                raise UniverseError(f"spec formula mentions unknown atom {name!r}")
+                raise ModelError(f"spec formula mentions unknown atom {name!r}")
     n_star = stabilization_index(m)
     rep.note(
         f"stabilization index n* = {n_star}: protocol events are monotone in the "
@@ -721,7 +713,7 @@ def parse_model_file(text: str) -> Quasimodel:
             raise ModelError(f"line {number(lineno)}: second mass line for world {w!r}")
         try:
             measure[w] = read_masses.get(mass := mass.strip()) or parse_qeps(mass)
-        except QEpsParseError as exc:
+        except syntax.ParseError as exc:
             raise ModelError(f"line {number(lineno)}: bad mass line: {exc}") from exc
 
     base = EpistemicModel(declared, rel, valuation, evidence)

@@ -16,7 +16,7 @@ Concrete syntax (ASCII, line oriented):
 
 Precedence: ``!`` > ``*`` > ``+`` for terms and ``~`` > ``&`` > ``|`` >
 ``->`` for formulas; parentheses are always allowed.  Derived operators
-(``|``, ``->``, ``<->``, ``Pr<``, ``Pr<=``, ``Pr>``, ``Pr=``) are desugared
+(``|``, ``->``, ``Pr<``, ``Pr<=``, ``Pr>``, ``Pr=``) are desugared
 at parse time, so printed output is always in the core connectives and
 reparses to an identical tree.
 
@@ -458,10 +458,6 @@ class ParseError(ValueError):
         super().__init__(f"{line}:{col}: {msg}" if line else msg)
         self.line = line
         self.col = col
-
-
-class RangeError(ParseError):
-    """Threshold literal outside its admissible range."""
 
 
 # ---------------------------------------------------------------------------
@@ -923,11 +919,11 @@ class Parser:
             r = self.rational()
             if not 0 <= r <= 1:
                 msg = f"approximate-probability threshold {r} outside [0,1]"
-                raise RangeError(msg, *self.position(j))
+                raise ParseError(msg, *self.position(j))
             return r
         s = self.literal()
         if isinstance(s, QEps) and not s.in_unit_interval():
-            raise RangeError(f"probability threshold {s} outside [0,1]", *self.position(j))
+            raise ParseError(f"probability threshold {s} outside [0,1]", *self.position(j))
         return s
 
     def rational(self) -> Fraction:

@@ -436,6 +436,36 @@ def test_zero_denominators_are_input_errors(capsys, tmp_path, argv):
         assert "line 1" in err
 
 
+ERROR_MODEL = "worlds: a\nR[P]:\na -> a\nR[V]:\na -> a\nval:\na : p\nU: a\nmu:\na = 1\nw0: a\n"
+ERROR_FILES = {
+    "model": ERROR_MODEL,
+    "mass": ERROR_MODEL.replace("a = 1", "a = 1 +"),
+    "spec": "zz : const 1\n",
+    "dup": "p : const 1\np : const 2\n",
+}
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["eval", "zz", "--model", "{model}"], "atom 'zz' is not in the model"),
+    (["check-model", "{model}", "--spec", "{spec}"], "spec formula mentions unknown atom 'zz'"),
+    (["parse", "Pr>= 3/2 (p)"], "1:6: probability threshold 3/2 outside [0,1]"),
+    (["parse", "Pr~ 2 (p)"], "1:5: approximate-probability threshold 2 outside [0,1]"),
+    (["simulate", "--spec", "{dup}"], "line 2: duplicate entry for 'p'"),
+    (["simulate", "--rounds", "21"], "21 rounds would need 2^21 worlds; the limit is 20"),
+    (["simulate", "--witness", "p", "--nmax", "1001"], "n_max 1001 is over the limit of 1000"),
+    (["arith", "x"], "1:1: expected 'num', got 'x'"),
+    (["arith", "1 2"], "1:3: trailing input in literal: '2'"),
+    (["arith", "1", "--cmp", "1 +"], "1:4: expected 'num', got ''"),
+    (["eval", "p", "--model", "{mass}"], "line 10: bad mass line: 1:4: expected 'num', got ''"),
+])
+def test_input_error_texts(capsys, tmp_path, argv, err):
+    # a call per input-error raise site of the model, spec, config and literal readers
+    for name, text in ERROR_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.format(**{name: tmp_path / name for name in ERROR_FILES}) for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
 # -- one parser per process ------------------------------------------------------------
 
 
@@ -541,7 +571,10 @@ def test_every_kernel_input_error_is_a_value_error():
         for c in vars(m).values()
         if isinstance(c, type) and issubclass(c, BaseException) and c.__module__ == m.__name__
     ]
-    assert len(errors) >= 13
+    assert sorted(errors, key=lambda c: c.__qualname__) == [
+        protosim.ConfigError, ispec.ISpecError, semantics.ModelError, proofcheck.NoMatch,
+        syntax.ParseError, proofcheck.ProofParseError,
+    ]
     assert [c for c in errors if not issubclass(c, ValueError)] == [proofcheck.NoMatch]
 
 

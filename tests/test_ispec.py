@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from ipj.ispec import (
-    DuplicateEntry,
     ISpecError,
     ThresholdFn,
     error,
@@ -84,7 +83,7 @@ def test_membership_and_in_i():
 
 
 def test_duplicate_entries_rejected():
-    with pytest.raises(DuplicateEntry):
+    with pytest.raises(ISpecError, match="^line 2: duplicate entry for 'p'$"):
         load_spec("p : const 1\np : const 2\n")
 
 

@@ -9,7 +9,6 @@ from ipj.ispec import load_spec
 from ipj.protosim import (
     ConfigError,
     RoundConfig,
-    SizeError,
     build_interaction_witness,
     build_round_model,
     verify_ipp_bound,
@@ -29,7 +28,7 @@ def q(x):
 def test_config_validation():
     with pytest.raises(ConfigError):
         RoundConfig(0, Fraction(1, 3))
-    with pytest.raises(SizeError):
+    with pytest.raises(ConfigError, match="^21 rounds would need 2\\^21 worlds; the limit is 20$"):
         RoundConfig(21, Fraction(1, 3))
     with pytest.raises(ConfigError):
         RoundConfig(2, Fraction(0))

@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ipj.qeps import _DEN1, QEps, QEpsParseError, _padd, _pmul, _pneg, parse_qeps
+from ipj.qeps import _DEN1, QEps, _padd, _pmul, _pneg, parse_qeps
 from ipj.semantics import ModelError, Quasimodel, parse_model_file
-from ipj.syntax import SymThresh, parse_formula
+from ipj.syntax import ParseError, SymThresh, parse_formula
 
 ZERO = QEps.from_rational(0)
 ONE = QEps.from_rational(1)
@@ -296,7 +296,7 @@ def test_pickle_and_copy_roundtrip(a):
 
 def test_parse_errors():
     for bad in ("", "1 +", "e^", "(1)/(0)", "1//2"):
-        with pytest.raises((QEpsParseError, ZeroDivisionError)):
+        with pytest.raises((ParseError, ZeroDivisionError)):
             parse_qeps(bad)
 
 
@@ -312,7 +312,7 @@ def test_thresholds_and_values_share_the_grammar(v):
 def test_parametric_monomials_are_not_values():
     # the parameter v belongs to proof templates, never to a value of Q[e]
     for bad in ("1/v", "v", "1/2 + -1/v", "1 e^0", "(1 + v)/(2)", "1 e^x", "1/2 v^2"):
-        with pytest.raises(QEpsParseError):
+        with pytest.raises(ParseError, match="^1:[0-9]+: "):
             parse_qeps(bad)
 
 
@@ -320,7 +320,7 @@ def test_literal_limits():
     # a power past syntax.MAX_POWER, or a number int() cannot read
     for bad, msg in (("1 e^1000000000", "1:5: e power 1000000000 is over the limit of 100"),
                      ("1" * 5000, "1:1: number of 5000 digits is too long")):
-        with pytest.raises(QEpsParseError) as exc:
+        with pytest.raises(ParseError) as exc:
             parse_qeps(bad)
         assert str(exc.value) == msg
 
@@ -424,9 +424,11 @@ def test_constructors_refuse_a_coefficient_that_is_not_rational(name):
 # the model file's shared syntax.parse_each pass); and in groups of six as the masses of
 # one file, so that one parser reads several texts.  An outcome is a value's exact
 # coefficients, each with its type, or the error's type and text.  The digest was
-# computed with the reader that built each value through a per-power dict.
+# computed with the reader that built each value through a per-power dict, and
+# again, with the same texts, once every error of these reads was a ParseError or
+# a ModelError (out-of-range thresholds and values of Q[e] had their own).
 
-LITERAL_DIGEST = "533707b66da5db156741c55d8cb1c35c39303e4775b6ccd3f6b2e43679a0e69a"
+LITERAL_DIGEST = "4c6c25630ba05146060a38c5639e1b6020b4507578eb9f85d0275805e4336df8"
 
 BAD_LITERALS = ("1/0", "(1)/(0)", "1 e^0", "((1))/(1)", "1 2", "1 e + 2 3", "1 e + v",
                 "0 e + v", "v + v", "1/v + 2 v", "1/2 v + 1/v^2", "", "1 +", "e", "1 x",
