@@ -4,7 +4,9 @@ Everything is driven by a caller-supplied ``random.Random`` so test runs are
 reproducible.  Model generation produces quasimodels valid by construction:
 accessibility relations are closed reflexively and transitively, and masses
 are exact integer-weight fractions (optionally perturbed by an infinitesimal
-that cancels across two worlds).
+that cancels across two worlds).  A binding that an axiom schema does not
+use is drawn but not built: ``rand_term`` and ``rand_eformula`` with
+``build=False`` make the same draws and return None.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional
 
 from . import proofcheck
 from .ispec import InteractionSpec
-from .qeps import ZERO, QEps
+from .qeps import _FRACTION_ZERO, ZERO, QEps, _add_monomial, _canonical, _trim
 from .semantics import EpistemicModel, Quasimodel
 from .syntax import (
     AGENTS,
@@ -75,16 +77,12 @@ def rand_fraction(rng: random.Random) -> Fraction:
 def rand_qeps(rng: random.Random) -> QEps:
     """A random element of the unit interval, sometimes off by infinitesimals."""
     q = rand_fraction(rng)
-    value = QEps.from_rational(q)
-    if rng.random() < 0.4:
-        bump = QEps.from_monomials([(Fraction(1 + _below(rng, 3)), 1 + _below(rng, 2))])
-        if q == 0:
-            value = value + bump
-        elif q == 1:
-            value = value - bump
-        else:
-            value = value + bump if rng.random() < 0.5 else value - bump
-    return value
+    if rng.random() >= 0.4:
+        return _canonical((q,) if q else ())
+    c, p = Fraction(1 + _below(rng, 3)), 1 + _below(rng, 2)
+    if q == 1 or (q and rng.random() >= 0.5):  # stay in [0, 1]
+        c = -c
+    return _canonical((q,) + (_FRACTION_ZERO,) * (p - 1) + (c,))
 
 
 # ---------------------------------------------------------------------------
@@ -92,33 +90,39 @@ def rand_qeps(rng: random.Random) -> QEps:
 # ---------------------------------------------------------------------------
 
 
-def rand_term(rng: random.Random, depth: int = 4) -> Term:
+def rand_term(rng: random.Random, depth: int = 4, build: bool = True) -> Optional[Term]:
     if depth <= 0 or rng.random() < 0.35:
         if rng.random() < 0.3:
-            return Const(CONST_NAMES[_below(rng, len(CONST_NAMES))])
-        return Var(VAR_NAMES[_below(rng, len(VAR_NAMES))])
-    kind = _below(rng, 4)
-    if kind == 0:
-        return App(rand_term(rng, depth - 1), rand_term(rng, depth - 1))
-    if kind == 1:
-        return Sum(rand_term(rng, depth - 1), rand_term(rng, depth - 1))
+            name = CONST_NAMES[_below(rng, len(CONST_NAMES))]
+            return Const(name) if build else None
+        name = VAR_NAMES[_below(rng, len(VAR_NAMES))]
+        return Var(name) if build else None
+    kind, d = _below(rng, 4), depth - 1
+    if kind == 3:
+        comp = OMEGA if rng.random() < 0.25 else 1 + _below(rng, 9)
+        sub = rand_term(rng, d, build)
+        return Proto(comp, sub) if build else None
+    left = rand_term(rng, d, build)
     if kind == 2:
-        return Bang(rand_term(rng, depth - 1))
-    comp = OMEGA if rng.random() < 0.25 else 1 + _below(rng, 9)
-    return Proto(comp, rand_term(rng, depth - 1))
+        return Bang(left) if build else None
+    right = rand_term(rng, d, build)
+    return (App if kind == 0 else Sum)(left, right) if build else None
 
 
-def rand_eformula(rng: random.Random, depth: int = 4) -> EFormula:
+def rand_eformula(rng: random.Random, depth: int = 4, build: bool = True) -> Optional[EFormula]:
     if depth <= 0 or rng.random() < 0.3:
-        return Atom(ATOM_NAMES[_below(rng, len(ATOM_NAMES))])
-    kind = _below(rng, 4)
-    if kind == 0:
-        return ENot(rand_eformula(rng, depth - 1))
-    if kind == 1:
-        return EAnd(rand_eformula(rng, depth - 1), rand_eformula(rng, depth - 1))
-    if kind == 2:
-        return Box(AGENTS[_below(rng, 2)], rand_eformula(rng, depth - 1))
-    return Just(rand_term(rng, depth - 1), AGENTS[_below(rng, 2)], rand_eformula(rng, depth - 1))
+        name = ATOM_NAMES[_below(rng, len(ATOM_NAMES))]
+        return Atom(name) if build else None
+    kind, d = _below(rng, 4), depth - 1
+    t = rand_term(rng, d, build) if kind == 3 else None
+    agent = AGENTS[_below(rng, 2)] if kind >= 2 else None
+    left = rand_eformula(rng, d, build)
+    right = rand_eformula(rng, d, build) if kind == 1 else None
+    if not build:
+        return None
+    if kind < 2:
+        return ENot(left) if kind == 0 else EAnd(left, right)
+    return Box(agent, left) if kind == 2 else Just(t, agent, left)
 
 
 def rand_formula(rng: random.Random, depth: int = 6) -> Formula:
@@ -212,7 +216,9 @@ def _sample_p2(rng: random.Random, b: dict, spec, k) -> dict:  # s < t
     t = rand_qeps(rng)
     while t.compare(ZERO) <= 0:
         t = rand_qeps(rng)
-    s = t - QEps.from_monomials([(Fraction(1), 1 + _below(rng, 2))])
+    num = list(t.num)  # s = t - e^p
+    _add_monomial(num, Fraction(-1), 1 + _below(rng, 2))
+    s = _canonical(_trim(num))
     return {"s": s if s.in_unit_interval() else ZERO, "t": t}
 
 
@@ -283,15 +289,18 @@ def rand_axiom_instance(
 
     Each binding is drawn by the sort its metavariable's name stands for.
     Every call first draws an agent, the epistemic formulas A and B and the
-    terms t and u, in this order, whether the schema binds them or not; an
-    interaction schema's alpha is ``spec_formula``.  The schema's sampler,
-    if it has one, draws next; a threshold s that no sampler draws comes last.
+    terms t and u, in this order, whether the schema binds them or not, and
+    builds only the trees it binds; an interaction schema's alpha is
+    ``spec_formula``.  The schema's sampler, if it has one, draws next; a
+    threshold s that no sampler draws comes last.
     """
     sch = proofcheck._SCHEMAS.get(schema)
     if sch is None:
         raise ValueError(f"unknown schema {schema!r}")
-    b = {"agent": AGENTS[_below(rng, 2)], "A": rand_eformula(rng, 2), "B": rand_eformula(rng, 2),
-         "t": rand_term(rng, 2), "u": rand_term(rng, 2)}
+    names = sch.names
+    b = {"agent": AGENTS[_below(rng, 2)], "A": rand_eformula(rng, 2, "A" in names),
+         "B": rand_eformula(rng, 2, "B" in names), "t": rand_term(rng, 2, "t" in names),
+         "u": rand_term(rng, 2, "u" in names)}
     if "alpha" in sch.names:
         if spec is None or spec_formula is None:
             raise ValueError("interaction schemas need a spec entry")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ipj import generators, proofcheck, semantics, syntax
+from ipj import generators, proofcheck, qeps, semantics, syntax
 from ipj.ispec import InteractionSpec, load_spec, load_spec_file
 from ipj.proofcheck import (
     Report,
@@ -382,6 +382,71 @@ def test_below_draws_what_the_stdlib_draws():
                 assert seq[generators._below(ours, len(seq))] == stdlib.choice(seq)
                 assert -2 + generators._below(ours, n) == stdlib.randint(-2, n - 3)
                 assert ours.getstate() == stdlib.getstate()
+
+
+def test_harness_stream_is_pinned_at_scale():
+    # The exact loop of cli._soundness_harness (one random model, then 1,000
+    # instances) for 24 seeds: 24 times the harness instances pinned above.
+    h = hashlib.sha256()
+    for seed in range(500, 524):
+        rng = random.Random(seed)
+        generators.rand_model(rng)
+        for _ in range(1000):
+            schema = rng.choice(generators.HARNESS_SCHEMAS)
+            inst = generators.rand_axiom_instance(rng, schema)
+            h.update(f"{schema} {print_formula(inst)}\n".encode())
+    assert h.hexdigest() == "6aed82bd0fcbb3751dcd4fdebbec3833b62ad0d7b3a4c8fe2ae479d64aaffbe2"
+
+
+def test_a_tree_drawn_but_not_built_draws_the_same():
+    # rand_axiom_instance draws the bindings a schema does not use with
+    # build=False; the stream stays pinned only if those draws are the same.
+    for seed in range(200):
+        for depth in range(7):
+            for draw in (generators.rand_term, generators.rand_eformula):
+                skipped, built = random.Random(seed), random.Random(seed)
+                assert draw(skipped, depth, build=False) is None
+                assert draw(built, depth) is not None
+                assert skipped.getstate() == built.getstate(), (seed, depth, draw.__name__)
+
+
+def _old_rand_qeps(rng):
+    # reference: the same draws, with the value built by QEps field arithmetic
+    q = generators.rand_fraction(rng)
+    value = QEps.from_rational(q)
+    if rng.random() < 0.4:
+        bump = QEps.from_monomials([(Fraction(1 + generators._below(rng, 3)),
+                                     1 + generators._below(rng, 2))])
+        if q == 0:
+            value = value + bump
+        elif q == 1:
+            value = value - bump
+        else:
+            value = value + bump if rng.random() < 0.5 else value - bump
+    return value
+
+
+def _old_sample_p2(rng):
+    t = _old_rand_qeps(rng)
+    while t.compare(QEps()) <= 0:
+        t = _old_rand_qeps(rng)
+    s = t - QEps.from_monomials([(Fraction(1), 1 + generators._below(rng, 2))])
+    return {"s": s if s.in_unit_interval() else QEps(), "t": t}
+
+
+def test_thresholds_are_the_values_the_field_arithmetic_gives():
+    for seed in range(2000):
+        new, old = random.Random(seed), random.Random(seed)
+        pairs = [(generators.rand_qeps(new), _old_rand_qeps(old))]
+        drawn = generators._sample_p2(new, {}, None, None)
+        pairs += [(drawn[key], value) for key, value in _old_sample_p2(old).items()]
+        for got, want in pairs:
+            # the same coefficients, trimmed, and the shared denominator the
+            # fast paths of QEps recognise by identity
+            assert got == want and got.num == want.num, (seed, str(got), str(want))
+            assert got.den is want.den is qeps._DEN1, seed
+            assert str(got) == str(want), seed
+        assert new.getstate() == old.getstate(), seed
 
 
 @pytest.mark.parametrize("schema", ["nope", "c", "s", "cw", "sw", "zk1", "zk2"])
