@@ -2,7 +2,8 @@
 
 Every subcommand returns a ``proofcheck.Report``, which one renderer prints.
 Exit codes: 0 when the requested check passes (VALID / PASS / true), 1 when
-it fails logically, 2 on usage or parse errors.  ``--json`` prints one
+it fails logically, 2 on usage or parse errors.  A reader that closes stdout
+early gets the verdict's code all the same.  ``--json`` prints one
 object: ``ok``, ``report`` (the text lines) and the subcommand's fields.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 
@@ -23,9 +25,18 @@ from .qeps import parse_qeps
 def _emit(args, report: Report) -> int:
     if args.json:
         payload = {"ok": report.ok, "report": report.lines, **report.fields}
-        print(json.dumps(payload, sort_keys=True))
+        text = json.dumps(payload, sort_keys=True)
     else:
-        print(report.render())
+        text = report.render()
+    try:
+        print(text)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # the reader is gone: stdout goes to os.devnull, so that the flush at
+        # exit does not raise again, and the verdict stands
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if report.ok else 1
 
 

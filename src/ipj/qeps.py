@@ -260,11 +260,14 @@ class QEps:
         """-1, 0 or 1: the sign for small positive e.
 
         The denominator's lowest-order coefficient is 1 by normalisation, so
-        the numerator's lowest-order nonzero coefficient decides.
+        the numerator's lowest-order nonzero coefficient decides, and its
+        sign is that of its integer numerator (read without comparing
+        ``Fraction`` values).
         """
         for c in self.num:
-            if c:
-                return 1 if c > 0 else -1
+            n = c.numerator
+            if n:
+                return 1 if n > 0 else -1
         return 0
 
     def __eq__(self, other):

@@ -25,7 +25,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import proofcheck, syntax
 from .ispec import InteractionSpec, error
@@ -84,7 +84,14 @@ def _mask(bits) -> int:
     return int(bits[::-1].translate(_TO_DIGITS), 2)
 
 
-def _indices_mask(indices: Iterable[int], n: int) -> int:
+def _indices_mask(indices: Sequence[int], n: int) -> int:
+    """The mask of the worlds ``indices``: by shifts for at most 16 of them,
+    whose cost grows with their number, else through a byte view."""
+    if len(indices) <= 16:
+        mask = 0
+        for i in indices:
+            mask |= 1 << i
+        return mask
     bits = bytearray(n)
     for i in indices:
         bits[i] = 1
@@ -143,19 +150,23 @@ class EpistemicModel:
         self._atom_masks: dict[str, int] = dict.fromkeys(atoms or (), 0)
         self._atom_masks.update((name, _mask(view)) for name, view in views.items())
         self.atoms: frozenset = frozenset(self._atom_masks)
-        # the evidence base: one world mask per (agent, term, eformula)
+        # the evidence base: one world mask per (agent, term, eformula), and the
+        # protocol entries by (agent, inner term, formula) -> [(complexity, mask)]
         self._base: dict[tuple[str, Term, EFormula], int] = {}
+        self._proto: dict[tuple, list] = {}
         for key, ws in (evidence or {}).items():
-            ws = tuple(ws)
-            if not ws:
+            found = tuple(map(index, ws := tuple(ws)))
+            if not found:
                 continue
-            found = tuple(map(index, ws))
             if None in found:
                 unknown = min(w for w, i in zip(ws, found) if i is None)
                 raise ModelError(f"evidence mentions unknown world {unknown!r}")
-            if key[0] not in AGENTS:
-                raise ModelError(f"evidence mentions unknown agent {key[0]!r}")
-            self._base[key] = _indices_mask(found, n)
+            a, t, alpha = key
+            if a not in AGENTS:
+                raise ModelError(f"evidence mentions unknown agent {a!r}")
+            mask = self._base[key] = _indices_mask(found, n)
+            if t.__class__ is Proto:
+                self._proto.setdefault((a, t.inner, alpha), []).append((t.complexity, mask))
         # per agent, each world's successors by index, shared with the agent before if equal
         self._succ: dict[str, list[list[int]]] = {}
         last_edges = last_succ = None
@@ -189,21 +200,10 @@ class EpistemicModel:
                     a, *min(broken)))
             last_edges, last_succ = pairs, succ
 
-        pool = set()
-        for alpha in {alpha for _, _, alpha in self._base}:
-            pool.add(alpha)
-            for sub in esubformulas(alpha):
-                d = syntax.dest_eimp(sub)
-                if d is not None:
-                    pool.update(d)
-        self.witness_pool: frozenset = frozenset(pool)
+        self._witness_pool: Optional[frozenset] = None  # see witness_pool
         self.full_mask: int = (1 << n) - 1
-        # the protocol entries by (agent, inner term, formula) -> [(complexity, mask)]
-        self._proto: dict[tuple, list] = {}
-        for (a, t, alpha), mask in self._base.items():
-            if isinstance(t, Proto):
-                self._proto.setdefault((a, t.inner, alpha), []).append((t.complexity, mask))
-        self._based_terms = frozenset(t for _, t, _ in self._base)  # see _is_live
+        # see _is_live: a protocol term with a base entry is live by its inner term
+        self._based_terms = frozenset(t for _, t, _ in self._base if t.__class__ is not Proto)
         self._run_inners = frozenset(inner for _, inner, _ in self._proto)
         self._evidence: dict[tuple, int] = {}
         self._boxes: dict[tuple, int] = {}  # (agent, mask) -> _box(agent, mask)
@@ -211,6 +211,21 @@ class EpistemicModel:
         # a constant is evidence for alpha
         self._pools: dict[EFormula, frozenset] = {}
         self._axiom_chains: dict[EFormula, int] = {}
+
+    @property
+    def witness_pool(self) -> frozenset:
+        """The base's formulas and both sides of each implication among their
+        subformulas, built on first use: only an application term reads it."""
+        if self._witness_pool is None:
+            pool = set()
+            for alpha in {alpha for _, _, alpha in self._base}:
+                pool.add(alpha)
+                for sub in esubformulas(alpha):
+                    d = syntax.dest_eimp(sub)
+                    if d is not None:
+                        pool.update(d)
+            self._witness_pool = frozenset(pool)
+        return self._witness_pool
 
     def index(self, w: str) -> int:
         """The bit of world ``w`` in every mask."""
@@ -352,18 +367,19 @@ class Quasimodel:
         self.sample: tuple[str, ...] = tuple(dict.fromkeys(sample))
         self.measure: dict[str, QEps] = dict(measure)
         self.w0 = w0
-        masses = [self.measure.get(w, ZERO) for w in base.worlds]
+        masses = list(map(self.measure.get, base.worlds, itertools.repeat(ZERO)))
         # each mass object is read once: a model file's equal masses share one object
-        distinct = {id(m): m for m in masses}
+        ids = list(map(id, masses))
+        distinct = dict(zip(ids, masses))
         # per power of e, the polynomial masses' coefficients as integer numerators
         # over one denominator, by world
         polys = {key: m.num for key, m in distinct.items() if len(m.den) == 1}
         self._coefficients: list[tuple[int, list[int]]] = []
         for power in range(max(map(len, polys.values()), default=0)):
-            cs = {key: p[power] for key, p in polys.items() if power < len(p)}
-            den = math.lcm(*(c.denominator for c in cs.values()))
-            nums = {key: c.numerator * (den // c.denominator) for key, c in cs.items()}
-            self._coefficients.append((den, [nums.get(id(m), 0) for m in masses]))
+            ratios = {key: p[power].as_integer_ratio() for key, p in polys.items() if power < len(p)}
+            den = math.lcm(*(d for _, d in ratios.values()))
+            nums = {key: n * (den // d) for key, (n, d) in ratios.items()}
+            self._coefficients.append((den, list(map(nums.get, ids, itertools.repeat(0)))))
         # the numerators of the rational-function masses by world index, in
         # one group per shared denominator
         groups: dict[tuple, list] = {}
@@ -373,7 +389,7 @@ class Quasimodel:
                     groups.setdefault(m.den, []).append((i, m.num))
         self._fraction_groups = list(groups.items())
         self._measures: dict[int, QEps] = {}
-        found = [base._index.get(w) for w in self.sample]
+        found = list(map(base._index.get, self.sample))
         if None in found:
             raise ModelError(f"sample world {self.sample[found.index(None)]!r} is not a model world")
         self.sample_mask: int = _indices_mask(found, len(base.worlds))
@@ -553,12 +569,9 @@ def _check_bounds(
             ok = value.compare(ONE - bound) >= 0
         if not ok:
             rep.fail(describe(n, value), (t, alpha, n, k, value))
+    # every measure is finite: it is a sum of masses, each in [0, 1] (Quasimodel.validate)
     stab = q.measure_of(Just(Proto(max(n_star, thr + 1), t), syntax.VERIFIER, body))
-    try:
-        sp = stab.std_part()
-    except ValueError:
-        rep.fail(describe("limit", stab), (t, alpha, None, k, stab))
-        return
+    sp = stab.std_part()
     want = Fraction(0) if upper else Fraction(1)
     if sp != want:
         rep.fail(
@@ -589,6 +602,14 @@ def _check_bounds(
 
 _SECTIONS = frozenset(("worlds", "R[P]", "R[V]", "val", "evidence", "U", "mu", "w0"))
 _HEADS = re.compile("[%s]" % "".join({name[0] for name in _SECTIONS}))  # a header's first character
+
+
+# the readers of a model file's texts, one parser for all of them (see parse_model_file)
+_read_term, _read_mass = syntax.Parser.term, syntax.Parser.literal
+
+
+def _read_eformula(p: syntax.Parser) -> Optional[EFormula]:
+    return syntax.as_efml(p.formula())
 
 
 def parse_model_file(text: str) -> Quasimodel:
@@ -629,21 +650,26 @@ def parse_model_file(text: str) -> Quasimodel:
                     held.append(parts[0])
                     continue
                 tails[tail] = held = [parts[0]]
-                # the term ends at the first colon with a space on each side
-                at = (rest := tail[3:].lstrip()).find(":", 1)
-                while at > 0 and not (rest[at - 1].isspace() and rest[at + 1 : at + 2].isspace()):
-                    at = rest.find(":", at + 1)
+                # the term ends at the first colon with a space on each side: the one of
+                # the first " : ", unless another colon comes before it
+                term, colon, eform = (rest := tail[3:].lstrip()).partition(" : ")
+                if not colon or ":" in term:
+                    at = rest.find(":", 1)
+                    while at > 0 and not (rest[at - 1].isspace() and rest[at + 1 : at + 2].isspace()):
+                        at = rest.find(":", at + 1)
+                    term, eform = (rest[:at], rest[at + 1 :]) if at > 0 else (None, None)
                 if tail[:3] not in ("[P]", "[V]") or not tail[3:4].isspace():
                     entries.append((j, None, f"bad evidence line: {line!r}", None, held))
-                elif at < 0:
+                elif term is None:
                     entries.append((j, None, f"bad evidence line (need 'term : eform'): {line!r}",
                                     None, held))
                 else:
-                    entries.append((j, tail[1], rest[:at].rstrip(), rest[at + 1 :].lstrip(), held))
+                    entries.append((j, tail[1], term.rstrip(), eform.lstrip(), held))
         elif current in ("R[P]", "R[V]"):
+            edges = rel[current[2]]
             for j, line in enumerate(body, start):
                 # w -> u: its words, else one word on each side of the last "->" that has that
-                ends, at = line.split(), len(line)
+                ends, at = line.split(), None
                 while len(ends) != 3 or ends[1] != "->":
                     if (at := line.rfind("->", 0, at)) <= 0:
                         bad.append((current, j, f"bad edge line in {current}: {line!r}"))
@@ -651,7 +677,7 @@ def parse_model_file(text: str) -> Quasimodel:
                     w, u = line[:at].split(), line[at + 2 :].split()
                     ends = [*w, "->", *u] if len(w) == 1 == len(u) else ()
                 else:
-                    rel[current[2]].append((ends[0], ends[2]))
+                    edges.append((ends[0], ends[2]))
         elif current == "val":
             for j, line in enumerate(body, start):
                 # w : atoms, split at the first colon with a space in front
@@ -666,7 +692,9 @@ def parse_model_file(text: str) -> Quasimodel:
                     late.append((j, w))
                 valuation.setdefault(w, []).extend(atoms.split())
         elif current == "mu":
-            masses += [(j, *line.partition("=")) for j, line in enumerate(body, start)]
+            for j, line in enumerate(body, start):
+                w, equals, mass = line.partition("=")
+                masses.append((j, w.strip(), equals, mass.strip()))
         elif current == "worlds":
             declared.update(dict.fromkeys(" ".join(body).split()))
         elif current:  # U and w0
@@ -686,33 +714,31 @@ def parse_model_file(text: str) -> Quasimodel:
         _, j, message = min(bad)
         raise ModelError(f"line {number(j)}: {message}")
 
-    # Each distinct term, formula and mass text is read once: each kind through one
+    # Each distinct term, formula and mass text is read once: all of them through one
     # parser (syntax.parse_each), and a text that parser did not read alone, so that
     # every error is that of a plain read.
-    values = {parse: syntax.parse_each(texts, read_one) for parse, texts, read_one in (
-        (syntax.parse_term, [e[2] for e in entries if e[1]], syntax.Parser.term),
-        (syntax.parse_eformula, [e[3] for e in entries if e[1]],
-         lambda p: syntax.as_efml(p.formula())),
-        (parse_qeps, [m.strip() for _, _, equals, m in masses if equals], syntax.Parser.literal),
-    )}
-    read = lambda parse, text: values[parse].get(text) or parse(text)  # noqa: E731
+    good = [entry for entry in entries if entry[1]]
+    read = syntax.parse_each([*[(_read_term, e[2]) for e in good],
+                              *[(_read_eformula, e[3]) for e in good],
+                              *[(_read_mass, m[3]) for m in masses if m[2]]], None).get
     evidence: dict[tuple, list[str]] = {}  # the base's world lists
     for lineno, a, term, eform, held in entries:
         if a is None:
             raise ModelError(f"line {number(lineno)}: {term}")
         try:
-            t, alpha = read(syntax.parse_term, term), read(syntax.parse_eformula, eform)
+            t = read((_read_term, term)) or syntax.parse_term(term)
+            alpha = read((_read_eformula, eform)) or syntax.parse_eformula(eform)
         except syntax.ParseError as exc:
             raise ModelError(f"line {number(lineno)}: bad evidence line: {exc}") from exc
         evidence.setdefault((a, t, alpha), []).extend(held)
-    measure, read_masses = {}, values[parse_qeps]
+    measure = {}
     for lineno, w, equals, mass in masses:
         if not equals:
             raise ModelError(f"line {number(lineno)}: bad mass line: {w!r}")
-        if (w := w.strip()) in measure:
+        if w in measure:
             raise ModelError(f"line {number(lineno)}: second mass line for world {w!r}")
         try:
-            measure[w] = read_masses.get(mass := mass.strip()) or parse_qeps(mass)
+            measure[w] = read((_read_mass, mass)) or parse_qeps(mass)
         except syntax.ParseError as exc:
             raise ModelError(f"line {number(lineno)}: bad mass line: {exc}") from exc
 

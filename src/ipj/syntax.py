@@ -34,7 +34,7 @@ import re
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from .qeps import _DEN1, _FRACTION_ZERO, QEps, _add_monomial, _canonical, _trim
+from .qeps import _DEN1, _FRACTION_ZERO, QEps, _add_monomial, _canonical
 
 # ---------------------------------------------------------------------------
 # complexities and agents
@@ -646,6 +646,7 @@ class Parser:
         self.text = text
         self.memo = memo
         self.close = None  # the paren map, built only for a formula read (pair_parens)
+        self.vars: dict[str, Var] = {}  # one node per variable name, hashed at most once
         if memo is not None:
             self.pair_parens()
 
@@ -663,17 +664,12 @@ class Parser:
 
     # -- token plumbing ------------------------------------------------------
 
-    def next(self) -> int:
-        """The index of the next token, which is then read unless it is the end."""
-        i = self.i
-        if self.kinds[i] != "eof":
-            self.i = i + 1
-        return i
-
     def expect(self, kind: str) -> int:
-        i = self.next()
+        """The index of the next token, which is read if it is of ``kind``, else an error."""
+        i = self.i
         if self.kinds[i] != kind:
             self.error(f"expected {kind!r}, got {self.texts[i]!r}", i)
+        self.i = i + 1
         return i
 
     def position(self, j: int) -> tuple[int, int]:
@@ -693,18 +689,19 @@ class Parser:
     # -- terms ----------------------------------------------------------------
 
     def term(self) -> Term:
-        t = self.term_mul()
-        while self.kinds[self.i] == "+":
+        """A sum of applications of prefix terms, in one frame: ``*`` binds
+        tighter than ``+``, and both group to the left."""
+        kinds = self.kinds
+        t = None
+        while True:
+            u = self.term_prefix()
+            while kinds[self.i] == "*":
+                self.i += 1
+                u = App(u, self.term_prefix())
+            t = u if t is None else Sum(t, u)
+            if kinds[self.i] != "+":
+                return t
             self.i += 1
-            t = Sum(t, self.term_mul())
-        return t
-
-    def term_mul(self) -> Term:
-        t = self.term_prefix()
-        while self.kinds[self.i] == "*":
-            self.i += 1
-            t = App(t, self.term_prefix())
-        return t
 
     def term_prefix(self) -> Term:
         i = self.i
@@ -733,7 +730,10 @@ class Parser:
             if text in RESERVED_NAMES:
                 self.error(f"{text!r} is reserved and cannot name a variable")
             self.i = i + 1
-            return Var(text)
+            v = self.vars.get(text)
+            if v is None:
+                v = self.vars[text] = Var(text)
+            return v
         self.error(f"expected a term, got {text!r}")
 
     def integer(self, j: int) -> int:
@@ -746,7 +746,8 @@ class Parser:
             raise ParseError(msg, *self.position(j)) from None
 
     def complexity(self) -> Complexity:
-        j = self.next()
+        j = self.i
+        self.i = j + 1  # past an error the index no longer matters
         kind, text = self.kinds[j], self.texts[j]
         if kind == "num":
             n = self.integer(j)
@@ -758,7 +759,8 @@ class Parser:
         self.error(f"expected a complexity (nat or 'w'), got {text!r}", j)
 
     def agent(self) -> str:
-        j = self.next()
+        j = self.i
+        self.i = j + 1
         text = self.texts[j]
         if self.kinds[j] == "ident" and text in AGENTS:
             return text
@@ -767,13 +769,26 @@ class Parser:
     # -- formulas ---------------------------------------------------------------
 
     def formula(self) -> Formula:
-        f = self.form_and()
-        while self.kinds[self.i] == "|":
+        """``&``, ``|`` and ``->`` in one frame: ``&`` binds tighter than
+        ``|``, both group to the left, and ``->`` groups to the right."""
+        kinds = self.kinds
+        sides = []  # the disjunctions before each "->"
+        f = None
+        while True:
+            g = self.form_unary()
+            while kinds[self.i] == "&":
+                self.i += 1
+                g = fand(g, self.form_unary())
+            f = g if f is None else for_(f, g)
+            kind = kinds[self.i]
+            if kind == "->":
+                sides.append(f)
+                f = None
+            elif kind != "|":
+                break
             self.i += 1
-            f = for_(f, self.form_and())
-        if self.kinds[self.i] == "->":
-            self.i += 1
-            return fimp(f, self.formula())
+        for left in reversed(sides):
+            f = fimp(left, f)
         return f
 
     def group(self) -> Formula:
@@ -786,17 +801,13 @@ class Parser:
             self.i = i + 1
             return f
         self.expect("(")
-        f = self.formula()
+        return self.close_group(i, self.formula())
+
+    def close_group(self, i: int, f: Formula) -> Formula:
+        """``f``, read after the "(" token ``i``: expect its ")" and keep ``f`` in the memo."""
         self.expect(")")
         if self.memo is not None:
             self.memo[self.keys[i]] = f
-        return f
-
-    def form_and(self) -> Formula:
-        f = self.form_unary()
-        while self.kinds[self.i] == "&":
-            self.i += 1
-            f = fand(f, self.form_unary())
         return f
 
     def form_unary(self) -> Formula:
@@ -817,19 +828,23 @@ class Parser:
         if kind == "(" or kind == "group":
             # a parenthesized formula, or a parenthesized term in front of a
             # justification separator; a term reading can end at ":[" only if
-            # the token after the matching ")" goes on with a term or is ":["
-            if self.close is None:
-                self.pair_parens()
-            close = self.close.get(i)
-            if close is not None and self.kinds[close + 1] in (":[", "+", "*"):
-                try:
-                    t = self.term()
-                    if self.kinds[self.i] == ":[":
-                        return self.justification(t)
-                except ParseError:
-                    pass
-                self.i = i
-            f = self.group()
+            # the token after the matching ")" goes on with a term or is ":[".
+            # The formula is read in this frame, not through group().
+            if kind == "group":
+                f = self.group()
+            else:
+                if self.close is None:
+                    self.pair_parens()
+                close = self.close.get(i)
+                if close is not None and self.kinds[close + 1] in (":[", "+", "*"):
+                    try:
+                        t = self.term()
+                        if self.kinds[self.i] == ":[":
+                            return self.justification(t)
+                    except ParseError:
+                        pass
+                self.i = i + 1
+                f = self.close_group(i, self.formula())
             if self.kinds[self.i] == ":[":
                 self.error("a justified formula needs a term on the left of ':['")
             return f
@@ -857,7 +872,8 @@ class Parser:
         return e
 
     def prob_formula(self) -> Formula:
-        j = self.next()
+        j = self.i  # a prop token
+        self.i = j + 1
         op = self.texts[j]
         s = self.threshold(op)
         body = self.group()
@@ -929,13 +945,13 @@ class Parser:
     def rational(self) -> Fraction:
         j = self.expect("num")
         n = self.integer(j)
-        if self.kinds[self.i] == "/":
-            self.i += 1
-            d = self.integer(self.expect("num"))
-            if d <= 0:
-                self.error("denominator must be positive", j)
-            return Fraction(n, d)
-        return Fraction(n)
+        if self.kinds[j + 1] != "/":
+            return Fraction(n)
+        self.i = j + 2
+        d = self.integer(self.expect("num"))
+        if d <= 0:
+            self.error("denominator must be positive", j)
+        return Fraction(n, d)
 
     def literal(self):
         """A value of Q[e], or a parametric threshold where the parser allows one."""
@@ -962,32 +978,39 @@ class Parser:
                 self.error("cannot mix e and the parameter v in one threshold", j)
             if sym[0]:  # with a zero coefficient the value is the rational base: one spelling
                 return SymThresh(coeffs[0] if coeffs else _FRACTION_ZERO, *sym)
-        return _canonical(_trim(coeffs), _DEN1)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return _canonical(tuple(coeffs), _DEN1)
 
     def poly(self):
         """The e-coefficients of a poly by power, up to the highest written, and its v-monomial."""
-        kinds = self.kinds
+        kinds, texts = self.kinds, self.texts
         coeffs: list[Fraction] = []
         sym = None
         while True:
             i = self.i
             param = None
-            if self.is_word(i, "v"):
+            # the words v and e are ident tokens: their texts are tested only there
+            if kinds[i] == "ident" and texts[i] == "v":
                 self.i = i + 1
                 param = (Fraction(1), 0)
-            elif kinds[i] == "num" and kinds[i + 1] == "/" and self.is_word(i + 2, "v"):
+            elif kinds[i] == "num" and kinds[i + 1] == "/" and kinds[i + 2] == "ident" and texts[i + 2] == "v":
                 self.i = i + 3  # c/v with c a bare integer
                 param = (Fraction(self.integer(i)), self.power("v"))
             else:
                 c = self.rational()
-                if self.is_word(self.i, "v"):
-                    self.i += 1
+                j = self.i
+                word = texts[j] if kinds[j] == "ident" else None
+                if word == "v":
+                    self.i = j + 1
                     param = (c, 0)
-                elif self.is_word(self.i, "e"):
-                    self.i += 1
+                elif word == "e":
+                    self.i = j + 1
                     _add_monomial(coeffs, c, self.power("e"))
-                else:
+                elif coeffs:
                     _add_monomial(coeffs, c, 0)
+                else:
+                    coeffs.append(c)
             if param is not None:
                 if sym is not None:
                     self.error("only one parametric monomial is allowed", i)
@@ -1058,18 +1081,22 @@ def parse_each(texts, read, allow_symbolic: bool = False, memo: Optional[dict] =
     None or does not end at its ``;``.  No reader takes a ``;``, so a read
     stops at one as at the end of a text read alone (with a memo, a group
     whose text came before is one token for the node read there), and a
-    value is that of a plain read.  The caller reads every other text alone."""
-    texts, values = list(dict.fromkeys(texts)), {}
+    value is that of a plain read.  The caller reads every other text alone.
+
+    Texts of several kinds are read with ``read`` None: each text is then a
+    pair (reader, text), read by its own reader and keyed by the pair."""
+    keys, values = list(dict.fromkeys(texts)), {}
+    pairs = keys if read is None else [(read, text) for text in keys]
     try:
-        p = Parser(";".join([*texts, ""]), allow_symbolic, memo)
+        p = Parser(";".join([text for _, text in pairs] + [""]), allow_symbolic, memo)
         kinds = p.kinds
-        for text in texts:
+        for key, (reader, text) in zip(keys, pairs):
             if ";" in text:
                 break
-            value = read(p)
+            value = reader(p)
             if value is None or kinds[p.i] != ";":
                 break
-            values[text] = value
+            values[key] = value
             p.i += 1
     except (ParseError, RecursionError):
         pass

@@ -263,6 +263,18 @@ def test_deep_nesting_exit_2(capsys, tmp_path):
         assert run(capsys, "eval", "~" * depth + "p", "--model", str(model)) == want, depth
 
 
+def test_nested_parentheses_are_read(capsys, tmp_path):
+    # the parser takes two frames per "(": a third of the recursion limit is read
+    _, _, model, _ = witness_file(capsys, tmp_path)
+    depth = sys.getrecursionlimit() // 3
+    deep = "(" * depth + "p" + ")" * depth
+    proof = tmp_path / "parens.ipjp"
+    proof.write_text(f"1. {deep} -> {deep} ; ax p\n")
+    assert run(capsys, "parse", deep) == (0, "p\n", "")
+    assert run(capsys, "eval", deep, "--model", str(model)) == (0, "true\n", "")
+    assert run(capsys, "check-proof", str(proof)) == (0, "VALID\n", "")
+
+
 def test_wide_tautology_is_valid(capsys, tmp_path):
     # 10,000 conjuncts nest 10,000 deep on the left: the tautology check walks
     # them without recursion
@@ -519,6 +531,29 @@ def test_shared_parser_answers_like_a_fresh_one(capsys, tmp_path):
         assert got == run_in_fresh_process(*argv), argv
         codes.append(got[0])
     assert codes == [2, 2, 2, 0, 0, 0]
+
+
+def test_a_closed_stdout_keeps_the_verdicts_code(capsys, tmp_path):
+    # `ipj check-model w.ipjm --spec s.ispec --kmax 2 | true` on a model that
+    # fails at k = 2: the pipe's reader is gone before the report is written
+    spec = tmp_path / "s.ispec"
+    spec.write_text("p : const 1\n")
+    model = tmp_path / "w.ipjm"
+    assert run(capsys, "simulate", "--witness", "p", "--spec", str(spec), "--k", "1",
+               "--nmax", "12", "--emit", str(model))[0] == 0
+    argv = ["check-model", str(model), "--spec", str(spec), "--kmax", "2"]
+    assert run(capsys, *argv)[0] == 1
+    src = str(Path(ipj.__file__).resolve().parent.parent)
+    for extra in ([], ["--json"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ipj", *argv, *extra], stdout=write_end,
+                                  env={**os.environ, "PYTHONPATH": src}, stderr=subprocess.PIPE,
+                                  text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, ""), extra
 
 
 # -- one renderer --------------------------------------------------------------------

@@ -245,6 +245,17 @@ def test_interaction_axioms_need_n_past_the_threshold():
         assert check_derivation(parse_derivation(line, spec)).ok == valid, line
 
 
+def test_an_m_hint_must_be_in_the_family():
+    # m(1) = 3, so the hint m=1 passes n > m at n = 2 and fails only the
+    # membership check: the c axiom needs n > m(k), and 2 > 3 is false
+    spec = load_spec("p : const 3\n")
+    formula = "t :[P] p -> Pr>= 1/2 (f[2](t) :[V] box[P] p)"
+    rep = check_derivation(parse_derivation(f"1. {formula} ; ax c k=1 m=1", spec))
+    assert rep.render() == "INVALID: line 1: formula is not an instance of axiom (c)"
+    notes = match_failure_notes(fml(formula), spec, hints={"k": 1, "m": 1})
+    assert "c: formula is not in the stated interaction family" in notes
+
+
 def test_interaction_bound_exponent_is_found_exactly():
     spec = load_spec("box[P] p : const 1\n")
 

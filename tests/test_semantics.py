@@ -704,6 +704,19 @@ def test_mass_outside_the_unit_interval_names_the_first_sample_world():
             Quasimodel(m, sample, {"u1": q("1/2"), "u2": big, "u3": big}, "u1")
 
 
+def test_an_infinite_mass_is_refused():
+    # No mass is infinite, so neither is any measure, a finite sum of masses:
+    # _check_bounds reads every standard part without a guard.
+    worlds = ["u1", "u2"]
+    m = simple_model(worlds=worlds, rel={"P": ident(worlds), "V": ident(worlds)}, valuation={})
+    infinite = parse_qeps("(1)/(1 e)")
+    with pytest.raises(ValueError, match="infinite"):
+        infinite.std_part()
+    for masses in ({"u1": infinite}, {"u1": infinite, "u2": parse_qeps("1 + -1 e")}):
+        with pytest.raises(ModelError, match="^mass of 'u1' is outside the unit interval$"):
+            Quasimodel(m, list(masses), masses, "u1")
+
+
 def reference_mass_error(sample, measure):
     """The first mass error, found the plain way: scan in sample order, then sum."""
     for u in sample:
