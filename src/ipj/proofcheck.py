@@ -93,8 +93,6 @@ def thresh_signs(a: Threshold, b: Threshold, symctx: SymCtx = None) -> Optional[
         return None  # a genuine infinitesimal against a parametric value
     if sa == sb:
         return frozenset((0,))
-    if sa.coeff == 0 and sb.coeff == 0:
-        return frozenset((_fsign(sa.base - sb.base),))
     if symctx is None:
         return None
     if symctx[0] == "sigma":
@@ -160,11 +158,7 @@ def thresh_is_rational_valued(s: Threshold, symctx: SymCtx) -> bool:
     """True if every instance of the threshold is a rational number."""
     if isinstance(s, QEps):
         return s.is_rational
-    if s.coeff == 0:
-        return True
-    if s.power >= 1 and symctx is not None and symctx[0] == "nu":
-        return True
-    return False
+    return s.power >= 1 and symctx is not None and symctx[0] == "nu"
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,8 @@ def verify_ipp_bound(m: RoundModel) -> Report:
         if not check_independence(
             q, Just(a, syntax.VERIFIER, m.claim), Just(b, syntax.VERIFIER, m.claim)
         ):
-            rep.fail(f"rounds {a} and {b} are not independent")
+            rep.fail(f"rounds {syntax.print_term(a)} and {syntax.print_term(b)} "
+                     "are not independent")
     bound = 1 - r**n
     rep.fields["bound"] = str(bound)
     measured = q.measure_of(m.claim)

@@ -69,14 +69,14 @@ _FRACTION_ZERO = Fraction(0)
 
 
 def _pgcd(a, b):
+    """The monic gcd of two nonzero polynomials: ``a`` starts nonzero and
+    takes only nonzero values of ``b``."""
     a, b = _trim(a), _trim(b)
     while b:
         if len(b) == 1:  # a nonzero constant: coprime
             return _DEN1
         _, r = _pdivmod(a, b)
         a, b = b, r
-    if not a:
-        return ()
     return tuple(c / a[-1] for c in a)  # monic
 
 
@@ -96,10 +96,10 @@ def _add_monomial(coeffs: list, c: Fraction, power: int) -> None:
 
 
 def _order(p) -> int:
+    """The power of the first nonzero coefficient; ``p`` is not zero."""
     for i, c in enumerate(p):
         if c != 0:
             return i
-    raise ValueError("zero polynomial has no order")
 
 
 class QEps:

@@ -272,14 +272,13 @@ class SymThresh(_Node):
 
     ``power >= 1`` with an integer parameter v >= N (approximation rule);
     ``power == 0`` means ``base + coeff * v`` with v ranging over the whole
-    unit interval (non-equality rule).  A zero ``coeff`` goes with ``power == 0``.
+    unit interval (non-equality rule).  ``coeff`` is nonzero, except in
+    ``proofcheck._sym_view``'s views of rationals, which are never printed.
     """
 
     __slots__ = _fields = ("base", "coeff", "power")  # Fraction, Fraction, int
 
     def __str__(self):
-        if self.coeff == 0:
-            return str(self.base)
         if self.power == 0:
             mono = f"{self.coeff} v"
         else:
@@ -298,10 +297,6 @@ def thresh_complement(s: Threshold) -> Threshold:
     if isinstance(s, SymThresh):
         return SymThresh(1 - s.base, -s.coeff, s.power)
     return s.complement()
-
-
-def is_symbolic(s: Threshold) -> bool:
-    return isinstance(s, SymThresh) and s.coeff != 0
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +438,7 @@ def formula_has_param(f: Formula) -> bool:
             stack += (g.left, g.right)
         elif cls is FNot:
             stack.append(g.inner)
-        elif cls is ProbGeq and is_symbolic(g.threshold):
+        elif cls is ProbGeq and g.threshold.__class__ is SymThresh:
             return True
     return False
 
@@ -525,7 +520,9 @@ def _tokenize(text: str, skip: bool) -> tuple[list, list, list]:
     later one.  A group whose text holds nothing that only a formula holds
     stays tokens, as it may be a term: ``(t)``, ``(x)``, ``(s + t)``.  A group
     that holds such a mark is no term, so where it is followed by ``:[``,
-    ``+`` or ``*`` the text is no formula: it fails, as without a memo.
+    ``+`` or ``*`` the text is no formula: it fails, as without a memo.  The
+    exception is a mark that names a constant, as in ``(c:box)``: a later copy
+    of that term finds no formula in the memo, and the read fails.
 
     Also the text of each closed group whose ``"("`` is lexed, in text order."""
     texts, keys, pos = [], [], 0
@@ -635,7 +632,8 @@ class Parser:
       literal, the token texts of a threshold) maps to the threshold read
       from them.
 
-    Only a text that fails may read otherwise with a memo than without one;
+    A text reads otherwise with a memo than without one only where the read
+    with the memo fails (see :func:`_tokenize` for one that reads without);
     :func:`parse_each` reads such a text alone.
     """
 

@@ -292,6 +292,25 @@ def test_random_harness(capsys):
     assert "PASS" in out
 
 
+def test_random_harness_reports_each_violation(capsys, monkeypatch):
+    # only a broken kernel draws a false instance: the negation of each drawn one stands in
+    draw, drawn = generators.rand_axiom_instance, []
+
+    def negated(rng, schema):
+        drawn.append((schema, syntax.fnot(draw(rng, schema))))
+        return drawn[-1][1]
+
+    monkeypatch.setattr(generators, "rand_axiom_instance", negated)
+    code, out, _ = run(capsys, "check-model", "--random", "2", "--instances", "3", "--json")
+    payload = json.loads(out)
+    assert (code, payload["ok"], payload["violations"]) == (1, False, 6)
+    assert payload["report"] == [
+        *(f"violation in model {i // 3}: ({schema}) {syntax.print_formula(f)}"
+          for i, (schema, f) in enumerate(drawn)),
+        "6 axiom instances over 2 random models", "6 violations", "FAIL",
+    ]
+
+
 @pytest.mark.parametrize("counts", [("-3", "10"), ("2", "-5")])
 def test_random_harness_rejects_negative_counts(capsys, counts):
     code, out, err = run(capsys, "check-model", "--random", counts[0], "--instances", counts[1])
@@ -454,6 +473,7 @@ ERROR_FILES = {
     "mass": ERROR_MODEL.replace("a = 1", "a = 1 +"),
     "spec": "zz : const 1\n",
     "dup": "p : const 1\np : const 2\n",
+    "negated": "~p : const 1\n",
 }
 
 
@@ -469,6 +489,12 @@ ERROR_FILES = {
     (["arith", "1 2"], "1:3: trailing input in literal: '2'"),
     (["arith", "1", "--cmp", "1 +"], "1:4: expected 'num', got ''"),
     (["eval", "p", "--model", "{mass}"], "line 10: bad mass line: 1:4: expected 'num', got ''"),
+    (["simulate", "--witness", "p", "--k", "0"], "k must be at least 1"),
+    (["simulate", "--witness", "p", "--term", "f[1](t)"],
+     "the base term must not mention protocol runs"),
+    (["simulate", "--witness", "~p", "--spec", "{negated}"],
+     "the witness construction needs a formula true at every world"),
+    (["parse", "--kind", "eformula", "Pr>= 1 (p)"], "expected a purely epistemic formula"),
 ])
 def test_input_error_texts(capsys, tmp_path, argv, err):
     # a call per input-error raise site of the model, spec, config and literal readers
@@ -614,12 +640,17 @@ def test_every_kernel_input_error_is_a_value_error():
 
 
 def test_python_m_ipj():
+    # the package and its cli module both run the CLI and exit with its code
     src = str(Path(ipj.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-m", "ipj", "parse", "p"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "p\n", "")
+    for module, text, want in (
+        ("ipj", "p", (0, "p\n", "")),
+        ("ipj.cli", "p &", (2, "", "error: 1:4: expected a formula, got ''\n")),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "parse", text],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == want, module
 
 
 def test_import_leaves_out_dataclasses_and_inspect():

@@ -57,9 +57,9 @@ def q(x):
     return QEps.from_rational(Fraction(x))
 
 
-def match_failure_notes(f, spec, zk=False, hints=None):
+def match_failure_notes(f, spec, zk=False, hints=None, symctx=None):
     """Why each schema does or does not match ``f``, one note per schema."""
-    ctx = proofcheck.MatchContext(spec, zk, hints=hints)
+    ctx = proofcheck.MatchContext(spec, zk, symctx=symctx, hints=hints)
     notes = []
     for sid in proofcheck.SCHEMA_IDS:
         try:
@@ -256,6 +256,17 @@ def test_an_m_hint_must_be_in_the_family():
     assert "c: formula is not in the stated interaction family" in notes
 
 
+def test_an_m_hint_in_the_family_is_the_bound_m():
+    # m(1) = 1: a hint m with n > m >= 1 is the m of the match, not m(k)
+    spec = load_spec("p : const 1\n")
+    for n, bound, m in ((2, "1/2", 1), (3, "2/3", 1), (3, "2/3", 2)):
+        formula = f"t :[P] p -> Pr>= {bound} (f[{n}](t) :[V] box[P] p)"
+        line = f"1. {formula} ; ax c k=1 m={m}"
+        assert check_derivation(parse_derivation(line, spec)).render() == "VALID", line
+        match = match_axiom(fml(formula), spec, schema="c", hints={"k": 1, "m": m})
+        assert (match.schema, match.bindings["m"]) == ("c", m), line
+
+
 def test_interaction_bound_exponent_is_found_exactly():
     spec = load_spec("box[P] p : const 1\n")
 
@@ -271,6 +282,24 @@ def test_interaction_bound_exponent_is_found_exactly():
     assert match_axiom(c_axiom(Fraction(8, 9), 3), spec, hints={"n": 3, "k": 2}) is not None
     notes = match_failure_notes(c_axiom(Fraction(8, 9), 3), spec, hints={"n": 4})
     assert "c: complexity does not equal the stated n" in notes
+
+
+# template name -> (schema, a line that fails it inside a template over integers v >= 1, reason)
+_PARAMETRIC_SIDES = {
+    "equal": ("p2", "Pr<= 1/v (p) -> ~Pr>= 1/v (p)", "side condition s < t fails"),
+    # v over the unit interval, which a template over integers cannot compare
+    "linear": ("p2", "Pr<= 1/2 v (p) -> ~Pr>= 1/2 + 1/2 v (p)",
+               "undecidable symbolic comparison s < t"),
+    # 1/10001 - 1/v changes sign at v = 10001, past the 10,000 values _signs_nu scans
+    "far_root": ("p1", "Pr>= 1/10001 + -1/v (p)", "threshold is not 0"),
+    "far_root_pa1": ("pa1", "Pr~ 1 (p) -> Pr>= 1/10001 + -1/v (p)",
+                     "undecidable symbolic range condition"),
+}
+
+
+def test_side_conditions_of_parametric_thresholds():
+    for sid, text, reason in _PARAMETRIC_SIDES.values():
+        assert f"{sid}: {reason}" in match_failure_notes(fml(text), EMPTY, symctx=("nu", 1)), text
 
 
 def test_signs_nu_of_equal_thresholds():
@@ -668,6 +697,10 @@ _TEMPLATES = {
     "plain.ipjp": "1. p -> p ; ax p\n",
     "notimp.ipjp": "1. Pr>= 0 (p) ; ax p1\n",
     "unparsable.ipjp": "1. p -> p ; mp x 1\n",
+    # lines that fail a side condition on parametric thresholds: see
+    # test_side_conditions_of_parametric_thresholds for the reasons
+    **{f"{name}.ipjp": f"1. {text} ; ax {sid}\n"
+       for name, (sid, text, _) in _PARAMETRIC_SIDES.items()},
 }
 # (proof text, ("parse", error) or (line, the reason the report gives after "INVALID: line N: "))
 _TEXTS = [
@@ -745,6 +778,10 @@ _TEXTS = [
      (1, "template 'bad.ipjp' fails: INVALID: line 1: formula is not an instance of axiom (p)")),
     ("1. p -> Pr~ 0 (q) ; param-approx 0 template=arch_template.ipjp",
      (1, "template does not derive the lower premise family")),
+    *((f"1. {_CONCLUSION} ; param-approx 1 template={name}.ipjp",
+       (1, f"template '{name}.ipjp' fails: INVALID: line 1: "
+           f"formula is not an instance of axiom ({sid})"))
+      for name, (sid, _, _) in _PARAMETRIC_SIDES.items()),
     ("1. t :[P] a -> Pr~ 1 (f[w](t) :[V] box[P] a) ; "
      "param-approx 1 template=almost_certain_template.ipjp",
      (1, "template does not derive the upper premise family")),
@@ -882,6 +919,20 @@ _SKIP_ERRORS = (
     "Pr>= 1/2 + 1 c:e (p)",
     "p (p & q)",
 )
+
+
+def test_a_repeated_term_group_with_a_mark_is_read_alone():
+    # "c:box" is a constant, so "(c:box)" reads as a term, yet its text holds
+    # the mark "box": a memo lexes its second copy as a group token, for which
+    # the memo holds no formula. The shared read fails there, and parse_each
+    # leaves the text to a read alone, which reads it like parse_formula.
+    text = "(c:box) :[P] p & (c:box) :[P] q"
+    with pytest.raises(ParseError, match="^1:18: expected a formula group$"):
+        Parser(text, memo={}).formula()
+    assert syntax.parse_each([text], Parser.formula, memo={}) == {}
+    d = parse_derivation(f"1. {text} -> {text} ; ax p", EMPTY)
+    assert d.lines[0].formula == parse_formula(f"{text} -> {text}")
+    assert print_formula(parse_formula(text)) == "c:box :[P] p & (c:box :[P] q)"
 
 
 def _mutants(rng, text):

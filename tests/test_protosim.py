@@ -87,6 +87,31 @@ def test_bound_strict_when_extra_mass():
     assert "bound met strictly" in "\n".join(rep.lines)
 
 
+def test_each_failed_bound_condition_is_reported():
+    from ipj.protosim import RoundModel
+
+    m = build_round_model(RoundConfig(2, Fraction(1, 3)))
+    s1, s2 = m.round_terms
+    # a model built for r = 1/3 read as one for r = 1/4: every round has the
+    # wrong mass, and the claim's 8/9 is below 1 - (1/4)^2 = 15/16
+    rep = verify_ipp_bound(RoundModel(RoundConfig(2, Fraction(1, 4)), m.quasimodel, m.round_terms))
+    assert rep.lines == [
+        "round 1 has mass 2/3, expected 3/4",
+        "round 2 has mass 2/3, expected 3/4",
+        "bound 1 - r^n = 15/16",
+        "measure of the claim = 8/9",
+        "the claim's measure is below the bound",
+    ] and not rep.ok
+    # one round counted twice: its evidence is not independent of itself
+    rep = verify_ipp_bound(RoundModel(m.cfg, m.quasimodel, (s1, s1)))
+    assert rep.lines == [
+        "rounds s1 and s1 are not independent",
+        "bound 1 - r^n = 8/9",
+        "measure of the claim = 8/9",
+        "bound met with equality",
+    ] and not rep.ok
+
+
 def test_dishonest_start_world():
     m = build_round_model(RoundConfig(2, Fraction(1, 3), honest=False))
     assert m.quasimodel.w0 == "o00"

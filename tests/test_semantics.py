@@ -1000,6 +1000,16 @@ b = 1/2
 w0: w0
 """
 
+def test_a_val_line_names_a_world_declared_before_it():
+    # inside val, "w0 : p" is a valuation line only once a worlds section above
+    # it has declared w0; before that it is the w0 header, whose world is p
+    after = parse_model_file(SHAPES_MODEL)
+    assert world_sets(after.base)[1] == {"w0": {"p"}, "b": set()}
+    before = replaced(SHAPES_MODEL, ("worlds: w0 b\n", "val:\nw0 : p\nworlds: w0 b\n"),
+                      ("val:\nw0 : p\nevidence:", "evidence:"))
+    assert read_error(before) == "the distinguished world must belong to the sample"
+
+
 # (a line of SHAPES_MODEL, the line put in its place, and what the file then
 # reads as: ("as", a plainer line in that place), or the error text)
 _MODEL_LINES = [
