@@ -613,22 +613,15 @@ def _read_eformula(p: syntax.Parser) -> Optional[EFormula]:
 
 
 def parse_model_file(text: str) -> Quasimodel:
-    # At each header, the section before it is read by its own loop.  Bad lines are kept,
-    # and the first raised in stage order: missing sections, R[P], R[V], val, evidence, mu.
+    # A first pass finds the header lines and keeps each section's parts as ranges of
+    # line indices; a second reads R[P], R[V], val, evidence and mu in that order, each
+    # over all its parts, so the first error does not depend on where the sections stand.
     # A line is known by its index j in syntax.lines(text), its number found for an error.
     lines = list(filter(None, map(str.strip, text.splitlines())))
     lines = [line for line in lines if line[0] != "#"] if "#" in text else lines
     number = lambda j: next(itertools.islice(syntax.lines(text), j, None))[0]  # noqa: E731
-    words: dict[str, list[str]] = {}  # per section met; the words of U and w0
+    parts: dict[str, list[tuple[int, int]]] = {}  # per section met, its parts' index ranges
     declared: dict[str, None] = {}  # the worlds named so far, in order
-    rel: dict[str, list[tuple[str, str]]] = {syntax.PROVER: [], syntax.VERIFIER: []}
-    bad = []  # (section, line, error text): "R[P]" < "R[V]" < "val" is the stage order
-    valuation: dict[str, list[str]] = {}
-    late = []  # (line, world) of each val line whose world is not declared before it
-    # an evidence line is a world and a text that many lines repeat; each text is split once
-    tails: dict[str, list[str]] = {}  # text -> the worlds of its lines
-    entries = []  # per text, in order: (line, agent, term, eform, worlds)
-    masses = []  # (line, world, "=", mass), or (line, text, "", "") for a bad line
     current, start = None, 0  # the section read, and the index of its first line
     firsts = "".join([line[0] for line in lines])
     for k in [*(m.start() for m in _HEADS.finditer(firsts)), len(lines)]:
@@ -639,80 +632,77 @@ def parse_model_file(text: str) -> Quasimodel:
             if not colon or (name := name.rstrip()) not in _SECTIONS or (
                     current == "val" and lines[k].split()[0] in declared):
                 continue
-        body = lines[start:k]
-        if current is None and body:
+        if current:
+            parts[current].append((start, k))
+            if current == "worlds":
+                declared.update(dict.fromkeys(" ".join(lines[start:k]).split()))
+        elif start < k:
             raise ModelError(f"line {number(start)}: content before any section header")
-        elif current == "evidence":
-            for j, line in enumerate(body, start):
-                # w [A] term : eform; the tail of a one-word line has no space, so is no key
-                parts = line.split(None, 1)
-                if (held := tails.get(tail := parts[-1])) is not None:
-                    held.append(parts[0])
-                    continue
-                tails[tail] = held = [parts[0]]
-                # the term ends at the first colon with a space on each side: the one of
-                # the first " : ", unless another colon comes before it
-                term, colon, eform = (rest := tail[3:].lstrip()).partition(" : ")
-                if not colon or ":" in term:
-                    at = rest.find(":", 1)
-                    while at > 0 and not (rest[at - 1].isspace() and rest[at + 1 : at + 2].isspace()):
-                        at = rest.find(":", at + 1)
-                    term, eform = (rest[:at], rest[at + 1 :]) if at > 0 else (None, None)
-                if tail[:3] not in ("[P]", "[V]") or not tail[3:4].isspace():
-                    entries.append((j, None, f"bad evidence line: {line!r}", None, held))
-                elif term is None:
-                    entries.append((j, None, f"bad evidence line (need 'term : eform'): {line!r}",
-                                    None, held))
-                else:
-                    entries.append((j, tail[1], term.rstrip(), eform.lstrip(), held))
-        elif current in ("R[P]", "R[V]"):
-            edges = rel[current[2]]
-            for j, line in enumerate(body, start):
-                # w -> u: its words, else one word on each side of the last "->" that has that
-                ends, at = line.split(), None
-                while len(ends) != 3 or ends[1] != "->":
-                    if (at := line.rfind("->", 0, at)) <= 0:
-                        bad.append((current, j, f"bad edge line in {current}: {line!r}"))
-                        break
-                    w, u = line[:at].split(), line[at + 2 :].split()
-                    ends = [*w, "->", *u] if len(w) == 1 == len(u) else ()
-                else:
-                    edges.append((ends[0], ends[2]))
-        elif current == "val":
-            for j, line in enumerate(body, start):
-                # w : atoms, split at the first colon with a space in front
-                w, colon, atoms = line.partition(":")
-                while colon and not w[-1:].isspace():  # no space in front: the next colon
-                    more, colon, atoms = atoms.partition(":")
-                    w = f"{w}:{more}"
-                if not colon:
-                    bad.append(("val", j, f"bad valuation line: {line!r}"))
-                    continue
-                if (w := w.rstrip()) not in declared:
-                    late.append((j, w))
-                valuation.setdefault(w, []).extend(atoms.split())
-        elif current == "mu":
-            for j, line in enumerate(body, start):
-                w, equals, mass = line.partition("=")
-                masses.append((j, w.strip(), equals, mass.strip()))
-        elif current == "worlds":
-            declared.update(dict.fromkeys(" ".join(body).split()))
-        elif current:  # U and w0
-            words[current] += " ".join(body).split()
         if k < len(lines):
-            words.setdefault(name, [])
+            parts.setdefault(name, [])
             lines[k] = first.strip()  # the header's own content is its section's first line
             current, start = name, k if lines[k] else k + 1
-
     for needed in ("worlds", "U", "mu", "w0"):
-        if needed not in words:
+        if needed not in parts:
             raise ModelError(f"missing section {needed!r}")
-    # a val line may name a world that a later line declares
-    bad += [("val", j, f"valuation mentions unknown world {w!r}") for j, w in late
-            if w not in declared]
-    if bad:
-        _, j, message = min(bad)
-        raise ModelError(f"line {number(j)}: {message}")
+
+    def each(name):  # (j, line) for the lines of all the parts of a section, in file order
+        return itertools.chain.from_iterable(
+            enumerate(lines[a:b], a) for a, b in parts.get(name, ()))
+
+    rel: dict[str, list[tuple[str, str]]] = {}
+    for agent in AGENTS:
+        edges = rel[agent] = []
+        for j, line in each(section := f"R[{agent}]"):
+            # w -> u: its words, else one word on each side of the last "->" that has that
+            ends, at = line.split(), None
+            while len(ends) != 3 or ends[1] != "->":
+                if (at := line.rfind("->", 0, at)) <= 0:
+                    raise ModelError(f"line {number(j)}: bad edge line in {section}: {line!r}")
+                w, u = line[:at].split(), line[at + 2 :].split()
+                ends = [*w, "->", *u] if len(w) == 1 == len(u) else ()
+            edges.append((ends[0], ends[2]))
+    valuation: dict[str, list[str]] = {}
+    for j, line in each("val"):
+        # w : atoms, split at the first colon with a space in front
+        w, colon, atoms = line.partition(":")
+        while colon and not w[-1:].isspace():  # no space in front: the next colon
+            more, colon, atoms = atoms.partition(":")
+            w = f"{w}:{more}"
+        if not colon:
+            raise ModelError(f"line {number(j)}: bad valuation line: {line!r}")
+        if (w := w.rstrip()) not in declared:
+            raise ModelError(f"line {number(j)}: valuation mentions unknown world {w!r}")
+        valuation.setdefault(w, []).extend(atoms.split())
+    # an evidence line is a world and a text that many lines repeat; each text is split once
+    tails: dict[str, list[str]] = {}  # text -> the worlds of its lines
+    entries = []  # per text, in order: (line, agent, term, eform, worlds)
+    for j, line in each("evidence"):
+        # w [A] term : eform; the tail of a one-word line has no space, so is no key
+        cut = line.split(None, 1)
+        if (held := tails.get(tail := cut[-1])) is not None:
+            held.append(cut[0])
+            continue
+        tails[tail] = held = [cut[0]]
+        # the term ends at the first colon with a space on each side: the one of
+        # the first " : ", unless another colon comes before it
+        term, colon, eform = (rest := tail[3:].lstrip()).partition(" : ")
+        if not colon or ":" in term:
+            at = rest.find(":", 1)
+            while at > 0 and not (rest[at - 1].isspace() and rest[at + 1 : at + 2].isspace()):
+                at = rest.find(":", at + 1)
+            term, eform = (rest[:at], rest[at + 1 :]) if at > 0 else (None, None)
+        if tail[:3] not in ("[P]", "[V]") or not tail[3:4].isspace():
+            entries.append((j, None, f"bad evidence line: {line!r}", None, held))
+        elif term is None:
+            entries.append((j, None, f"bad evidence line (need 'term : eform'): {line!r}",
+                            None, held))
+        else:
+            entries.append((j, tail[1], term.rstrip(), eform.lstrip(), held))
+    masses = []  # (line, world, "=", mass), or (line, text, "", "") for a bad line
+    for j, line in each("mu"):
+        w, equals, mass = line.partition("=")
+        masses.append((j, w.strip(), equals, mass.strip()))
 
     # Each distinct term, formula and mass text is read once: all of them through one
     # parser (syntax.parse_each), and a text that parser did not read alone, so that
@@ -742,8 +732,11 @@ def parse_model_file(text: str) -> Quasimodel:
         except syntax.ParseError as exc:
             raise ModelError(f"line {number(lineno)}: bad mass line: {exc}") from exc
 
+    def words(name):  # the words of all the parts of a section
+        return " ".join(line for _, line in each(name)).split()
+
     base = EpistemicModel(declared, rel, valuation, evidence)
-    return Quasimodel(base, words["U"], measure, " ".join(words["w0"]))
+    return Quasimodel(base, words("U"), measure, " ".join(words("w0")))
 
 
 def load_model_file(path: str) -> Quasimodel:
