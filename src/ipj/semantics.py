@@ -587,6 +587,7 @@ def _check_bounds(
 # ---------------------------------------------------------------------------
 #
 #   worlds: w u
+#   atoms: p q           (only when some atom holds at no world)
 #   R[P]:
 #   w -> u
 #   R[V]:
@@ -600,7 +601,7 @@ def _check_bounds(
 #   w = qeps
 #   w0: w
 
-_SECTIONS = frozenset(("worlds", "R[P]", "R[V]", "val", "evidence", "U", "mu", "w0"))
+_SECTIONS = frozenset(("worlds", "atoms", "R[P]", "R[V]", "val", "evidence", "U", "mu", "w0"))
 _HEADS = re.compile("[%s]" % "".join({name[0] for name in _SECTIONS}))  # a header's first character
 
 
@@ -735,7 +736,7 @@ def parse_model_file(text: str) -> Quasimodel:
     def words(name):  # the words of all the parts of a section
         return " ".join(line for _, line in each(name)).split()
 
-    base = EpistemicModel(declared, rel, valuation, evidence)
+    base = EpistemicModel(declared, rel, valuation, evidence, words("atoms"))
     return Quasimodel(base, words("U"), measure, " ".join(words("w0")))
 
 
@@ -751,6 +752,8 @@ def write_model_file(q: Quasimodel) -> str:
     names, n = m.worlds, len(m.worlds)
     order = sorted(range(n), key=names.__getitem__)  # the worlds by name
     sections = [f"worlds: {' '.join(names)}"]
+    if 0 in m._atom_masks.values():  # an atom that holds nowhere is named only here
+        sections.append(f"atoms: {' '.join(sorted(m._atom_masks))}")
     shared = {id(succ): succ for succ in m._succ.values()}  # agents may share successor lists
     edges = {key: "".join([
         f"\n{names[i]} -> {names[j]}" for i in order

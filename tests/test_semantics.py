@@ -811,6 +811,7 @@ def assert_roundtrip(qm):
     again = parse_model_file(write_model_file(qm))
     assert again.base.worlds == qm.base.worlds
     assert world_sets(again.base) == world_sets(qm.base)
+    assert again.base.atoms == qm.base.atoms
     assert again.base._base == qm.base._base  # every base mask
     assert again.sample == qm.sample
     assert again.measure == qm.measure
@@ -822,6 +823,17 @@ def test_model_file_roundtrip_random():
     rng = random.Random(0)
     for _ in range(300):
         assert_roundtrip(generators.rand_model(rng))
+
+
+def test_an_atom_that_holds_nowhere_is_written():
+    # the first random model has an atom p true at no world: ~p holds at w0 on the
+    # re-read file too, and a model whose every atom holds somewhere has no atoms: line
+    qm = generators.rand_model(random.Random(0))
+    text = write_model_file(qm)
+    assert text.split("\n")[1] == f"atoms: {' '.join(sorted(qm.base.atoms))}"
+    assert qm.base.truth_mask(Atom("p")) == 0
+    assert qm.eval(parse_formula("~p")) and parse_model_file(text).eval(parse_formula("~p"))
+    assert "atoms:" not in write_model_file(parse_model_file(MODEL_TEXT))
 
 
 def test_model_file_roundtrip_rounds_and_witnesses():
