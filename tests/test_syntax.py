@@ -358,7 +358,9 @@ def test_plain_read_outcomes_are_pinned():
     # and a value of Q[e]: the printed value, or the error with its line:col.
     # The digest was computed before the lexer stopped giving tokens positions,
     # and again, with the same texts, once every error of these reads was a
-    # ParseError (out-of-range thresholds and values of Q[e] had their own).
+    # ParseError (out-of-range thresholds and values of Q[e] had their own), and
+    # again when the corpus's model files began to list the atoms that hold at no
+    # world (dropping those lines gives the old digest).
     def outcome(read, show, text):
         try:
             return show(read(text))
@@ -370,7 +372,7 @@ def test_plain_read_outcomes_are_pinned():
         for read, show in ((parse_formula, print_formula), (parse_term, print_term),
                            (parse_qeps, str)):
             h.update(outcome(read, show, text).encode() + b"\n")
-    assert h.hexdigest() == "08a285ccdb7d41e929e3e723688d1e54dca8eafe54d51c06f053ee3e509cc9c6"
+    assert h.hexdigest() == "91c09526212998ffa897f6533f51b5a84d3a77c094124984981a23a74051519d"
 
 
 def test_token_positions_with_skipped_groups():
