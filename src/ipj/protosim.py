@@ -170,8 +170,7 @@ def build_interaction_witness(
         measure = {w: share * eps for w, share in shares.items()}
         measure["uout"] = QEps.from_rational(1) - eps
 
-    atoms = sorted(syntax.atoms_of_e(alpha)) or ["p"]
-    valuation = {w: list(syntax.atoms_of_e(alpha)) for w in worlds}
+    valuation = dict.fromkeys(worlds, sorted(syntax.atoms_of_e(alpha)))  # true everywhere
     body = Box(syntax.PROVER, alpha)
 
     evidence = {(syntax.VERIFIER, Proto(j, t), body): [f"u{j}"] for j in levels}
@@ -185,13 +184,7 @@ def build_interaction_witness(
         evidence[(syntax.PROVER, t, alpha)].append("uout")
         evidence[(syntax.VERIFIER, Proto(thr + 1, t), inner)] = ["uout"]
 
-    base = EpistemicModel(
-        worlds,
-        {syntax.PROVER: identity, syntax.VERIFIER: identity},
-        valuation,
-        evidence,
-        atoms=atoms,
-    )
+    base = EpistemicModel(worlds, dict.fromkeys(syntax.AGENTS, identity), valuation, evidence)
     if not all(base.eval(w, alpha) for w in worlds):
         raise ConfigError("the witness construction needs a formula true at every world")
     return Quasimodel(base, worlds, measure, w0)
