@@ -504,8 +504,9 @@ MAX_POWER = 100
 _SPACE_RE = re.compile(r"\s*")
 _PAREN_RE = re.compile(r"[()]")
 # what only a formula holds: a formula other than an atom holds one of these,
-# a term, a threshold and a bare atom ``(x)`` none
-_FORMULA_MARK_RE = re.compile(r"[~&|>]|:\[|\bbox\b|\bPr[<>=~]")
+# a term, a threshold and a bare atom ``(x)`` none (but see _tokenize); a box
+# is followed by its agent, so "box" alone, as in c:box or x'box, is no mark
+_FORMULA_MARK_RE = re.compile(r"[~&|>]|:\[|\bbox\s*\[|\bPr[<>=~]")
 
 
 def _tokenize(text: str, skip: bool) -> tuple[list, list, list]:
@@ -521,7 +522,7 @@ def _tokenize(text: str, skip: bool) -> tuple[list, list, list]:
     stays tokens, as it may be a term: ``(t)``, ``(x)``, ``(s + t)``.  A group
     that holds such a mark is no term, so where it is followed by ``:[``,
     ``+`` or ``*`` the text is no formula: it fails, as without a memo.  The
-    exception is a mark that names a constant, as in ``(c:box)``: a later copy
+    exception is a mark that names a constant, as in ``(c:Pr~)``: a later copy
     of that term finds no formula in the memo, and the read fails.
 
     Also the text of each closed group whose ``"("`` is lexed, in text order."""

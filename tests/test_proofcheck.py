@@ -912,6 +912,8 @@ _SKIP_CASES = (
     "(x) + y :[P] p",
     "Pr>= (1)/(2 + 1 e) (p)",
     "Pr>= (1)/(2 + 1 e) (p & q)",
+    "(c:box) :[P] p & (c:box) :[P] q",
+    "(x'box) :[P] p & (x'box) :[P] q",
 )
 _SKIP_ERRORS = (
     "(p & q) :[P] r",
@@ -924,17 +926,17 @@ _SKIP_ERRORS = (
 
 
 def test_a_repeated_term_group_with_a_mark_is_read_alone():
-    # "c:box" is a constant, so "(c:box)" reads as a term, yet its text holds
-    # the mark "box": a memo lexes its second copy as a group token, for which
+    # "c:Pr~" is a constant, so "(c:Pr~)" reads as a term, yet its text holds
+    # the mark "Pr~": a memo lexes its second copy as a group token, for which
     # the memo holds no formula. The shared read fails there, and parse_each
     # leaves the text to a read alone, which reads it like parse_formula.
-    text = "(c:box) :[P] p & (c:box) :[P] q"
+    text = "(c:Pr~) :[P] p & (c:Pr~) :[P] q"
     with pytest.raises(ParseError, match="^1:18: expected a formula group$"):
         Parser(text, memo={}).formula()
     assert syntax.parse_each([text], Parser.formula, memo={}) == {}
     d = parse_derivation(f"1. {text} -> {text} ; ax p", EMPTY)
     assert d.lines[0].formula == parse_formula(f"{text} -> {text}")
-    assert print_formula(parse_formula(text)) == "c:box :[P] p & (c:box :[P] q)"
+    assert print_formula(parse_formula(text)) == "c:Pr~ :[P] p & (c:Pr~ :[P] q)"
 
 
 def _mutants(rng, text):
