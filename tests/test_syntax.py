@@ -414,6 +414,7 @@ def test_literal_limits_are_parse_errors():
         (f"Pr>= 1 e^{huge} (p)", 10, too_long),
         (f"Pr>= 1/2 + {huge}/v (p)", 12, too_long),
         (f"f[{huge}](t) :[P] p", 3, too_long),
+        ("f[-1](t) :[P] p", 3, "complexity must be a natural number"),
         (f"Pr>= 1 e^{MAX_POWER + 1} (p)", 10, f"e power {MAX_POWER + 1} is over the limit of 100"),
         ("Pr>= 1 e^1000000000 (p)", 10, "e power 1000000000 is over the limit of 100"),
         (f"Pr>= 1/v^{MAX_POWER + 1} (p)", 10, f"v power {MAX_POWER + 1} is over the limit of 100"),
