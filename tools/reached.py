@@ -7,7 +7,8 @@ before `ipj` is imported; Tier-1 then runs in this process through
 `pytest.main`. Code that tests start in a subprocess is not traced, so a
 line that only such code runs needs an entry in `REASONS`, keyed by its
 module and its stripped source text. The exit code is pytest's when the
-tests fail, 1 when an unreached line has no reason, and 0 otherwise.
+tests fail, 1 when an unreached line has no reason or a listed line is
+reached or gone (so the list cannot outlive its reasons), and 0 otherwise.
 """
 
 import sys
@@ -91,12 +92,13 @@ def main(args):
             print(f"{path.name}:{line}: {stripped}" + (f"  [{reason}]" if reason else ""))
             unlisted += reason is None
             excused.add((path.name, stripped))
-    for module, stripped in REASONS.keys() - excused:
+    stale = REASONS.keys() - excused
+    for module, stripped in sorted(stale):
         print(f"reached.py: a listed line is reached or gone: {module}: {stripped}")
     print(f"reached.py: {unlisted} unreached line(s) without a listed reason")
     if status != 0:
         return int(status)
-    return 1 if unlisted else 0
+    return 1 if unlisted or stale else 0
 
 
 if __name__ == "__main__":
