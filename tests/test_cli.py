@@ -2,8 +2,11 @@
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -663,3 +666,68 @@ def test_import_leaves_out_dataclasses_and_inspect():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# -- renamed and reordered model files ------------------------------------------------
+
+_HEADER = re.compile(r"(worlds|atoms|R\[P\]|R\[V\]|val|evidence|U|mu|w0):")
+# formulas over the atoms of the random, witness and round models; one that
+# names an atom a model lacks is an input error there, on both files alike
+_EVAL_FORMULAS = (
+    "p", "~p & q", "box[P] p", "box[V] (p | ~q)", "Pr>= 1/2 (p)", "Pr~ 1/3 (q -> r)",
+    "Pr>= 1 e (box[V] p1 & q1)", "t :[P] p", "Pr~ 1/5 (t :[P] p)",
+    "f[5](t) :[V] box[P] p", "Pr>= 1/2 (f[3](t) :[V] box[P] p)", "accept",
+    "Pr>= 1/2 (accept)", "Pr~ 1/3 (s1 :[V] accept & s2 :[V] accept)", "box[V] accept",
+)
+
+
+def renamed_and_reordered(rng, text):
+    """``text`` as ``write_model_file`` writes it, with every world renamed to a
+    fresh name that is no section name, the lines inside each section shuffled
+    and the sections in reverse order."""
+    sections = []
+    for line in text.splitlines():  # a header has no space before its colon
+        if _HEADER.match(line):
+            sections.append([line])
+        else:
+            sections[-1].append(line)
+    old = sections[0][0].split()[1:]
+    fresh = [f"x{i}" for i in range(len(old))]
+    rng.shuffle(fresh)
+    name = dict(zip(old, fresh)).__getitem__
+    out = []
+    for head, *body in reversed(sections):
+        key, _, rest = head.partition(":")
+        if key in ("worlds", "U", "w0"):
+            head = f"{key}: {' '.join(map(name, rest.split()))}"
+        elif key.startswith("R["):
+            body = [f"{name(w)} -> {name(u)}" for w, _, u in map(str.split, body)]
+        elif key != "atoms":  # val, evidence and mu: a world and then the rest of the line
+            body = [f"{name(w)} {tail}" for w, tail in (line.split(" ", 1) for line in body)]
+        rng.shuffle(body)
+        out += [head, *body]
+    return "\n".join(out) + "\n"
+
+
+def test_renaming_worlds_and_reordering_a_file_change_no_output(capsys, tmp_path):
+    spec = tmp_path / "spec.ispec"
+    spec.write_text("p : const 2\n")
+    spec_fn = ispec.load_spec(spec.read_text())
+    witnesses = [(protosim.build_interaction_witness(
+        spec_fn, syntax.Atom("p"), syntax.Var("t"), k=k, n_max=16, honest=honest, zk=zk),
+        ["--spec", str(spec), "--kmax", str(k), *(["--zk"] if zk else [])])
+        for k in (1, 2) for honest in (True, False) for zk in (False, True)]
+    rng = random.Random(23)
+    models = [*witnesses, (protosim.build_round_model(
+        protosim.RoundConfig(10, Fraction(2, 7))).quasimodel, None)]
+    models += [(generators.rand_model(rng), None) for _ in range(50)]
+    for i, (qm, check) in enumerate(models):
+        text = semantics.write_model_file(qm)
+        paths = [tmp_path / f"m{i}.ipjm", tmp_path / f"m{i}-renamed.ipjm"]
+        paths[0].write_text(text)
+        paths[1].write_text(renamed_and_reordered(rng, text))
+        calls = [["eval", f, "--model", None] for f in _EVAL_FORMULAS]
+        calls += [["check-model", None, *check, "--json"]] if check else []
+        for argv in calls:
+            plain, moved = ([run(capsys, *[a or str(path) for a in argv]) for path in paths])
+            assert plain == moved, (i, argv)
