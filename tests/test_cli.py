@@ -729,5 +729,5 @@ def test_renaming_worlds_and_reordering_a_file_change_no_output(capsys, tmp_path
         calls = [["eval", f, "--model", None] for f in _EVAL_FORMULAS]
         calls += [["check-model", None, *check, "--json"]] if check else []
         for argv in calls:
-            plain, moved = ([run(capsys, *[a or str(path) for a in argv]) for path in paths])
+            plain, moved = [run(capsys, *[a or str(path) for a in argv]) for path in paths]
             assert plain == moved, (i, argv)
