@@ -329,6 +329,30 @@ def test_random_harness_takes_no_model_file(capsys, tmp_path):
         assert (code, out) == (2, "") and err.endswith("error: --random does not take a model file\n")
 
 
+def test_a_k_where_the_threshold_is_undefined_checks_nothing(capsys, tmp_path):
+    # the table has no default, so m(2) and m(3) are undefined: only k = 1 is checked
+    model = tmp_path / "runs.ipjm"
+    model.write_text("worlds: u v\nR[P]:\nu -> u\nv -> v\nR[V]:\nu -> u\nv -> v\n"
+                     "val:\nu : p\nv : p\nevidence:\nu [V] f[3](t) : box[P] p\n"
+                     "v [V] f[3](s) : box[P] p\nu [P] t : p\nU: u v\nmu:\nu = 1/2\nv = 1/2\nw0: u\n")
+    spec = tmp_path / "table.ispec"
+    spec.write_text("p : table 1 -> 1\n")
+    one = run(capsys, "check-model", str(model), "--spec", str(spec), "--kmax", "1")
+    assert one[0] == 1
+    assert [line for line in one[1].splitlines() if "fails" in line] == [
+        "condition 2 fails at t=s, alpha=p, n=3, k=1: measure 1/2",
+        "condition 2 fails at t=s, alpha=p, n=4, k=1: measure 1/2",
+        "condition 2 limit form fails at t=s, alpha=p, k=1: stabilized measure 1/2 "
+        "has standard part 1/2, expected 0",
+        "condition 1 fails at t=t, alpha=p, n=2, k=1: measure 0",
+        "condition 1 fails at t=t, alpha=p, n=3, k=1: measure 1/2",
+        "condition 1 fails at t=t, alpha=p, n=4, k=1: measure 1/2",
+        "condition 1 limit form fails at t=t, alpha=p, k=1: stabilized measure 1/2 "
+        "has standard part 1/2, expected 1",
+    ]
+    assert run(capsys, "check-model", str(model), "--spec", str(spec), "--kmax", "3") == one
+
+
 @pytest.mark.parametrize("kmax", ["-1", "0"])
 def test_kmax_below_one_is_an_input_error(capsys, tmp_path, kmax):
     # k ranges over the positive integers: no k to check would print PASS

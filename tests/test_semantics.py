@@ -46,6 +46,7 @@ from ipj.syntax import (
     parse_formula,
     parse_term,
     print_eformula,
+    print_term,
 )
 
 
@@ -693,6 +694,143 @@ def test_model_conditions_range_over_the_base_terms():
     rep = check_model_conditions(qm, load_spec("p : const 1\n"), kmax=1)
     named = [line.split("t=")[1].split(",")[0] for line in rep.lines if "t=" in line]
     assert named == ["s", "s", "t", "t"]
+
+
+def is_proto_free(t):
+    if isinstance(t, Proto):
+        return False
+    if isinstance(t, (Sum, App)):
+        return is_proto_free(t.left) and is_proto_free(t.right)
+    return is_proto_free(t.inner) if isinstance(t, Bang) else True
+
+
+def naive_model_conditions(qm, spec, zk, kmax):
+    """The lines and the verdict of check_model_conditions, from the Kripke
+    clauses and plain sums of masses: each bound at every n in (m(k), n*],
+    the limit form at n* and the omega event against the event at n*."""
+    m = qm.base
+    runs = sorted({t for _, t, _ in m.evidence_base if isinstance(t, Proto)}, key=print_term)
+    n_star = 1 + max((r.complexity for r in runs if r.complexity is not OMEGA), default=0)
+    lines = [f"stabilization index n* = {n_star}: protocol events are monotone in the "
+             f"complexity and constant for n > n*; conditions beyond n* reduce to the "
+             f"standard part of the stabilized measure"]
+    failed = []
+    events = {}
+
+    def event(n, t, body):
+        key = (n, t, body)
+        if key not in events:
+            phi = Just(Proto(n, t), "V", body)
+            events[key] = frozenset(u for u in qm.sample if naive_truth(m, u, phi))
+        return events[key]
+
+    def measure(n, t, body):
+        return sum((qm.measure[u] for u in event(n, t, body)), ZERO)
+
+    def fail(text):
+        lines.append(text)
+        failed.append(text)
+
+    for t in dict.fromkeys(r.inner for r in runs if is_proto_free(r.inner)):
+        for alpha in spec.formulas():
+            at = f"t={print_term(t)}, alpha={print_eformula(alpha)}"
+            holds = naive_truth(m, qm.w0, Just(t, "P", alpha))
+            cases = [(Box("P", alpha), not holds, "condition 1" if holds else "condition 2",
+                      f"for {at}")]
+            if zk and holds:
+                cases.append((Just(t, "P", alpha), True, "zk condition",
+                              f"(zk) for t={print_term(t)}"))
+            for body, upper, label, where in cases:
+                if event(OMEGA, t, body) != event(n_star, t, body):
+                    fail(f"omega event differs from the stabilized event {where}")
+                for k in range(1, kmax + 1):
+                    thr = spec.threshold(alpha).value_at(k)
+                    if thr is None:
+                        continue
+                    for n in range(thr + 1, n_star + 1):
+                        value, bound = measure(n, t, body), q(Fraction(1, n**k))
+                        if not (value <= bound if upper else value >= q(1) - bound):
+                            fail(f"{label} fails at {at}, n={n}, k={k}: measure {value}")
+                    stab = measure(n_star, t, body)
+                    want = Fraction(0 if upper else 1)
+                    if stab.std_part() != want:
+                        fail(f"{label} limit form fails at {at}, k={k}: stabilized measure "
+                             f"{stab} has standard part {stab.std_part()}, expected {want}")
+    lines.append("model conditions violated" if failed else "model conditions checked")
+    return lines, not failed
+
+
+def rand_protocol_model(rng):
+    """A quasimodel of 2-6 worlds whose evidence base holds protocol runs
+    [V] f[c](x) : body, with c in 1..30 or w, x one of t, s and f[1](t), and
+    masses that an infinitesimal often moves between two sample worlds."""
+    worlds = [f"u{i}" for i in range(rng.randint(2, 6))]
+    rel = {}
+    for a in ("P", "V"):
+        reach = {(w, u) for w in worlds for u in worlds if w == u or rng.random() < 0.2}
+        for v in worlds:  # the transitive closure
+            reach |= {(w, u) for w, x in reach if x == v for y, u in reach if y == v}
+        rel[a] = sorted(reach)
+    valuation = {w: [p for p in ("p", "q") if rng.random() < 0.7] for w in worlds}
+    inners = [Var("t"), Var("s"), Proto(1, Var("t"))]
+    evidence = {}
+    for _ in range(rng.randint(1, 6)):
+        x, a = rng.choice(inners), rng.choice([Atom("p"), Atom("q")])
+        y = x if isinstance(x, Var) else Var("t")
+        body = Box("P", a) if rng.random() < 0.5 else Just(y, "P", a)
+        run = Proto(OMEGA if rng.random() < 0.25 else rng.randint(1, 30), x)
+        evidence[("V", run, body)] = rng.sample(worlds, rng.randint(1, len(worlds)))
+    for _ in range(rng.randint(1, 4)):
+        key = ("P", rng.choice(inners[:2]), rng.choice([Atom("p"), Atom("q")]))
+        evidence[key] = rng.sample(worlds, rng.randint(1, len(worlds)))
+    m = NamedModel(worlds, rel, valuation, evidence, atoms=("p", "q"))
+    w0 = rng.choice(worlds)
+    sample = [w for w in worlds if w == w0 or rng.random() < 0.8]
+    weights = [rng.choice((0, 0, 1, 1, 2, 5)) for _ in sample]
+    if not any(weights):
+        weights[0] = 1
+    measure = {u: q(Fraction(x, sum(weights))) for u, x in zip(sample, weights)}
+    heavy = [u for u in sample if measure[u] != ZERO]
+    if len(sample) >= 2 and rng.random() < 0.6:
+        u = rng.choice(heavy)
+        v = rng.choice([w for w in sample if w != u])
+        shift = QEps((0, 1), (1, 1))  # e / (1 + e)
+        measure[u], measure[v] = measure[u] - shift, measure[v] + shift
+    return Quasimodel(m, sample, measure, w0)
+
+
+def rand_threshold_spec(rng):
+    """A spec for p and q, each const, poly or a table with or without a default."""
+    def fn():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return f"const {rng.choice([0, 1, 2, 3, 5, 10, 30])}"
+        if kind == 1:
+            return f"poly {rng.randint(0, 3)} {rng.randint(0, 4)}"
+        if kind == 2:
+            return f"table 1 -> {rng.randint(0, 5)} 3 -> {rng.randint(0, 9)} default {rng.randint(0, 4)}"
+        return "table 1 -> 1"
+
+    return load_spec(f"p : {fn()}\nq : {fn()}\n")
+
+
+def test_model_conditions_agree_with_the_naive_reference():
+    rng = random.Random(40)
+    seen = {"PASS": 0, "FAIL": 0, "fails at": 0, "limit form": 0, "omega": 0, "zk": 0,
+            "skipped": 0, "vacuous": 0}
+    for _ in range(250):
+        qm, spec = rand_protocol_model(rng), rand_threshold_spec(rng)
+        zk, kmax = rng.random() < 0.5, rng.randint(1, 4)
+        rep = check_model_conditions(qm, spec, zk=zk, kmax=kmax)
+        lines, ok = naive_model_conditions(qm, spec, zk, kmax)
+        assert (rep.lines, rep.ok) == (lines, ok)
+        seen["PASS" if ok else "FAIL"] += 1
+        for mark in ("fails at", "limit form", "omega", "zk"):
+            seen[mark] += any(mark in line for line in lines)
+        seen["skipped"] += any(isinstance(t, Proto) and not is_proto_free(t.inner)
+                               for _, t, _ in qm.base.evidence_base)
+        seen["vacuous"] += any(spec.threshold(a).value_at(kmax) is None for a in spec.formulas())
+    assert min(seen.values()) >= 10, seen
 
 
 def test_mass_outside_the_unit_interval_names_the_first_sample_world():
