@@ -580,23 +580,20 @@ class Derivation:
 
 class Report:
     """A verdict and why: ``lines`` are the text the CLI prints, ``fields``
-    the values its ``--json`` adds beside them, ``counterexample`` the data of
-    the first failure."""
+    the values its ``--json`` adds beside them."""
 
     def __init__(self, ok: bool = True, lines: Optional[list[str]] = None,
                  fields: Optional[dict] = None):
-        self.ok, self.counterexample = ok, None
+        self.ok = ok
         self.lines = [] if lines is None else lines
         self.fields = {} if fields is None else fields
 
     def note(self, text: str):
         self.lines.append(text)
 
-    def fail(self, text: str, counterexample: Optional[tuple] = None):
+    def fail(self, text: str):
         self.lines.append(text)
-        if self.ok:
-            self.ok = False
-            self.counterexample = counterexample
+        self.ok = False
 
     def verdict(self) -> "Report":
         """Close a report of several checks with its PASS or FAIL line."""

@@ -470,21 +470,6 @@ def check_independence(q: Quasimodel, alpha: EFormula, beta: EFormula) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def stabilization_index(m: EpistemicModel) -> int:
-    """Smallest n beyond which every protocol event family is constant.
-
-    Protocol evidence only enters through base tuples; membership at
-    complexity n collects the base tuples of complexity <= n, so every event
-    family is monotone nondecreasing in n and constant past the largest
-    finite complexity in the base.
-    """
-    top = 0
-    for _, t, _ in m._base:
-        if isinstance(t, Proto) and isinstance(t.complexity, int):
-            top = max(top, t.complexity)
-    return top + 1
-
-
 def check_model_conditions(
     q: Quasimodel,
     spec: InteractionSpec,
@@ -496,10 +481,14 @@ def check_model_conditions(
     the order of the printed f[n](t), and for k = 1..kmax.  Other terms and
     larger k are not checked.
 
-    The conditions quantify over all complexities n; in a finite model the
-    event family stabilizes at the index n* computed from the evidence base,
-    so the checks split into direct bound checks for n <= n* and a
-    standard-part check of the stabilized measure covering every n > n*.
+    The conditions quantify over all complexities n.  Protocol evidence only
+    enters through base tuples, and membership at complexity n collects the
+    base tuples of complexity <= n, so every event family is monotone
+    nondecreasing in n and constant from the largest finite complexity in
+    the base on.  The stabilization index n* is one more than that
+    complexity (1 when there is none), so the event at n* is the event at
+    every n > n*: the bounds are checked directly for n <= n*, and the
+    standard part of the measure at n* stands for every n > n*.
     """
     rep = proofcheck.Report()
     m = q.base
@@ -507,79 +496,51 @@ def check_model_conditions(
         for name in syntax.atoms_of_e(alpha):
             if name not in m.atoms:
                 raise ModelError(f"spec formula mentions unknown atom {name!r}")
-    n_star = stabilization_index(m)
+    n_star = 1 + max((c for entries in m._proto.values() for c, _ in entries if c is not OMEGA),
+                     default=0)
     rep.note(
         f"stabilization index n* = {n_star}: protocol events are monotone in the "
         f"complexity and constant for n > n*; conditions beyond n* reduce to the "
         f"standard part of the stabilized measure"
     )
+
+    def run(n: syntax.Complexity, t: Term, body: EFormula) -> EFormula:  # f[n](t) :[V] body
+        return Just(Proto(n, t), syntax.VERIFIER, body)
+
     runs = sorted({t for _, t, _ in m._base if isinstance(t, Proto)}, key=syntax.print_term)
     for t in dict.fromkeys(r.inner for r in runs if is_f_free(r.inner)):
         for alpha in spec.formulas():
             fn = spec.threshold(alpha)
-            thresholds = [(k, fn.value_at(k)) for k in range(1, kmax + 1)]
             claim = Just(t, syntax.PROVER, alpha)
             holds = m.eval(q.w0, claim)
+            at = f"t={syntax.print_term(t)}, alpha={syntax.print_eformula(alpha)}"
             # (body, upper bound?, label, where the omega check reports)
-            cases = [(
-                Box(syntax.PROVER, alpha), not holds, "condition 1" if holds else "condition 2",
-                f"for t={syntax.print_term(t)}, alpha={syntax.print_eformula(alpha)}",
-            )]
+            cases = [(Box(syntax.PROVER, alpha), not holds,
+                      "condition 1" if holds else "condition 2", f"for {at}")]
             if zk and holds:
                 cases.append((claim, True, "zk condition", f"(zk) for t={syntax.print_term(t)}"))
             for body, upper, label, where in cases:
-                omega = q.event_mask(Just(Proto(OMEGA, t), syntax.VERIFIER, body))
-                if omega != q.event_mask(Just(Proto(n_star, t), syntax.VERIFIER, body)):
-                    rep.fail(
-                        f"omega event differs from the stabilized event {where}",
-                        (t, alpha, OMEGA, None, None),
-                    )
-                for k, thr in thresholds:
-                    if thr is not None:  # not in the family at this k: vacuous
-                        _check_bounds(rep, q, t, alpha, k, thr, n_star, body, upper, label)
+                stable = q.event_mask(run(n_star, t, body))
+                if q.event_mask(run(OMEGA, t, body)) != stable:
+                    rep.fail(f"omega event differs from the stabilized event {where}")
+                # every measure is finite: it is a sum of masses, each in [0, 1]
+                # (Quasimodel.validate), so its standard part is defined
+                stab = q.measure_mask(stable)
+                sp, want = stab.std_part(), 0 if upper else 1
+                for k in range(1, kmax + 1):
+                    thr = fn.value_at(k)
+                    if thr is None:  # not in the family at this k: vacuous
+                        continue
+                    for n in range(thr + 1, n_star + 1):
+                        value = q.measure_of(run(n, t, body))
+                        bound = QEps.from_rational(error(n, k))
+                        if value.compare(bound) > 0 if upper else value.compare(ONE - bound) < 0:
+                            rep.fail(f"{label} fails at {at}, n={n}, k={k}: measure {value}")
+                    if sp != want:
+                        rep.fail(f"{label} limit form fails at {at}, k={k}: stabilized "
+                                 f"measure {stab} has standard part {sp}, expected {want}")
     rep.note("model conditions checked" if rep.ok else "model conditions violated")
     return rep
-
-
-def _check_bounds(
-    rep: proofcheck.Report,
-    q: Quasimodel,
-    t: Term,
-    alpha: EFormula,
-    k: int,
-    thr: int,
-    n_star: int,
-    body: EFormula,
-    upper: bool,
-    label: str,
-):
-    def describe(n, value):
-        return (
-            f"{label} fails at t={syntax.print_term(t)}, "
-            f"alpha={syntax.print_eformula(alpha)}, n={n}, k={k}: measure {value}"
-        )
-
-    for n in range(thr + 1, n_star + 1):
-        ev = Just(Proto(n, t), syntax.VERIFIER, body)
-        value = q.measure_of(ev)
-        bound = QEps.from_rational(error(n, k))
-        if upper:
-            ok = value.compare(bound) <= 0
-        else:
-            ok = value.compare(ONE - bound) >= 0
-        if not ok:
-            rep.fail(describe(n, value), (t, alpha, n, k, value))
-    # every measure is finite: it is a sum of masses, each in [0, 1] (Quasimodel.validate)
-    stab = q.measure_of(Just(Proto(max(n_star, thr + 1), t), syntax.VERIFIER, body))
-    sp = stab.std_part()
-    want = Fraction(0) if upper else Fraction(1)
-    if sp != want:
-        rep.fail(
-            f"{label} limit form fails at t={syntax.print_term(t)}, "
-            f"alpha={syntax.print_eformula(alpha)}, k={k}: stabilized measure {stab} "
-            f"has standard part {sp}, expected {want}",
-            (t, alpha, None, k, stab),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -649,7 +649,6 @@ def test_model_conditions_pass_and_fail():
     bad = witness_quasimodel(q("1/2"), q("2/5"))
     rep = check_model_conditions(bad, spec, kmax=1)
     assert not rep.ok
-    assert rep.counterexample is not None
     assert "standard part" in "\n".join(rep.lines)
 
 
@@ -844,7 +843,8 @@ def test_mass_outside_the_unit_interval_names_the_first_sample_world():
 
 def test_an_infinite_mass_is_refused():
     # No mass is infinite, so neither is any measure, a finite sum of masses:
-    # _check_bounds reads every standard part without a guard.
+    # check_model_conditions reads the standard part of each measure at n*
+    # without a guard.
     worlds = ["u1", "u2"]
     m = simple_model(worlds=worlds, rel={"P": ident(worlds), "V": ident(worlds)}, valuation={})
     infinite = parse_qeps("(1)/(1 e)")
