@@ -504,16 +504,16 @@ MAX_POWER = 100
 _SPACE_RE = re.compile(r"\s*")
 _PAREN_RE = re.compile(r"[()]")
 # what only a formula holds: a formula other than an atom holds one of these,
-# a term, a threshold and a bare atom ``(x)`` none (but see _tokenize); a box
-# is followed by its agent, so "box" alone, as in c:box or x'box, is no mark
+# a term, a threshold and a bare atom ``(x)`` none; a box is followed by its
+# agent, so "box" alone, as in c:box or x'box, is no mark
 _FORMULA_MARK_RE = re.compile(r"[~&|>]|:\[|\bbox\s*\[|\bPr[<>=~]")
 
 
 def _tokenize(text: str, skip: bool) -> tuple[list, list, list]:
     """The kinds and the texts of the tokens of ``text`` and of an end token.
 
-    A constant is one token: its text is that of the token after ``"c:"``,
-    whatever it is, so ``"c:c:x"`` reads as the constant ``"c:"`` and then x.
+    A constant is one token: its text is that of the ident after ``"c:"``.
+    Any other token there, as in ``"c:c:x"`` or ``"c:Pr~"``, is an error.
 
     With ``skip``, a group whose text comes earlier in ``text`` is one
     ``group`` token, whose text is the group's, and is not lexed: the parser
@@ -521,9 +521,7 @@ def _tokenize(text: str, skip: bool) -> tuple[list, list, list]:
     later one.  A group whose text holds nothing that only a formula holds
     stays tokens, as it may be a term: ``(t)``, ``(x)``, ``(s + t)``.  A group
     that holds such a mark is no term, so where it is followed by ``:[``,
-    ``+`` or ``*`` the text is no formula: it fails, as without a memo.  The
-    exception is a mark that names a constant, as in ``(c:Pr~)``: a later copy
-    of that term finds no formula in the memo, and the read fails.
+    ``+`` or ``*`` the text is no formula: it fails, as without a memo.
 
     Also the text of each closed group whose ``"("`` is lexed, in text order."""
     texts, keys, pos = [], [], 0
@@ -557,7 +555,7 @@ def _tokenize(text: str, skip: bool) -> tuple[list, list, list]:
     texts = list(filter(None, texts))  # without the empty matches that end each part
     kinds = list(map(_KINDS.get, texts, map(_FIRST_CHAR_KINDS.get, map(_first_char, texts))))
     if "c:" in kinds:
-        kinds, texts = _constants(kinds, texts)
+        kinds, texts = _constants(text, kinds, texts)
     if None in kinds:
         for j in [j for j, kind in enumerate(kinds) if kind is None]:
             if not texts[j][-1].isdecimal():
@@ -569,11 +567,14 @@ def _tokenize(text: str, skip: bool) -> tuple[list, list, list]:
     return kinds, texts, keys
 
 
-def _constants(kinds: list, texts: list) -> tuple[list, list]:
-    """The tokens with each ``"c:"`` and the token after it one constant token."""
+def _constants(text: str, kinds: list, texts: list) -> tuple[list, list]:
+    """The tokens of ``text`` with each ``"c:"`` and the ident after it one constant token."""
     fixed_kinds, fixed_texts, start = [], [], 0
     j = kinds.index("c:")
     while True:
+        if kinds[j + 1] != "ident":
+            msg = f"expected a constant's name after 'c:', got {texts[j + 1]!r}"
+            raise ParseError(msg, *_position(text, kinds, texts, j + 1))
         fixed_kinds += kinds[start:j]
         fixed_texts += texts[start:j]
         fixed_kinds.append("const")
@@ -793,12 +794,9 @@ class Parser:
     def group(self) -> Formula:
         """``"(" formula ")"``, or the node of a group the memo holds."""
         i = self.i
-        if self.kinds[i] == "group":
-            f = self.memo.get(self.texts[i])
-            if f is None:  # its first copy was no formula group
-                self.error("expected a formula group")
+        if self.kinds[i] == "group":  # its first copy holds a mark, so it was read as a formula
             self.i = i + 1
-            return f
+            return self.memo[self.texts[i]]
         self.expect("(")
         return self.close_group(i, self.formula())
 

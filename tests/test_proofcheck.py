@@ -925,18 +925,19 @@ _SKIP_ERRORS = (
 )
 
 
-def test_a_repeated_term_group_with_a_mark_is_read_alone():
-    # "c:Pr~" is a constant, so "(c:Pr~)" reads as a term, yet its text holds
-    # the mark "Pr~": a memo lexes its second copy as a group token, for which
-    # the memo holds no formula. The shared read fails there, and parse_each
-    # leaves the text to a read alone, which reads it like parse_formula.
+def test_a_constant_named_by_a_mark_is_an_error_with_a_memo_or_without():
+    # "c:Pr~" is no constant, as a constant's name is an ident: so no term
+    # group holds a formula mark, and a repeated group that a memo lexes as
+    # one token had its first copy read as a formula. Here the text fails at
+    # the same token with a memo and without one, and so does a proof line.
     text = "(c:Pr~) :[P] p & (c:Pr~) :[P] q"
-    with pytest.raises(ParseError, match="^1:18: expected a formula group$"):
-        Parser(text, memo={}).formula()
+    error = "1:4: expected a constant's name after 'c:', got 'Pr~'"
+    for memo in (None, {}):
+        with pytest.raises(ParseError, match=f"^{error}$"):
+            Parser(text, memo=memo).formula()
     assert syntax.parse_each([text], Parser.formula, memo={}) == {}
-    d = parse_derivation(f"1. {text} -> {text} ; ax p", EMPTY)
-    assert d.lines[0].formula == parse_formula(f"{text} -> {text}")
-    assert print_formula(parse_formula(text)) == "c:Pr~ :[P] p & (c:Pr~ :[P] q)"
+    with pytest.raises(ProofParseError, match=f"^line 1: {error}$"):
+        parse_derivation(f"1. {text} -> {text} ; ax p", EMPTY)
 
 
 def _mutants(rng, text):

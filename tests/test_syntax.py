@@ -231,14 +231,19 @@ def test_tokenize_lines_and_columns():
         # only "\n" starts a line
         "x\r\ny z": [("ident", "x", 1, 1), ("ident", "y", 2, 1), ("ident", "z", 2, 3),
                      ("eof", "", 2, 4)],
-        # a constant's name is the token after "c:", whatever it is
-        "c:c:x c:Pr>= 1": [
-            ("const", "c:", 1, 1), ("ident", "x", 1, 5), ("const", "Pr>=", 1, 7),
-            ("num", "1", 1, 14), ("eof", "", 1, 15),
+        # a constant's name is the ident after "c:", a reserved word or "Pr" too
+        "c:c_1 c:box c:Pr 1": [
+            ("const", "c_1", 1, 1), ("const", "box", 1, 7), ("const", "Pr", 1, 13),
+            ("num", "1", 1, 18), ("eof", "", 1, 19),
         ],
     }
     for text, want in cases.items():
         assert [tuple(t) for t in tokenize(text)] == want, text
+    # any other token after "c:" is an error at that token
+    for text, where, got in (("c:c:x", "1:3", "'c:'"), ("p &\n c:Pr>= 1", "2:4", "'Pr>='")):
+        msg = f"^{where}: expected a constant's name after 'c:', got {got}$"
+        with pytest.raises(ParseError, match=msg):
+            tokenize(text)
     for text, where in (("p &\n  q\n @", "3:2"), ("  \t#", "1:4"), ("p - q", "1:3")):
         with pytest.raises(ParseError, match=f"^{where}: unexpected character"):
             tokenize(text)
@@ -397,7 +402,7 @@ def test_memo_and_plain_reads_name_the_same_error_position():
     # group token, a constant or a digit outside ASCII before the bad character
     for text, where in (
         ("(p & q) &\n ((p & q)) & (p & q) @ x", "2:22"),
-        ("c:k :[P] (p & q) &\n c:c:x & (p & q) @", "2:18"),
+        ("c:k :[P] (p & q) &\n c:k_x & (p & q) @", "2:18"),
         ("(p & q) & Pr>= \u0663 ((p & q)) &\n\t(p & q) @", "2:10"),
     ):
         for memo in (None, {}):
