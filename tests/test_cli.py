@@ -334,7 +334,8 @@ def test_a_k_where_the_threshold_is_undefined_checks_nothing(capsys, tmp_path):
     model = tmp_path / "runs.ipjm"
     model.write_text("worlds: u v\nR[P]:\nu -> u\nv -> v\nR[V]:\nu -> u\nv -> v\n"
                      "val:\nu : p\nv : p\nevidence:\nu [V] f[3](t) : box[P] p\n"
-                     "v [V] f[3](s) : box[P] p\nu [P] t : p\nU: u v\nmu:\nu = 1/2\nv = 1/2\nw0: u\n")
+                     "v [V] f[3](s) : box[P] p\nu [P] t : p\n"
+                     "U: u v\nmu:\nu = 1/2\nv = 1/2\nw0: u\n")
     spec = tmp_path / "table.ispec"
     spec.write_text("p : table 1 -> 1\n")
     one = run(capsys, "check-model", str(model), "--spec", str(spec), "--kmax", "1")

@@ -807,7 +807,8 @@ def rand_threshold_spec(rng):
         if kind == 1:
             return f"poly {rng.randint(0, 3)} {rng.randint(0, 4)}"
         if kind == 2:
-            return f"table 1 -> {rng.randint(0, 5)} 3 -> {rng.randint(0, 9)} default {rng.randint(0, 4)}"
+            m1, m3, d = rng.randint(0, 5), rng.randint(0, 9), rng.randint(0, 4)
+            return f"table 1 -> {m1} 3 -> {m3} default {d}"
         return "table 1 -> 1"
 
     return load_spec(f"p : {fn()}\nq : {fn()}\n")
