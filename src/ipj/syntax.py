@@ -557,22 +557,30 @@ def _tokenize(text: str, skip: bool) -> tuple[list, list, list]:
     if "c:" in kinds:
         kinds, texts = _constants(text, kinds, texts)
     if None in kinds:
-        for j in [j for j, kind in enumerate(kinds) if kind is None]:
-            if not texts[j][-1].isdecimal():
-                msg = f"unexpected character {texts[j]!r}"
-                raise ParseError(msg, *_position(text, kinds, texts, j))
-            kinds[j] = "num"
+        _characters(text, kinds, texts)
     kinds.append("eof")
     texts.append("")
     return kinds, texts, keys
 
 
+def _characters(text: str, kinds: list, texts: list):
+    """Make each token of no kind a num if it ends in a digit, else raise at the first."""
+    for j in [j for j, kind in enumerate(kinds) if kind is None]:
+        if not texts[j][-1].isdecimal():
+            msg = f"unexpected character {texts[j]!r}"
+            raise ParseError(msg, *_position(text, kinds, texts, j))
+        kinds[j] = "num"
+
+
 def _constants(text: str, kinds: list, texts: list) -> tuple[list, list]:
-    """The tokens of ``text`` with each ``"c:"`` and the ident after it one constant token."""
+    """The tokens of ``text`` with each ``"c:"`` and the ident after it one
+    constant token.  Any other token after a ``"c:"`` is an error, raised
+    after that of an unexpected character before it."""
     fixed_kinds, fixed_texts, start = [], [], 0
     j = kinds.index("c:")
     while True:
         if kinds[j + 1] != "ident":
+            _characters(text, kinds[:j], texts[:j])
             msg = f"expected a constant's name after 'c:', got {texts[j + 1]!r}"
             raise ParseError(msg, *_position(text, kinds, texts, j + 1))
         fixed_kinds += kinds[start:j]

@@ -239,10 +239,15 @@ def test_tokenize_lines_and_columns():
     }
     for text, want in cases.items():
         assert [tuple(t) for t in tokenize(text)] == want, text
-    # any other token after "c:" is an error at that token
-    for text, where, got in (("c:c:x", "1:3", "'c:'"), ("p &\n c:Pr>= 1", "2:4", "'Pr>='")):
-        msg = f"^{where}: expected a constant's name after 'c:', got {got}$"
-        with pytest.raises(ParseError, match=msg):
+    # any other token after "c:" is an error at that token, or at an
+    # unexpected character before it: the first fault in the text is named
+    for text, where, msg in (
+        ("c:c:x", "1:3", "expected a constant's name after 'c:', got 'c:'"),
+        ("p &\n c:Pr>= 1", "2:4", "expected a constant's name after 'c:', got 'Pr>='"),
+        ("c:Pr~ @", "1:3", "expected a constant's name after 'c:', got 'Pr~'"),
+        ("\u0663 @ c:Pr~", "1:3", "unexpected character '@'"),
+    ):
+        with pytest.raises(ParseError, match=f"^{where}: {msg}$"):
             tokenize(text)
     for text, where in (("p &\n  q\n @", "3:2"), ("  \t#", "1:4"), ("p - q", "1:3")):
         with pytest.raises(ParseError, match=f"^{where}: unexpected character"):
